@@ -172,6 +172,22 @@ class QuantumChannel:
         phi = (self._stacked() @ psi).reshape(self.n_kraus, self.dim_out)
         return phi.T @ phi.conj()
 
+    def apply_pure_batch(self, psis) -> np.ndarray:
+        """``apply_pure`` for a (B, dim_in) block of pure inputs, one per row.
+
+        Returns the (B, dim_out, dim_out) stack of outputs. The whole block
+        goes through the stacked Kraus family in one GEMM, and the outputs are
+        formed by one batched matmul.
+        """
+        psis = np.asarray(psis, dtype=np.complex128)
+        if psis.ndim != 2 or psis.shape[1] != self.dim_in:
+            raise DimensionError(
+                f"state block of shape {psis.shape} does not match input dim "
+                f"{self.dim_in}"
+            )
+        phi = (psis @ self._stacked().T).reshape(-1, self.n_kraus, self.dim_out)
+        return phi.transpose(0, 2, 1) @ phi.conj()
+
     # -- scalar diagnostics -------------------------------------------------
 
     def linear_entropy(self) -> float:

@@ -328,12 +328,12 @@ def run_typicality(params: dict) -> list:
                                eta_trials=eta_trials, d_e_eff=info["d_e_eff"])
     except ValueError as exc:
         raise UsageError(f"bad experiment config: {exc}") from exc
-    report = run_experiment(cfg)
+    distances = sample_distances(cfg)
+    report = run_experiment(cfg, distances)
     out = params["out"]
     report.save(out)
     outputs = [out]
     if params.get("distances_csv"):
-        distances = sample_distances(cfg)
         _write_csv(params["distances_csv"], ["index", "distance"],
                    [[i, d] for i, d in enumerate(distances)])
         outputs.append(params["distances_csv"])

@@ -7,28 +7,28 @@ the statistics against two analytic bounds: the entropy bound
 (1/2) sqrt(d_S (1 - S_L)) on the mean, and the concentration tail bound
 2 exp(-C d_R eps^2 / (4 eta^2)) with C = 2 / (9 pi^3).
 
-Sampling is data parallel over the sample index: sample i always uses seed
-derive_seed(master_seed, i), so the distance list is identical no matter how
-many worker threads run (set QTYPICAL_THREADS to change speed, never
-results).
+Sampling runs in fixed chunks of SAMPLE_CHUNK samples: each chunk stacks
+its Haar vectors, applies the channel to the whole block in one GEMM and
+takes the trace distances from one batched eigensolve. Sample i always uses
+seed derive_seed(master_seed, i), so it depends only on (master_seed, i).
+The chunk size is a constant, so output bytes never depend on the machine or
+on any thread setting; QTYPICAL_THREADS is ignored.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import ConsistencyError, QuantumChannel, lipschitz_estimate
-from .qcore import DensityOperator, derive_seed, haar_sample, trace_distance
+from .qcore import DensityOperator, derive_seed, haar_sample
 
 __all__ = [
     "LEVY_CONSTANT",
-    "THREADS_ENV_VAR",
+    "SAMPLE_CHUNK",
     "ExperimentConfig",
     "TypicalityReport",
     "canonical_state",
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 LEVY_CONSTANT = 2.0 / (9.0 * math.pi**3)
-THREADS_ENV_VAR = "QTYPICAL_THREADS"
+SAMPLE_CHUNK = 256  # samples per batched block; a constant, so output bytes are reproducible
 ETA_STREAM_INDEX = 0xFFFFFFFFFFFFFFFF  # seed stream index reserved for eta estimation
 
 
@@ -83,38 +83,33 @@ def canonical_state(ch: QuantumChannel) -> DensityOperator:
     return DensityOperator(ch.apply_matrix(np.eye(d, dtype=np.complex128) / d))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def sample_distances(cfg: ExperimentConfig) -> list:
     """Trace distances of channel outputs of Haar samples to the canonical state.
 
-    Output order follows the sample index; entry i only ever depends on
-    (master_seed, i), which makes the list independent of thread count.
+    Output order follows the sample index; entry i is the distance for the
+    state haar_sample(dim_in, derive_seed(master_seed, i)). Samples are
+    processed in blocks of SAMPLE_CHUNK.
     """
     ch = cfg.channel
     d = ch.dim_in
     omega = canonical_state(ch).matrix
-
-    def one(i: int) -> float:
-        psi = haar_sample(d, derive_seed(cfg.master_seed, i)).amplitudes
-        return trace_distance(ch.apply_pure(psi), omega)
-
-    threads = _thread_count()
-    if threads == 1:
-        return [one(i) for i in range(cfg.samples)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(cfg.samples)))
+    distances = np.empty(cfg.samples)
+    for start in range(0, cfg.samples, SAMPLE_CHUNK):
+        stop = min(start + SAMPLE_CHUNK, cfg.samples)
+        psis = np.stack([haar_sample(d, derive_seed(cfg.master_seed, i)).amplitudes
+                         for i in range(start, stop)])
+        eigs = np.linalg.eigvalsh(ch.apply_pure_batch(psis) - omega)
+        distances[start:stop] = 0.5 * np.sum(np.abs(eigs), axis=1)
+    return distances.tolist()
 
 
 def entropy_bound(ch: QuantumChannel) -> float:
     """Mean-distance bound (1/2) sqrt(d_S * (1 - S_L)) from the channel entropy."""
-    return 0.5 * math.sqrt(ch.dim_out * (1.0 - ch.linear_entropy()))
+    return _entropy_bound(ch.dim_out, ch.linear_entropy())
+
+
+def _entropy_bound(d_s: int, linear_entropy: float) -> float:
+    return 0.5 * math.sqrt(d_s * (1.0 - linear_entropy))
 
 
 def partial_trace_bound(d_s: int, d_e_eff: float) -> float:
@@ -203,10 +198,18 @@ class TypicalityReport:
             fh.write("\n")
 
 
-def run_experiment(cfg: ExperimentConfig) -> TypicalityReport:
-    """Full experiment: sampling, aggregation, bounds, and the tail table."""
+def run_experiment(cfg: ExperimentConfig, distances=None) -> TypicalityReport:
+    """Full experiment: sampling, aggregation, bounds, and the tail table.
+
+    ``distances`` takes the output of ``sample_distances(cfg)`` when the
+    caller already has it, so the samples are drawn only once.
+    """
     ch = cfg.channel
-    distances = np.asarray(sample_distances(cfg))
+    if distances is None:
+        distances = sample_distances(cfg)
+    if len(distances) != cfg.samples:
+        raise ValueError(f"{len(distances)} distances given for {cfg.samples} samples")
+    distances = np.asarray(distances)
     mean = float(np.mean(distances))
     std = float(np.std(distances, ddof=1)) if cfg.samples > 1 else 0.0
     top = float(np.max(distances))
@@ -225,6 +228,7 @@ def run_experiment(cfg: ExperimentConfig) -> TypicalityReport:
         bound = min(1.0, max(0.0, levy_tail_bound(ch.dim_in, eps, eta)))
         tail_rows.append((eps, fraction, bound))
 
+    s_l = ch.linear_entropy()
     p_bound = None
     if cfg.d_e_eff is not None:
         p_bound = partial_trace_bound(ch.dim_out, cfg.d_e_eff)
@@ -237,8 +241,8 @@ def run_experiment(cfg: ExperimentConfig) -> TypicalityReport:
         mean_distance=mean,
         std_distance=std,
         max_distance=top,
-        entropy_bound=entropy_bound(ch),
-        linear_entropy=ch.linear_entropy(),
+        entropy_bound=_entropy_bound(ch.dim_out, s_l),
+        linear_entropy=s_l,
         eta_mode=cfg.eta_mode,
         eta_used=eta,
         tail_table=tuple(tail_rows),

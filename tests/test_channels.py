@@ -75,6 +75,31 @@ def test_apply_pure_matches_apply_on_projector():
         ch.apply_pure(psi), ch.apply_matrix(np.outer(psi, psi.conj())), atol=1e-12)
 
 
+@pytest.mark.parametrize("ch_factory", [
+    lambda: random_channel(5, 3, 4, seed=12),
+    lambda: random_channel(4, 6, 2, seed=13),
+    lambda: unitary_channel(haar_unitary(4, 3)),  # a single Kraus operator
+    lambda: random_channel(3, 1, 3, seed=14),     # dim_out = 1
+])
+def test_apply_pure_batch_matches_apply_pure(ch_factory):
+    ch = ch_factory()
+    rng = np.random.default_rng(5)
+    psis = rng.standard_normal((7, ch.dim_in)) + 1j * rng.standard_normal((7, ch.dim_in))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    batch = ch.apply_pure_batch(psis)
+    assert batch.shape == (7, ch.dim_out, ch.dim_out)
+    for psi, rho in zip(psis, batch):
+        np.testing.assert_allclose(rho, ch.apply_pure(psi), rtol=0, atol=1e-13)
+
+
+def test_apply_pure_batch_dimension_mismatch():
+    ch = identity_channel(4)
+    with pytest.raises(DimensionError):
+        ch.apply_pure_batch(np.ones(4))
+    with pytest.raises(DimensionError):
+        ch.apply_pure_batch(np.ones((2, 3)))
+
+
 @pytest.mark.parametrize("ch_factory,seed0", [
     (lambda: identity_channel(4), 0),
     (lambda: depolarizing(3, 0.3), 100),

@@ -158,6 +158,36 @@ def test_typicality_partial_trace_config(tmp_path):
     assert len(rows) == 150
 
 
+def test_typicality_distances_csv_samples_once(tmp_path, monkeypatch):
+    import qtypical.typicality as typicality
+
+    draws = []
+    original = typicality.haar_sample
+
+    def counting(dim, seed):
+        draws.append(seed)
+        return original(dim, seed)
+
+    monkeypatch.setattr(typicality, "haar_sample", counting)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "channel": {"type": "bns", "N": 4, "k": 2, "Np": 2},
+        "samples": 300,
+        "master_seed": 12,
+        "epsilon_grid": [0.1],
+        "eta_mode": "estimated",
+        "eta_trials": 2,
+    }))
+    out = tmp_path / "report.json"
+    dist_csv = tmp_path / "distances.csv"
+    assert run(["typicality", "--config", config, "--out", out,
+                "--distances-csv", dist_csv]) == 0
+    assert len(draws) == 300
+    rows = list(csv.DictReader(dist_csv.read_text().splitlines()))
+    csv_mean = float(np.mean([float(r["distance"]) for r in rows]))
+    assert csv_mean == json.loads(out.read_text())["mean_distance"]
+
+
 def test_typicality_invalid_json_is_usage_error(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text("{not json")

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from qtypical.bns import bns_channel
-from qtypical.channels import depolarizing, identity_channel, partial_trace_channel
+from qtypical.channels import (
+    QuantumChannel,
+    depolarizing,
+    identity_channel,
+    partial_trace_channel,
+)
+from qtypical.qcore import derive_seed, haar_sample, trace_distance
 from qtypical.restriction import (
     effective_environment_dimension,
     enumerate_basis,
@@ -13,6 +19,7 @@ from qtypical.restriction import (
 )
 from qtypical.typicality import (
     LEVY_CONSTANT,
+    SAMPLE_CHUNK,
     ExperimentConfig,
     canonical_state,
     depolarizing_bound,
@@ -63,6 +70,21 @@ def test_saturated_detector_distances_vanish():
     ch = restrict_channel(bns_channel(8, 4), enumerate_basis(8, 7))
     cfg = ExperimentConfig(channel=ch, samples=30, master_seed=2)
     assert max(sample_distances(cfg)) < 1e-10
+
+
+@pytest.mark.parametrize("samples", [1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1])
+def test_sample_distances_match_per_sample_oracle(samples):
+    ch = restrict_channel(bns_channel(4, 2), enumerate_basis(4, 2))
+    cfg = ExperimentConfig(channel=ch, samples=samples, master_seed=21)
+    omega = canonical_state(ch)
+    expected = [
+        trace_distance(ch.apply_pure(haar_sample(ch.dim_in, derive_seed(21, i)).amplitudes),
+                       omega)
+        for i in range(samples)
+    ]
+    got = sample_distances(cfg)
+    assert len(got) == samples
+    assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-14
 
 
 def test_distances_deterministic_and_thread_independent(monkeypatch):
@@ -165,6 +187,32 @@ def test_run_experiment_report_contents():
     for eps, fraction, bound in report.tail_table:
         assert 0.0 <= fraction <= 1.0
         assert fraction <= bound <= 1.0
+
+
+def test_run_experiment_reuses_given_distances():
+    ch = restrict_channel(bns_channel(4, 2), enumerate_basis(4, 2))
+    cfg = ExperimentConfig(channel=ch, samples=40, master_seed=8, epsilon_grid=(0.1,))
+    distances = sample_distances(cfg)
+    assert run_experiment(cfg, distances).to_json_dict() \
+        == run_experiment(cfg).to_json_dict()
+    with pytest.raises(ValueError):
+        run_experiment(cfg, distances[:-1])
+
+
+def test_run_experiment_evaluates_entropy_once(monkeypatch):
+    ch = restrict_channel(bns_channel(4, 2), enumerate_basis(4, 2))
+    cfg = ExperimentConfig(channel=ch, samples=20, master_seed=10)
+    calls = []
+    original = QuantumChannel.linear_entropy
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(QuantumChannel, "linear_entropy", counting)
+    report = run_experiment(cfg)
+    assert len(calls) == 1
+    assert report.entropy_bound == entropy_bound(ch)
 
 
 def test_run_experiment_estimated_eta_is_flagged():
