@@ -1,6 +1,6 @@
 """Canonical states and typicality statistics for channel-defined subsystems."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .qcore import (
     DensityOperator,

@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .channels import QuantumChannel, choi_to_kraus, tensor_all
+from .channels import QuantumChannel, tensor_all
 from .qcore import DimensionError
 
 __all__ = [
@@ -41,8 +41,9 @@ __all__ = [
     "write_distribution_csv",
 ]
 
-BLOCK_LIMIT = 10   # Choi matrix of size 2^(n+1) must fit in memory
+BLOCK_LIMIT = 10   # largest block; its Choi oracle has size 2^(n+1)
 DENSE_LIMIT = 14   # largest N for the dense tensor-product channel
+_STACK_BYTES_LIMIT = 512 * 2**20  # largest Kraus array of a dense tensor-power channel
 
 
 def block_choi(n: int, coherence_scale: float = 1.0) -> np.ndarray:
@@ -70,16 +71,27 @@ def block_choi(n: int, coherence_scale: float = 1.0) -> np.ndarray:
 
 
 def block_channel(n: int) -> QuantumChannel:
-    """Detector map for one block of n atoms: 2^n-dimensional input, qubit output."""
-    j = block_choi(n)
-    try:
-        return choi_to_kraus(j, dim_in=2**n, dim_out=2)
-    except ValueError as exc:  # pragma: no cover - construction bug guard
-        raise RuntimeError(f"block Choi construction is broken: {exc}") from exc
+    """Detector map for one block of n atoms: 2^n-dimensional input, qubit output.
+
+    Closed-form minimal Kraus family K_s = |1><s| + (2^n - 1)^(-1/2) |0><0|,
+    s = 1 .. 2^n - 1; ``block_choi`` is the independent Choi-matrix oracle.
+    """
+    if n < 1:
+        raise DimensionError("block size must be >= 1")
+    if n > BLOCK_LIMIT:
+        raise DimensionError(f"block size {n} exceeds the dense limit {BLOCK_LIMIT}")
+    d = 2**n
+    ops = np.zeros((d - 1, 2, d), dtype=np.complex128)
+    ops[np.arange(d - 1), 1, np.arange(1, d)] = 1.0
+    ops[:, 0, 0] = 1.0 / np.sqrt(d - 1.0)
+    return QuantumChannel(d, 2, ops)
 
 
 def bns_channel(n_sites: int, n_blocks: int) -> QuantumChannel:
-    """Tensor power of the block map over n_blocks equal blocks of N/k sites."""
+    """Tensor power of the block map over n_blocks equal blocks of N/k sites.
+
+    Refused before allocating when its Kraus array would exceed 512 MiB.
+    """
     if n_blocks < 1 or n_sites % n_blocks != 0:
         raise DimensionError(
             f"{n_blocks} blocks do not evenly divide {n_sites} sites"
@@ -89,8 +101,12 @@ def bns_channel(n_sites: int, n_blocks: int) -> QuantumChannel:
             f"dense channel refused for N = {n_sites} > {DENSE_LIMIT}; "
             "use the exact spectrum instead"
         )
-    block = block_channel(n_sites // n_blocks)
-    return tensor_all([block] * n_blocks)
+    n = n_sites // n_blocks
+    stack_bytes = (2**n - 1) ** n_blocks * 2 ** (n_blocks + n_sites) * 16
+    if stack_bytes > _STACK_BYTES_LIMIT:
+        raise DimensionError(f"dense channel for N = {n_sites}, k = {n_blocks} needs a "
+                             f"{stack_bytes / 2**20:.0f} MiB Kraus array (limit 512 MiB)")
+    return tensor_all([block_channel(n)] * n_blocks)
 
 
 def _ceil_div(a: int, b: int) -> int:

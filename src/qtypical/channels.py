@@ -1,12 +1,14 @@
-"""Completely positive trace-preserving maps held as Kraus families.
+"""Completely positive trace-preserving maps held as one Kraus array.
 
-The Kraus family is the canonical storage; the Choi matrix is derived on
-demand and cached. Conversions to Stinespring form, channel algebra
-(compose / tensor), entropy, and a Lipschitz-constant lower bound all live
-here. Choi matrices use the convention J = (channel x id) applied to the
-maximally entangled state, with the output factor leading, so J has
-dimension dim_out * dim_in and its reduced state on the input factor is
-identity(dim_in)/dim_in.
+A channel stores its Kraus family as one read-only, C-contiguous complex128
+array of shape (n_kraus, dim_out, dim_in); its (n_kraus*dim_out, dim_in)
+reshape is the stacked family that every action multiplies with. The Choi
+matrix is derived on demand and cached. Conversions to Stinespring form,
+channel algebra (compose / tensor), entropy, and a Lipschitz-constant lower
+bound all live here. Choi matrices use the convention J = (channel x id)
+applied to the maximally entangled state, with the output factor leading,
+so J has dimension dim_out * dim_in and its reduced state on the input
+factor is identity(dim_in)/dim_in.
 """
 
 from __future__ import annotations
@@ -67,56 +69,49 @@ class ConsistencyError(RuntimeError):
 class QuantumChannel:
     """CPTP map from operators on dim_in to operators on dim_out.
 
-    Invariants checked at construction: every Kraus operator has shape
-    (dim_out, dim_in), the family sums to the identity (trace preservation
-    within 1e-10) and contains at most dim_in*dim_out operators.
+    ``kraus`` is a sequence of (dim_out, dim_in) matrices or one array;
+    construction copies it into the read-only (n_kraus, dim_out, dim_in)
+    array that is the only storage. Invariants checked at construction:
+    positive dimensions, at least one operator, every operator of shape
+    (dim_out, dim_in), at most dim_in*dim_out operators, and trace
+    preservation within 1e-10 as S^dagger S = identity for the stack S.
     """
 
     dim_in: int
     dim_out: int
-    kraus: tuple
+    kraus: np.ndarray
 
     def __post_init__(self):
         if self.dim_in < 1 or self.dim_out < 1:
             raise DimensionError("channel dimensions must be positive")
-        ops = tuple(np.asarray(k, dtype=np.complex128) for k in self.kraus)
-        if not ops:
+        try:
+            ops = np.array(self.kraus, dtype=np.complex128, order="C")
+        except ValueError as exc:
+            raise DimensionError(f"Kraus family is ragged: {exc}") from exc
+        if ops.size == 0:
             raise CPTPError("channel needs at least one Kraus operator")
-        for k in ops:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise DimensionError(
-                    f"Kraus operator of shape {k.shape} does not match "
-                    f"({self.dim_out}, {self.dim_in})"
-                )
-        if len(ops) > self.dim_in * self.dim_out:
+        if ops.shape[1:] != (self.dim_out, self.dim_in):
+            raise DimensionError(
+                f"Kraus operators of shape {ops.shape[1:]} do not match "
+                f"({self.dim_out}, {self.dim_in})"
+            )
+        if ops.shape[0] > self.dim_in * self.dim_out:
             raise CPTPError(
-                f"{len(ops)} Kraus operators exceed dim_in*dim_out = "
+                f"{ops.shape[0]} Kraus operators exceed dim_in*dim_out = "
                 f"{self.dim_in * self.dim_out}"
             )
-        total = np.zeros((self.dim_in, self.dim_in), dtype=np.complex128)
-        for k in ops:
-            total += k.conj().T @ k
-        dev = float(np.max(np.abs(total - np.eye(self.dim_in))))
-        if dev > TP_TOL:
+        stack = ops.reshape(-1, self.dim_in)
+        dev = float(np.max(np.abs(stack.conj().T @ stack - np.eye(self.dim_in))))
+        if not dev <= TP_TOL:  # also rejects NaN entries
             raise CPTPError(f"Kraus family violates trace preservation by {dev:.3e}")
-        for k in ops:
-            k.setflags(write=False)
+        ops.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
 
     # -- representations -------------------------------------------------
 
     @property
     def n_kraus(self) -> int:
-        return len(self.kraus)
-
-    def _stacked(self) -> np.ndarray:
-        """All Kraus operators stacked into one (n_kraus*dim_out, dim_in) matrix."""
-        cached = getattr(self, "_stack_cache", None)
-        if cached is None:
-            cached = np.concatenate([k for k in self.kraus], axis=0)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_stack_cache", cached)
-        return cached
+        return self.kraus.shape[0]
 
     def choi(self) -> "ChoiState":
         """Choi state of the channel; computed once and cached."""
@@ -136,11 +131,8 @@ class QuantumChannel:
         Kraus blocks are interleaved so the output factor leads and the
         environment (dimension = number of Kraus operators) trails.
         """
-        tau = self.n_kraus
-        v = np.zeros((self.dim_out * tau, self.dim_in), dtype=np.complex128)
-        for m, k in enumerate(self.kraus):
-            v[m::tau, :] = k
-        return StinespringIsometry(matrix=v, dim_env=tau, dim_in=self.dim_in,
+        v = self.kraus.transpose(1, 0, 2).reshape(-1, self.dim_in)
+        return StinespringIsometry(matrix=v, dim_env=self.n_kraus, dim_in=self.dim_in,
                                    dim_out=self.dim_out)
 
     # -- action -----------------------------------------------------------
@@ -153,10 +145,8 @@ class QuantumChannel:
                 f"operator of shape {m.shape} does not match channel input "
                 f"dimension {self.dim_in}"
             )
-        stack = self._stacked()
-        t = (stack @ m).reshape(self.n_kraus, self.dim_out, self.dim_in)
-        k3 = stack.reshape(self.n_kraus, self.dim_out, self.dim_in)
-        return np.tensordot(t, k3.conj(), axes=([0, 2], [0, 2]))
+        t = (self.kraus.reshape(-1, self.dim_in) @ m).reshape(self.kraus.shape)
+        return np.tensordot(t, self.kraus.conj(), axes=([0, 2], [0, 2]))
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
         """Channel output as a validated density operator."""
@@ -169,14 +159,14 @@ class QuantumChannel:
             raise DimensionError(
                 f"state of dim {psi.shape} does not match input dim {self.dim_in}"
             )
-        phi = (self._stacked() @ psi).reshape(self.n_kraus, self.dim_out)
+        phi = (self.kraus.reshape(-1, self.dim_in) @ psi).reshape(self.n_kraus, -1)
         return phi.T @ phi.conj()
 
     def apply_pure_batch(self, psis) -> np.ndarray:
         """``apply_pure`` for a (B, dim_in) block of pure inputs, one per row.
 
         Returns the (B, dim_out, dim_out) stack of outputs. The whole block
-        goes through the stacked Kraus family in one GEMM, and the outputs are
+        goes through the stacked Kraus array in one GEMM, and the outputs are
         formed by one batched matmul.
         """
         psis = np.asarray(psis, dtype=np.complex128)
@@ -185,7 +175,8 @@ class QuantumChannel:
                 f"state block of shape {psis.shape} does not match input dim "
                 f"{self.dim_in}"
             )
-        phi = (psis @ self._stacked().T).reshape(-1, self.n_kraus, self.dim_out)
+        phi = (psis @ self.kraus.reshape(-1, self.dim_in).T).reshape(
+            -1, self.n_kraus, self.dim_out)
         return phi.transpose(0, 2, 1) @ phi.conj()
 
     # -- scalar diagnostics -------------------------------------------------
@@ -195,26 +186,29 @@ class QuantumChannel:
 
         Route one is the purity of the materialized Choi matrix; route two is
         the Kraus double sum (1/dim_in^2) * sum_{m,n} |tr(K_m K_n^dagger)|^2.
-        Disagreement beyond 1e-8 means a representation bug somewhere, so it
-        raises instead of silently picking one number.
+        Disagreement beyond ROUTE_TOL means a representation bug somewhere, so
+        it raises instead of silently picking one number.
         """
-        purity_choi = self.choi().purity()
-        k3 = self._stacked().reshape(self.n_kraus, self.dim_out, self.dim_in)
-        gram = np.einsum("msi,nsi->mn", k3, k3.conj())
-        purity_kraus = float(np.sum(np.abs(gram) ** 2)) / self.dim_in**2
-        if abs(purity_choi - purity_kraus) > ROUTE_TOL:
-            raise ConsistencyError(
-                f"Choi purity {purity_choi!r} and Kraus double-sum purity "
-                f"{purity_kraus!r} disagree"
-            )
-        return max(0.0, 1.0 - purity_choi)
+        return _gated_linear_entropy(*self._purity_routes())
 
     def choi_purity_routes(self) -> tuple[float, float]:
         """(Choi-matrix purity, Kraus double-sum purity) without consistency gating."""
-        purity_choi = self.choi().purity()
-        k3 = self._stacked().reshape(self.n_kraus, self.dim_out, self.dim_in)
-        gram = np.einsum("msi,nsi->mn", k3, k3.conj())
-        return purity_choi, float(np.sum(np.abs(gram) ** 2)) / self.dim_in**2
+        return self._purity_routes()
+
+    def _purity_routes(self) -> tuple[float, float]:
+        v = self.kraus.reshape(self.n_kraus, -1)
+        gram = v @ v.conj().T
+        return self.choi().purity(), float(np.sum(np.abs(gram) ** 2)) / self.dim_in**2
+
+
+def _gated_linear_entropy(purity_choi: float, purity_kraus: float) -> float:
+    """1 - Choi purity; raises when the two purity routes differ by more than ROUTE_TOL."""
+    if abs(purity_choi - purity_kraus) > ROUTE_TOL:
+        raise ConsistencyError(
+            f"Choi purity {purity_choi!r} and Kraus double-sum purity "
+            f"{purity_kraus!r} disagree"
+        )
+    return max(0.0, 1.0 - purity_choi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,9 +275,9 @@ class StinespringIsometry:
 # -- construction helpers ----------------------------------------------------
 
 
-def _choi_matrix(kraus, dim_in: int) -> np.ndarray:
+def _choi_matrix(kraus: np.ndarray, dim_in: int) -> np.ndarray:
     """Choi matrix (1/dim_in) sum_m vec(K_m) vec(K_m)^dagger, row-major vec."""
-    v = np.stack([np.asarray(k, dtype=np.complex128).reshape(-1) for k in kraus])
+    v = kraus.reshape(kraus.shape[0], -1)
     return (v.T @ v.conj()) / dim_in
 
 
@@ -304,27 +298,21 @@ def replace_channel(sigma: DensityOperator, dim_in: int | None = None) -> Quantu
     d_out = target.shape[0]
     d_in = d_out if dim_in is None else dim_in
     eigs, vecs = np.linalg.eigh(target)
-    ops = []
-    for lam, vec in zip(eigs, vecs.T):
-        if lam <= KRAUS_EIGENVALUE_CUTOFF:
-            continue
-        for j in range(d_in):
-            k = np.zeros((d_out, d_in), dtype=np.complex128)
-            k[:, j] = np.sqrt(lam) * vec
-            ops.append(k)
-    return QuantumChannel(d_in, d_out, tuple(ops))
+    keep = eigs > KRAUS_EIGENVALUE_CUTOFF
+    # K_(r, j) = sqrt(eig_r) |v_r><j| for every kept eigenpair r and input index j
+    ops = np.zeros((np.count_nonzero(keep), d_in, d_out, d_in), dtype=np.complex128)
+    j = np.arange(d_in)
+    ops[:, j, :, j] = (np.sqrt(eigs[keep]) * vecs[:, keep]).T
+    return QuantumChannel(d_in, d_out, ops.reshape(-1, d_out, d_in))
 
 
 def partial_trace_channel(dim_keep: int, dim_drop: int) -> QuantumChannel:
     """Channel on dim_keep*dim_drop that traces out the trailing factor."""
     d_in = dim_keep * dim_drop
-    ops = []
-    for j in range(dim_drop):
-        k = np.zeros((dim_keep, d_in), dtype=np.complex128)
-        for s in range(dim_keep):
-            k[s, s * dim_drop + j] = 1.0
-        ops.append(k)
-    return QuantumChannel(d_in, dim_keep, tuple(ops))
+    # K_j = sum_s |s><s, j|: row s of K_j is row s*dim_drop + j of the identity,
+    # built as booleans (1/16 of the bytes) and cast by the constructor's copy
+    rows = np.eye(d_in, dtype=bool).reshape(dim_keep, dim_drop, d_in)
+    return QuantumChannel(d_in, dim_keep, rows.transpose(1, 0, 2))
 
 
 def _weyl_shift_clock(d: int) -> list[np.ndarray]:
@@ -368,14 +356,10 @@ def depolarizing(d: int, lam: float) -> QuantumChannel:
             f"lambda = {lam} exceeds the complete-positivity limit {cp_limit}"
         )
     if lam <= 1.0:
-        ops = [np.sqrt(1.0 - lam + lam / d**2) * np.eye(d, dtype=np.complex128)]
-        weight = np.sqrt(lam) / d
-        for idx, u in enumerate(_weyl_shift_clock(d)):
-            if idx == 0:
-                continue
-            ops.append(weight * u)
-        ops = [k for k in ops if np.any(k)]
-        return QuantumChannel(d, d, tuple(ops))
+        # X^0 Z^0, the identity, leads the family and also carries the undepolarized part
+        ops = np.sqrt(lam) / d * np.stack(_weyl_shift_clock(d))
+        ops[0] = np.sqrt(1.0 - lam + lam / d**2) * np.eye(d, dtype=np.complex128)
+        return QuantumChannel(d, d, ops[np.any(ops, axis=(1, 2))])
     # lam > 1: Choi = lam * (I/d (x) I/d) + (1 - lam) * phi_plus
     phi = np.zeros((d * d, d * d), dtype=np.complex128)
     for i in range(d):
@@ -400,7 +384,7 @@ def random_channel(dim_in: int, dim_out: int, n_kraus: int, seed: int) -> Quantu
     q, r = np.linalg.qr(z)
     v = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     blocks = v.reshape(dim_out, n_kraus, dim_in)
-    return QuantumChannel(dim_in, dim_out, tuple(blocks[:, m, :] for m in range(n_kraus)))
+    return QuantumChannel(dim_in, dim_out, blocks.transpose(1, 0, 2))
 
 
 # -- channel algebra ----------------------------------------------------------
@@ -418,18 +402,20 @@ def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
             f"inner output dim {inner.dim_out} does not feed outer input dim "
             f"{outer.dim_in}"
         )
-    products = [ko @ ki for ko in outer.kraus for ki in inner.kraus]
-    products = [k for k in products if np.any(k)]
-    if len(products) > inner.dim_in * outer.dim_out:
+    products = (outer.kraus[:, None] @ inner.kraus[None, :]).reshape(
+        -1, outer.dim_out, inner.dim_in)
+    products = products[np.any(products, axis=(1, 2))]
+    if products.shape[0] > inner.dim_in * outer.dim_out:
         j = _choi_matrix(products, inner.dim_in)
         return choi_to_kraus(j, dim_in=inner.dim_in, dim_out=outer.dim_out)
-    return QuantumChannel(inner.dim_in, outer.dim_out, tuple(products))
+    return QuantumChannel(inner.dim_in, outer.dim_out, products)
 
 
 def tensor(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
-    """Tensor product channel with Kraus family {K_a (x) K_b}."""
-    ops = tuple(np.kron(ka, kb) for ka in a.kraus for kb in b.kraus)
-    return QuantumChannel(a.dim_in * b.dim_in, a.dim_out * b.dim_out, ops)
+    """Tensor product channel with Kraus family {K_a (x) K_b}, a-index leading."""
+    ops = a.kraus[:, None, :, None, :, None] * b.kraus[None, :, None, :, None, :]
+    d_in, d_out = a.dim_in * b.dim_in, a.dim_out * b.dim_out
+    return QuantumChannel(d_in, d_out, ops.reshape(-1, d_out, d_in))
 
 
 def tensor_all(factors) -> QuantumChannel:
@@ -462,13 +448,11 @@ def choi_to_kraus(j, dim_in: int | None = None, dim_out: int | None = None) -> Q
     eigs, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
     if float(eigs[0]) < -1e-10:
         raise CPTPError(f"Choi matrix has negative eigenvalue {float(eigs[0]):.3e}")
-    ops = []
-    for lam, vec in zip(eigs, vecs.T):
-        if lam > KRAUS_EIGENVALUE_CUTOFF:
-            ops.append(np.sqrt(lam * dim_in) * vec.reshape(dim_out, dim_in))
-    if not ops:
+    keep = eigs > KRAUS_EIGENVALUE_CUTOFF
+    if not np.any(keep):
         raise CPTPError("Choi matrix has no eigenvalue above the extraction cutoff")
-    return QuantumChannel(dim_in, dim_out, tuple(ops))
+    ops = (np.sqrt(eigs[keep] * dim_in) * vecs[:, keep]).T
+    return QuantumChannel(dim_in, dim_out, ops.reshape(-1, dim_out, dim_in))
 
 
 # -- Lipschitz lower bound -----------------------------------------------------
@@ -558,19 +542,16 @@ def channel_from_json_dict(data: dict) -> QuantumChannel:
     try:
         dim_in = int(data["dim_in"])
         dim_out = int(data["dim_out"])
-        raw = data["kraus"]
+        pairs = np.array(data["kraus"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise CPTPError(f"malformed channel object: {exc}") from exc
-    ops = []
-    for flat in raw:
-        arr = np.asarray([complex(re, im) for re, im in flat], dtype=np.complex128)
-        if arr.size != dim_in * dim_out:
-            raise CPTPError(
-                f"Kraus entry of length {arr.size} does not fill a "
-                f"{dim_out} x {dim_in} matrix"
-            )
-        ops.append(arr.reshape(dim_out, dim_in))
-    return QuantumChannel(dim_in, dim_out, tuple(ops))
+    if pairs.ndim != 3 or pairs.shape[1:] != (dim_in * dim_out, 2):
+        raise CPTPError(
+            f"Kraus entries of shape {pairs.shape} are not lists of "
+            f"{dim_out} x {dim_in} [re, im] pairs"
+        )
+    ops = pairs.view(np.complex128).reshape(-1, dim_out, dim_in)
+    return QuantumChannel(dim_in, dim_out, ops)
 
 
 def save_channel(ch: QuantumChannel, path) -> None:

@@ -30,6 +30,7 @@ from .channels import (
     CPTPError,
     ConsistencyError,
     QuantumChannel,
+    _gated_linear_entropy,
     compose,
     depolarizing,
     identity_channel,
@@ -43,6 +44,7 @@ from .qcore import DimensionError, derive_seed, haar_unitary
 from .restriction import effective_environment_dimension, enumerate_basis, restrict_channel
 from .typicality import (
     ExperimentConfig,
+    _entropy_bound,
     entropy_bound,
     run_experiment,
     sample_distances,
@@ -234,18 +236,15 @@ def _maybe_save_channel(ch: QuantumChannel, params: dict, outputs: list) -> None
 def run_entropy(params: dict) -> list:
     ch, _ = build_channel(params["channel"])
     purity_choi, purity_kraus = ch.choi_purity_routes()
-    if abs(purity_choi - purity_kraus) > 1e-8:
-        raise ConsistencyError(
-            f"purity routes disagree: {purity_choi!r} vs {purity_kraus!r}"
-        )
+    s_l = _gated_linear_entropy(purity_choi, purity_kraus)
     payload = {
         "dim_in": ch.dim_in,
         "dim_out": ch.dim_out,
-        "linear_entropy": ch.linear_entropy(),
+        "linear_entropy": s_l,
         "choi_purity": purity_choi,
         "choi_purity_kraus_route": purity_kraus,
         "purity_route_difference": abs(purity_choi - purity_kraus),
-        "entropy_bound": entropy_bound(ch),
+        "entropy_bound": _entropy_bound(ch.dim_out, s_l),
     }
     print(f"linear entropy       : {_fmt(payload['linear_entropy'])}")
     print(f"Choi purity          : {_fmt(purity_choi)}")

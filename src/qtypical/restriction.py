@@ -133,9 +133,8 @@ def restrict_channel(ch: QuantumChannel, sub: ExcitationSubspace) -> QuantumChan
         raise DimensionError(
             f"channel input dim {ch.dim_in} does not match 2^{sub.n_sites}"
         )
-    cols = list(sub.indices)
-    restricted = tuple(k[:, cols] for k in ch.kraus)
-    if len(restricted) > sub.d_r * ch.dim_out:
+    restricted = ch.kraus[:, :, list(sub.indices)]
+    if restricted.shape[0] > sub.d_r * ch.dim_out:
         j = _choi_matrix(restricted, sub.d_r)
         return choi_to_kraus(j, dim_in=sub.d_r, dim_out=ch.dim_out)
     return QuantumChannel(sub.d_r, ch.dim_out, restricted)

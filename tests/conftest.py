@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from qtypical.qcore import DensityOperator, _generator
 
@@ -21,9 +20,3 @@ def matrix_unit(i: int, j: int, dim: int) -> np.ndarray:
     m = np.zeros((dim, dim), dtype=np.complex128)
     m[i, j] = 1.0
     return m
-
-
-@pytest.fixture(autouse=True)
-def _single_thread(monkeypatch):
-    # deterministic baseline; individual tests override to probe thread counts
-    monkeypatch.setenv("QTYPICAL_THREADS", "1")

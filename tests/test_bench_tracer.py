@@ -1,0 +1,47 @@
+"""Smoke test of the benchmark's layer tracer against the package's current names.
+
+bench/tracer.py patches package functions and methods by name; a rename in
+the package would otherwise only surface as a failed traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import qtypical.bns as bns
+import qtypical.channels as channels
+import qtypical.cli as cli
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_entropy_run_records_layers_and_restores_originals(tmp_path):
+    tracer_mod = _load_tracer()
+    originals = {
+        "tensor": channels.tensor,
+        "block_channel": bns.block_channel,
+        "cli.bns_channel": cli.bns_channel,
+        "init": channels.QuantumChannel.__dict__["__init__"],
+        "routes": channels.QuantumChannel.__dict__["choi_purity_routes"],
+    }
+    tracer = tracer_mod.Tracer()
+    with tracer.installed():
+        code = cli.main(["entropy", "--channel", "bns", "--N", "4", "--k", "2",
+                         "--Np", "2", "--out", str(tmp_path / "entropy.json")])
+    assert code == 0
+    calls, _, _ = tracer.totals()
+    for name in ("bns.block_channel", "channels.tensor", "channels.choi_purity_routes"):
+        assert calls[name] >= 1, name
+    # one evaluation of the purity routes for the one channel the command reports on
+    assert tracer.counters["purity_evals"] == tracer.counters["purity_channels"] == 1
+    assert channels.tensor is originals["tensor"]
+    assert bns.block_channel is originals["block_channel"]
+    assert cli.bns_channel is originals["cli.bns_channel"]
+    assert channels.QuantumChannel.__dict__["__init__"] is originals["init"]
+    assert channels.QuantumChannel.__dict__["choi_purity_routes"] is originals["routes"]

@@ -19,7 +19,7 @@ from qtypical.bns import (
     energy_distribution_trace,
     write_distribution_csv,
 )
-from qtypical.channels import channels_equal, identity_channel, tensor
+from qtypical.channels import channels_equal, choi_to_kraus, identity_channel, tensor
 from qtypical.qcore import DimensionError
 from qtypical.restriction import enumerate_basis, microcanonical, restrict_channel
 
@@ -87,6 +87,12 @@ def test_block_two_sites_spot_cases():
     np.testing.assert_allclose(got, matrix_unit(1, 1, 2), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_closed_form_matches_choi_oracle(n):
+    oracle = choi_to_kraus(block_choi(n), dim_in=2**n, dim_out=2)
+    assert channels_equal(block_channel(n), oracle)
+
+
 def test_block_kraus_count_is_choi_rank():
     for n in (1, 2, 3, 4):
         assert block_channel(n).n_kraus == 2**n - 1
@@ -122,6 +128,12 @@ def test_bns_channel_trivial_blocks():
 def test_bns_channel_divisibility_error():
     with pytest.raises(DimensionError):
         bns_channel(4, 3)
+
+
+def test_bns_channel_refuses_oversized_kraus_array():
+    # 15^4 Kraus operators of 16 x 4096: 3.1 GB, refused before allocating
+    with pytest.raises(DimensionError, match="MiB"):
+        bns_channel(12, 4)
 
 
 def test_bns_channel_blockwise_on_basis_state():

@@ -35,6 +35,8 @@ from qtypical.qcore import DensityOperator, DimensionError, haar_unitary
 def test_rejects_non_trace_preserving_family():
     with pytest.raises(CPTPError):
         QuantumChannel(2, 2, (0.5 * np.eye(2),))
+    with pytest.raises(CPTPError):
+        QuantumChannel(2, 2, (np.diag([1.0, np.nan]),))
 
 
 def test_rejects_oversized_family():
@@ -44,8 +46,21 @@ def test_rejects_oversized_family():
 
 
 def test_rejects_wrong_kraus_shape():
-    with pytest.raises(DimensionError):
-        QuantumChannel(2, 3, (np.eye(2),))
+    for ops in [(np.eye(2),),
+                (np.eye(2), np.ones((2, 3)))]:  # ragged family
+        with pytest.raises(DimensionError):
+            QuantumChannel(2, 3, ops)
+
+
+def test_construction_leaves_caller_arrays_writeable():
+    u = haar_unitary(4, 0)
+    ch = unitary_channel(u)
+    assert u.flags.writeable
+    u[0, 0] = 0.0  # the channel holds its own copy
+    assert ch.kraus[0, 0, 0] != 0.0
+    assert not ch.kraus.flags.writeable
+    assert ch.kraus.flags.c_contiguous and ch.kraus.dtype == np.complex128
+    assert ch.kraus.shape == (1, 4, 4)
 
 
 # -- apply --
@@ -242,6 +257,73 @@ def test_tensor_acts_blockwise_on_product_states():
     np.testing.assert_allclose(joint, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("a_factory,b_factory", [
+    (lambda: random_channel(3, 2, 2, seed=33), lambda: random_channel(2, 4, 3, seed=34)),
+    (lambda: random_channel(4, 1, 4, seed=35), lambda: random_channel(2, 3, 1, seed=36)),
+    (lambda: depolarizing(2, 0.5), lambda: random_channel(3, 1, 3, seed=37)),
+])
+def test_tensor_matches_kron_loop(a_factory, b_factory):
+    a, b = a_factory(), b_factory()
+    loop = np.stack([np.kron(ka, kb) for ka in a.kraus for kb in b.kraus])
+    np.testing.assert_array_equal(tensor(a, b).kraus, loop)
+
+
+def _amplitude_damping_full():
+    return QuantumChannel(2, 2, (np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]])))
+
+
+@pytest.mark.parametrize("outer_factory,inner_factory", [
+    (lambda: random_channel(3, 4, 2, seed=23), lambda: random_channel(2, 3, 3, seed=24)),
+    (lambda: random_channel(4, 1, 4, seed=25),
+     lambda: unitary_channel(haar_unitary(4, 26))),
+    # two of the four products vanish and are dropped
+    (lambda: QuantumChannel(2, 2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))),
+     _amplitude_damping_full),
+])
+def test_compose_matches_product_loop(outer_factory, inner_factory):
+    outer, inner = outer_factory(), inner_factory()
+    loop = [ko @ ki for ko in outer.kraus for ki in inner.kraus]
+    loop = np.stack([k for k in loop if np.any(k)])
+    np.testing.assert_array_equal(compose(outer, inner).kraus, loop)
+
+
+@pytest.mark.parametrize("dim_keep,dim_drop", [(2, 3), (3, 1), (1, 4), (4, 4)])
+def test_partial_trace_channel_matches_loop(dim_keep, dim_drop):
+    d_in = dim_keep * dim_drop
+    loop = np.zeros((dim_drop, dim_keep, d_in))
+    for j in range(dim_drop):
+        for s in range(dim_keep):
+            loop[j, s, s * dim_drop + j] = 1.0
+    np.testing.assert_array_equal(partial_trace_channel(dim_keep, dim_drop).kraus, loop)
+
+
+@pytest.mark.parametrize("sigma_factory", [
+    lambda: random_density(3, 17),
+    lambda: DensityOperator(np.diag([0.0, 1.0, 0.0]).astype(complex)),  # rank one
+])
+def test_replace_channel_matches_loop(sigma_factory):
+    sigma = sigma_factory()
+    eigs, vecs = np.linalg.eigh(sigma.matrix)
+    loop = []
+    for lam, vec in zip(eigs, vecs.T):
+        if lam <= 1e-12:
+            continue
+        for j in range(4):
+            k = np.zeros((3, 4), dtype=complex)
+            k[:, j] = np.sqrt(lam) * vec
+            loop.append(k)
+    np.testing.assert_array_equal(replace_channel(sigma, dim_in=4).kraus, np.stack(loop))
+
+
+def test_choi_to_kraus_matches_eigenvector_loop():
+    j = random_channel(3, 2, 4, seed=62).choi().matrix
+    eigs, vecs = np.linalg.eigh((j + j.conj().T) / 2.0)
+    loop = [np.sqrt(lam * 3) * vec.reshape(2, 3)
+            for lam, vec in zip(eigs, vecs.T) if lam > 1e-12]
+    np.testing.assert_array_equal(choi_to_kraus(j, dim_in=3, dim_out=2).kraus,
+                                  np.stack(loop))
+
+
 # -- depolarizing family --
 
 
@@ -261,6 +343,16 @@ def test_depolarizing_cp_boundary_accepted():
     out = ch.apply_matrix(matrix_unit(1, 1, d))
     expected = boundary * np.eye(d) / d + (1 - boundary) * matrix_unit(1, 1, d)
     np.testing.assert_allclose(out, expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("d,lam", [(3, 0.4), (2, 0.0), (2, 1.0)])
+def test_depolarizing_family_matches_loop(d, lam):
+    from qtypical.channels import _weyl_shift_clock
+
+    loop = [np.sqrt(1.0 - lam + lam / d**2) * np.eye(d, dtype=complex)]
+    loop += [np.sqrt(lam) / d * u for u in _weyl_shift_clock(d)[1:]]
+    loop = np.stack([k for k in loop if np.any(k)])
+    np.testing.assert_array_equal(depolarizing(d, lam).kraus, loop)
 
 
 def test_depolarizing_rejects_outside_cp_range():
@@ -297,6 +389,10 @@ def test_stinespring_reconstructs_random_channel():
     ch = random_channel(4, 3, 5, seed=41)
     v = ch.stinespring()
     assert v.dim_env == ch.n_kraus
+    loop = np.zeros((3 * ch.n_kraus, 4), dtype=complex)
+    for m, k in enumerate(ch.kraus):
+        loop[m::ch.n_kraus, :] = k
+    np.testing.assert_array_equal(v.matrix, loop)
     for i in range(4):
         for j in range(4):
             np.testing.assert_allclose(
@@ -380,6 +476,26 @@ def test_entropy_bound_of_composition_never_beats_unitary():
 # -- serialization --
 
 
+# random_channel(2, 2, 2, seed=61) as saved by version 0.2.0
+V020_CHANNEL_FILE = (
+    '{"dim_in": 2, "dim_out": 2, "kraus": [[[-0.1735457316738773, '
+    '-0.17310680498286923], [-0.2763153992299898, 0.7411813992907645], '
+    '[-0.5448622738015066, 0.36094069579274074], [0.0011689585265152735, '
+    '0.08251489500906567]], [[0.3252138685508502, -0.31154440875350436], '
+    '[-0.18658485670543276, -0.07966214916815101], [0.2575950776034068, '
+    '0.4935419200696331], [-0.4147150289662834, 0.3928630004454241]]]}\n'
+)
+
+
+def test_loads_channel_file_saved_by_0_2_0(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text(V020_CHANNEL_FILE)
+    loaded = load_channel(path)
+    assert channels_equal(loaded, random_channel(2, 2, 2, seed=61))
+    save_channel(loaded, tmp_path / "new.json")
+    assert (tmp_path / "new.json").read_text() == V020_CHANNEL_FILE
+
+
 def test_json_roundtrip_preserves_action(tmp_path):
     ch = random_channel(3, 2, 4, seed=60)
     path = tmp_path / "channel.json"
@@ -401,6 +517,19 @@ def test_loading_non_cptp_file_raises(tmp_path):
     bad = {"dim_in": 2, "dim_out": 2,
            "kraus": [[[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]]}
     path.write_text(json.dumps(bad))
+    with pytest.raises(CPTPError):
+        load_channel(path)
+
+
+@pytest.mark.parametrize("kraus", [
+    [[[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],                     # too few entries
+    [[[1.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],    # not a pair
+    [[[None, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],       # not a number
+    [],
+])
+def test_loading_malformed_kraus_entries_raises(tmp_path, kraus):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim_in": 2, "dim_out": 2, "kraus": kraus}))
     with pytest.raises(CPTPError):
         load_channel(path)
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -132,6 +133,16 @@ def test_figure_bound_rerun_is_byte_identical(tmp_path):
     run(["figure-bound", "--N", 4, "--k", 2, "--samples", 40, "--seed", 9,
          "--out", b])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_figure_bound_refuses_oversized_channel_quickly(tmp_path):
+    # N=12, k=6 would need a 3.1 GB Kraus array; the size check runs first
+    out = tmp_path / "bound.csv"
+    started = time.perf_counter()
+    assert run(["figure-bound", "--N", 12, "--k", 6, "--samples", 10,
+                "--out", out]) == 3
+    assert time.perf_counter() - started < 5.0
+    assert not out.exists()
 
 
 # -- typicality --

@@ -137,6 +137,13 @@ def test_restrict_block_channel_single_excitation_is_constant():
     assert channels_equal(ch, replace_channel(excited, dim_in=2))
 
 
+def test_restrict_channel_matches_column_loop():
+    sub = enumerate_basis(4, 2)
+    full = partial_trace_channel(4, 4)
+    loop = np.stack([k[:, list(sub.indices)] for k in full.kraus])
+    np.testing.assert_array_equal(restrict_channel(full, sub).kraus, loop)
+
+
 def test_restrict_channel_dimension_mismatch():
     with pytest.raises(DimensionError):
         restrict_channel(block_channel(2), enumerate_basis(3, 1))
