@@ -1,6 +1,6 @@
 """Canonical states and typicality statistics for channel-defined subsystems."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .qcore import (
     DensityOperator,
@@ -40,7 +40,6 @@ from .restriction import (
     effective_environment_dimension,
     embedding,
     enumerate_basis,
-    excitation_count,
     microcanonical,
     restrict_channel,
 )

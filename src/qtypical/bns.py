@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .channels import QuantumChannel, tensor_all
+from .channels import QuantumChannel, _check_dense_bytes, tensor_all
 from .qcore import DimensionError
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
 
 BLOCK_LIMIT = 10   # largest block; its Choi oracle has size 2^(n+1)
 DENSE_LIMIT = 14   # largest N for the dense tensor-product channel
-_STACK_BYTES_LIMIT = 512 * 2**20  # largest Kraus array of a dense tensor-power channel
 
 
 def block_choi(n: int, coherence_scale: float = 1.0) -> np.ndarray:
@@ -102,10 +101,8 @@ def bns_channel(n_sites: int, n_blocks: int) -> QuantumChannel:
             "use the exact spectrum instead"
         )
     n = n_sites // n_blocks
-    stack_bytes = (2**n - 1) ** n_blocks * 2 ** (n_blocks + n_sites) * 16
-    if stack_bytes > _STACK_BYTES_LIMIT:
-        raise DimensionError(f"dense channel for N = {n_sites}, k = {n_blocks} needs a "
-                             f"{stack_bytes / 2**20:.0f} MiB Kraus array (limit 512 MiB)")
+    _check_dense_bytes((2**n - 1) ** n_blocks * 2 ** (n_blocks + n_sites) * 16,
+                       f"the dense channel for N = {n_sites}, k = {n_blocks}")
     return tensor_all([block_channel(n)] * n_blocks)
 
 

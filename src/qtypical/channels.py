@@ -55,6 +55,7 @@ TP_TOL = 1e-10
 CHOI_MARGINAL_TOL = 1e-8
 KRAUS_EIGENVALUE_CUTOFF = 1e-12
 ROUTE_TOL = 1e-8
+_DENSE_BYTES_LIMIT = 512 * 2**20  # largest dense array a channel builder may allocate
 
 
 class CPTPError(ValueError):
@@ -228,7 +229,7 @@ class ChoiState:
         marginal = _partial_trace_matrix(self.state.matrix, "B",
                                          (self.dim_out, self.dim_in))
         dev = float(np.max(np.abs(marginal - np.eye(self.dim_in) / self.dim_in)))
-        if dev > TP_TOL:
+        if not dev <= TP_TOL:
             raise CPTPError(
                 f"Choi reduced state deviates from identity/dim_in by {dev:.3e}"
             )
@@ -258,7 +259,7 @@ class StinespringIsometry:
         if v.shape != (self.dim_out * self.dim_env, self.dim_in):
             raise DimensionError("isometry shape does not match declared dimensions")
         dev = float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim_in))))
-        if dev > TP_TOL:
+        if not dev <= TP_TOL:
             raise ValueError(f"V^dagger V deviates from the identity by {dev:.3e}")
         v = v.copy()
         v.setflags(write=False)
@@ -275,8 +276,15 @@ class StinespringIsometry:
 # -- construction helpers ----------------------------------------------------
 
 
+def _check_dense_bytes(n_bytes: int, what: str) -> None:
+    """Refuse, before allocating, a dense array above the 512 MiB budget."""
+    if n_bytes > _DENSE_BYTES_LIMIT:
+        raise DimensionError(f"{what} needs {n_bytes / 2**20:.0f} MiB (limit 512 MiB)")
+
+
 def _choi_matrix(kraus: np.ndarray, dim_in: int) -> np.ndarray:
     """Choi matrix (1/dim_in) sum_m vec(K_m) vec(K_m)^dagger, row-major vec."""
+    _check_dense_bytes(16 * kraus[0].size ** 2, f"the {kraus[0].size}^2 Choi matrix")
     v = kraus.reshape(kraus.shape[0], -1)
     return (v.T @ v.conj()) / dim_in
 
@@ -307,8 +315,9 @@ def replace_channel(sigma: DensityOperator, dim_in: int | None = None) -> Quantu
 
 
 def partial_trace_channel(dim_keep: int, dim_drop: int) -> QuantumChannel:
-    """Channel on dim_keep*dim_drop that traces out the trailing factor."""
+    """Channel on dim_keep*dim_drop that traces out the trailing factor (refused above 512 MiB)."""
     d_in = dim_keep * dim_drop
+    _check_dense_bytes(16 * d_in**2, f"the partial trace on {dim_keep} x {dim_drop}")
     # K_j = sum_s |s><s, j|: row s of K_j is row s*dim_drop + j of the identity,
     # built as booleans (1/16 of the bytes) and cast by the constructor's copy
     rows = np.eye(d_in, dtype=bool).reshape(dim_keep, dim_drop, d_in)
@@ -440,7 +449,7 @@ def choi_to_kraus(j, dim_in: int | None = None, dim_out: int | None = None) -> Q
             raise DimensionError("Choi matrix shape does not match dimensions")
         marginal = _partial_trace_matrix(m, "B", (dim_out, dim_in))
         dev = float(np.max(np.abs(marginal - np.eye(dim_in) / dim_in)))
-        if dev > CHOI_MARGINAL_TOL:
+        if not dev <= CHOI_MARGINAL_TOL:
             raise CPTPError(
                 f"Choi reduced state deviates from identity/dim_in by {dev:.3e}; "
                 "map is not trace preserving"

@@ -84,8 +84,8 @@ def build_channel(spec: dict) -> tuple[QuantumChannel, dict]:
                 n, np_excited = int(spec["N"]), int(spec["Np"])
                 sq = int(spec["split"])
                 eq = n - sq
-                sub = enumerate_basis(n, np_excited)
                 full = partial_trace_channel(2**sq, 2**eq)
+                sub = enumerate_basis(n, np_excited)
                 ch = restrict_channel(full, sub)
                 info["d_e_eff"] = effective_environment_dimension(sub, (sq, eq))
                 return ch, info
@@ -94,9 +94,10 @@ def build_channel(spec: dict) -> tuple[QuantumChannel, dict]:
             return partial_trace_channel(d_s, d_e), info
         if kind == "unitary_trace":
             d_s, d_e = int(spec["dS"]), int(spec["dE"])
+            trace_out = partial_trace_channel(d_s, d_e)
             u = haar_unitary(d_s * d_e, int(spec.get("seed", 0)))
             info["d_e_eff"] = float(d_e)
-            return compose(partial_trace_channel(d_s, d_e), unitary_channel(u)), info
+            return compose(trace_out, unitary_channel(u)), info
         if kind == "bns":
             n, k = int(spec["N"]), int(spec["k"])
             ch = bns_channel(n, k)
@@ -111,6 +112,8 @@ def build_channel(spec: dict) -> tuple[QuantumChannel, dict]:
                 raise DataError(f"cannot load channel file: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise UsageError(f"channel spec for {kind!r} is missing parameter {exc}") from exc
+    except DimensionError:
+        raise  # a size refusal is a data error (exit 3), not a usage error
     except ValueError as exc:
         raise UsageError(f"bad channel spec: {exc}") from exc
     raise UsageError(f"unknown channel type {spec['type']!r}")

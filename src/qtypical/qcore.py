@@ -48,7 +48,7 @@ def _as_matrix(a) -> np.ndarray:
 
 def _check_hermitian(m: np.ndarray, tol: float) -> None:
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > tol:
+    if not dev <= tol:  # also rejects NaN entries
         raise ValueError(f"matrix deviates from Hermitian by {dev:.3e} (> {tol:.0e})")
 
 
@@ -63,7 +63,7 @@ class StateVector:
         if amps.ndim != 1 or amps.size == 0:
             raise DimensionError("state vector must be a nonempty 1-d array")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"state vector norm {norm!r} is not 1 within 1e-12")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -95,11 +95,11 @@ class DensityOperator:
             raise DimensionError("density operator must be a square nonempty matrix")
         _check_hermitian(m, HERMITICITY_TOL)
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace {tr!r} is not 1 within {TRACE_TOL:.0e}")
         if validate:
             low = float(np.linalg.eigvalsh(m)[0])
-            if low < EIGENVALUE_FLOOR:
+            if not low >= EIGENVALUE_FLOOR:
                 raise ValueError(
                     f"minimum eigenvalue {low:.3e} is below the PSD floor {EIGENVALUE_FLOOR:.0e}"
                 )

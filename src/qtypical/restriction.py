@@ -1,15 +1,16 @@
 """Fixed-excitation subspaces of N qubits and restriction of channels onto them.
 
-The restricted space is spanned by the computational basis strings with a
-given number of excited sites. Restricted coordinates are primary; the full
-2^N space only appears when a full-space channel needs to act, and then the
-embedding is a plain column selection.
+A subspace is the pair (n_sites, n_excited). Its basis is the ascending int64
+array of full-space indices of the basis states with n_excited ones; qubit 0
+is the most significant bit, so ascending order is lexicographic bitstring
+order. Restricted coordinates are primary; the full 2^N space only appears
+when a full-space channel needs to act, and then the embedding is a plain
+column selection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -25,62 +26,54 @@ __all__ = [
     "embedding",
     "restrict_channel",
     "effective_environment_dimension",
-    "excitation_count",
 ]
 
 DENSE_EMBEDDING_LIMIT = 14
 ENUMERATION_LIMIT = 30
 
 
-def excitation_count(s: str) -> int:
-    """Hamming weight of a bitstring."""
-    return s.count("1")
-
-
 @dataclass(frozen=True)
 class ExcitationSubspace:
-    """Span of the N-bit strings with a fixed number of ones, in lexicographic order."""
+    """Span of the N-qubit basis states with n_excited ones.
+
+    ``indices`` is the read-only, ascending int64 array of their full-space
+    indices (qubit 0 most significant, so lexicographic bitstring order). It
+    is built one bit at a time from the least significant end: a new top bit
+    puts every number that has it after every number that lacks it, so each
+    weight class stays sorted under concatenation. Classes that can no longer
+    reach n_excited are dropped, so no 2^N intermediate is formed.
+    """
 
     n_sites: int
     n_excited: int
-    basis: tuple
+    indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.basis) != comb(self.n_sites, self.n_excited):
-            raise ValueError("basis length does not match the binomial dimension")
-        for s in self.basis:
-            if len(s) != self.n_sites or excitation_count(s) != self.n_excited:
-                raise ValueError(f"basis string {s!r} violates the excitation constraint")
+        n, k = self.n_sites, self.n_excited
+        if not 0 <= k <= n:
+            raise ValueError(f"excitation count {k} outside [0, {n}]")
+        if n > ENUMERATION_LIMIT:
+            raise DimensionError(
+                f"basis enumeration supports at most {ENUMERATION_LIMIT} sites; "
+                "the exact combinatorial paths cover larger systems"
+            )
+        empty = np.zeros(0, dtype=np.int64)
+        by_weight = [np.zeros(1, dtype=np.int64)] + [empty] * k  # the 0-bit numbers
+        for m in range(n):
+            by_weight = [empty if w < k - (n - 1 - m) else np.concatenate(
+                (by_weight[w], by_weight[w - 1] | (1 << m) if w else empty))
+                for w in range(k + 1)]
+        by_weight[k].setflags(write=False)
+        object.__setattr__(self, "indices", by_weight[k])
 
     @property
     def d_r(self) -> int:
-        return len(self.basis)
-
-    @property
-    def indices(self) -> tuple:
-        """Full-space basis indices of the restricted basis strings."""
-        return tuple(int(s, 2) for s in self.basis)
+        return self.indices.size
 
 
 def enumerate_basis(n_sites: int, n_excited: int) -> ExcitationSubspace:
-    """All strings of length n_sites with n_excited ones, lexicographically sorted."""
-    if not 0 <= n_excited <= n_sites:
-        raise ValueError(
-            f"excitation count {n_excited} outside [0, {n_sites}]"
-        )
-    if n_sites > ENUMERATION_LIMIT:
-        raise DimensionError(
-            f"basis enumeration supports at most {ENUMERATION_LIMIT} sites; "
-            "the exact combinatorial paths cover larger systems"
-        )
-    strings = []
-    for ones in combinations(range(n_sites), n_excited):
-        bits = ["0"] * n_sites
-        for p in ones:
-            bits[p] = "1"
-        strings.append("".join(bits))
-    strings.sort()
-    return ExcitationSubspace(n_sites, n_excited, tuple(strings))
+    """Subspace of n_sites qubits with n_excited ones; indices ascend, qubit 0 most significant."""
+    return ExcitationSubspace(n_sites, n_excited)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +86,7 @@ class EmbeddingIsometry:
         w = np.asarray(self.matrix, dtype=np.complex128)
         d_r = w.shape[1]
         dev = float(np.max(np.abs(w.conj().T @ w - np.eye(d_r))))
-        if dev > 1e-12:
+        if not dev <= 1e-12:  # also rejects NaN entries
             raise ValueError(f"W^dagger W deviates from the identity by {dev:.3e}")
         hits = np.flatnonzero(np.abs(np.abs(w) - 1.0) < 1e-12)
         if hits.size != d_r or np.count_nonzero(w) != d_r:
@@ -111,8 +104,7 @@ def embedding(sub: ExcitationSubspace) -> EmbeddingIsometry:
             "sites; use the exact combinatorial paths instead"
         )
     w = np.zeros((2**sub.n_sites, sub.d_r), dtype=np.complex128)
-    for col, idx in enumerate(sub.indices):
-        w[idx, col] = 1.0
+    w[sub.indices, np.arange(sub.d_r)] = 1.0
     return EmbeddingIsometry(w)
 
 
@@ -133,7 +125,7 @@ def restrict_channel(ch: QuantumChannel, sub: ExcitationSubspace) -> QuantumChan
         raise DimensionError(
             f"channel input dim {ch.dim_in} does not match 2^{sub.n_sites}"
         )
-    restricted = ch.kraus[:, :, list(sub.indices)]
+    restricted = ch.kraus[:, :, sub.indices]
     if restricted.shape[0] > sub.d_r * ch.dim_out:
         j = _choi_matrix(restricted, sub.d_r)
         return choi_to_kraus(j, dim_in=sub.d_r, dim_out=ch.dim_out)
@@ -144,17 +136,15 @@ def effective_environment_dimension(sub: ExcitationSubspace, split: tuple[int, i
     """1 / purity of the environment marginal of the embedded microcanonical state.
 
     ``split`` gives (system qubits, environment qubits), leading qubits first.
-    The embedded microcanonical state is diagonal, so the marginal is
-    accumulated exactly from integer counts of basis strings per environment
-    pattern.
+    The marginal is diagonal: an environment pattern of weight w carries
+    C(sq, Np - w) of the C(N, Np) basis states, so the result is
+    C(N, Np)^2 / sum_w C(eq, w) C(sq, Np - w)^2, divided in exact integers.
     """
     sq, eq = split
     if sq + eq != sub.n_sites or sq < 0 or eq < 0:
         raise DimensionError(
             f"split {split} does not partition {sub.n_sites} qubits"
         )
-    counts = np.zeros(2**eq, dtype=np.int64)
-    for s in sub.basis:
-        counts[int(s[sq:], 2) if eq else 0] += 1
-    total_sq = int(np.sum(counts.astype(object) ** 2))
-    return sub.d_r**2 / total_sq
+    k = sub.n_excited
+    total_sq = sum(comb(eq, w) * comb(sq, k - w) ** 2 for w in range(min(eq, k) + 1))
+    return comb(sub.n_sites, k) ** 2 / total_sq

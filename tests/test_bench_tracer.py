@@ -5,11 +5,14 @@ the package would otherwise only surface as a failed traced benchmark run.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import qtypical.bns as bns
 import qtypical.channels as channels
 import qtypical.cli as cli
+import qtypical.restriction as restriction
+import qtypical.typicality as typicality
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -45,3 +48,28 @@ def test_traced_entropy_run_records_layers_and_restores_originals(tmp_path):
     assert cli.bns_channel is originals["cli.bns_channel"]
     assert channels.QuantumChannel.__dict__["__init__"] is originals["init"]
     assert channels.QuantumChannel.__dict__["choi_purity_routes"] is originals["routes"]
+
+
+def test_traced_restricted_typicality_run_records_restriction_layers(tmp_path):
+    tracer_mod = _load_tracer()
+    names = ("enumerate_basis", "restrict_channel", "effective_environment_dimension")
+    originals = {name: getattr(restriction, name) for name in names}
+    original_sampler = typicality.sample_distances
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "channel": {"type": "partial_trace", "N": 4, "Np": 2, "split": 2},
+        "samples": 50, "master_seed": 3, "eta_mode": "estimated", "eta_trials": 1}))
+    tracer = tracer_mod.Tracer()
+    with tracer.installed():
+        code = cli.main(["typicality", "--config", str(config),
+                         "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    calls, _, _ = tracer.totals()
+    for name in names:
+        assert calls["restriction." + name] >= 1, name
+    assert calls["typicality.sample_distances"] >= 1
+    for name in names:
+        assert getattr(restriction, name) is originals[name]
+        assert getattr(cli, name) is originals[name]
+    assert typicality.sample_distances is original_sampler
+    assert cli.sample_distances is original_sampler

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qtypical.channels import (
     CPTPError,
     ChoiState,
     QuantumChannel,
+    StinespringIsometry,
     channel_from_json_dict,
     channel_to_json_dict,
     channels_equal,
@@ -26,7 +28,14 @@ from qtypical.channels import (
     tensor,
     unitary_channel,
 )
-from qtypical.qcore import DensityOperator, DimensionError, haar_unitary
+from qtypical.qcore import (
+    DensityOperator,
+    DimensionError,
+    HermitianOperator,
+    StateVector,
+    haar_unitary,
+)
+from qtypical.restriction import EmbeddingIsometry
 
 
 # -- construction invariants --
@@ -37,6 +46,27 @@ def test_rejects_non_trace_preserving_family():
         QuantumChannel(2, 2, (0.5 * np.eye(2),))
     with pytest.raises(CPTPError):
         QuantumChannel(2, 2, (np.diag([1.0, np.nan]),))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("construct", [
+    lambda: StateVector([NAN, 0]),
+    lambda: DensityOperator([[NAN, 0], [0, 1]]),
+    lambda: DensityOperator([[NAN, 0], [0, 1]], validate=False),
+    lambda: HermitianOperator([[NAN]]),
+    lambda: StinespringIsometry([[1], [NAN]], dim_env=2, dim_in=1, dim_out=1),
+    # a stand-in state, so that ChoiState's own marginal check sees the NaN
+    lambda: ChoiState(1, 1, SimpleNamespace(dim=1, matrix=np.array([[NAN]]))),
+    lambda: EmbeddingIsometry(np.array([[1.0], [NAN]])),
+    lambda: choi_to_kraus(np.array([[NAN, 0], [0, 1]]), dim_in=1, dim_out=2),
+], ids=["state_vector", "density", "density_unvalidated", "hermitian", "stinespring",
+        "choi_state", "embedding", "choi_to_kraus"])
+def test_validation_rejects_nan_entries(construct):
+    # each check must be written so that a NaN deviation fails it
+    with pytest.raises(ValueError, match="nan"):
+        construct()
 
 
 def test_rejects_oversized_family():
@@ -295,6 +325,19 @@ def test_partial_trace_channel_matches_loop(dim_keep, dim_drop):
         for s in range(dim_keep):
             loop[j, s, s * dim_drop + j] = 1.0
     np.testing.assert_array_equal(partial_trace_channel(dim_keep, dim_drop).kraus, loop)
+
+
+def test_partial_trace_channel_refused_above_budget():
+    # 2^14 inputs: a 4 GiB Kraus array, refused before allocating
+    with pytest.raises(DimensionError, match="MiB"):
+        partial_trace_channel(2**7, 2**7)
+
+
+def test_choi_matrix_refused_above_budget():
+    # one 6000 x 1 isometry: a 96 kB Kraus array but a 549 MB Choi matrix
+    ch = QuantumChannel(1, 6000, np.eye(6000, 1)[None])
+    with pytest.raises(DimensionError, match="MiB"):
+        ch.choi()
 
 
 @pytest.mark.parametrize("sigma_factory", [

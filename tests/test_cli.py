@@ -148,6 +148,19 @@ def test_figure_bound_refuses_oversized_channel_quickly(tmp_path):
 # -- typicality --
 
 
+def test_typicality_refuses_oversized_partial_trace_quickly(tmp_path):
+    # N=14 split 7/7: the full partial trace would be a 4 GiB Kraus array
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "channel": {"type": "partial_trace", "N": 14, "Np": 7, "split": 7},
+        "samples": 10, "master_seed": 1}))
+    out = tmp_path / "r.json"
+    started = time.perf_counter()
+    assert run(["typicality", "--config", config, "--out", out]) == 3
+    assert time.perf_counter() - started < 5.0
+    assert not out.exists()
+
+
 def test_typicality_partial_trace_config(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({

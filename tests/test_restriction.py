@@ -1,9 +1,8 @@
+from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import random_density
 from qtypical.bns import block_channel
@@ -19,7 +18,6 @@ from qtypical.restriction import (
     effective_environment_dimension,
     embedding,
     enumerate_basis,
-    excitation_count,
     microcanonical,
     restrict_channel,
 )
@@ -28,9 +26,21 @@ from qtypical.restriction import (
 # -- basis enumeration --
 
 
+def _string_indices(n_sites, n_excited):
+    """Oracle: sorted bitstrings with n_excited ones, parsed as integers."""
+    strings = []
+    for ones in combinations(range(n_sites), n_excited):
+        bits = ["0"] * n_sites
+        for p in ones:
+            bits[p] = "1"
+        strings.append("".join(bits))
+    strings.sort()
+    return strings, [int(s, 2) for s in strings]
+
+
 def test_enumerate_basis_two_sites():
     sub = enumerate_basis(2, 1)
-    assert sub.basis == ("01", "10")
+    assert sub.indices.tolist() == [1, 2]  # "01", "10"
     assert sub.d_r == 2
 
 
@@ -41,9 +51,24 @@ def test_enumerate_basis_counts():
 
 def test_enumerate_basis_is_sorted_and_consistent():
     sub = enumerate_basis(6, 2)
-    assert list(sub.basis) == sorted(sub.basis)
+    assert np.all(np.diff(sub.indices) > 0)
     assert sub.d_r == comb(6, 2)
-    assert all(excitation_count(s) == 2 for s in sub.basis)
+    assert all(bin(i).count("1") == 2 for i in sub.indices.tolist())
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_enumerate_basis_matches_string_oracle(n):
+    for n_excited in range(n + 1):
+        _, expected = _string_indices(n, n_excited)
+        assert enumerate_basis(n, n_excited).indices.tolist() == expected
+
+
+def test_enumerate_basis_indices_are_read_only_int64():
+    indices = enumerate_basis(7, 3).indices
+    assert indices.dtype == np.int64
+    assert not indices.flags.writeable
+    with pytest.raises(ValueError):
+        indices[0] = 0
 
 
 def test_enumerate_basis_range_errors():
@@ -53,18 +78,6 @@ def test_enumerate_basis_range_errors():
         enumerate_basis(4, -1)
     with pytest.raises(DimensionError):
         enumerate_basis(31, 1)
-
-
-def test_excitation_count_examples():
-    assert excitation_count("0000") == 0
-    assert excitation_count("1111") == 4
-    assert excitation_count("0110") == 2
-
-
-@given(st.lists(st.sampled_from("01"), min_size=1, max_size=40))
-def test_excitation_count_matches_integer_sum(bits):
-    s = "".join(bits)
-    assert excitation_count(s) == sum(int(c) for c in s)
 
 
 # -- microcanonical state and embedding --
@@ -169,6 +182,21 @@ def test_effective_environment_trivial_subspace():
 def test_effective_environment_half_filled_four_sites():
     sub = enumerate_basis(4, 2)
     assert abs(effective_environment_dimension(sub, (2, 2)) - 3.6) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_effective_environment_equals_counts_oracle(n):
+    # closed form against the per-string counts loop it replaced, compared with ==
+    for n_excited in range(n + 1):
+        strings, _ = _string_indices(n, n_excited)
+        sub = enumerate_basis(n, n_excited)
+        for sq in range(n + 1):
+            eq = n - sq
+            counts = np.zeros(2**eq, dtype=np.int64)
+            for s in strings:
+                counts[int(s[sq:], 2) if eq else 0] += 1
+            total_sq = int(np.sum(counts.astype(object) ** 2))
+            assert effective_environment_dimension(sub, (sq, eq)) == len(strings)**2 / total_sq
 
 
 def test_effective_environment_split_mismatch():
