@@ -1,6 +1,6 @@
 """Canonical states and typicality statistics for channel-defined subsystems."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .qcore import (
     DensityOperator,
@@ -37,6 +37,7 @@ from .channels import (
 from .restriction import (
     EmbeddingIsometry,
     ExcitationSubspace,
+    RestrictedPartialTrace,
     effective_environment_dimension,
     embedding,
     enumerate_basis,

@@ -180,6 +180,11 @@ class QuantumChannel:
             -1, self.n_kraus, self.dim_out)
         return phi.transpose(0, 2, 1) @ phi.conj()
 
+    def canonical_state(self) -> DensityOperator:
+        """Image of the maximally mixed input: the canonical state of the channel."""
+        d = self.dim_in
+        return DensityOperator(self.apply_matrix(np.eye(d, dtype=np.complex128) / d))
+
     # -- scalar diagnostics -------------------------------------------------
 
     def linear_entropy(self) -> float:
@@ -286,10 +291,14 @@ def _choi_matrix(kraus: np.ndarray, dim_in: int) -> np.ndarray:
     """Choi matrix (1/dim_in) sum_m vec(K_m) vec(K_m)^dagger, row-major vec."""
     _check_dense_bytes(16 * kraus[0].size ** 2, f"the {kraus[0].size}^2 Choi matrix")
     v = kraus.reshape(kraus.shape[0], -1)
-    return (v.T @ v.conj()) / dim_in
+    j = v.T @ v.conj()
+    j /= dim_in  # in place: the Choi matrix is the largest array a channel builds
+    return j
 
 
 def identity_channel(dim: int) -> QuantumChannel:
+    """Identity channel on dim; refused above 512 MiB (16 dim^2 bytes)."""
+    _check_dense_bytes(16 * dim**2, f"the identity channel on {dim}")
     return QuantumChannel(dim, dim, (np.eye(dim, dtype=np.complex128),))
 
 
@@ -473,19 +482,21 @@ def _orthonormal_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, n
     return q[:, 0], q[:, 1]
 
 
-def _pair_objective(ch: QuantumChannel, psi: np.ndarray, phi: np.ndarray) -> float:
-    delta = ch.apply_pure(psi) - ch.apply_pure(phi)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
+def _pair_objective(ch, psi: np.ndarray, phi: np.ndarray) -> float:
+    out = ch.apply_pure_batch(np.stack((psi, phi)))
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(out[0] - out[1]))))
 
 
-def lipschitz_estimate(ch: QuantumChannel, trials: int, seed: int) -> float:
+def lipschitz_estimate(ch, trials: int, seed: int) -> float:
     """Lower bound on the trace-norm contraction ratio of the channel.
 
     Orthogonal pure pairs have difference of trace norm exactly 2, so
     ||channel(psi - phi)||_1 / 2 never exceeds the true constant; maximizing
     it over random pairs with greedy local refinement gives a guaranteed
     lower bound. The result is nondecreasing in ``trials`` for a fixed seed
-    because each trial only extends the maximized set.
+    because each trial only extends the maximized set. ``ch`` needs only
+    ``dim_in`` and ``apply_pure_batch``: each candidate pair is applied as one
+    two-row block.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

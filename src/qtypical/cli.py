@@ -41,7 +41,12 @@ from .channels import (
     unitary_channel,
 )
 from .qcore import DimensionError, derive_seed, haar_unitary
-from .restriction import effective_environment_dimension, enumerate_basis, restrict_channel
+from .restriction import (
+    RestrictedPartialTrace,
+    effective_environment_dimension,
+    enumerate_basis,
+    restrict_channel,
+)
 from .typicality import (
     ExperimentConfig,
     _entropy_bound,
@@ -64,11 +69,13 @@ class DataError(Exception):
 # -- channel specs -------------------------------------------------------------
 
 
-def build_channel(spec: dict) -> tuple[QuantumChannel, dict]:
+def build_channel(spec: dict) -> tuple[QuantumChannel | RestrictedPartialTrace, dict]:
     """Construct a channel from a spec dict; returns (channel, scenario info).
 
     Scenario info carries ``d_e_eff`` for partial-trace style scenarios so
-    reports can include the partial-trace bound.
+    reports can include the partial-trace bound. A restricted partial trace
+    (``N``, ``Np``, ``split``) is the matrix-free ``RestrictedPartialTrace``;
+    every other spec is a dense ``QuantumChannel``.
     """
     if not isinstance(spec, dict) or "type" not in spec:
         raise UsageError("channel spec must be an object with a 'type' key")
@@ -81,13 +88,9 @@ def build_channel(spec: dict) -> tuple[QuantumChannel, dict]:
             return depolarizing(int(spec["d"]), float(spec["lambda"])), info
         if kind == "partial_trace":
             if "N" in spec and spec.get("Np") is not None:
-                n, np_excited = int(spec["N"]), int(spec["Np"])
-                sq = int(spec["split"])
-                eq = n - sq
-                full = partial_trace_channel(2**sq, 2**eq)
-                sub = enumerate_basis(n, np_excited)
-                ch = restrict_channel(full, sub)
-                info["d_e_eff"] = effective_environment_dimension(sub, (sq, eq))
+                n, sq = int(spec["N"]), int(spec["split"])
+                ch = RestrictedPartialTrace(n, int(spec["Np"]), sq)
+                info["d_e_eff"] = effective_environment_dimension(ch.sub, (sq, n - sq))
                 return ch, info
             d_s, d_e = int(spec["dS"]), int(spec["dE"])
             info["d_e_eff"] = float(d_e)
@@ -229,7 +232,7 @@ def _emit_plot_script(template: str, csv_path: str) -> str:
 # -- commands --------------------------------------------------------------------
 
 
-def _maybe_save_channel(ch: QuantumChannel, params: dict, outputs: list) -> None:
+def _maybe_save_channel(ch, params: dict, outputs: list) -> None:
     path = params.get("save_channel")
     if path:
         save_channel(ch, path)

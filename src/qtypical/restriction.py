@@ -6,6 +6,13 @@ is the most significant bit, so ascending order is lexicographic bitstring
 order. Restricted coordinates are primary; the full 2^N space only appears
 when a full-space channel needs to act, and then the embedding is a plain
 column selection.
+
+The partial trace over trailing qubits, restricted to a subspace, is
+``RestrictedPartialTrace``: it acts by scattering amplitudes into a
+(2^split, 2^(N - split)) matrix, and its canonical state and Choi purity are
+exact counts of basis states, so it never forms a Kraus array or a Choi
+matrix. ``restrict_channel`` pulls back any dense channel and is the oracle
+the structured class is tested against.
 """
 
 from __future__ import annotations
@@ -15,12 +22,19 @@ from math import comb
 
 import numpy as np
 
-from .channels import QuantumChannel, _choi_matrix, choi_to_kraus
+from .channels import (
+    QuantumChannel,
+    _check_dense_bytes,
+    _choi_matrix,
+    _gated_linear_entropy,
+    choi_to_kraus,
+)
 from .qcore import DensityOperator, DimensionError
 
 __all__ = [
     "ExcitationSubspace",
     "EmbeddingIsometry",
+    "RestrictedPartialTrace",
     "enumerate_basis",
     "microcanonical",
     "embedding",
@@ -41,7 +55,8 @@ class ExcitationSubspace:
     is built one bit at a time from the least significant end: a new top bit
     puts every number that has it after every number that lacks it, so each
     weight class stays sorted under concatenation. Classes that can no longer
-    reach n_excited are dropped, so no 2^N intermediate is formed.
+    reach n_excited are dropped, so no 2^N intermediate is formed. An index
+    array above the 512 MiB dense budget is refused before it is built.
     """
 
     n_sites: int
@@ -57,6 +72,7 @@ class ExcitationSubspace:
                 f"basis enumeration supports at most {ENUMERATION_LIMIT} sites; "
                 "the exact combinatorial paths cover larger systems"
             )
+        _check_dense_bytes(8 * comb(n, k), f"the C({n}, {k}) basis indices")
         empty = np.zeros(0, dtype=np.int64)
         by_weight = [np.zeros(1, dtype=np.int64)] + [empty] * k  # the 0-bit numbers
         for m in range(n):
@@ -97,12 +113,14 @@ class EmbeddingIsometry:
 
 
 def embedding(sub: ExcitationSubspace) -> EmbeddingIsometry:
-    """Dense embedding into the full qubit space; refuses to build above 14 sites."""
+    """Dense embedding into the full qubit space; refused above 14 sites or 512 MiB."""
     if sub.n_sites > DENSE_EMBEDDING_LIMIT:
         raise DimensionError(
             f"dense embedding refused for {sub.n_sites} > {DENSE_EMBEDDING_LIMIT} "
             "sites; use the exact combinatorial paths instead"
         )
+    _check_dense_bytes(16 * 2**sub.n_sites * sub.d_r,
+                       f"the 2^{sub.n_sites} x {sub.d_r} embedding")
     w = np.zeros((2**sub.n_sites, sub.d_r), dtype=np.complex128)
     w[sub.indices, np.arange(sub.d_r)] = 1.0
     return EmbeddingIsometry(w)
@@ -145,6 +163,110 @@ def effective_environment_dimension(sub: ExcitationSubspace, split: tuple[int, i
         raise DimensionError(
             f"split {split} does not partition {sub.n_sites} qubits"
         )
-    k = sub.n_excited
-    total_sq = sum(comb(eq, w) * comb(sq, k - w) ** 2 for w in range(min(eq, k) + 1))
-    return comb(sub.n_sites, k) ** 2 / total_sq
+    return comb(sub.n_sites, sub.n_excited) ** 2 / _marginal_square_sum(sub.n_excited, sq, eq)
+
+
+def _marginal_square_sum(n_excited: int, sq: int, eq: int) -> int:
+    """sum_w C(eq, w) C(sq, n_excited - w)^2, the sum of squared environment-pattern counts."""
+    return sum(comb(eq, w) * comb(sq, n_excited - w) ** 2
+               for w in range(min(eq, n_excited) + 1))
+
+
+@dataclass(frozen=True, eq=False)
+class RestrictedPartialTrace:
+    """Trace over the trailing N - split qubits, restricted to the n_excited subspace.
+
+    Matrix-free form of ``restrict_channel(partial_trace_channel(2^split,
+    2^(N - split)), enumerate_basis(N, n_excited))``, with the same channel
+    interface: ``dim_in`` (d_R), ``dim_out`` (2^split), ``apply_pure_batch``,
+    ``canonical_state``, ``choi_purity_routes`` and ``linear_entropy``. A
+    subspace index x splits into the system pattern x >> (N - split) and the
+    environment pattern x & (2^(N - split) - 1). So the output for psi is
+    M M^dagger, where M is psi scattered into a (2^split, 2^(N - split))
+    matrix; the canonical state is diagonal; and the Kraus operators have
+    disjoint supports, so the Choi purity is a sum of squared
+    environment-pattern counts.
+    """
+
+    n_sites: int
+    n_excited: int
+    split: int
+    sub: ExcitationSubspace = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not 0 <= self.split <= self.n_sites:
+            raise ValueError(f"split {self.split} outside [0, {self.n_sites}]")
+        object.__setattr__(self, "sub", enumerate_basis(self.n_sites, self.n_excited))
+
+    @property
+    def dim_in(self) -> int:
+        return self.sub.d_r
+
+    @property
+    def dim_out(self) -> int:
+        return 2**self.split
+
+    def _patterns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(system pattern, environment pattern) of every subspace basis state."""
+        eq = self.n_sites - self.split
+        return self.sub.indices >> eq, self.sub.indices & ((1 << eq) - 1)
+
+    def apply_pure_batch(self, psis) -> np.ndarray:
+        """Outputs tr_E |psi><psi| for a (B, d_R) block of pure inputs, one per row."""
+        psis = np.asarray(psis, dtype=np.complex128)
+        if psis.ndim != 2 or psis.shape[1] != self.dim_in:
+            raise DimensionError(
+                f"state block of shape {psis.shape} does not match input dim "
+                f"{self.dim_in}"
+            )
+        b = psis.shape[0]
+        # the scattered block, its conjugate and the outputs
+        _check_dense_bytes(16 * b * (2 * 2**self.n_sites + self.dim_out**2),
+                           f"{b} scattered 2^{self.n_sites} states and their outputs")
+        full = np.zeros((b, 2**self.n_sites), dtype=np.complex128)
+        full[:, self.sub.indices] = psis
+        m = full.reshape(b, self.dim_out, -1)
+        return m @ m.conj().transpose(0, 2, 1)
+
+    def canonical_state(self) -> DensityOperator:
+        """Diagonal image of the maximally mixed input: system-pattern counts / d_R."""
+        counts = np.bincount(self._patterns()[0], minlength=self.dim_out)
+        return DensityOperator(np.diag((counts / self.dim_in).astype(np.complex128)),
+                               validate=False)
+
+    def choi_purity_routes(self) -> tuple[float, float]:
+        """(closed-form Choi purity, purity counted from the enumerated indices).
+
+        The closed form is sum_w C(eq, w) C(split, Np - w)^2 / C(N, Np)^2 in
+        exact integers; the count is sum_j c_j^2 / d_R^2 over the
+        environment-pattern counts c_j of the enumerated basis (the int64 sum
+        is exact: it is at most d_R^2).
+        """
+        eq = self.n_sites - self.split
+        closed = _marginal_square_sum(self.n_excited, self.split, eq) / self.dim_in**2
+        counts = np.unique(self._patterns()[1], return_counts=True)[1]
+        return closed, int(np.sum(counts * counts)) / self.dim_in**2
+
+    def linear_entropy(self) -> float:
+        """1 - Choi purity, gated on the agreement of the two purity routes."""
+        return _gated_linear_entropy(*self.choi_purity_routes())
+
+    @property
+    def kraus(self) -> np.ndarray:
+        """The 0/1 Kraus family K_j = sum_s |s><s, j| on the subspace, built on demand.
+
+        One operator per environment pattern j, in the order ``restrict_channel``
+        keeps them; when that exceeds d_R * dim_out operators only the nonzero
+        ones are kept, which is a minimal family. Refused above 512 MiB.
+        """
+        sys_pattern, env_pattern = self._patterns()
+        n_ops = 2 ** (self.n_sites - self.split)
+        if n_ops > self.dim_in * self.dim_out:
+            envs, env_pattern = np.unique(env_pattern, return_inverse=True)
+            n_ops = envs.size
+        _check_dense_bytes(16 * n_ops * self.dim_out * self.dim_in,
+                           f"the {n_ops} restricted partial-trace Kraus operators")
+        ops = np.zeros((n_ops, self.dim_out, self.dim_in), dtype=np.complex128)
+        ops[env_pattern, sys_pattern, np.arange(self.dim_in)] = 1.0
+        ops.setflags(write=False)
+        return ops

@@ -7,12 +7,19 @@ the statistics against two analytic bounds: the entropy bound
 (1/2) sqrt(d_S (1 - S_L)) on the mean, and the concentration tail bound
 2 exp(-C d_R eps^2 / (4 eta^2)) with C = 2 / (9 pi^3).
 
+A channel here is anything with the channel interface (``dim_in``,
+``dim_out``, ``apply_pure_batch``, ``canonical_state``, ``linear_entropy``):
+a dense ``QuantumChannel``, or the matrix-free
+``restriction.RestrictedPartialTrace``, whose canonical state and entropy
+are exact counts and which never forms a Kraus array or a Choi matrix.
+
 Sampling runs in fixed chunks of SAMPLE_CHUNK samples: each chunk stacks
 its Haar vectors, applies the channel to the whole block in one GEMM and
-takes the trace distances from one batched eigensolve. Sample i always uses
-seed derive_seed(master_seed, i), so it depends only on (master_seed, i).
-The chunk size is a constant, so output bytes never depend on the machine or
-on any thread setting; QTYPICAL_THREADS is ignored.
+takes the trace distances from one batched eigensolve. A chunk of states
+above the 512 MiB dense budget is refused before any sample is drawn.
+Sample i always uses seed derive_seed(master_seed, i), so it depends only
+on (master_seed, i). The chunk size is a constant, so output bytes never
+depend on the machine or on any thread setting; QTYPICAL_THREADS is ignored.
 """
 
 from __future__ import annotations
@@ -20,11 +27,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import ConsistencyError, QuantumChannel, lipschitz_estimate
+from .channels import ConsistencyError, QuantumChannel, _check_dense_bytes, lipschitz_estimate
 from .qcore import DensityOperator, derive_seed, haar_sample
+
+if TYPE_CHECKING:
+    from .restriction import RestrictedPartialTrace
 
 __all__ = [
     "LEVY_CONSTANT",
@@ -49,14 +60,15 @@ ETA_STREAM_INDEX = 0xFFFFFFFFFFFFFFFF  # seed stream index reserved for eta esti
 class ExperimentConfig:
     """Inputs of one Monte Carlo run.
 
-    ``eta_mode`` selects the Lipschitz constant used in the tail bound:
-    "fixed_one" uses the channel-independent value 1, "estimated" runs the
-    lower-bound search with ``eta_trials`` restarts. The estimate is only a
-    lower bound, so an estimated eta makes the tail comparison diagnostic
-    rather than conservative.
+    ``channel`` is a ``QuantumChannel`` or a ``RestrictedPartialTrace``; the
+    run uses only their shared interface. ``eta_mode`` selects the Lipschitz
+    constant used in the tail bound: "fixed_one" uses the channel-independent
+    value 1, "estimated" runs the lower-bound search with ``eta_trials``
+    restarts. The estimate is only a lower bound, so an estimated eta makes
+    the tail comparison diagnostic rather than conservative.
     """
 
-    channel: QuantumChannel
+    channel: QuantumChannel | RestrictedPartialTrace
     samples: int
     master_seed: int
     epsilon_grid: tuple = ()
@@ -77,10 +89,9 @@ class ExperimentConfig:
         object.__setattr__(self, "epsilon_grid", eps)
 
 
-def canonical_state(ch: QuantumChannel) -> DensityOperator:
+def canonical_state(ch) -> DensityOperator:
     """Image of the maximally mixed input: the canonical state of the channel."""
-    d = ch.dim_in
-    return DensityOperator(ch.apply_matrix(np.eye(d, dtype=np.complex128) / d))
+    return ch.canonical_state()
 
 
 def sample_distances(cfg: ExperimentConfig) -> list:
@@ -92,6 +103,8 @@ def sample_distances(cfg: ExperimentConfig) -> list:
     """
     ch = cfg.channel
     d = ch.dim_in
+    chunk = min(SAMPLE_CHUNK, cfg.samples)
+    _check_dense_bytes(16 * chunk * d, f"a block of {chunk} states of dimension {d}")
     omega = canonical_state(ch).matrix
     distances = np.empty(cfg.samples)
     for start in range(0, cfg.samples, SAMPLE_CHUNK):
@@ -103,7 +116,7 @@ def sample_distances(cfg: ExperimentConfig) -> list:
     return distances.tolist()
 
 
-def entropy_bound(ch: QuantumChannel) -> float:
+def entropy_bound(ch) -> float:
     """Mean-distance bound (1/2) sqrt(d_S * (1 - S_L)) from the channel entropy."""
     return _entropy_bound(ch.dim_out, ch.linear_entropy())
 

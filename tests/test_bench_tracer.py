@@ -55,6 +55,7 @@ def test_traced_restricted_typicality_run_records_restriction_layers(tmp_path):
     names = ("enumerate_basis", "restrict_channel", "effective_environment_dimension")
     originals = {name: getattr(restriction, name) for name in names}
     original_sampler = typicality.sample_distances
+    original_canonical = typicality.canonical_state
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "channel": {"type": "partial_trace", "N": 4, "Np": 2, "split": 2},
@@ -65,11 +66,16 @@ def test_traced_restricted_typicality_run_records_restriction_layers(tmp_path):
                          "--out", str(tmp_path / "report.json")])
     assert code == 0
     calls, _, _ = tracer.totals()
-    for name in names:
+    for name in ("enumerate_basis", "effective_environment_dimension"):
         assert calls["restriction." + name] >= 1, name
     assert calls["typicality.sample_distances"] >= 1
+    assert calls["typicality.canonical_state"] >= 1
+    # the restricted partial trace is matrix-free: no dense channel is built or restricted
+    assert calls["restriction.restrict_channel"] == 0
+    assert calls["channels.QuantumChannel.init"] == 0
     for name in names:
         assert getattr(restriction, name) is originals[name]
         assert getattr(cli, name) is originals[name]
     assert typicality.sample_distances is original_sampler
     assert cli.sample_distances is original_sampler
+    assert typicality.canonical_state is original_canonical

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import matrix_unit, random_density
+from qtypical import channels
 from qtypical.channels import (
     CPTPError,
     ChoiState,
@@ -340,6 +342,24 @@ def test_choi_matrix_refused_above_budget():
         ch.choi()
 
 
+def test_choi_matrix_allocates_one_matrix():
+    # few Kraus operators, so the Choi matrix dominates every other allocation
+    ch = random_channel(8, 8, 2, seed=23)
+    tracemalloc.start()
+    try:
+        j = channels._choi_matrix(ch.kraus, ch.dim_in)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * j.nbytes
+
+
+def test_identity_channel_refused_above_budget():
+    # 20000^2 complex entries: 6.4 GB, refused before allocating
+    with pytest.raises(DimensionError, match="MiB"):
+        identity_channel(20000)
+
+
 @pytest.mark.parametrize("sigma_factory", [
     lambda: random_density(3, 17),
     lambda: DensityOperator(np.diag([0.0, 1.0, 0.0]).astype(complex)),  # rank one
@@ -498,6 +518,18 @@ def test_lipschitz_monotone_in_trials_and_bounded():
     values = [lipschitz_estimate(ch, t, seed=5) for t in (1, 2, 4, 8)]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
+
+
+def test_lipschitz_two_row_batch_matches_per_state_objective(monkeypatch):
+    ch = random_channel(6, 3, 4, seed=29)
+    batched = lipschitz_estimate(ch, 3, 41)
+
+    def per_state(c, psi, phi):
+        delta = c.apply_pure(psi) - c.apply_pure(phi)
+        return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
+
+    monkeypatch.setattr(channels, "_pair_objective", per_state)
+    assert abs(lipschitz_estimate(ch, 3, 41) - batched) < 1e-12
 
 
 def test_lipschitz_requires_positive_trials():

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from qtypical.cli import UsageError, build_channel, main
-from qtypical.channels import channels_equal, depolarizing, identity_channel
+from qtypical.channels import (
+    channels_equal,
+    depolarizing,
+    identity_channel,
+    partial_trace_channel,
+    save_channel,
+)
+from qtypical.restriction import enumerate_basis, restrict_channel
 
 
 def run(argv):
@@ -76,6 +83,31 @@ def test_entropy_restricted_detector_two_routes_agree(tmp_path):
 def test_entropy_usage_error_exit_code(tmp_path):
     assert run(["entropy", "--channel", "depolarizing", "--d", 2,
                 "--out", tmp_path / "x.json"]) == 2
+
+
+@pytest.mark.parametrize("split", [6, -1])
+def test_entropy_rejects_split_outside_sites(tmp_path, capsys, split):
+    assert run(["entropy", "--channel", "partial-trace", "--N", 4, "--Np", 2,
+                "--split", split, "--out", tmp_path / "x.json"]) == 2
+    assert "split" in capsys.readouterr().err
+
+
+def test_entropy_restricted_partial_trace_at_twelve_sites(tmp_path):
+    out = tmp_path / "e.json"
+    assert run(["entropy", "--channel", "partial-trace", "--N", 12, "--Np", 6,
+                "--split", 6, "--out", out]) == 0
+    data = json.loads(out.read_text())
+    assert (data["dim_in"], data["dim_out"]) == (924, 64)
+    assert data["purity_route_difference"] == 0.0
+
+
+def test_restricted_partial_trace_saves_the_dense_kraus_family(tmp_path):
+    saved = tmp_path / "cli.channel.json"
+    assert run(["entropy", "--channel", "partial-trace", "--N", 5, "--Np", 2,
+                "--split", 2, "--out", tmp_path / "e.json", "--save-channel", saved]) == 0
+    dense = restrict_channel(partial_trace_channel(4, 8), enumerate_basis(5, 2))
+    save_channel(dense, tmp_path / "dense.channel.json")
+    assert saved.read_bytes() == (tmp_path / "dense.channel.json").read_bytes()
 
 
 def test_entropy_bad_channel_file_exit_code(tmp_path):
@@ -149,16 +181,41 @@ def test_figure_bound_refuses_oversized_channel_quickly(tmp_path):
 
 
 def test_typicality_refuses_oversized_partial_trace_quickly(tmp_path):
-    # N=14 split 7/7: the full partial trace would be a 4 GiB Kraus array
+    # N=22 split 11/11: 10 states scattered into 2^22 amplitudes need 1.3 GB
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
-        "channel": {"type": "partial_trace", "N": 14, "Np": 7, "split": 7},
+        "channel": {"type": "partial_trace", "N": 22, "Np": 11, "split": 11},
         "samples": 10, "master_seed": 1}))
     out = tmp_path / "r.json"
     started = time.perf_counter()
     assert run(["typicality", "--config", config, "--out", out]) == 3
     assert time.perf_counter() - started < 5.0
     assert not out.exists()
+
+
+def test_typicality_restricted_partial_trace_at_fourteen_sites(tmp_path):
+    # no dense Kraus array or Choi matrix: the 4 GiB full channel is never built
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "channel": {"type": "partial_trace", "N": 14, "Np": 7, "split": 7},
+        "samples": 10, "master_seed": 1}))
+    out = tmp_path / "r.json"
+    started = time.perf_counter()
+    assert run(["typicality", "--config", config, "--out", out]) == 0
+    assert time.perf_counter() - started < 10.0
+    data = json.loads(out.read_text())
+    assert abs(data["entropy_bound"] - data["partial_trace_bound"]) < 1e-12
+
+
+def test_typicality_restricted_partial_trace_at_twelve_sites(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "channel": {"type": "partial_trace", "N": 12, "Np": 6, "split": 6},
+        "samples": 200, "master_seed": 4, "eta_mode": "estimated", "eta_trials": 1}))
+    out = tmp_path / "r.json"
+    assert run(["typicality", "--config", config, "--out", out]) == 0
+    data = json.loads(out.read_text())
+    assert (data["d_r"], data["d_s"], data["samples"]) == (924, 64, 200)
 
 
 def test_typicality_partial_trace_config(tmp_path):
@@ -232,6 +289,14 @@ def test_lipschitz_identity(tmp_path):
     assert run(["lipschitz", "--channel", "identity", "--d", 4, "--trials", 2,
                 "--seed", 0, "--out", out]) == 0
     assert json.loads(out.read_text())["estimate"] >= 1.0 - 1e-9
+
+
+def test_lipschitz_refuses_oversized_identity_quickly(tmp_path):
+    # a 20000 x 20000 identity is 6.4 GB
+    started = time.perf_counter()
+    assert run(["lipschitz", "--channel", "identity", "--d", 20000,
+                "--out", tmp_path / "lip.json"]) == 3
+    assert time.perf_counter() - started < 5.0
 
 
 def test_lipschitz_constant_channel(tmp_path):

@@ -6,7 +6,12 @@ import pytest
 
 from conftest import random_density
 from qtypical.bns import block_channel
-from qtypical.channels import channels_equal, partial_trace_channel, replace_channel
+from qtypical.channels import (
+    QuantumChannel,
+    channels_equal,
+    partial_trace_channel,
+    replace_channel,
+)
 from qtypical.qcore import (
     DensityOperator,
     DimensionError,
@@ -15,6 +20,7 @@ from qtypical.qcore import (
     partial_trace,
 )
 from qtypical.restriction import (
+    RestrictedPartialTrace,
     effective_environment_dimension,
     embedding,
     enumerate_basis,
@@ -115,6 +121,12 @@ def test_embedding_refused_above_dense_limit():
     sub = enumerate_basis(15, 1)
     with pytest.raises(DimensionError):
         embedding(sub)
+
+
+def test_embedding_refused_above_budget():
+    # 14 sites pass the site limit, but 2^14 x C(14, 7) entries take 900 MB
+    with pytest.raises(DimensionError, match="MiB"):
+        embedding(enumerate_basis(14, 7))
 
 
 # -- haar first moment over the restricted space --
@@ -230,3 +242,60 @@ def test_restricted_partial_trace_purity_identity(n, np_exc, sq):
     omega_env = partial_trace(full, "B", (2**sq, 2**eq))
     assert abs(choi_purity - 1.0 / d_e_eff) < 1e-10
     assert abs(choi_purity - omega_env.purity()) < 1e-10
+
+
+# -- matrix-free restricted partial trace --
+
+
+def _dense_purity(ch):
+    """Choi purity of a dense channel: the Choi matrix where it is small, else the Kraus Gram."""
+    if (ch.dim_in * ch.dim_out) ** 2 <= 2**20:
+        return ch.choi().purity()
+    v = ch.kraus.reshape(ch.n_kraus, -1)
+    return float(np.sum(np.abs(v @ v.conj().T) ** 2)) / ch.dim_in**2
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_restricted_partial_trace_matches_dense_oracle(n):
+    for sq in range(n + 1):
+        eq = n - sq
+        full = partial_trace_channel(2**sq, 2**eq)
+        for np_exc in range(n + 1):
+            ch = RestrictedPartialTrace(n, np_exc, sq)
+            dense = restrict_channel(full, enumerate_basis(n, np_exc))
+            assert (ch.dim_in, ch.dim_out) == (dense.dim_in, dense.dim_out)
+            psis = np.stack([haar_sample(ch.dim_in, derive_seed(n, i)).amplitudes
+                             for i in range(2)])
+            delta = ch.apply_pure_batch(psis) - dense.apply_pure_batch(psis)
+            assert np.max(np.abs(delta)) < 1e-12
+            omega = dense.apply_matrix(np.eye(ch.dim_in) / ch.dim_in)
+            assert np.max(np.abs(ch.canonical_state().matrix - omega)) < 1e-12
+            purity = _dense_purity(dense)
+            for route in ch.choi_purity_routes():
+                assert abs(route - purity) < 1e-12
+            assert abs(ch.linear_entropy() - (1.0 - purity)) < 1e-12
+            if 2**eq <= ch.dim_in * ch.dim_out:
+                np.testing.assert_array_equal(ch.kraus, dense.kraus)
+            else:  # restrict_channel compressed the family through the Choi matrix
+                assert channels_equal(QuantumChannel(ch.dim_in, ch.dim_out, ch.kraus), dense)
+
+
+def test_restricted_partial_trace_purity_is_inverse_effective_environment():
+    ch = RestrictedPartialTrace(12, 6, 5)
+    d_e_eff = effective_environment_dimension(ch.sub, (5, 7))
+    assert ch.choi_purity_routes()[0] == ch.choi_purity_routes()[1]
+    assert abs(ch.choi_purity_routes()[0] * d_e_eff - 1.0) < 1e-15
+
+
+def test_restricted_partial_trace_rejects_wrong_state_block():
+    ch = RestrictedPartialTrace(4, 2, 2)
+    with pytest.raises(DimensionError):
+        ch.apply_pure_batch(np.zeros((2, 5)))
+    with pytest.raises(DimensionError):
+        ch.apply_pure_batch(np.zeros(6))
+
+
+def test_enumeration_refused_above_budget():
+    # C(30, 15) indices would take 1.24 GB
+    with pytest.raises(DimensionError, match="MiB"):
+        enumerate_basis(30, 15)

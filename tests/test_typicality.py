@@ -11,8 +11,9 @@ from qtypical.channels import (
     identity_channel,
     partial_trace_channel,
 )
-from qtypical.qcore import derive_seed, haar_sample, trace_distance
+from qtypical.qcore import DimensionError, derive_seed, haar_sample, trace_distance
 from qtypical.restriction import (
+    RestrictedPartialTrace,
     effective_environment_dimension,
     enumerate_basis,
     restrict_channel,
@@ -85,6 +86,32 @@ def test_sample_distances_match_per_sample_oracle(samples):
     got = sample_distances(cfg)
     assert len(got) == samples
     assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-14
+
+
+def test_sample_distances_refuses_oversized_chunk_before_sampling(monkeypatch):
+    # 256 states of C(20, 10) = 184756 amplitudes: a 757 MB block
+    import qtypical.typicality as typicality
+
+    draws = []
+    monkeypatch.setattr(typicality, "haar_sample", lambda dim, seed: draws.append(seed))
+    cfg = ExperimentConfig(channel=RestrictedPartialTrace(20, 10, 2), samples=300,
+                           master_seed=1)
+    with pytest.raises(DimensionError, match="MiB"):
+        sample_distances(cfg)
+    assert draws == []
+
+
+def test_restricted_partial_trace_experiment_matches_dense_oracle():
+    dense = restrict_channel(partial_trace_channel(8, 32), enumerate_basis(8, 4))
+    configs = [ExperimentConfig(channel=c, samples=300, master_seed=13,
+                                epsilon_grid=(0.05,), eta_mode="estimated", eta_trials=2)
+               for c in (RestrictedPartialTrace(8, 4, 3), dense)]
+    got, expected = (sample_distances(cfg) for cfg in configs)
+    assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-15
+    got, expected = (run_experiment(cfg).to_json_dict() for cfg in configs)
+    for key in ("mean_distance", "std_distance", "max_distance", "entropy_bound",
+                "linear_entropy", "eta_used"):
+        assert abs(got[key] - expected[key]) < 1e-12, key
 
 
 def test_distances_deterministic_and_thread_independent(monkeypatch):
