@@ -1,6 +1,6 @@
 """Canonical states and typicality statistics for channel-defined subsystems."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .qcore import (
     DensityOperator,
@@ -35,13 +35,10 @@ from .channels import (
     unitary_channel,
 )
 from .restriction import (
-    EmbeddingIsometry,
     ExcitationSubspace,
     RestrictedPartialTrace,
     effective_environment_dimension,
-    embedding,
     enumerate_basis,
-    microcanonical,
     restrict_channel,
 )
 from .bns import (

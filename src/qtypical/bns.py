@@ -7,9 +7,11 @@ the coherence between the all-ground string and any excited string with the
 largest factor compatible with complete positivity, 1/sqrt(2^n - 1), and
 kills every other coherence.
 
-The dense channel objects cover small systems; the canonical spectrum and
-the two excitation-count distributions are computed in exact big-integer
-rational arithmetic and stay valid up to N = 10000 and beyond. The
+The dense channel objects cover small systems: a tensor power whose Kraus
+array would exceed the 512 MiB dense budget is refused, which happens for
+every N >= 13. The canonical spectrum and the two excitation-count
+distributions are computed in exact big-integer rational arithmetic and
+stay valid up to N = 10000 and beyond. The
 alternating sum for the canonical weights cancels catastrophically in
 floating point at large N, so no float enters before the output boundary.
 """
@@ -23,12 +25,11 @@ from math import comb
 
 import numpy as np
 
-from .channels import QuantumChannel, _check_dense_bytes, tensor_all
-from .qcore import DimensionError
+from .channels import QuantumChannel, tensor_all
+from .qcore import DimensionError, _check_dense_bytes
 
 __all__ = [
     "BLOCK_LIMIT",
-    "DENSE_LIMIT",
     "block_choi",
     "block_channel",
     "bns_channel",
@@ -42,7 +43,6 @@ __all__ = [
 ]
 
 BLOCK_LIMIT = 10   # largest block; its Choi oracle has size 2^(n+1)
-DENSE_LIMIT = 14   # largest N for the dense tensor-product channel
 
 
 def block_choi(n: int, coherence_scale: float = 1.0) -> np.ndarray:
@@ -89,16 +89,13 @@ def block_channel(n: int) -> QuantumChannel:
 def bns_channel(n_sites: int, n_blocks: int) -> QuantumChannel:
     """Tensor power of the block map over n_blocks equal blocks of N/k sites.
 
-    Refused before allocating when its Kraus array would exceed 512 MiB.
+    Refused before allocating when its Kraus array, (2^(N/k) - 1)^k
+    operators of 2^k x 2^N, would exceed 512 MiB; that is at least
+    16 * 4^N bytes, so every N >= 13 is refused.
     """
     if n_blocks < 1 or n_sites % n_blocks != 0:
         raise DimensionError(
             f"{n_blocks} blocks do not evenly divide {n_sites} sites"
-        )
-    if n_sites > DENSE_LIMIT:
-        raise DimensionError(
-            f"dense channel refused for N = {n_sites} > {DENSE_LIMIT}; "
-            "use the exact spectrum instead"
         )
     n = n_sites // n_blocks
     _check_dense_bytes((2**n - 1) ** n_blocks * 2 ** (n_blocks + n_sites) * 16,
@@ -142,13 +139,16 @@ class BnSCanonicalSpectrum:
         return self.weights.get(m, Fraction(0))
 
     def diagonal(self) -> np.ndarray:
-        """Float diagonal of the canonical state over the 2^k output basis."""
-        if self.k > DENSE_LIMIT:
-            raise DimensionError(f"dense diagonal refused for k = {self.k}")
-        diag = np.zeros(2**self.k)
-        for y in range(2**self.k):
-            diag[y] = float(self.weight(y.bit_count()))
-        return diag
+        """Float diagonal of the canonical state over the 2^k output basis.
+
+        Output string y carries the weight of its popcount; refused above
+        512 MiB (the float diagonal and its uint8 popcount table, 9 * 2^k bytes).
+        """
+        _check_dense_bytes(9 * 2**self.k, f"the 2^{self.k} canonical diagonal")
+        popcount = np.zeros(1, dtype=np.uint8)
+        for _ in range(self.k):  # a new top bit adds 1 to the count of every lower string
+            popcount = np.concatenate((popcount, popcount + 1))
+        return np.array([float(self.weight(m)) for m in range(self.k + 1)])[popcount]
 
 
 def canonical_spectrum(n_sites: int, n_excited: int, n_blocks: int) -> BnSCanonicalSpectrum:

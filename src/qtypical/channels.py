@@ -23,6 +23,7 @@ from .qcore import (
     DensityOperator,
     DimensionError,
     _as_matrix,
+    _check_dense_bytes,
     _generator,
     _partial_trace_matrix,
     derive_seed,
@@ -55,7 +56,6 @@ TP_TOL = 1e-10
 CHOI_MARGINAL_TOL = 1e-8
 KRAUS_EIGENVALUE_CUTOFF = 1e-12
 ROUTE_TOL = 1e-8
-_DENSE_BYTES_LIMIT = 512 * 2**20  # largest dense array a channel builder may allocate
 
 
 class CPTPError(ValueError):
@@ -281,12 +281,6 @@ class StinespringIsometry:
 # -- construction helpers ----------------------------------------------------
 
 
-def _check_dense_bytes(n_bytes: int, what: str) -> None:
-    """Refuse, before allocating, a dense array above the 512 MiB budget."""
-    if n_bytes > _DENSE_BYTES_LIMIT:
-        raise DimensionError(f"{what} needs {n_bytes / 2**20:.0f} MiB (limit 512 MiB)")
-
-
 def _choi_matrix(kraus: np.ndarray, dim_in: int) -> np.ndarray:
     """Choi matrix (1/dim_in) sum_m vec(K_m) vec(K_m)^dagger, row-major vec."""
     _check_dense_bytes(16 * kraus[0].size ** 2, f"the {kraus[0].size}^2 Choi matrix")
@@ -333,20 +327,20 @@ def partial_trace_channel(dim_keep: int, dim_drop: int) -> QuantumChannel:
     return QuantumChannel(d_in, dim_keep, rows.transpose(1, 0, 2))
 
 
-def _weyl_shift_clock(d: int) -> list[np.ndarray]:
-    """The d^2 unitaries X^a Z^b with X the cyclic shift and Z the clock."""
+def _weyl_shift_clock(d: int) -> np.ndarray:
+    """The d^2 unitaries X^a Z^b (X the cyclic shift, Z the clock) as one array, a leading."""
     omega = np.exp(2j * np.pi / d)
     x = np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
     z = np.diag(omega ** np.arange(d))
-    out = []
+    out = np.empty((d, d, d, d), dtype=np.complex128)
     xa = np.eye(d, dtype=np.complex128)
-    for _ in range(d):
+    for a in range(d):
         zb = np.eye(d, dtype=np.complex128)
-        for _ in range(d):
-            out.append(xa @ zb)
+        for b in range(d):
+            out[a, b] = xa @ zb
             zb = zb @ z
         xa = xa @ x
-    return out
+    return out.reshape(d * d, d, d)
 
 
 def depolarizing(d: int, lam: float) -> QuantumChannel:
@@ -356,7 +350,8 @@ def depolarizing(d: int, lam: float) -> QuantumChannel:
     always decided by the Choi eigenvalues rather than by a formula. Inside
     [0, 1] the channel is assembled from the shift/clock unitary family; for
     lam > 1 no probabilistic mixture exists and the Kraus family is extracted
-    from the Choi matrix instead.
+    from the Choi matrix instead. Either way a d^2 x d^2 array is built, so
+    the channel is refused above 512 MiB (16 d^4 bytes).
     """
     if d < 1:
         raise DimensionError("dimension must be >= 1")
@@ -373,16 +368,17 @@ def depolarizing(d: int, lam: float) -> QuantumChannel:
         raise CPTPError(
             f"lambda = {lam} exceeds the complete-positivity limit {cp_limit}"
         )
+    _check_dense_bytes(16 * d**4, f"the depolarizing channel on {d}")
     if lam <= 1.0:
         # X^0 Z^0, the identity, leads the family and also carries the undepolarized part
-        ops = np.sqrt(lam) / d * np.stack(_weyl_shift_clock(d))
+        ops = _weyl_shift_clock(d)
+        ops *= np.sqrt(lam) / d
         ops[0] = np.sqrt(1.0 - lam + lam / d**2) * np.eye(d, dtype=np.complex128)
         return QuantumChannel(d, d, ops[np.any(ops, axis=(1, 2))])
     # lam > 1: Choi = lam * (I/d (x) I/d) + (1 - lam) * phi_plus
     phi = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            phi[i * d + i, j * d + j] = 1.0 / d
+    diag = np.arange(d) * (d + 1)  # the index i * d + i of |i, i>
+    phi[np.ix_(diag, diag)] = 1.0 / d
     j_matrix = (lam / d**2) * np.eye(d * d, dtype=np.complex128) + (1.0 - lam) * phi
     return choi_to_kraus(j_matrix, dim_in=d, dim_out=d)
 

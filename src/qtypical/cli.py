@@ -293,8 +293,6 @@ def run_figure_energy(params: dict) -> list:
 def run_figure_bound(params: dict) -> list:
     n, k = int(params["N"]), int(params["k"])
     samples, seed = int(params["samples"]), int(params["seed"])
-    if n > 12:
-        raise UsageError(f"N = {n} exceeds the dense limit (12)")
     if k < 1 or n % k != 0:
         raise UsageError(f"k = {k} does not divide N = {n}")
     full = bns_channel(n, k)

@@ -6,7 +6,9 @@ Conventions shared by every module in the package:
   bitstring, with qubit 0 the most significant bit;
 * all arrays are ``complex128`` and immutable after construction;
 * randomness is reproducible through ``derive_seed(master_seed, index)``,
-  so results never depend on how work is split across threads.
+  so results never depend on how work is split across threads;
+* one size policy: ``_check_dense_bytes`` refuses, before allocating, any
+  dense array above the 512 MiB budget with a ``DimensionError``.
 """
 
 from __future__ import annotations
@@ -35,10 +37,17 @@ _U64 = (1 << 64) - 1
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 TRACE_TOL = 1e-10
+_DENSE_BYTES_LIMIT = 512 * 2**20  # largest dense array the package may allocate
 
 
 class DimensionError(ValueError):
     """Operands live on incompatible or invalid Hilbert space dimensions."""
+
+
+def _check_dense_bytes(n_bytes: int, what: str) -> None:
+    """Refuse, before allocating, a dense array above the 512 MiB budget."""
+    if n_bytes > _DENSE_BYTES_LIMIT:
+        raise DimensionError(f"{what} needs {n_bytes / 2**20:.0f} MiB (limit 512 MiB)")
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -167,9 +176,13 @@ def haar_sample(dim: int, seed: int) -> StateVector:
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix with phase fix."""
+    """Haar-distributed unitary via QR of a complex Ginibre matrix with phase fix.
+
+    Refused above 512 MiB (16 dim^2 bytes).
+    """
     if dim < 1:
         raise DimensionError(f"dimension must be >= 1, got {dim}")
+    _check_dense_bytes(16 * dim**2, f"the {dim} x {dim} Haar unitary")
     rng = _generator(seed)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
@@ -190,11 +203,6 @@ def hs_norm(a) -> float:
     """Hilbert-Schmidt norm sqrt(tr(a^dagger a))."""
     m = _as_matrix(a)
     return float(np.sqrt(np.sum(np.abs(m) ** 2)))
-
-
-def trace_norm(a) -> float:
-    """Trace norm: sum of absolute eigenvalues (Hermitian input)."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(_as_matrix(a)))))
 
 
 def _partial_trace_matrix(m: np.ndarray, keep: str, dims: tuple[int, int]) -> np.ndarray:

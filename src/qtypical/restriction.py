@@ -3,16 +3,17 @@
 A subspace is the pair (n_sites, n_excited). Its basis is the ascending int64
 array of full-space indices of the basis states with n_excited ones; qubit 0
 is the most significant bit, so ascending order is lexicographic bitstring
-order. Restricted coordinates are primary; the full 2^N space only appears
-when a full-space channel needs to act, and then the embedding is a plain
-column selection.
+order. Restricted coordinates are primary, and there is no dense embedding
+isometry: the full 2^N space only appears when a full-space channel needs to
+act, and then the embedding is a plain column selection of its Kraus array.
 
 The partial trace over trailing qubits, restricted to a subspace, is
 ``RestrictedPartialTrace``: it acts by scattering amplitudes into a
 (2^split, 2^(N - split)) matrix, and its canonical state and Choi purity are
 exact counts of basis states, so it never forms a Kraus array or a Choi
-matrix. ``restrict_channel`` pulls back any dense channel and is the oracle
-the structured class is tested against.
+matrix. ``restrict_channel`` pulls back any dense channel: it restricts the
+dense detector channel, and it is the oracle the structured class is tested
+against.
 """
 
 from __future__ import annotations
@@ -22,27 +23,17 @@ from math import comb
 
 import numpy as np
 
-from .channels import (
-    QuantumChannel,
-    _check_dense_bytes,
-    _choi_matrix,
-    _gated_linear_entropy,
-    choi_to_kraus,
-)
-from .qcore import DensityOperator, DimensionError
+from .channels import QuantumChannel, _choi_matrix, _gated_linear_entropy, choi_to_kraus
+from .qcore import DensityOperator, DimensionError, _check_dense_bytes
 
 __all__ = [
     "ExcitationSubspace",
-    "EmbeddingIsometry",
     "RestrictedPartialTrace",
     "enumerate_basis",
-    "microcanonical",
-    "embedding",
     "restrict_channel",
     "effective_environment_dimension",
 ]
 
-DENSE_EMBEDDING_LIMIT = 14
 ENUMERATION_LIMIT = 30
 
 
@@ -92,46 +83,6 @@ def enumerate_basis(n_sites: int, n_excited: int) -> ExcitationSubspace:
     return ExcitationSubspace(n_sites, n_excited)
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingIsometry:
-    """Dense 2^N x d_R isometry whose columns are computational basis vectors."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.matrix, dtype=np.complex128)
-        d_r = w.shape[1]
-        dev = float(np.max(np.abs(w.conj().T @ w - np.eye(d_r))))
-        if not dev <= 1e-12:  # also rejects NaN entries
-            raise ValueError(f"W^dagger W deviates from the identity by {dev:.3e}")
-        hits = np.flatnonzero(np.abs(np.abs(w) - 1.0) < 1e-12)
-        if hits.size != d_r or np.count_nonzero(w) != d_r:
-            raise ValueError("columns must be distinct computational basis vectors")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "matrix", w)
-
-
-def embedding(sub: ExcitationSubspace) -> EmbeddingIsometry:
-    """Dense embedding into the full qubit space; refused above 14 sites or 512 MiB."""
-    if sub.n_sites > DENSE_EMBEDDING_LIMIT:
-        raise DimensionError(
-            f"dense embedding refused for {sub.n_sites} > {DENSE_EMBEDDING_LIMIT} "
-            "sites; use the exact combinatorial paths instead"
-        )
-    _check_dense_bytes(16 * 2**sub.n_sites * sub.d_r,
-                       f"the 2^{sub.n_sites} x {sub.d_r} embedding")
-    w = np.zeros((2**sub.n_sites, sub.d_r), dtype=np.complex128)
-    w[sub.indices, np.arange(sub.d_r)] = 1.0
-    return EmbeddingIsometry(w)
-
-
-def microcanonical(sub: ExcitationSubspace) -> DensityOperator:
-    """Maximally mixed state on the restricted space, in restricted coordinates."""
-    d = sub.d_r
-    return DensityOperator(np.eye(d, dtype=np.complex128) / d, validate=False)
-
-
 def restrict_channel(ch: QuantumChannel, sub: ExcitationSubspace) -> QuantumChannel:
     """Pull a full-space channel back to restricted coordinates: Kraus {K_m W}.
 
@@ -151,7 +102,7 @@ def restrict_channel(ch: QuantumChannel, sub: ExcitationSubspace) -> QuantumChan
 
 
 def effective_environment_dimension(sub: ExcitationSubspace, split: tuple[int, int]) -> float:
-    """1 / purity of the environment marginal of the embedded microcanonical state.
+    """1 / purity of the environment marginal of the maximally mixed subspace state.
 
     ``split`` gives (system qubits, environment qubits), leading qubits first.
     The marginal is diagonal: an environment pattern of weight w carries
@@ -229,7 +180,12 @@ class RestrictedPartialTrace:
         return m @ m.conj().transpose(0, 2, 1)
 
     def canonical_state(self) -> DensityOperator:
-        """Diagonal image of the maximally mixed input: system-pattern counts / d_R."""
+        """Diagonal image of the maximally mixed input: system-pattern counts / d_R.
+
+        Refused above 512 MiB (the dense 2^split x 2^split matrix, 16 * 4^split bytes).
+        """
+        _check_dense_bytes(16 * self.dim_out**2,
+                           f"the 2^{self.split} x 2^{self.split} canonical state")
         counts = np.bincount(self._patterns()[0], minlength=self.dim_out)
         return DensityOperator(np.diag((counts / self.dim_in).astype(np.complex128)),
                                validate=False)

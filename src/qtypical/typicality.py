@@ -31,8 +31,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import ConsistencyError, QuantumChannel, _check_dense_bytes, lipschitz_estimate
-from .qcore import DensityOperator, derive_seed, haar_sample
+from .channels import ConsistencyError, QuantumChannel, lipschitz_estimate
+from .qcore import DensityOperator, _check_dense_bytes, derive_seed, haar_sample
 
 if TYPE_CHECKING:
     from .restriction import RestrictedPartialTrace

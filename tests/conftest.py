@@ -1,6 +1,15 @@
 import numpy as np
+import pytest
 
+from qtypical import qcore
 from qtypical.qcore import DensityOperator, _generator
+
+
+@pytest.fixture
+def small_dense_budget(monkeypatch):
+    """Shrink the dense budget to 64 KiB, so refusal tests never need gigabytes."""
+    monkeypatch.setattr(qcore, "_DENSE_BYTES_LIMIT", 2**16)
+    return 2**16
 
 
 def random_density(dim: int, seed: int) -> DensityOperator:
@@ -8,12 +17,6 @@ def random_density(dim: int, seed: int) -> DensityOperator:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = z @ z.conj().T
     return DensityOperator(m / np.trace(m).real)
-
-
-def random_hermitian(dim: int, seed: int) -> np.ndarray:
-    rng = _generator(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (z + z.conj().T) / 2.0
 
 
 def matrix_unit(i: int, j: int, dim: int) -> np.ndarray:

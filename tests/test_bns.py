@@ -1,4 +1,6 @@
 import csv
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -20,8 +22,8 @@ from qtypical.bns import (
     write_distribution_csv,
 )
 from qtypical.channels import channels_equal, choi_to_kraus, identity_channel, tensor
-from qtypical.qcore import DimensionError
-from qtypical.restriction import enumerate_basis, microcanonical, restrict_channel
+from qtypical.qcore import DensityOperator, DimensionError
+from qtypical.restriction import enumerate_basis, restrict_channel
 
 
 def reference_block_action(n: int, s1: int, s2: int) -> np.ndarray:
@@ -136,6 +138,22 @@ def test_bns_channel_refuses_oversized_kraus_array():
         bns_channel(12, 4)
 
 
+def test_budget_refuses_every_dense_channel_above_twelve_sites():
+    # (2^(N/k) - 1)^k * 2^(k+N) * 16 >= 2^(2N+4) bytes: no site-count limit is needed
+    started = time.perf_counter()
+    tracemalloc.start()
+    try:
+        for n_sites in range(13, 41):
+            for n_blocks in (k for k in range(1, n_sites + 1) if n_sites % k == 0):
+                with pytest.raises(DimensionError, match="MiB"):
+                    bns_channel(n_sites, n_blocks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert time.perf_counter() - started < 1.0
+
+
 def test_bns_channel_blockwise_on_basis_state():
     ch = bns_channel(4, 2)
     got = ch.apply_matrix(matrix_unit(0b1100, 0b1100, 16))
@@ -151,7 +169,7 @@ def test_two_block_tensor_on_alternating_string():
 def test_bns_channel_on_microcanonical_half_filling():
     sub = enumerate_basis(4, 2)
     ch = restrict_channel(bns_channel(4, 2), sub)
-    out = ch.apply(microcanonical(sub)).matrix
+    out = ch.apply(DensityOperator(np.eye(sub.d_r) / sub.d_r)).matrix
     expected = np.diag([0.0, 1 / 6, 1 / 6, 4 / 6]).astype(complex)
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -163,6 +181,23 @@ def test_spectrum_single_block_single_excitation():
     spec = canonical_spectrum(2, 1, 1)
     assert spec.weights == {1: Fraction(1)}
     np.testing.assert_allclose(spec.diagonal(), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("n_sites,n_excited,n_blocks",
+                         [(4, 2, 2), (9, 4, 3), (12, 5, 4), (12, 7, 12), (14, 3, 14)])
+def test_spectrum_diagonal_matches_popcount_loop(n_sites, n_excited, n_blocks):
+    spec = canonical_spectrum(n_sites, n_excited, n_blocks)
+    loop = [float(spec.weight(y.bit_count())) for y in range(2**n_blocks)]
+    np.testing.assert_array_equal(spec.diagonal(), loop)
+
+
+def test_spectrum_diagonal_refused_above_budget(small_dense_budget):
+    # 9 * 2^12 bytes fit the 64 KiB budget, 9 * 2^13 do not
+    assert canonical_spectrum(12, 6, 12).diagonal().shape == (2**12,)
+    with pytest.raises(DimensionError, match="MiB"):
+        canonical_spectrum(13, 6, 13).diagonal()
+    with pytest.raises(DimensionError, match="MiB"):
+        canonical_spectrum(10000, 200, 1000).diagonal()
 
 
 def test_spectrum_half_filled_two_blocks():

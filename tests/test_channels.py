@@ -37,7 +37,6 @@ from qtypical.qcore import (
     StateVector,
     haar_unitary,
 )
-from qtypical.restriction import EmbeddingIsometry
 
 
 # -- construction invariants --
@@ -61,10 +60,9 @@ NAN = float("nan")
     lambda: StinespringIsometry([[1], [NAN]], dim_env=2, dim_in=1, dim_out=1),
     # a stand-in state, so that ChoiState's own marginal check sees the NaN
     lambda: ChoiState(1, 1, SimpleNamespace(dim=1, matrix=np.array([[NAN]]))),
-    lambda: EmbeddingIsometry(np.array([[1.0], [NAN]])),
     lambda: choi_to_kraus(np.array([[NAN, 0], [0, 1]]), dim_in=1, dim_out=2),
 ], ids=["state_vector", "density", "density_unvalidated", "hermitian", "stinespring",
-        "choi_state", "embedding", "choi_to_kraus"])
+        "choi_state", "choi_to_kraus"])
 def test_validation_rejects_nan_entries(construct):
     # each check must be written so that a NaN deviation fails it
     with pytest.raises(ValueError, match="nan"):
@@ -416,6 +414,16 @@ def test_depolarizing_family_matches_loop(d, lam):
     loop += [np.sqrt(lam) / d * u for u in _weyl_shift_clock(d)[1:]]
     loop = np.stack([k for k in loop if np.any(k)])
     np.testing.assert_array_equal(depolarizing(d, lam).kraus, loop)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0 + 1.0 / 80.0],
+                         ids=["shift_clock_family", "choi_extraction"])
+def test_depolarizing_refused_above_budget(small_dense_budget, lam):
+    # both branches build a d^2 x d^2 array: 16 * 8^4 bytes fill the 64 KiB budget;
+    # 1 + 1/80 is the complete-positivity limit at d = 9, so it is valid at d = 8 too
+    assert depolarizing(8, lam).dim_in == 8
+    with pytest.raises(DimensionError, match="MiB"):
+        depolarizing(9, lam)
 
 
 def test_depolarizing_rejects_outside_cp_range():

@@ -177,6 +177,16 @@ def test_figure_bound_refuses_oversized_channel_quickly(tmp_path):
     assert not out.exists()
 
 
+def test_figure_bound_above_twelve_sites_is_a_size_refusal(tmp_path):
+    # N=13, k=13 needs a 1 GiB Kraus array: refused by the budget with exit 3
+    out = tmp_path / "bound.csv"
+    started = time.perf_counter()
+    assert run(["figure-bound", "--N", 13, "--k", 13, "--samples", 10,
+                "--out", out]) == 3
+    assert time.perf_counter() - started < 5.0
+    assert not out.exists()
+
+
 # -- typicality --
 
 

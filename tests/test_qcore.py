@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, random_hermitian
+from conftest import random_density
 from qtypical.qcore import (
     DensityOperator,
     DimensionError,
@@ -15,7 +15,6 @@ from qtypical.qcore import (
     hs_norm,
     partial_trace,
     trace_distance,
-    trace_norm,
 )
 
 
@@ -96,6 +95,13 @@ def test_haar_unitary_is_unitary():
     assert np.max(np.abs(u @ u.conj().T - np.eye(5))) < 1e-12
 
 
+def test_haar_unitary_refused_above_budget(small_dense_budget):
+    # 16 * 64^2 bytes fill the 64 KiB budget exactly; one more row exceeds it
+    assert haar_unitary(64, 0).shape == (64, 64)
+    with pytest.raises(DimensionError, match="MiB"):
+        haar_unitary(65, 0)
+
+
 def test_derive_seed_is_stable_and_spreads():
     assert derive_seed(0, 0) == derive_seed(0, 0)
     seen = {derive_seed(42, i) for i in range(1000)}
@@ -150,14 +156,6 @@ def test_hs_norm_examples():
     assert abs(hs_norm(np.eye(4)) - 2.0) < 1e-12
     assert hs_norm(np.zeros((3, 3))) == 0.0
     assert abs(hs_norm(np.diag([1.0, -1.0])) - np.sqrt(2)) < 1e-12
-
-
-def test_trace_norm_bounded_by_rank_times_hs():
-    # ||A||_1 <= sqrt(n) ||A||_2 over 100 random Hermitian draws
-    for trial in range(100):
-        dim = 1 + trial % 16
-        a = random_hermitian(dim, trial)
-        assert trace_norm(a) <= np.sqrt(dim) * hs_norm(a) + 1e-10
 
 
 # -- partial trace --

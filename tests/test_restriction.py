@@ -22,9 +22,7 @@ from qtypical.qcore import (
 from qtypical.restriction import (
     RestrictedPartialTrace,
     effective_environment_dimension,
-    embedding,
     enumerate_basis,
-    microcanonical,
     restrict_channel,
 )
 
@@ -86,49 +84,6 @@ def test_enumerate_basis_range_errors():
         enumerate_basis(31, 1)
 
 
-# -- microcanonical state and embedding --
-
-
-def test_microcanonical_single_excitation():
-    sub = enumerate_basis(2, 1)
-    np.testing.assert_allclose(microcanonical(sub).matrix, np.diag([0.5, 0.5]),
-                               atol=1e-15)
-
-
-def test_microcanonical_purity():
-    sub = enumerate_basis(6, 3)
-    state = microcanonical(sub)
-    assert abs(state.purity() - 1.0 / sub.d_r) < 1e-12
-
-
-def test_microcanonical_embedded_then_traced():
-    sub = enumerate_basis(2, 1)
-    w = embedding(sub).matrix
-    full = DensityOperator(w @ microcanonical(sub).matrix @ w.conj().T)
-    reduced = partial_trace(full, "A", (2, 2))
-    np.testing.assert_allclose(reduced.matrix, np.diag([0.5, 0.5]), atol=1e-15)
-
-
-def test_embedding_is_isometry_of_basis_columns():
-    sub = enumerate_basis(5, 2)
-    w = embedding(sub).matrix
-    assert w.shape == (32, 10)
-    np.testing.assert_allclose(w.conj().T @ w, np.eye(10), atol=1e-15)
-    assert np.count_nonzero(w) == 10
-
-
-def test_embedding_refused_above_dense_limit():
-    sub = enumerate_basis(15, 1)
-    with pytest.raises(DimensionError):
-        embedding(sub)
-
-
-def test_embedding_refused_above_budget():
-    # 14 sites pass the site limit, but 2^14 x C(14, 7) entries take 900 MB
-    with pytest.raises(DimensionError, match="MiB"):
-        embedding(enumerate_basis(14, 7))
-
-
 # -- haar first moment over the restricted space --
 
 
@@ -140,7 +95,7 @@ def test_microcanonical_is_haar_average(n, np_exc):
     batch = np.stack([haar_sample(d, derive_seed(77, i)).amplitudes
                       for i in range(samples)])
     mean = np.einsum("ni,nj->ij", batch, batch.conj()) / samples
-    assert np.max(np.abs(mean - microcanonical(sub).matrix)) < 5.0 / np.sqrt(samples)
+    assert np.max(np.abs(mean - np.eye(d) / d)) < 5.0 / np.sqrt(samples)
 
 
 # -- channel restriction --
@@ -186,6 +141,13 @@ def test_restrict_channel_preserves_trace():
 # -- effective environment dimension --
 
 
+def _embedded_maximally_mixed(sub):
+    """Oracle: W (I/d_R) W^dagger on the full 2^N space, W the 0/1 basis-column isometry."""
+    w = np.zeros((2**sub.n_sites, sub.d_r))
+    w[sub.indices, np.arange(sub.d_r)] = 1.0
+    return w @ (np.eye(sub.d_r) / sub.d_r) @ w.T
+
+
 def test_effective_environment_trivial_subspace():
     sub = enumerate_basis(2, 0)
     assert abs(effective_environment_dimension(sub, (1, 1)) - 1.0) < 1e-12
@@ -220,8 +182,7 @@ def test_effective_environment_split_mismatch():
 def test_effective_environment_matches_dense_route(n, np_exc, sq):
     sub = enumerate_basis(n, np_exc)
     eq = n - sq
-    w = embedding(sub).matrix
-    full = w @ microcanonical(sub).matrix @ w.conj().T
+    full = _embedded_maximally_mixed(sub)
     omega = partial_trace(full, "B", (2**sq, 2**eq))
     dense_value = 1.0 / omega.purity()
     fast_value = effective_environment_dimension(sub, (sq, eq))
@@ -231,14 +192,13 @@ def test_effective_environment_matches_dense_route(n, np_exc, sq):
 @pytest.mark.parametrize("n,np_exc,sq", [(4, 2, 2), (6, 3, 3), (6, 2, 2)])
 def test_restricted_partial_trace_purity_identity(n, np_exc, sq):
     # Choi purity of the restricted trace-out channel equals the purity of
-    # the environment marginal of the embedded microcanonical state
+    # the environment marginal of the embedded maximally mixed subspace state
     sub = enumerate_basis(n, np_exc)
     eq = n - sq
     ch = restrict_channel(partial_trace_channel(2**sq, 2**eq), sub)
     choi_purity = ch.choi().purity()
     d_e_eff = effective_environment_dimension(sub, (sq, eq))
-    w = embedding(sub).matrix
-    full = w @ microcanonical(sub).matrix @ w.conj().T
+    full = _embedded_maximally_mixed(sub)
     omega_env = partial_trace(full, "B", (2**sq, 2**eq))
     assert abs(choi_purity - 1.0 / d_e_eff) < 1e-10
     assert abs(choi_purity - omega_env.purity()) < 1e-10
@@ -285,6 +245,13 @@ def test_restricted_partial_trace_purity_is_inverse_effective_environment():
     d_e_eff = effective_environment_dimension(ch.sub, (5, 7))
     assert ch.choi_purity_routes()[0] == ch.choi_purity_routes()[1]
     assert abs(ch.choi_purity_routes()[0] * d_e_eff - 1.0) < 1e-15
+
+
+def test_restricted_partial_trace_canonical_state_refused_above_budget(small_dense_budget):
+    # 16 * 4^6 bytes fill the 64 KiB budget; split 10 would need 16 MiB
+    assert RestrictedPartialTrace(10, 1, 6).canonical_state().dim == 64
+    with pytest.raises(DimensionError, match="MiB"):
+        RestrictedPartialTrace(10, 1, 10).canonical_state()
 
 
 def test_restricted_partial_trace_rejects_wrong_state_block():
