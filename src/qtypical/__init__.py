@@ -1,6 +1,6 @@
 """Canonical states and typicality statistics for channel-defined subsystems."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .qcore import (
     DensityOperator,
@@ -43,6 +43,7 @@ from .restriction import (
 )
 from .bns import (
     BnSCanonicalSpectrum,
+    DetectorChannel,
     ExactDistribution,
     bns_channel,
     bns_mean_exact,

@@ -7,32 +7,43 @@ the coherence between the all-ground string and any excited string with the
 largest factor compatible with complete positivity, 1/sqrt(2^n - 1), and
 kills every other coherence.
 
-The dense channel objects cover small systems: a tensor power whose Kraus
-array would exceed the 512 MiB dense budget is refused, which happens for
-every N >= 13. The canonical spectrum and the two excitation-count
-distributions are computed in exact big-integer rational arithmetic and
-stay valid up to N = 10000 and beyond. The
-alternating sum for the canonical weights cancels catastrophically in
+The dense channel objects cover small, unrestricted systems: a tensor power
+whose Kraus array would exceed the 512 MiB dense budget is refused, which
+happens for every N >= 13. On the fixed-excitation subspace the detector is
+``DetectorChannel``, which is matrix-free: it acts through the occupancy
+pattern of each basis state, its canonical state is the exact spectrum, and
+its Choi purity is an exact count from a generating function, so it never
+forms the tensor power, a Kraus array or a Choi matrix. The canonical
+spectrum and the two excitation-count distributions are computed in exact
+big-integer rational arithmetic and stay valid up to N = 10000 and beyond.
+The alternating sum for the canonical weights cancels catastrophically in
 floating point at large N, so no float enters before the output boundary.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from .channels import QuantumChannel, tensor_all
-from .qcore import DimensionError, _check_dense_bytes
+from .channels import (
+    KRAUS_EIGENVALUE_CUTOFF,
+    QuantumChannel,
+    _gated_linear_entropy,
+    tensor_all,
+)
+from .qcore import DensityOperator, DimensionError, _check_dense_bytes
+from .restriction import ExcitationSubspace, enumerate_basis
 
 __all__ = [
     "BLOCK_LIMIT",
     "block_choi",
     "block_channel",
     "bns_channel",
+    "DetectorChannel",
     "BnSCanonicalSpectrum",
     "canonical_spectrum",
     "ExactDistribution",
@@ -93,14 +104,37 @@ def bns_channel(n_sites: int, n_blocks: int) -> QuantumChannel:
     operators of 2^k x 2^N, would exceed 512 MiB; that is at least
     16 * 4^N bytes, so every N >= 13 is refused.
     """
+    n = _block_size(n_sites, n_blocks)
+    _check_dense_bytes((2**n - 1) ** n_blocks * 2 ** (n_blocks + n_sites) * 16,
+                       f"the dense channel for N = {n_sites}, k = {n_blocks}")
+    return tensor_all([block_channel(n)] * n_blocks)
+
+
+def _block_size(n_sites: int, n_blocks: int) -> int:
+    """Sites per block, N/k; a DimensionError when k does not divide N."""
     if n_blocks < 1 or n_sites % n_blocks != 0:
         raise DimensionError(
             f"{n_blocks} blocks do not evenly divide {n_sites} sites"
         )
-    n = n_sites // n_blocks
-    _check_dense_bytes((2**n - 1) ** n_blocks * 2 ** (n_blocks + n_sites) * 16,
-                       f"the dense channel for N = {n_sites}, k = {n_blocks}")
-    return tensor_all([block_channel(n)] * n_blocks)
+    return n_sites // n_blocks
+
+
+def _occupied_counts(n: int, n_excited: int, j_max: int) -> list[int]:
+    """alpha_j = [u^Np] ((1 + u)^n - 1)^j for j = 0 .. j_max.
+
+    The number of ways to place Np excitations in j blocks of n sites with no
+    block empty; inclusion-exclusion over the empty blocks gives
+    alpha_j = sum_q (-1)^(j - q) C(j, q) C(n q, Np), with C(a, b) = 0 for b > a.
+    """
+    big_binom = [comb(n * q, n_excited) for q in range(j_max + 1)]
+    counts = []
+    for j in range(j_max + 1):
+        total = 0
+        for q in range(j + 1):
+            term = comb(j, q) * big_binom[q]
+            total += term if (j - q) % 2 == 0 else -term
+        counts.append(total)
+    return counts
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -162,25 +196,278 @@ def canonical_spectrum(n_sites: int, n_excited: int, n_blocks: int) -> BnSCanoni
 
     with the convention C(a, b) = 0 for b > a. All arithmetic is exact.
     """
-    if n_blocks < 1 or n_sites % n_blocks != 0:
-        raise DimensionError(f"{n_blocks} blocks do not divide {n_sites} sites")
+    n = _block_size(n_sites, n_blocks)
     if not 0 <= n_excited <= n_sites:
         raise ValueError(f"excitation count {n_excited} outside [0, {n_sites}]")
-    n = n_sites // n_blocks
     d_r = comb(n_sites, n_excited)
-    big_binom = {q: comb(n * q, n_excited) if n * q >= n_excited else 0
-                 for q in range(0, min(n_excited, n_blocks) + 1)}
+    counts = _occupied_counts(n, n_excited, min(n_excited, n_blocks))
     weights: dict[int, Fraction] = {}
     sector: dict[int, Fraction] = {}
     for m in _sector_range(n_sites, n_excited, n_blocks):
-        total = 0
-        for q in range(m + 1):
-            term = comb(m, q) * big_binom[q]
-            total += term if (m - q) % 2 == 0 else -term
-        w = Fraction(total, d_r)
+        w = Fraction(counts[m], d_r)
         weights[m] = w
         sector[m] = comb(n_blocks, m) * w
     return BnSCanonicalSpectrum(n_sites, n_excited, n_blocks, weights, sector)
+
+
+# -- the detector restricted to a fixed-excitation subspace ----------------------------
+#
+# Its Choi purity is [u^Np v^Np] g(u, v)^k / C(N, Np)^2 with one factor per block,
+# g = (1 + uv)^n + c^2 ((1 + u)^n + (1 + v)^n - 2) and c^2 = 1/(2^n - 1): a block is
+# occupied alike in both copies (weight 1), occupied in one copy only (c^2), or
+# empty in both. Both routes below return the numerator scaled by (2^n - 1)^k, an
+# exact integer over the common denominator (2^n - 1)^k C(N, Np)^2.
+
+
+def _purity_numerator_closed_form(n: int, n_blocks: int, n_excited: int) -> int:
+    """Scaled purity numerator from the expansion of g^k over the doubly occupied blocks.
+
+    g^k = sum_a C(k, a) (1 + uv)^(n a) c^(2 (k - a)) (A(u) + A(v))^(k - a) with
+    A = (1 + u)^n - 1, so the [u^Np v^Np] coefficient is a finite sum over a, the
+    (uv)^t term of (1 + uv)^(n a) and the j blocks of the remaining k - a that
+    sit in the u copy, of the occupied counts alpha_j(Np - t).
+    """
+    alpha = [_occupied_counts(n, r, n_blocks) for r in range(n_excited + 1)]
+    # split[m][r] = [u^r v^r] (A(u) + A(v))^m
+    split = [[sum(comb(m, j) * alpha[r][j] * alpha[r][m - j] for j in range(m + 1))
+              for r in range(n_excited + 1)] for m in range(n_blocks + 1)]
+    scale = 2**n - 1
+    return sum(comb(n_blocks, a) * scale**a * comb(n * a, t) * split[n_blocks - a][n_excited - t]
+               for a in range(n_blocks + 1) for t in range(min(n * a, n_excited) + 1))
+
+
+def _purity_numerator_convolution(n: int, n_blocks: int, n_excited: int) -> int:
+    """Scaled purity numerator from the k-fold product of the per-block table.
+
+    (2^n - 1) g has the integer coefficients 2^n - 1 at u^0 v^0, (2^n - 1) C(n, p)
+    at u^p v^p and C(n, p) at u^p and at v^p (p >= 1); the product keeps degrees
+    up to Np in each variable.
+    """
+    scale = 2**n - 1
+    terms = [(0, 0, scale)] + [(p, q, comb(n, max(p, q)) * (scale if p == q else 1))
+                               for r in range(1, n + 1) for p, q in ((r, r), (r, 0), (0, r))]
+    size = n_excited + 1
+    table = np.zeros((size, size), dtype=object)
+    table[0, 0] = 1
+    for _ in range(n_blocks):
+        product = np.zeros((size, size), dtype=object)
+        for p, q, value in terms:
+            if p < size and q < size:
+                product[p:, q:] += value * table[:size - p, :size - q]
+        table = product
+    return int(table[n_excited, n_excited])
+
+
+@dataclass(frozen=True, eq=False)
+class _PatternGroup:
+    """Gather, reduce and Gram step of ``DetectorChannel.apply_pure_batch`` for one block set S.
+
+    Every basis state whose pattern contains S is summed into the cell (its
+    pattern, its configuration on S) of an (n_rows, n_cols) table: ``members``
+    lists them sorted by cell, ``starts`` opens each cell's run (None when every
+    run has length one) and ``cells`` is the flat table position of each run.
+    ``gram_index`` picks the Gram entries of the pattern pairs that share exactly
+    S, ``out_index`` is their flat output position and ``coherence`` their factor.
+    """
+
+    members: np.ndarray
+    starts: np.ndarray | None
+    cells: np.ndarray
+    n_rows: int
+    n_cols: int
+    gram_index: np.ndarray
+    out_index: np.ndarray
+    coherence: np.ndarray
+
+    @property
+    def work(self) -> int:
+        """Complex entries per state that one application of the group allocates."""
+        return (2 * self.members.size + self.n_rows * self.n_cols + self.n_rows**2
+                + 2 * self.gram_index.size)
+
+
+def _popcount(values: np.ndarray, n_bits: int) -> np.ndarray:
+    return sum((values >> bit) & 1 for bit in range(n_bits))
+
+
+@dataclass(frozen=True, eq=False)
+class DetectorChannel:
+    """The k-block detector restricted to the n_excited subspace of N sites.
+
+    Matrix-free form of ``restrict_channel(bns_channel(N, k), enumerate_basis(N,
+    n_excited))``, with the channel interface of ``RestrictedPartialTrace``:
+    ``dim_in`` (d_R = C(N, Np)), ``dim_out`` (2^k), ``apply_pure_batch``,
+    ``canonical_state``, ``choi_purity_routes``, ``linear_entropy`` and ``kraus``
+    built on demand. Block b holds sites b n .. b n + n - 1 and is output bit
+    k - 1 - b, so a basis state x has the occupancy pattern y(x) of its non-empty
+    blocks. For a pure input psi, with c = (2^n - 1)^(-1/2),
+
+        rho[y, y'] = c^|y xor y'| sum of psi_x conj(psi_x') over the x, x' with
+                     patterns y, y' that agree on the blocks both occupy,
+
+    so the output needs only sums of psi over the blocks one pattern occupies
+    and the other does not. The canonical state is the exact spectrum and the
+    Choi purity an exact generating-function count.
+    """
+
+    n_sites: int
+    n_blocks: int
+    n_excited: int
+    sub: ExcitationSubspace = field(init=False, repr=False)
+
+    def __post_init__(self):
+        _block_size(self.n_sites, self.n_blocks)
+        object.__setattr__(self, "sub", enumerate_basis(self.n_sites, self.n_excited))
+
+    @property
+    def dim_in(self) -> int:
+        return self.sub.d_r
+
+    @property
+    def dim_out(self) -> int:
+        return 2**self.n_blocks
+
+    def _patterns(self) -> np.ndarray:
+        """Occupancy pattern y(x) of every subspace basis state."""
+        n, k = self.n_sites // self.n_blocks, self.n_blocks
+        y = np.zeros(self.dim_in, dtype=np.int64)
+        for bit in range(k):  # output bit i reads the block held in bits n i .. n i + n - 1 of x
+            y |= (((self.sub.indices >> (n * bit)) & (2**n - 1)) != 0).astype(np.int64) << bit
+        return y
+
+    def _site_masks(self) -> np.ndarray:
+        """Full-space bit mask of the sites of every block set, indexed by pattern."""
+        n, k = self.n_sites // self.n_blocks, self.n_blocks
+        patterns = np.arange(2**k, dtype=np.int64)
+        return sum(((patterns >> bit) & 1) * ((2**n - 1) << (n * bit)) for bit in range(k))
+
+    def _coherences(self) -> np.ndarray:
+        """c^|y xor y'| indexed by y xor y'."""
+        c = 1.0 / np.sqrt(2.0 ** (self.n_sites // self.n_blocks) - 1.0)
+        return c ** _popcount(np.arange(self.dim_out, dtype=np.int64), self.n_blocks)
+
+    def _plan(self) -> tuple[_PatternGroup, ...]:
+        """One ``_PatternGroup`` per block set S that some output entry needs; built once.
+
+        Refused above 512 MiB: its index arrays hold at most three entries per
+        (basis state, subset of its pattern) and three per output entry.
+        """
+        cached = getattr(self, "_plan_cache", None)
+        if cached is not None:
+            return cached
+        k, d_out = self.n_blocks, self.dim_out
+        y, x = self._patterns(), self.sub.indices
+        memberships = int(np.sum(2 ** _popcount(y, k)))
+        _check_dense_bytes(8 * 3 * (memberships + d_out**2),
+                           f"the grouping plan of the {self.dim_in}-state detector input")
+        masks, coherences = self._site_masks(), self._coherences()
+        groups = []
+        for shared in range(d_out):
+            sel = np.flatnonzero(y & shared == shared)
+            if sel.size == 0:
+                continue
+            rows_y, row = np.unique(y[sel], return_inverse=True)
+            first, second = np.nonzero(rows_y[:, None] & rows_y[None, :] == shared)
+            if first.size == 0:
+                continue
+            cols_z, col = np.unique(x[sel] & masks[shared], return_inverse=True)
+            key = row * cols_z.size + col
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+            groups.append(_PatternGroup(
+                members=sel[order],
+                starts=starts if starts.size < sel.size else None,
+                cells=key[starts],
+                n_rows=rows_y.size,
+                n_cols=cols_z.size,
+                gram_index=first * rows_y.size + second,
+                out_index=rows_y[first] * d_out + rows_y[second],
+                coherence=coherences[rows_y[first] ^ rows_y[second]],
+            ))
+        plan = tuple(groups)
+        object.__setattr__(self, "_plan_cache", plan)
+        return plan
+
+    def apply_pure_batch(self, psis) -> np.ndarray:
+        """Outputs for a (B, d_R) block of pure inputs, one per row.
+
+        Refused above 512 MiB: the (B, 2^k, 2^k) outputs plus the largest
+        group's gathered amplitudes, table, Gram matrices and selected entries.
+        """
+        psis = np.asarray(psis, dtype=np.complex128)
+        if psis.ndim != 2 or psis.shape[1] != self.dim_in:
+            raise DimensionError(
+                f"state block of shape {psis.shape} does not match input dim "
+                f"{self.dim_in}"
+            )
+        b, d_out = psis.shape[0], self.dim_out
+        _check_dense_bytes(16 * b * d_out**2, f"{b} detector outputs of dimension {d_out}")
+        plan = self._plan()
+        _check_dense_bytes(16 * b * (d_out**2 + max(g.work for g in plan)),
+                           f"{b} detector outputs of dimension {d_out} and their work arrays")
+        out = np.zeros((b, d_out * d_out), dtype=np.complex128)
+        for g in plan:
+            sums = psis[:, g.members]
+            if g.starts is not None:
+                sums = np.add.reduceat(sums, g.starts, axis=1)
+            table = np.zeros((b, g.n_rows * g.n_cols), dtype=np.complex128)
+            table[:, g.cells] = sums
+            table = table.reshape(b, g.n_rows, g.n_cols)
+            gram = (table @ table.conj().transpose(0, 2, 1)).reshape(b, -1)
+            out[:, g.out_index] = gram[:, g.gram_index] * g.coherence
+        return out.reshape(b, d_out, d_out)
+
+    def canonical_state(self) -> DensityOperator:
+        """Diagonal canonical state from the exact spectrum.
+
+        Refused above 512 MiB (the dense 2^k x 2^k matrix, 16 * 4^k bytes).
+        """
+        _check_dense_bytes(16 * self.dim_out**2,
+                           f"the 2^{self.n_blocks} x 2^{self.n_blocks} canonical state")
+        diagonal = canonical_spectrum(self.n_sites, self.n_excited, self.n_blocks).diagonal()
+        return DensityOperator(np.diag(diagonal.astype(np.complex128)), validate=False)
+
+    def choi_purity_routes(self) -> tuple[float, float]:
+        """(closed-form Choi purity, purity from the k-fold block-table product).
+
+        Both are exact integers over (2^n - 1)^k C(N, Np)^2, divided once.
+        """
+        n = self.n_sites // self.n_blocks
+        denominator = (2**n - 1) ** self.n_blocks * self.dim_in**2
+        args = (n, self.n_blocks, self.n_excited)
+        return (_purity_numerator_closed_form(*args) / denominator,
+                _purity_numerator_convolution(*args) / denominator)
+
+    def linear_entropy(self) -> float:
+        """1 - Choi purity, gated on the agreement of the two purity routes."""
+        return _gated_linear_entropy(*self.choi_purity_routes())
+
+    @property
+    def kraus(self) -> np.ndarray:
+        """A minimal Kraus family on the subspace, built on demand.
+
+        The Choi matrix is nonzero only in the d_R rows and columns (y(x), x),
+        where it is M / d_R with M[x, x'] = c^|y xor y'| when x and x' agree on
+        the blocks both occupy, else 0. The eigenpairs (lambda, v) of M above
+        the Kraus cutoff give the operators sum_x sqrt(lambda) v[x] |y(x)><x|.
+        Refused above 512 MiB (M, its eigenvectors and index temporaries, then
+        the operators).
+        """
+        d = self.dim_in
+        _check_dense_bytes(48 * d * d, f"the {d} x {d} detector Choi block")
+        x, y = self.sub.indices, self._patterns()
+        agree = (x[:, None] ^ x[None, :]) & self._site_masks()[y[:, None] & y[None, :]] == 0
+        eigs, vecs = np.linalg.eigh(np.where(agree, self._coherences()[y[:, None] ^ y[None, :]],
+                                             0.0))
+        keep = eigs > KRAUS_EIGENVALUE_CUTOFF
+        n_ops = int(np.count_nonzero(keep))
+        _check_dense_bytes(16 * n_ops * self.dim_out * d,
+                           f"the {n_ops} restricted detector Kraus operators")
+        ops = np.zeros((n_ops, self.dim_out, d), dtype=np.complex128)
+        ops[:, y, np.arange(d)] = (np.sqrt(eigs[keep]) * vecs[:, keep]).T
+        ops.setflags(write=False)
+        return ops
 
 
 @dataclass(frozen=True)

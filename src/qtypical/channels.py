@@ -384,7 +384,10 @@ def depolarizing(d: int, lam: float) -> QuantumChannel:
 
 
 def random_channel(dim_in: int, dim_out: int, n_kraus: int, seed: int) -> QuantumChannel:
-    """Random CPTP map from a Haar-random Stinespring isometry."""
+    """Random CPTP map from a Haar-random Stinespring isometry.
+
+    Refused above 512 MiB (the complex Ginibre matrix, 16 dim_out n_kraus dim_in bytes).
+    """
     if dim_out * n_kraus < dim_in:
         raise DimensionError("dim_out * n_kraus must be >= dim_in for an isometry")
     if n_kraus > dim_in * dim_out:
@@ -392,6 +395,8 @@ def random_channel(dim_in: int, dim_out: int, n_kraus: int, seed: int) -> Quantu
             f"n_kraus = {n_kraus} exceeds dim_in*dim_out = {dim_in * dim_out}; "
             "larger families are redundant"
         )
+    _check_dense_bytes(16 * dim_out * n_kraus * dim_in,
+                       f"the {dim_out * n_kraus} x {dim_in} Ginibre matrix")
     rng = _generator(seed)
     z = rng.standard_normal((dim_out * n_kraus, dim_in)) \
         + 1j * rng.standard_normal((dim_out * n_kraus, dim_in))

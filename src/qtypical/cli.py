@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .bns import (
+    DetectorChannel,
     bns_channel,
     energy_distribution_bns,
     energy_distribution_trace,
@@ -41,12 +42,7 @@ from .channels import (
     unitary_channel,
 )
 from .qcore import DimensionError, derive_seed, haar_unitary
-from .restriction import (
-    RestrictedPartialTrace,
-    effective_environment_dimension,
-    enumerate_basis,
-    restrict_channel,
-)
+from .restriction import RestrictedPartialTrace, effective_environment_dimension
 from .typicality import (
     ExperimentConfig,
     _entropy_bound,
@@ -69,13 +65,16 @@ class DataError(Exception):
 # -- channel specs -------------------------------------------------------------
 
 
-def build_channel(spec: dict) -> tuple[QuantumChannel | RestrictedPartialTrace, dict]:
+def build_channel(
+    spec: dict,
+) -> tuple[QuantumChannel | RestrictedPartialTrace | DetectorChannel, dict]:
     """Construct a channel from a spec dict; returns (channel, scenario info).
 
     Scenario info carries ``d_e_eff`` for partial-trace style scenarios so
-    reports can include the partial-trace bound. A restricted partial trace
-    (``N``, ``Np``, ``split``) is the matrix-free ``RestrictedPartialTrace``;
-    every other spec is a dense ``QuantumChannel``.
+    reports can include the partial-trace bound. The restricted specs are
+    matrix-free: a partial trace with ``N``, ``Np``, ``split`` is a
+    ``RestrictedPartialTrace`` and a detector with ``Np`` is a
+    ``DetectorChannel``; every other spec is a dense ``QuantumChannel``.
     """
     if not isinstance(spec, dict) or "type" not in spec:
         raise UsageError("channel spec must be an object with a 'type' key")
@@ -103,11 +102,9 @@ def build_channel(spec: dict) -> tuple[QuantumChannel | RestrictedPartialTrace, 
             return compose(trace_out, unitary_channel(u)), info
         if kind == "bns":
             n, k = int(spec["N"]), int(spec["k"])
-            ch = bns_channel(n, k)
             if spec.get("Np") is not None:
-                sub = enumerate_basis(n, int(spec["Np"]))
-                ch = restrict_channel(ch, sub)
-            return ch, info
+                return DetectorChannel(n, k, int(spec["Np"])), info
+            return bns_channel(n, k), info
         if kind == "file":
             try:
                 return load_channel(spec["path"]), info
@@ -295,16 +292,14 @@ def run_figure_bound(params: dict) -> list:
     samples, seed = int(params["samples"]), int(params["seed"])
     if k < 1 or n % k != 0:
         raise UsageError(f"k = {k} does not divide N = {n}")
-    full = bns_channel(n, k)
     rows = []
     for np_excited in range(1, n):
-        sub = enumerate_basis(n, np_excited)
-        ch = restrict_channel(full, sub)
+        ch = DetectorChannel(n, k, np_excited)
         cfg = ExperimentConfig(channel=ch, samples=samples,
                                master_seed=derive_seed(seed, np_excited))
         distances = np.asarray(sample_distances(cfg))
         std = float(np.std(distances, ddof=1)) if samples > 1 else 0.0
-        rows.append([np_excited, sub.d_r, float(np.mean(distances)), std,
+        rows.append([np_excited, ch.dim_in, float(np.mean(distances)), std,
                      entropy_bound(ch)])
     out = params["out"]
     _write_csv(out, ["Np", "d_R", "mean_distance", "std_distance", "entropy_bound"],

@@ -55,8 +55,15 @@ def _as_matrix(a) -> np.ndarray:
     return a.matrix if hasattr(a, "matrix") else np.asarray(a, dtype=np.complex128)
 
 
+_HERMITIAN_BLOCK = 2**14  # entries per row block of the hermiticity check
+
+
 def _check_hermitian(m: np.ndarray, tol: float) -> None:
-    dev = float(np.max(np.abs(m - m.conj().T)))
+    """Largest |m - m^dagger| entry within tol, checked in row blocks of at most
+    _HERMITIAN_BLOCK entries, so the check adds no temporary the size of m."""
+    rows = max(1, _HERMITIAN_BLOCK // m.shape[1])
+    dev = float(np.max([np.max(np.abs(m[i:i + rows] - m[:, i:i + rows].conj().T))
+                        for i in range(0, m.shape[0], rows)]))
     if not dev <= tol:  # also rejects NaN entries
         raise ValueError(f"matrix deviates from Hermitian by {dev:.3e} (> {tol:.0e})")
 
@@ -99,7 +106,7 @@ class DensityOperator:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool):
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        m = np.array(self.matrix, dtype=np.complex128)  # the one copy that is kept
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise DimensionError("density operator must be a square nonempty matrix")
         _check_hermitian(m, HERMITICITY_TOL)
@@ -112,7 +119,6 @@ class DensityOperator:
                 raise ValueError(
                     f"minimum eigenvalue {low:.3e} is below the PSD floor {EIGENVALUE_FLOOR:.0e}"
                 )
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -131,11 +137,10 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        m = np.array(self.matrix, dtype=np.complex128)  # the one copy that is kept
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise DimensionError("operator must be a square nonempty matrix")
         _check_hermitian(m, HERMITICITY_TOL)
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -11,9 +11,9 @@ The partial trace over trailing qubits, restricted to a subspace, is
 ``RestrictedPartialTrace``: it acts by scattering amplitudes into a
 (2^split, 2^(N - split)) matrix, and its canonical state and Choi purity are
 exact counts of basis states, so it never forms a Kraus array or a Choi
-matrix. ``restrict_channel`` pulls back any dense channel: it restricts the
-dense detector channel, and it is the oracle the structured class is tested
-against.
+matrix; ``bns.DetectorChannel`` is the matrix-free restricted detector.
+``restrict_channel`` pulls back any dense channel, and it is the oracle both
+structured classes are tested against.
 """
 
 from __future__ import annotations

@@ -9,9 +9,10 @@ the statistics against two analytic bounds: the entropy bound
 
 A channel here is anything with the channel interface (``dim_in``,
 ``dim_out``, ``apply_pure_batch``, ``canonical_state``, ``linear_entropy``):
-a dense ``QuantumChannel``, or the matrix-free
-``restriction.RestrictedPartialTrace``, whose canonical state and entropy
-are exact counts and which never forms a Kraus array or a Choi matrix.
+a dense ``QuantumChannel``, or one of the matrix-free restricted channels
+``restriction.RestrictedPartialTrace`` and ``bns.DetectorChannel``, whose
+canonical states and entropies are exact counts and which never form a
+Kraus array or a Choi matrix.
 
 Sampling runs in fixed chunks of SAMPLE_CHUNK samples: each chunk stacks
 its Haar vectors, applies the channel to the whole block in one GEMM and
@@ -35,6 +36,7 @@ from .channels import ConsistencyError, QuantumChannel, lipschitz_estimate
 from .qcore import DensityOperator, _check_dense_bytes, derive_seed, haar_sample
 
 if TYPE_CHECKING:
+    from .bns import DetectorChannel
     from .restriction import RestrictedPartialTrace
 
 __all__ = [
@@ -60,15 +62,15 @@ ETA_STREAM_INDEX = 0xFFFFFFFFFFFFFFFF  # seed stream index reserved for eta esti
 class ExperimentConfig:
     """Inputs of one Monte Carlo run.
 
-    ``channel`` is a ``QuantumChannel`` or a ``RestrictedPartialTrace``; the
-    run uses only their shared interface. ``eta_mode`` selects the Lipschitz
+    ``channel`` is a ``QuantumChannel``, a ``RestrictedPartialTrace`` or a
+    ``DetectorChannel``; the run uses only their shared interface. ``eta_mode`` selects the Lipschitz
     constant used in the tail bound: "fixed_one" uses the channel-independent
     value 1, "estimated" runs the lower-bound search with ``eta_trials``
     restarts. The estimate is only a lower bound, so an estimated eta makes
     the tail comparison diagnostic rather than conservative.
     """
 
-    channel: QuantumChannel | RestrictedPartialTrace
+    channel: QuantumChannel | RestrictedPartialTrace | DetectorChannel
     samples: int
     master_seed: int
     epsilon_grid: tuple = ()

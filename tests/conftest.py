@@ -23,3 +23,11 @@ def matrix_unit(i: int, j: int, dim: int) -> np.ndarray:
     m = np.zeros((dim, dim), dtype=np.complex128)
     m[i, j] = 1.0
     return m
+
+
+def dense_choi_purity(ch) -> float:
+    """Choi purity of a dense channel: the Choi matrix where it is small, else the Kraus Gram."""
+    if (ch.dim_in * ch.dim_out) ** 2 <= 2**20:
+        return ch.choi().purity()
+    v = ch.kraus.reshape(ch.n_kraus, -1)
+    return float(np.sum(np.abs(v @ v.conj().T) ** 2)) / ch.dim_in**2

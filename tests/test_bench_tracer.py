@@ -35,8 +35,9 @@ def test_traced_entropy_run_records_layers_and_restores_originals(tmp_path):
     }
     tracer = tracer_mod.Tracer()
     with tracer.installed():
+        # the unrestricted detector is the dense tensor power
         code = cli.main(["entropy", "--channel", "bns", "--N", "4", "--k", "2",
-                         "--Np", "2", "--out", str(tmp_path / "entropy.json")])
+                         "--out", str(tmp_path / "entropy.json")])
     assert code == 0
     calls, _, _ = tracer.totals()
     for name in ("bns.block_channel", "channels.tensor", "channels.choi_purity_routes"):
@@ -48,6 +49,20 @@ def test_traced_entropy_run_records_layers_and_restores_originals(tmp_path):
     assert cli.bns_channel is originals["cli.bns_channel"]
     assert channels.QuantumChannel.__dict__["__init__"] is originals["init"]
     assert channels.QuantumChannel.__dict__["choi_purity_routes"] is originals["routes"]
+
+
+def test_traced_restricted_detector_run_builds_no_dense_channel(tmp_path):
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer()
+    with tracer.installed():
+        code = cli.main(["entropy", "--channel", "bns", "--N", "4", "--k", "2",
+                         "--Np", "2", "--out", str(tmp_path / "entropy.json")])
+    assert code == 0
+    calls, _, _ = tracer.totals()
+    assert calls["cli.build_channel"] == 1
+    # the restricted detector is matrix-free: no dense channel is built or restricted
+    assert calls["channels.QuantumChannel.init"] == 0
+    assert calls["restriction.restrict_channel"] == 0
 
 
 def test_traced_restricted_typicality_run_records_restriction_layers(tmp_path):
@@ -75,7 +90,7 @@ def test_traced_restricted_typicality_run_records_restriction_layers(tmp_path):
     assert calls["channels.QuantumChannel.init"] == 0
     for name in names:
         assert getattr(restriction, name) is originals[name]
-        assert getattr(cli, name) is originals[name]
+    assert cli.effective_environment_dimension is originals["effective_environment_dimension"]
     assert typicality.sample_distances is original_sampler
     assert cli.sample_distances is original_sampler
     assert typicality.canonical_state is original_canonical

@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import matrix_unit
+from conftest import dense_choi_purity, matrix_unit
 from qtypical.bns import (
+    DetectorChannel,
+    _purity_numerator_closed_form,
+    _purity_numerator_convolution,
     block_channel,
     block_choi,
     bns_channel,
@@ -21,8 +24,14 @@ from qtypical.bns import (
     energy_distribution_trace,
     write_distribution_csv,
 )
-from qtypical.channels import channels_equal, choi_to_kraus, identity_channel, tensor
-from qtypical.qcore import DensityOperator, DimensionError
+from qtypical.channels import (
+    QuantumChannel,
+    channels_equal,
+    choi_to_kraus,
+    identity_channel,
+    tensor,
+)
+from qtypical.qcore import DensityOperator, DimensionError, derive_seed, haar_sample
 from qtypical.restriction import enumerate_basis, restrict_channel
 
 
@@ -302,3 +311,120 @@ def test_channel_application_matches_spectrum(n_sites, n_blocks):
         np.testing.assert_allclose(np.diag(omega).real, expected, atol=1e-12)
         off = omega - np.diag(np.diag(omega))
         assert np.max(np.abs(off)) < 1e-12
+
+
+# -- matrix-free restricted detector --
+
+
+@pytest.mark.parametrize("n_sites", range(2, 11))
+def test_detector_channel_matches_dense_oracle(n_sites):
+    for n_blocks in [k for k in range(1, n_sites + 1) if n_sites % k == 0]:
+        full = bns_channel(n_sites, n_blocks)
+        for n_excited in range(1, n_sites):
+            ch = DetectorChannel(n_sites, n_blocks, n_excited)
+            dense = restrict_channel(full, enumerate_basis(n_sites, n_excited))
+            case = (n_sites, n_blocks, n_excited)
+            assert (ch.dim_in, ch.dim_out) == (dense.dim_in, dense.dim_out)
+            psis = np.stack([haar_sample(ch.dim_in, derive_seed(n_sites, i)).amplitudes
+                             for i in range(3)])
+            delta = ch.apply_pure_batch(psis) - dense.apply_pure_batch(psis)
+            assert np.max(np.abs(delta)) < 1e-14, case
+            omega = dense.apply_matrix(np.eye(ch.dim_in) / ch.dim_in)
+            assert np.max(np.abs(ch.canonical_state().matrix - omega)) < 1e-14, case
+            purity = dense_choi_purity(dense)
+            for route in ch.choi_purity_routes():
+                assert abs(route - purity) < 1e-14, case
+            assert abs(ch.linear_entropy() - (1.0 - purity)) < 1e-14, case
+            rebuilt = QuantumChannel(ch.dim_in, ch.dim_out, ch.kraus)
+            if (ch.dim_in * ch.dim_out) ** 2 <= 2**20:
+                assert channels_equal(rebuilt, dense), case
+            else:  # the Choi matrices are large: compare the action on a generic operator
+                rng = np.random.default_rng(derive_seed(n_sites, n_excited))
+                op = rng.standard_normal((ch.dim_in,) * 2) \
+                    + 1j * rng.standard_normal((ch.dim_in,) * 2)
+                delta = rebuilt.apply_matrix(op) - dense.apply_matrix(op)
+                assert np.max(np.abs(delta)) < 1e-12, case
+
+
+def test_detector_purity_routes_are_equal_rationals():
+    for n_sites in range(1, 25):
+        for n_blocks in [k for k in range(1, n_sites + 1) if n_sites % k == 0]:
+            n = n_sites // n_blocks
+            for n_excited in range(n_sites + 1):
+                args = (n, n_blocks, n_excited)
+                assert _purity_numerator_closed_form(*args) \
+                    == _purity_numerator_convolution(*args), (n_sites, *args)
+
+
+@pytest.mark.parametrize("n_sites,n_blocks,n_excited,purity", [
+    (9, 3, 4, 0.008237308528853718),
+    (10, 5, 5, 0.007432602670697909),
+])
+def test_detector_purity_beyond_the_dense_choi_matrix(n_sites, n_blocks, n_excited, purity):
+    assert DetectorChannel(n_sites, n_blocks, n_excited).choi_purity_routes() \
+        == (purity, purity)
+
+
+def test_detector_purity_of_trivial_blocks_is_that_of_the_identity():
+    # one-site blocks are identity maps: the Choi state is pure
+    assert DetectorChannel(6, 6, 3).choi_purity_routes() == (1.0, 1.0)
+
+
+def test_detector_channel_is_self_consistent_beyond_the_dense_path():
+    # the dense N=12, k=4 channel is refused; check the parts against each other
+    ch = DetectorChannel(12, 4, 6)
+    psis = np.stack([haar_sample(ch.dim_in, derive_seed(5, i)).amplitudes for i in range(4)])
+    out = ch.apply_pure_batch(psis)
+    assert np.allclose(np.trace(out, axis1=1, axis2=2), 1.0, atol=1e-13)
+    assert np.max(np.abs(out - out.conj().transpose(0, 2, 1))) < 1e-14
+    assert np.min(np.linalg.eigvalsh(out)) > -1e-14
+    # the canonical state is the average output over the basis states
+    basis_mean = np.mean(ch.apply_pure_batch(np.eye(ch.dim_in)), axis=0)
+    assert np.max(np.abs(ch.canonical_state().matrix - basis_mean)) < 1e-14
+    # both exact purity routes against the Kraus double sum of the on-demand family
+    v = ch.kraus.reshape(ch.kraus.shape[0], -1)
+    v = v[:, np.any(v, axis=0)]  # zero entries add nothing to the traces
+    kraus_purity = float(np.sum(np.abs(v @ v.conj().T) ** 2)) / ch.dim_in**2
+    for route in ch.choi_purity_routes():
+        assert abs(route - kraus_purity) < 1e-14
+
+
+def test_detector_channel_rejects_bad_arguments():
+    with pytest.raises(DimensionError):
+        DetectorChannel(4, 3, 2)
+    with pytest.raises(ValueError):
+        DetectorChannel(4, 2, 5)
+    ch = DetectorChannel(4, 2, 2)
+    with pytest.raises(DimensionError):
+        ch.apply_pure_batch(np.zeros((2, 5)))
+    with pytest.raises(DimensionError):
+        ch.apply_pure_batch(np.zeros(6))
+
+
+def test_detector_plan_refused_above_budget(small_dense_budget):
+    # 8 * 3 * (memberships + 4^k) bytes: 8/2/4 fits the 64 KiB budget, 12/4/6 does not
+    fits = DetectorChannel(8, 2, 4)
+    assert fits.apply_pure_batch(np.eye(1, fits.dim_in)).shape == (1, 4, 4)
+    big = DetectorChannel(12, 4, 6)
+    with pytest.raises(DimensionError, match="grouping plan"):
+        big.apply_pure_batch(np.eye(1, big.dim_in))
+
+
+def test_detector_output_block_refused_above_budget(small_dense_budget):
+    # 16 * B * (4^k + 66) bytes: 12 outputs of 16 x 16 and their work arrays fit
+    # the 64 KiB budget, 13 do not, and 17 outputs alone exceed it
+    ch = DetectorChannel(4, 4, 2)
+    assert ch.apply_pure_batch(np.ones((12, 6)) / np.sqrt(6)).shape == (12, 16, 16)
+    with pytest.raises(DimensionError, match="work arrays"):
+        ch.apply_pure_batch(np.ones((13, 6)) / np.sqrt(6))
+    with pytest.raises(DimensionError, match="17 detector outputs of dimension 16 needs"):
+        ch.apply_pure_batch(np.ones((17, 6)) / np.sqrt(6))
+
+
+def test_detector_canonical_state_and_kraus_refused_above_budget(small_dense_budget):
+    assert DetectorChannel(6, 6, 1).canonical_state().dim == 64
+    with pytest.raises(DimensionError, match="canonical state"):
+        DetectorChannel(7, 7, 1).canonical_state()
+    assert DetectorChannel(8, 2, 2).kraus.shape[1:] == (4, 28)
+    with pytest.raises(DimensionError, match="Choi block"):
+        DetectorChannel(8, 2, 4).kraus

@@ -426,6 +426,14 @@ def test_depolarizing_refused_above_budget(small_dense_budget, lam):
         depolarizing(9, lam)
 
 
+def test_random_channel_refused_above_budget(small_dense_budget):
+    # the Ginibre matrix takes 16 * dim_out * n_kraus * dim_in bytes: 16 * 16 * 8 * 32
+    # fill the 64 KiB budget, one more Kraus operator does not fit
+    assert random_channel(32, 16, 8, seed=1).n_kraus == 8
+    with pytest.raises(DimensionError, match="Ginibre"):
+        random_channel(32, 16, 9, seed=1)
+
+
 def test_depolarizing_rejects_outside_cp_range():
     with pytest.raises(CPTPError):
         depolarizing(2, -0.1)

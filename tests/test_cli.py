@@ -1,15 +1,18 @@
 import csv
 import json
 import time
+from math import comb
 
 import numpy as np
 import pytest
 
+from qtypical.bns import DetectorChannel, bns_channel
 from qtypical.cli import UsageError, build_channel, main
 from qtypical.channels import (
     channels_equal,
     depolarizing,
     identity_channel,
+    load_channel,
     partial_trace_channel,
     save_channel,
 )
@@ -31,7 +34,10 @@ def test_build_channel_builtins():
     ch, info = build_channel({"type": "partial_trace", "dS": 2, "dE": 4})
     assert ch.dim_in == 8 and ch.dim_out == 2 and info["d_e_eff"] == 4.0
     ch, info = build_channel({"type": "bns", "N": 4, "k": 2, "Np": 2})
+    assert isinstance(ch, DetectorChannel)
     assert ch.dim_in == 6 and ch.dim_out == 4
+    ch, info = build_channel({"type": "bns", "N": 4, "k": 2})
+    assert ch.dim_in == 16 and ch.dim_out == 4
     ch, info = build_channel(
         {"type": "partial_trace", "N": 4, "Np": 2, "split": 2})
     assert ch.dim_in == 6 and abs(info["d_e_eff"] - 3.6) < 1e-12
@@ -78,6 +84,25 @@ def test_entropy_restricted_detector_two_routes_agree(tmp_path):
     data = json.loads(out.read_text())
     assert data["purity_route_difference"] < 1e-10
     assert data["dim_in"] == 6
+
+
+def test_entropy_restricted_detector_beyond_the_dense_choi_matrix(tmp_path):
+    # the dense route needed a 992 MiB Choi matrix here and exited 3
+    out = tmp_path / "e.json"
+    assert run(["entropy", "--channel", "bns", "--N", 10, "--k", 5, "--Np", 5,
+                "--out", out]) == 0
+    data = json.loads(out.read_text())
+    assert (data["dim_in"], data["dim_out"]) == (252, 32)
+    assert data["choi_purity"] == 0.007432602670697909
+    assert data["purity_route_difference"] == 0.0
+
+
+def test_restricted_detector_saves_a_kraus_family_of_the_same_channel(tmp_path):
+    saved = tmp_path / "bns.channel.json"
+    assert run(["entropy", "--channel", "bns", "--N", 6, "--k", 3, "--Np", 2,
+                "--out", tmp_path / "e.json", "--save-channel", saved]) == 0
+    dense = restrict_channel(bns_channel(6, 3), enumerate_basis(6, 2))
+    assert channels_equal(load_channel(saved), dense)
 
 
 def test_entropy_usage_error_exit_code(tmp_path):
@@ -168,17 +193,30 @@ def test_figure_bound_rerun_is_byte_identical(tmp_path):
 
 
 def test_figure_bound_refuses_oversized_channel_quickly(tmp_path):
-    # N=12, k=6 would need a 3.1 GB Kraus array; the size check runs first
+    # N=11, k=11: the 64 MiB canonical state fits, but 10 detector outputs of
+    # 2^11 x 2^11 need 640 MiB; the size check runs before the first sample
     out = tmp_path / "bound.csv"
     started = time.perf_counter()
-    assert run(["figure-bound", "--N", 12, "--k", 6, "--samples", 10,
+    assert run(["figure-bound", "--N", 11, "--k", 11, "--samples", 10,
                 "--out", out]) == 3
     assert time.perf_counter() - started < 5.0
     assert not out.exists()
 
 
+def test_figure_bound_runs_twelve_sites_without_the_dense_channel(tmp_path):
+    # the dense N=12, k=4 channel would need a 3.9 GB Kraus array
+    out = tmp_path / "bound.csv"
+    assert run(["figure-bound", "--N", 12, "--k", 4, "--samples", 50,
+                "--out", out]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [int(r["d_R"]) for r in rows] == [comb(12, m) for m in range(1, 12)]
+    for r in rows:
+        slack = 3 * float(r["std_distance"]) / np.sqrt(50)
+        assert float(r["mean_distance"]) <= float(r["entropy_bound"]) + slack
+
+
 def test_figure_bound_above_twelve_sites_is_a_size_refusal(tmp_path):
-    # N=13, k=13 needs a 1 GiB Kraus array: refused by the budget with exit 3
+    # N=13, k=13 needs a 1 GiB canonical state: refused by the budget with exit 3
     out = tmp_path / "bound.csv"
     started = time.perf_counter()
     assert run(["figure-bound", "--N", 13, "--k", 13, "--samples", 10,

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density
+from qtypical import qcore
 from qtypical.qcore import (
     DensityOperator,
     DimensionError,
@@ -16,6 +19,7 @@ from qtypical.qcore import (
     partial_trace,
     trace_distance,
 )
+from qtypical.restriction import RestrictedPartialTrace
 
 
 # -- domain type validation --
@@ -45,6 +49,44 @@ def test_density_operator_rejects_bad_trace():
 def test_density_operator_rejects_negative_eigenvalue():
     with pytest.raises(ValueError):
         DensityOperator(np.diag([1.5, -0.5]).astype(complex))
+
+
+@pytest.mark.parametrize("dim", [3, 300])
+def test_hermiticity_check_reports_the_largest_deviation_of_any_row_block(dim):
+    # 300 columns make row blocks of 54 rows: both entries of the deviating pair
+    # (298, 299) sit in the last block
+    assert qcore._HERMITIAN_BLOCK // 300 == 54
+    m = np.eye(dim, dtype=complex) / dim
+    m[dim - 1, dim - 2] = 2e-12
+    m[0, 1] = 1e-12j
+    with pytest.raises(ValueError, match=r"deviates from Hermitian by 2\.000e-12 \(> 1e-12\)"):
+        DensityOperator(m, validate=False)
+    with pytest.raises(ValueError, match=r"by 2\.000e-12"):
+        HermitianOperator(m)
+    m[dim - 1, dim - 2] = 5e-13
+    m[0, 1] = 0.0
+    assert DensityOperator(m, validate=False).dim == dim
+
+
+def test_density_operator_peak_memory_is_input_plus_one_copy():
+    ch = RestrictedPartialTrace(10, 1, 10)
+    tracemalloc.start()
+    try:
+        omega = ch.canonical_state()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert omega.matrix.nbytes == 16 * 2**20
+    assert peak <= 2.1 * omega.matrix.nbytes
+
+
+def test_density_operator_keeps_a_read_only_copy():
+    m = np.eye(2, dtype=complex) / 2
+    rho = DensityOperator(m)
+    m[0, 0] = 1.0
+    assert rho.matrix[0, 0] == 0.5
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 1.0
 
 
 def test_hermitian_operator_accepts_traceless():

@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import dense_choi_purity, random_density
 from qtypical.bns import block_channel
 from qtypical.channels import (
     QuantumChannel,
@@ -207,14 +207,6 @@ def test_restricted_partial_trace_purity_identity(n, np_exc, sq):
 # -- matrix-free restricted partial trace --
 
 
-def _dense_purity(ch):
-    """Choi purity of a dense channel: the Choi matrix where it is small, else the Kraus Gram."""
-    if (ch.dim_in * ch.dim_out) ** 2 <= 2**20:
-        return ch.choi().purity()
-    v = ch.kraus.reshape(ch.n_kraus, -1)
-    return float(np.sum(np.abs(v @ v.conj().T) ** 2)) / ch.dim_in**2
-
-
 @pytest.mark.parametrize("n", range(1, 11))
 def test_restricted_partial_trace_matches_dense_oracle(n):
     for sq in range(n + 1):
@@ -230,7 +222,7 @@ def test_restricted_partial_trace_matches_dense_oracle(n):
             assert np.max(np.abs(delta)) < 1e-12
             omega = dense.apply_matrix(np.eye(ch.dim_in) / ch.dim_in)
             assert np.max(np.abs(ch.canonical_state().matrix - omega)) < 1e-12
-            purity = _dense_purity(dense)
+            purity = dense_choi_purity(dense)
             for route in ch.choi_purity_routes():
                 assert abs(route - purity) < 1e-12
             assert abs(ch.linear_entropy() - (1.0 - purity)) < 1e-12
