@@ -1,6 +1,6 @@
 """Canonical states and typicality statistics for channel-defined subsystems."""
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .qcore import (
     DensityOperator,

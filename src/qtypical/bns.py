@@ -29,14 +29,15 @@ from math import comb
 
 import numpy as np
 
-from .channels import (
-    KRAUS_EIGENVALUE_CUTOFF,
-    QuantumChannel,
-    _gated_linear_entropy,
-    tensor_all,
+from .channels import KRAUS_EIGENVALUE_CUTOFF, QuantumChannel, tensor_all
+from .qcore import DimensionError, _check_dense_bytes
+from .restriction import (
+    ExcitationSubspace,
+    _GatherGramChannel,
+    _PatternGroup,
+    _popcount,
+    enumerate_basis,
 )
-from .qcore import DensityOperator, DimensionError, _check_dense_bytes
-from .restriction import ExcitationSubspace, enumerate_basis
 
 __all__ = [
     "BLOCK_LIMIT",
@@ -259,39 +260,7 @@ def _purity_numerator_convolution(n: int, n_blocks: int, n_excited: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class _PatternGroup:
-    """Gather, reduce and Gram step of ``DetectorChannel.apply_pure_batch`` for one block set S.
-
-    Every basis state whose pattern contains S is summed into the cell (its
-    pattern, its configuration on S) of an (n_rows, n_cols) table: ``members``
-    lists them sorted by cell, ``starts`` opens each cell's run (None when every
-    run has length one) and ``cells`` is the flat table position of each run.
-    ``gram_index`` picks the Gram entries of the pattern pairs that share exactly
-    S, ``out_index`` is their flat output position and ``coherence`` their factor.
-    """
-
-    members: np.ndarray
-    starts: np.ndarray | None
-    cells: np.ndarray
-    n_rows: int
-    n_cols: int
-    gram_index: np.ndarray
-    out_index: np.ndarray
-    coherence: np.ndarray
-
-    @property
-    def work(self) -> int:
-        """Complex entries per state that one application of the group allocates."""
-        return (2 * self.members.size + self.n_rows * self.n_cols + self.n_rows**2
-                + 2 * self.gram_index.size)
-
-
-def _popcount(values: np.ndarray, n_bits: int) -> np.ndarray:
-    return sum((values >> bit) & 1 for bit in range(n_bits))
-
-
-@dataclass(frozen=True, eq=False)
-class DetectorChannel:
+class DetectorChannel(_GatherGramChannel):
     """The k-block detector restricted to the n_excited subspace of N sites.
 
     Matrix-free form of ``restrict_channel(bns_channel(N, k), enumerate_basis(N,
@@ -315,13 +284,11 @@ class DetectorChannel:
     n_excited: int
     sub: ExcitationSubspace = field(init=False, repr=False)
 
+    _outputs = "detector"
+
     def __post_init__(self):
         _block_size(self.n_sites, self.n_blocks)
         object.__setattr__(self, "sub", enumerate_basis(self.n_sites, self.n_excited))
-
-    @property
-    def dim_in(self) -> int:
-        return self.sub.d_r
 
     @property
     def dim_out(self) -> int:
@@ -346,87 +313,29 @@ class DetectorChannel:
         c = 1.0 / np.sqrt(2.0 ** (self.n_sites // self.n_blocks) - 1.0)
         return c ** _popcount(np.arange(self.dim_out, dtype=np.int64), self.n_blocks)
 
-    def _plan(self) -> tuple[_PatternGroup, ...]:
-        """One ``_PatternGroup`` per block set S that some output entry needs; built once.
+    def _build_plan(self) -> tuple:
+        """One group per block set S that some output entry needs.
 
-        Refused above 512 MiB: its index arrays hold at most three entries per
-        (basis state, subset of its pattern) and three per output entry.
+        Group S sums each basis state whose pattern contains S into the cell (its
+        pattern, its configuration on S) and keeps the pattern pairs sharing exactly S.
         """
-        cached = getattr(self, "_plan_cache", None)
-        if cached is not None:
-            return cached
-        k, d_out = self.n_blocks, self.dim_out
-        y, x = self._patterns(), self.sub.indices
-        memberships = int(np.sum(2 ** _popcount(y, k)))
-        _check_dense_bytes(8 * 3 * (memberships + d_out**2),
-                           f"the grouping plan of the {self.dim_in}-state detector input")
+        y, x, d_out = self._patterns(), self.sub.indices, self.dim_out
+        self._check_plan_bytes(int(np.sum(2 ** _popcount(y, self.n_blocks))))
         masks, coherences = self._site_masks(), self._coherences()
         groups = []
         for shared in range(d_out):
-            sel = np.flatnonzero(y & shared == shared)
-            if sel.size == 0:
-                continue
-            rows_y, row = np.unique(y[sel], return_inverse=True)
-            first, second = np.nonzero(rows_y[:, None] & rows_y[None, :] == shared)
-            if first.size == 0:
-                continue
-            cols_z, col = np.unique(x[sel] & masks[shared], return_inverse=True)
-            key = row * cols_z.size + col
-            order = np.argsort(key, kind="stable")
-            key = key[order]
-            starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-            groups.append(_PatternGroup(
-                members=sel[order],
-                starts=starts if starts.size < sel.size else None,
-                cells=key[starts],
-                n_rows=rows_y.size,
-                n_cols=cols_z.size,
-                gram_index=first * rows_y.size + second,
-                out_index=rows_y[first] * d_out + rows_y[second],
-                coherence=coherences[rows_y[first] ^ rows_y[second]],
-            ))
-        plan = tuple(groups)
-        object.__setattr__(self, "_plan_cache", plan)
-        return plan
+            members = np.flatnonzero(y & shared == shared)
+            rows, row = np.unique(y[members], return_inverse=True)
+            keep = rows[:, None] & rows[None, :] == shared
+            if keep.any():
+                coherence = coherences[rows[:, None] ^ rows[None, :]]
+                groups.append(_PatternGroup(members, rows, row, x[members] & masks[shared],
+                                            keep, coherence, d_out))
+        return tuple(groups)
 
-    def apply_pure_batch(self, psis) -> np.ndarray:
-        """Outputs for a (B, d_R) block of pure inputs, one per row.
-
-        Refused above 512 MiB: the (B, 2^k, 2^k) outputs plus the largest
-        group's gathered amplitudes, table, Gram matrices and selected entries.
-        """
-        psis = np.asarray(psis, dtype=np.complex128)
-        if psis.ndim != 2 or psis.shape[1] != self.dim_in:
-            raise DimensionError(
-                f"state block of shape {psis.shape} does not match input dim "
-                f"{self.dim_in}"
-            )
-        b, d_out = psis.shape[0], self.dim_out
-        _check_dense_bytes(16 * b * d_out**2, f"{b} detector outputs of dimension {d_out}")
-        plan = self._plan()
-        _check_dense_bytes(16 * b * (d_out**2 + max(g.work for g in plan)),
-                           f"{b} detector outputs of dimension {d_out} and their work arrays")
-        out = np.zeros((b, d_out * d_out), dtype=np.complex128)
-        for g in plan:
-            sums = psis[:, g.members]
-            if g.starts is not None:
-                sums = np.add.reduceat(sums, g.starts, axis=1)
-            table = np.zeros((b, g.n_rows * g.n_cols), dtype=np.complex128)
-            table[:, g.cells] = sums
-            table = table.reshape(b, g.n_rows, g.n_cols)
-            gram = (table @ table.conj().transpose(0, 2, 1)).reshape(b, -1)
-            out[:, g.out_index] = gram[:, g.gram_index] * g.coherence
-        return out.reshape(b, d_out, d_out)
-
-    def canonical_state(self) -> DensityOperator:
-        """Diagonal canonical state from the exact spectrum.
-
-        Refused above 512 MiB (the dense 2^k x 2^k matrix, 16 * 4^k bytes).
-        """
-        _check_dense_bytes(16 * self.dim_out**2,
-                           f"the 2^{self.n_blocks} x 2^{self.n_blocks} canonical state")
-        diagonal = canonical_spectrum(self.n_sites, self.n_excited, self.n_blocks).diagonal()
-        return DensityOperator(np.diag(diagonal.astype(np.complex128)), validate=False)
+    def _canonical_diagonal(self) -> np.ndarray:
+        """The exact canonical spectrum."""
+        return canonical_spectrum(self.n_sites, self.n_excited, self.n_blocks).diagonal()
 
     def choi_purity_routes(self) -> tuple[float, float]:
         """(closed-form Choi purity, purity from the k-fold block-table product).
@@ -438,10 +347,6 @@ class DetectorChannel:
         args = (n, self.n_blocks, self.n_excited)
         return (_purity_numerator_closed_form(*args) / denominator,
                 _purity_numerator_convolution(*args) / denominator)
-
-    def linear_entropy(self) -> float:
-        """1 - Choi purity, gated on the agreement of the two purity routes."""
-        return _gated_linear_entropy(*self.choi_purity_routes())
 
     @property
     def kraus(self) -> np.ndarray:

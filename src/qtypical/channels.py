@@ -170,12 +170,7 @@ class QuantumChannel:
         goes through the stacked Kraus array in one GEMM, and the outputs are
         formed by one batched matmul.
         """
-        psis = np.asarray(psis, dtype=np.complex128)
-        if psis.ndim != 2 or psis.shape[1] != self.dim_in:
-            raise DimensionError(
-                f"state block of shape {psis.shape} does not match input dim "
-                f"{self.dim_in}"
-            )
+        psis = _state_block(psis, self.dim_in)
         phi = (psis @ self.kraus.reshape(-1, self.dim_in).T).reshape(
             -1, self.n_kraus, self.dim_out)
         return phi.transpose(0, 2, 1) @ phi.conj()
@@ -205,6 +200,14 @@ class QuantumChannel:
         v = self.kraus.reshape(self.n_kraus, -1)
         gram = v @ v.conj().T
         return self.choi().purity(), float(np.sum(np.abs(gram) ** 2)) / self.dim_in**2
+
+
+def _state_block(psis, dim_in: int) -> np.ndarray:
+    """``psis`` as a complex (B, dim_in) block of pure inputs, one per row."""
+    psis = np.asarray(psis, dtype=np.complex128)
+    if psis.ndim != 2 or psis.shape[1] != dim_in:
+        raise DimensionError(f"state block of shape {psis.shape} does not match input dim {dim_in}")
+    return psis
 
 
 def _gated_linear_entropy(purity_choi: float, purity_kraus: float) -> float:
@@ -374,7 +377,7 @@ def depolarizing(d: int, lam: float) -> QuantumChannel:
         ops = _weyl_shift_clock(d)
         ops *= np.sqrt(lam) / d
         ops[0] = np.sqrt(1.0 - lam + lam / d**2) * np.eye(d, dtype=np.complex128)
-        return QuantumChannel(d, d, ops[np.any(ops, axis=(1, 2))])
+        return QuantumChannel(d, d, ops if lam > 0 else ops[:1])  # lam = 0: the identity alone
     # lam > 1: Choi = lam * (I/d (x) I/d) + (1 - lam) * phi_plus
     phi = np.zeros((d * d, d * d), dtype=np.complex128)
     diag = np.arange(d) * (d + 1)  # the index i * d + i of |i, i>

@@ -7,23 +7,30 @@ order. Restricted coordinates are primary, and there is no dense embedding
 isometry: the full 2^N space only appears when a full-space channel needs to
 act, and then the embedding is a plain column selection of its Kraus array.
 
-The partial trace over trailing qubits, restricted to a subspace, is
-``RestrictedPartialTrace``: it acts by scattering amplitudes into a
-(2^split, 2^(N - split)) matrix, and its canonical state and Choi purity are
-exact counts of basis states, so it never forms a Kraus array or a Choi
-matrix; ``bns.DetectorChannel`` is the matrix-free restricted detector.
-``restrict_channel`` pulls back any dense channel, and it is the oracle both
-structured classes are tested against.
+The two matrix-free restricted channels, ``RestrictedPartialTrace`` and
+``bns.DetectorChannel``, share one gather-Gram engine: each output is a sum
+of Gram matrices of small tables of summed amplitudes, one table per group
+of a plan built once per channel, so neither forms a Kraus array, a Choi
+matrix or any 2^N buffer. Their canonical states and Choi purities are exact
+counts. ``restrict_channel`` pulls back any dense channel, and it is the
+oracle both structured classes are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
-from .channels import QuantumChannel, _choi_matrix, _gated_linear_entropy, choi_to_kraus
+from .channels import (
+    QuantumChannel,
+    _choi_matrix,
+    _gated_linear_entropy,
+    _state_block,
+    choi_to_kraus,
+)
 from .qcore import DensityOperator, DimensionError, _check_dense_bytes
 
 __all__ = [
@@ -123,8 +130,101 @@ def _marginal_square_sum(n_excited: int, sq: int, eq: int) -> int:
                for w in range(min(eq, n_excited) + 1))
 
 
+def _popcount(values: np.ndarray, n_bits: int) -> np.ndarray:
+    return sum(((values >> bit) & 1 for bit in range(n_bits)), np.zeros_like(values))
+
+
+class _PatternGroup:
+    """Gather, reduce and Gram step of one group of a gather-Gram plan.
+
+    Basis state ``members[i]`` is summed into the cell (``row[i]``, column of
+    label ``cols[i]``) of a table whose rows are the ascending output indices
+    ``rows``. The Gram entries of the row pairs in the mask ``keep`` enter the
+    output times ``coherence`` (an array of the mask's shape, or a scalar).
+    ``work`` is the complex entries per state that one application allocates.
+    """
+
+    def __init__(self, members, rows, row, cols, keep, coherence, d_out: int):
+        labels, col = np.unique(cols, return_inverse=True)
+        key = row * labels.size + col
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        first, second = np.nonzero(keep)
+        self.members = members[order]
+        self.starts = starts if starts.size < members.size else None
+        self.cells = key[starts]
+        self.n_rows, self.n_cols = rows.size, labels.size
+        self.gram_index = np.flatnonzero(keep)
+        self.out_index = rows[first] * d_out + rows[second]
+        self.coherence = np.broadcast_to(coherence, keep.shape)[keep]
+        self.work = 2 * members.size + self.n_rows * (self.n_cols + self.n_rows) + 2 * first.size
+
+
+class _GatherGramChannel:
+    """Channel interface of the matrix-free restricted channels.
+
+    The output for psi is the sum over the plan's groups of the kept entries of
+    T T^dagger, T the group's table of summed amplitudes of psi. A subclass is a
+    frozen dataclass with ``sub`` and ``dim_out``; it supplies ``_build_plan``,
+    ``_canonical_diagonal``, ``choi_purity_routes`` and ``_outputs``, the name of
+    its outputs in refusal messages.
+    """
+
+    @property
+    def dim_in(self) -> int:
+        return self.sub.d_r
+
+    @cached_property
+    def _plan(self) -> tuple[_PatternGroup, ...]:
+        """The grouping plan, built once."""
+        return self._build_plan()
+
+    def _check_plan_bytes(self, memberships: int) -> None:
+        """Refuse a plan above 512 MiB: three index entries per membership and per output entry."""
+        _check_dense_bytes(8 * 3 * (memberships + self.dim_out**2),
+                           f"the grouping plan of the {self.dim_in}-state {self._outputs} input")
+
+    def apply_pure_batch(self, psis) -> np.ndarray:
+        """Outputs for a (B, d_R) block of pure inputs, one per row.
+
+        Refused above 512 MiB: the (B, dim_out, dim_out) outputs plus the largest
+        group's gathered amplitudes, table, Gram matrices and selected entries.
+        """
+        psis = _state_block(psis, self.dim_in)
+        b, d_out = psis.shape[0], self.dim_out
+        what = f"{b} {self._outputs} outputs of dimension {d_out}"
+        _check_dense_bytes(16 * b * d_out**2, what)
+        _check_dense_bytes(16 * b * (d_out**2 + max(g.work for g in self._plan)),
+                           f"{what} and their work arrays")
+        out = np.zeros((b, d_out * d_out), dtype=np.complex128)
+        for g in self._plan:
+            sums = psis[:, g.members]
+            if g.starts is not None:
+                sums = np.add.reduceat(sums, g.starts, axis=1)
+            table = np.zeros((b, g.n_rows, g.n_cols), dtype=np.complex128)
+            table.reshape(b, -1)[:, g.cells] = sums
+            gram = (table @ table.conj().transpose(0, 2, 1)).reshape(b, -1)
+            out[:, g.out_index] = gram[:, g.gram_index] * g.coherence
+        return out.reshape(b, d_out, d_out)
+
+    def canonical_state(self) -> DensityOperator:
+        """Diagonal image of the maximally mixed input.
+
+        Refused above 512 MiB (the dense dim_out x dim_out matrix, 16 dim_out^2 bytes).
+        """
+        d = self.dim_out
+        _check_dense_bytes(16 * d * d, f"the {d} x {d} canonical state")
+        return DensityOperator(np.diag(self._canonical_diagonal().astype(np.complex128)),
+                               validate=False)
+
+    def linear_entropy(self) -> float:
+        """1 - Choi purity, gated on the agreement of the two purity routes."""
+        return _gated_linear_entropy(*self.choi_purity_routes())
+
+
 @dataclass(frozen=True, eq=False)
-class RestrictedPartialTrace:
+class RestrictedPartialTrace(_GatherGramChannel):
     """Trace over the trailing N - split qubits, restricted to the n_excited subspace.
 
     Matrix-free form of ``restrict_channel(partial_trace_channel(2^split,
@@ -132,11 +232,11 @@ class RestrictedPartialTrace:
     interface: ``dim_in`` (d_R), ``dim_out`` (2^split), ``apply_pure_batch``,
     ``canonical_state``, ``choi_purity_routes`` and ``linear_entropy``. A
     subspace index x splits into the system pattern x >> (N - split) and the
-    environment pattern x & (2^(N - split) - 1). So the output for psi is
-    M M^dagger, where M is psi scattered into a (2^split, 2^(N - split))
-    matrix; the canonical state is diagonal; and the Kraus operators have
-    disjoint supports, so the Choi purity is a sum of squared
-    environment-pattern counts.
+    environment pattern x & (2^(N - split) - 1). A system pattern of weight w
+    pairs only with environment patterns of weight Np - w, so the output for psi
+    is block-diagonal in w, one Gram matrix per w; the canonical state is
+    diagonal; and the Kraus operators have disjoint supports, so the Choi purity
+    is a sum of squared environment-pattern counts.
     """
 
     n_sites: int
@@ -144,14 +244,12 @@ class RestrictedPartialTrace:
     split: int
     sub: ExcitationSubspace = field(init=False, repr=False)
 
+    _outputs = "partial-trace"
+
     def __post_init__(self):
         if not 0 <= self.split <= self.n_sites:
             raise ValueError(f"split {self.split} outside [0, {self.n_sites}]")
         object.__setattr__(self, "sub", enumerate_basis(self.n_sites, self.n_excited))
-
-    @property
-    def dim_in(self) -> int:
-        return self.sub.d_r
 
     @property
     def dim_out(self) -> int:
@@ -162,33 +260,26 @@ class RestrictedPartialTrace:
         eq = self.n_sites - self.split
         return self.sub.indices >> eq, self.sub.indices & ((1 << eq) - 1)
 
-    def apply_pure_batch(self, psis) -> np.ndarray:
-        """Outputs tr_E |psi><psi| for a (B, d_R) block of pure inputs, one per row."""
-        psis = np.asarray(psis, dtype=np.complex128)
-        if psis.ndim != 2 or psis.shape[1] != self.dim_in:
-            raise DimensionError(
-                f"state block of shape {psis.shape} does not match input dim "
-                f"{self.dim_in}"
-            )
-        b = psis.shape[0]
-        # the scattered block, its conjugate and the outputs
-        _check_dense_bytes(16 * b * (2 * 2**self.n_sites + self.dim_out**2),
-                           f"{b} scattered 2^{self.n_sites} states and their outputs")
-        full = np.zeros((b, 2**self.n_sites), dtype=np.complex128)
-        full[:, self.sub.indices] = psis
-        m = full.reshape(b, self.dim_out, -1)
-        return m @ m.conj().transpose(0, 2, 1)
+    def _build_plan(self) -> tuple[_PatternGroup, ...]:
+        """One group per system weight w, with every row pair kept at coherence 1.
 
-    def canonical_state(self) -> DensityOperator:
-        """Diagonal image of the maximally mixed input: system-pattern counts / d_R.
-
-        Refused above 512 MiB (the dense 2^split x 2^split matrix, 16 * 4^split bytes).
+        Rows are the system patterns of weight w and columns the environment
+        patterns of weight Np - w, so the output is block-diagonal in w.
         """
-        _check_dense_bytes(16 * self.dim_out**2,
-                           f"the 2^{self.split} x 2^{self.split} canonical state")
-        counts = np.bincount(self._patterns()[0], minlength=self.dim_out)
-        return DensityOperator(np.diag((counts / self.dim_in).astype(np.complex128)),
-                               validate=False)
+        sys_pattern, env_pattern = self._patterns()
+        weight = _popcount(sys_pattern, self.split)
+        self._check_plan_bytes(self.dim_in)
+        groups = []
+        for w in np.unique(weight):
+            members = np.flatnonzero(weight == w)
+            rows, row = np.unique(sys_pattern[members], return_inverse=True)
+            groups.append(_PatternGroup(members, rows, row, env_pattern[members],
+                                        np.ones((rows.size,) * 2, dtype=bool), 1.0, self.dim_out))
+        return tuple(groups)
+
+    def _canonical_diagonal(self) -> np.ndarray:
+        """System-pattern counts / d_R."""
+        return np.bincount(self._patterns()[0], minlength=self.dim_out) / self.dim_in
 
     def choi_purity_routes(self) -> tuple[float, float]:
         """(closed-form Choi purity, purity counted from the enumerated indices).
@@ -202,10 +293,6 @@ class RestrictedPartialTrace:
         closed = _marginal_square_sum(self.n_excited, self.split, eq) / self.dim_in**2
         counts = np.unique(self._patterns()[1], return_counts=True)[1]
         return closed, int(np.sum(counts * counts)) / self.dim_in**2
-
-    def linear_entropy(self) -> float:
-        """1 - Choi purity, gated on the agreement of the two purity routes."""
-        return _gated_linear_entropy(*self.choi_purity_routes())
 
     @property
     def kraus(self) -> np.ndarray:

@@ -15,9 +15,9 @@ canonical states and entropies are exact counts and which never form a
 Kraus array or a Choi matrix.
 
 Sampling runs in fixed chunks of SAMPLE_CHUNK samples: each chunk stacks
-its Haar vectors, applies the channel to the whole block in one GEMM and
-takes the trace distances from one batched eigensolve. A chunk of states
-above the 512 MiB dense budget is refused before any sample is drawn.
+its Haar vectors, applies the channel to the whole block in one batched
+call and takes the trace distances from one batched eigensolve. A chunk whose
+states or outputs exceed the 512 MiB dense budget is refused before any work.
 Sample i always uses seed derive_seed(master_seed, i), so it depends only
 on (master_seed, i). The chunk size is a constant, so output bytes never
 depend on the machine or on any thread setting; QTYPICAL_THREADS is ignored.
@@ -104,9 +104,11 @@ def sample_distances(cfg: ExperimentConfig) -> list:
     processed in blocks of SAMPLE_CHUNK.
     """
     ch = cfg.channel
-    d = ch.dim_in
+    d, d_out = ch.dim_in, ch.dim_out
     chunk = min(SAMPLE_CHUNK, cfg.samples)
     _check_dense_bytes(16 * chunk * d, f"a block of {chunk} states of dimension {d}")
+    _check_dense_bytes(16 * chunk * d_out**2,
+                       f"a block of {chunk} outputs of dimension {d_out}")
     omega = canonical_state(ch).matrix
     distances = np.empty(cfg.samples)
     for start in range(0, cfg.samples, SAMPLE_CHUNK):

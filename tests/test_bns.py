@@ -389,6 +389,16 @@ def test_detector_channel_is_self_consistent_beyond_the_dense_path():
         assert abs(route - kraus_purity) < 1e-14
 
 
+@pytest.mark.parametrize("n_sites,n_blocks,n_excited", [(8, 2, 4), (9, 3, 4), (10, 5, 5)])
+def test_detector_outputs_do_not_depend_on_the_block(n_sites, n_blocks, n_excited):
+    ch = DetectorChannel(n_sites, n_blocks, n_excited)
+    psis = np.stack([haar_sample(ch.dim_in, derive_seed(n_sites, i)).amplitudes
+                     for i in range(17)])
+    block = ch.apply_pure_batch(psis)
+    for psi, out in zip(psis, block):
+        assert np.array_equal(ch.apply_pure_batch(psi[None]), out[None])
+
+
 def test_detector_channel_rejects_bad_arguments():
     with pytest.raises(DimensionError):
         DetectorChannel(4, 3, 2)

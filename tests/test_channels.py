@@ -426,6 +426,18 @@ def test_depolarizing_refused_above_budget(small_dense_budget, lam):
         depolarizing(9, lam)
 
 
+def test_depolarizing_allocates_at_most_three_kraus_arrays():
+    # the shift/clock family, the constructor's copy and the trace-preservation
+    # check's conjugate; no masked copy of the family
+    tracemalloc.start()
+    try:
+        ch = depolarizing(24, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * ch.kraus.nbytes
+
+
 def test_random_channel_refused_above_budget(small_dense_budget):
     # the Ginibre matrix takes 16 * dim_out * n_kraus * dim_in bytes: 16 * 16 * 8 * 32
     # fill the 64 KiB budget, one more Kraus operator does not fit

@@ -229,7 +229,7 @@ def test_figure_bound_above_twelve_sites_is_a_size_refusal(tmp_path):
 
 
 def test_typicality_refuses_oversized_partial_trace_quickly(tmp_path):
-    # N=22 split 11/11: 10 states scattered into 2^22 amplitudes need 1.3 GB
+    # N=22 split 11/11: 10 outputs of 2^11 x 2^11 need 640 MiB, refused before sampling
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "channel": {"type": "partial_trace", "N": 22, "Np": 11, "split": 11},

@@ -246,6 +246,35 @@ def test_restricted_partial_trace_canonical_state_refused_above_budget(small_den
         RestrictedPartialTrace(10, 1, 10).canonical_state()
 
 
+@pytest.mark.parametrize("n,np_exc,sq", [(10, 5, 3), (10, 5, 0), (8, 4, 8), (12, 6, 6)])
+def test_restricted_partial_trace_outputs_do_not_depend_on_the_block(n, np_exc, sq):
+    ch = RestrictedPartialTrace(n, np_exc, sq)
+    psis = np.stack([haar_sample(ch.dim_in, derive_seed(n + sq, i)).amplitudes
+                     for i in range(17)])
+    block = ch.apply_pure_batch(psis)
+    for psi, out in zip(psis, block):
+        assert np.array_equal(ch.apply_pure_batch(psi[None]), out[None])
+
+
+def test_restricted_partial_trace_needs_no_full_space_buffer(small_dense_budget):
+    # 2 states of 10/5/3 scattered into 2^10 amplitudes, their conjugates and
+    # outputs would take 67.6 KB; the weight blocks need 13 KB of work arrays
+    ch = RestrictedPartialTrace(10, 5, 3)
+    psis = np.stack([haar_sample(ch.dim_in, derive_seed(3, i)).amplitudes for i in range(2)])
+    full = np.zeros((2, 2**10), dtype=np.complex128)  # the scatter oracle
+    full[:, ch.sub.indices] = psis
+    m = full.reshape(2, 8, 128)
+    assert np.max(np.abs(ch.apply_pure_batch(psis) - m @ m.conj().transpose(0, 2, 1))) < 1e-15
+
+
+def test_restricted_partial_trace_plan_refused_above_budget(small_dense_budget):
+    # 8 * 3 * (d_R + 4^split) bytes: 10/5/3 fits the 64 KiB budget, 14/7/3 does not
+    assert RestrictedPartialTrace(10, 5, 3).apply_pure_batch(np.eye(1, 252)).shape == (1, 8, 8)
+    big = RestrictedPartialTrace(14, 7, 3)
+    with pytest.raises(DimensionError, match="grouping plan"):
+        big.apply_pure_batch(np.eye(1, big.dim_in))
+
+
 def test_restricted_partial_trace_rejects_wrong_state_block():
     ch = RestrictedPartialTrace(4, 2, 2)
     with pytest.raises(DimensionError):

@@ -101,6 +101,20 @@ def test_sample_distances_refuses_oversized_chunk_before_sampling(monkeypatch):
     assert draws == []
 
 
+def test_sample_distances_refuses_oversized_outputs_before_any_work(monkeypatch,
+                                                                   small_dense_budget):
+    # 11 states of dimension 20 take 3.5 KB, their 20 x 20 outputs 70.4 KB
+    import qtypical.typicality as typicality
+
+    draws, canonical = [], []
+    monkeypatch.setattr(typicality, "haar_sample", lambda dim, seed: draws.append(seed))
+    monkeypatch.setattr(typicality, "canonical_state", canonical.append)
+    cfg = ExperimentConfig(channel=identity_channel(20), samples=11, master_seed=1)
+    with pytest.raises(DimensionError, match="11 outputs of dimension 20"):
+        sample_distances(cfg)
+    assert draws == [] and canonical == []
+
+
 def test_restricted_partial_trace_experiment_matches_dense_oracle():
     dense = restrict_channel(partial_trace_channel(8, 32), enumerate_basis(8, 4))
     configs = [ExperimentConfig(channel=c, samples=300, master_seed=13,
