@@ -25,11 +25,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 import numpy as np
 
-from .channels import KRAUS_EIGENVALUE_CUTOFF, QuantumChannel, tensor_all
+from .channels import KRAUS_EIGENVALUE_CUTOFF, QuantumChannel, tensor
 from .qcore import DimensionError, _check_dense_bytes
 from .restriction import (
     ExcitationSubspace,
@@ -57,6 +58,13 @@ __all__ = [
 BLOCK_LIMIT = 10   # largest block; its Choi oracle has size 2^(n+1)
 
 
+def _check_block_size(n: int) -> None:
+    if n < 1:
+        raise DimensionError("block size must be >= 1")
+    if n > BLOCK_LIMIT:
+        raise DimensionError(f"block size {n} exceeds the dense limit {BLOCK_LIMIT}")
+
+
 def block_choi(n: int, coherence_scale: float = 1.0) -> np.ndarray:
     """Choi matrix of the n-site block map, with an optional coherence rescaling.
 
@@ -64,10 +72,7 @@ def block_choi(n: int, coherence_scale: float = 1.0) -> np.ndarray:
     sits exactly on the complete-positivity boundary, and any value above it
     produces a negative eigenvalue.
     """
-    if n < 1:
-        raise DimensionError("block size must be >= 1")
-    if n > BLOCK_LIMIT:
-        raise DimensionError(f"block size {n} exceeds the dense limit {BLOCK_LIMIT}")
+    _check_block_size(n)
     d = 2**n
     j = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     # index convention: output bit leading, so (bit, s) -> bit * d + s
@@ -87,10 +92,7 @@ def block_channel(n: int) -> QuantumChannel:
     Closed-form minimal Kraus family K_s = |1><s| + (2^n - 1)^(-1/2) |0><0|,
     s = 1 .. 2^n - 1; ``block_choi`` is the independent Choi-matrix oracle.
     """
-    if n < 1:
-        raise DimensionError("block size must be >= 1")
-    if n > BLOCK_LIMIT:
-        raise DimensionError(f"block size {n} exceeds the dense limit {BLOCK_LIMIT}")
+    _check_block_size(n)
     d = 2**n
     ops = np.zeros((d - 1, 2, d), dtype=np.complex128)
     ops[np.arange(d - 1), 1, np.arange(1, d)] = 1.0
@@ -108,7 +110,7 @@ def bns_channel(n_sites: int, n_blocks: int) -> QuantumChannel:
     n = _block_size(n_sites, n_blocks)
     _check_dense_bytes((2**n - 1) ** n_blocks * 2 ** (n_blocks + n_sites) * 16,
                        f"the dense channel for N = {n_sites}, k = {n_blocks}")
-    return tensor_all([block_channel(n)] * n_blocks)
+    return reduce(tensor, [block_channel(n)] * n_blocks)
 
 
 def _block_size(n_sites: int, n_blocks: int) -> int:
@@ -399,9 +401,6 @@ class ExactDistribution:
             if mm == m:
                 return p
         return Fraction(0)
-
-    def as_floats(self) -> dict:
-        return {m: float(p) for m, p in zip(self.support, self.probabilities)}
 
 
 def energy_distribution_trace(n_sites: int, n_excited: int, n_blocks: int) -> ExactDistribution:

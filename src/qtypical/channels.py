@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .qcore import (
     _as_matrix,
     _check_dense_bytes,
     _generator,
+    _half_trace_norms,
     _partial_trace_matrix,
     derive_seed,
 )
@@ -154,14 +154,13 @@ class QuantumChannel:
         return DensityOperator(self.apply_matrix(_as_matrix(rho)))
 
     def apply_pure(self, amplitudes) -> np.ndarray:
-        """Fast path for pure inputs: channel applied to |psi><psi|."""
+        """Channel applied to |psi><psi|: the one-row ``apply_pure_batch``."""
         psi = np.asarray(amplitudes, dtype=np.complex128)
         if psi.shape != (self.dim_in,):
             raise DimensionError(
                 f"state of dim {psi.shape} does not match input dim {self.dim_in}"
             )
-        phi = (self.kraus.reshape(-1, self.dim_in) @ psi).reshape(self.n_kraus, -1)
-        return phi.T @ phi.conj()
+        return self.apply_pure_batch(psi[None])[0]
 
     def apply_pure_batch(self, psis) -> np.ndarray:
         """``apply_pure`` for a (B, dim_in) block of pure inputs, one per row.
@@ -234,13 +233,7 @@ class ChoiState:
                 f"Choi matrix dim {self.state.dim} is not dim_out*dim_in = "
                 f"{self.dim_in * self.dim_out}"
             )
-        marginal = _partial_trace_matrix(self.state.matrix, "B",
-                                         (self.dim_out, self.dim_in))
-        dev = float(np.max(np.abs(marginal - np.eye(self.dim_in) / self.dim_in)))
-        if not dev <= TP_TOL:
-            raise CPTPError(
-                f"Choi reduced state deviates from identity/dim_in by {dev:.3e}"
-            )
+        _check_choi_marginal(self.state.matrix, self.dim_in, self.dim_out, TP_TOL)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -249,8 +242,14 @@ class ChoiState:
     def purity(self) -> float:
         return self.state.purity()
 
-    def to_channel(self) -> QuantumChannel:
-        return choi_to_kraus(self)
+
+def _check_choi_marginal(m: np.ndarray, dim_in: int, dim_out: int, tol: float) -> None:
+    """Reduced state of a Choi matrix on the input factor is identity/dim_in within tol."""
+    marginal = _partial_trace_matrix(m, "B", (dim_out, dim_in))
+    dev = float(np.max(np.abs(marginal - np.eye(dim_in) / dim_in)))
+    if not dev <= tol:  # also rejects NaN entries
+        raise CPTPError(f"Choi reduced state deviates from identity/dim_in by {dev:.3e} "
+                        f"(> {tol:.0e}); map is not trace preserving")
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,6 +290,14 @@ def _choi_matrix(kraus: np.ndarray, dim_in: int) -> np.ndarray:
     j = v.T @ v.conj()
     j /= dim_in  # in place: the Choi matrix is the largest array a channel builds
     return j
+
+
+def _minimal_channel(ops: np.ndarray, dim_in: int, dim_out: int) -> QuantumChannel:
+    """Channel of the Kraus family ``ops``; a family above the dim_in*dim_out operator
+    bound is re-extracted from its Choi matrix as an equivalent minimal family."""
+    if ops.shape[0] > dim_in * dim_out:
+        return choi_to_kraus(_choi_matrix(ops, dim_in), dim_in=dim_in, dim_out=dim_out)
+    return QuantumChannel(dim_in, dim_out, ops)
 
 
 def identity_channel(dim: int) -> QuantumChannel:
@@ -427,10 +434,7 @@ def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
     products = (outer.kraus[:, None] @ inner.kraus[None, :]).reshape(
         -1, outer.dim_out, inner.dim_in)
     products = products[np.any(products, axis=(1, 2))]
-    if products.shape[0] > inner.dim_in * outer.dim_out:
-        j = _choi_matrix(products, inner.dim_in)
-        return choi_to_kraus(j, dim_in=inner.dim_in, dim_out=outer.dim_out)
-    return QuantumChannel(inner.dim_in, outer.dim_out, products)
+    return _minimal_channel(products, inner.dim_in, outer.dim_out)
 
 
 def tensor(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
@@ -438,10 +442,6 @@ def tensor(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
     ops = a.kraus[:, None, :, None, :, None] * b.kraus[None, :, None, :, None, :]
     d_in, d_out = a.dim_in * b.dim_in, a.dim_out * b.dim_out
     return QuantumChannel(d_in, d_out, ops.reshape(-1, d_out, d_in))
-
-
-def tensor_all(factors) -> QuantumChannel:
-    return reduce(tensor, factors)
 
 
 def choi_to_kraus(j, dim_in: int | None = None, dim_out: int | None = None) -> QuantumChannel:
@@ -460,13 +460,7 @@ def choi_to_kraus(j, dim_in: int | None = None, dim_out: int | None = None) -> Q
         m = np.asarray(j, dtype=np.complex128)
         if m.shape != (dim_in * dim_out, dim_in * dim_out):
             raise DimensionError("Choi matrix shape does not match dimensions")
-        marginal = _partial_trace_matrix(m, "B", (dim_out, dim_in))
-        dev = float(np.max(np.abs(marginal - np.eye(dim_in) / dim_in)))
-        if not dev <= CHOI_MARGINAL_TOL:
-            raise CPTPError(
-                f"Choi reduced state deviates from identity/dim_in by {dev:.3e}; "
-                "map is not trace preserving"
-            )
+        _check_choi_marginal(m, dim_in, dim_out, CHOI_MARGINAL_TOL)
     eigs, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
     if float(eigs[0]) < -1e-10:
         raise CPTPError(f"Choi matrix has negative eigenvalue {float(eigs[0]):.3e}")
@@ -488,7 +482,7 @@ def _orthonormal_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, n
 
 def _pair_objective(ch, psi: np.ndarray, phi: np.ndarray) -> float:
     out = ch.apply_pure_batch(np.stack((psi, phi)))
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(out[0] - out[1]))))
+    return float(_half_trace_norms(out[0] - out[1]))
 
 
 def lipschitz_estimate(ch, trials: int, seed: int) -> float:

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -164,14 +164,22 @@ def _base(out: str) -> str:
     return out[:-4] if out.endswith(".csv") else out
 
 
-_ENERGY_PLOT = """\"\"\"Plot the two excitation-count distributions from {csv_name}.\"\"\"
+_PLOT_HEAD = """\"\"\"{title} from {csv_name}.\"\"\"
 import csv
 import os
 
 import matplotlib.pyplot as plt
 
 here = os.path.dirname(os.path.abspath(__file__))
-ms, p_trace, p_bns = [], [], []
+"""
+
+_PLOT_TAIL = """ax.legend()
+fig.tight_layout()
+fig.savefig(os.path.join(here, {png_name!r}), dpi=200)
+print("wrote", {png_name!r})
+"""
+
+_ENERGY_PLOT = """ms, p_trace, p_bns = [], [], []
 with open(os.path.join(here, {csv_name!r}), newline="") as fh:
     for row in csv.DictReader(fh):
         ms.append(int(row["m"]))
@@ -183,20 +191,9 @@ ax.plot(ms, p_trace, "o", ms=3, label="kept sites (partial trace)")
 ax.plot(ms, p_bns, "s", ms=3, label="saturated detector blocks")
 ax.set_xlabel("number of excitations m")
 ax.set_ylabel("probability")
-ax.legend()
-fig.tight_layout()
-fig.savefig(os.path.join(here, {png_name!r}), dpi=200)
-print("wrote", {png_name!r})
 """
 
-_BOUND_PLOT = """\"\"\"Plot mean distances against the entropy bound from {csv_name}.\"\"\"
-import csv
-import os
-
-import matplotlib.pyplot as plt
-
-here = os.path.dirname(os.path.abspath(__file__))
-np_values, means, stds, bounds = [], [], [], []
+_BOUND_PLOT = """np_values, means, stds, bounds = [], [], [], []
 with open(os.path.join(here, {csv_name!r}), newline="") as fh:
     for row in csv.DictReader(fh):
         np_values.append(int(row["Np"]))
@@ -209,20 +206,18 @@ ax.errorbar(np_values, means, yerr=stds, fmt="o", ms=4, label="mean distance")
 ax.plot(np_values, bounds, "s", mfc="none", label="entropy bound")
 ax.set_xlabel("number of excitations Np")
 ax.set_ylabel("trace distance")
-ax.legend()
-fig.tight_layout()
-fig.savefig(os.path.join(here, {png_name!r}), dpi=200)
-print("wrote", {png_name!r})
 """
 
 
-def _emit_plot_script(template: str, csv_path: str) -> str:
+def _emit_plot_script(title: str, body: str, csv_path: str) -> str:
+    """Write <base>_plot.py: the shared head, the figure's body, the shared tail."""
     base = _base(csv_path)
     script_path = base + "_plot.py"
-    csv_name = os.path.basename(csv_path)
-    png_name = os.path.basename(base) + ".png"
+    script = (_PLOT_HEAD + body + _PLOT_TAIL).format(
+        title=title, csv_name=os.path.basename(csv_path),
+        png_name=os.path.basename(base) + ".png")
     with open(script_path, "w", encoding="utf-8") as fh:
-        fh.write(template.format(csv_name=csv_name, png_name=png_name))
+        fh.write(script)
     return script_path
 
 
@@ -281,7 +276,7 @@ def run_figure_energy(params: dict) -> list:
     bns_csv = base + "_bns_exact.csv"
     write_distribution_csv(trace_csv, trace_dist)
     write_distribution_csv(bns_csv, bns_dist)
-    script = _emit_plot_script(_ENERGY_PLOT, out)
+    script = _emit_plot_script("Plot the two excitation-count distributions", _ENERGY_PLOT, out)
     print(f"trace-branch mean    : {_fmt(float(trace_dist.mean()))}")
     print(f"detector-branch mean : {_fmt(float(bns_dist.mean()))}")
     return [out, trace_csv, bns_csv, script]
@@ -304,7 +299,7 @@ def run_figure_bound(params: dict) -> list:
     out = params["out"]
     _write_csv(out, ["Np", "d_R", "mean_distance", "std_distance", "entropy_bound"],
                rows)
-    script = _emit_plot_script(_BOUND_PLOT, out)
+    script = _emit_plot_script("Plot mean distances against the entropy bound", _BOUND_PLOT, out)
     return [out, script]
 
 
@@ -392,9 +387,7 @@ class RunManifest:
     def load(cls, path: str) -> "RunManifest":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return cls(**{k: data[k] for k in (
-            "command", "parameters", "master_seed", "artifact_version",
-            "outputs", "duration_seconds")})
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 def _manifest_seed(params: dict):

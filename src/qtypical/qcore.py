@@ -58,14 +58,23 @@ def _as_matrix(a) -> np.ndarray:
 _HERMITIAN_BLOCK = 2**14  # entries per row block of the hermiticity check
 
 
-def _check_hermitian(m: np.ndarray, tol: float) -> None:
-    """Largest |m - m^dagger| entry within tol, checked in row blocks of at most
-    _HERMITIAN_BLOCK entries, so the check adds no temporary the size of m."""
+def _hermitian_copy(matrix, what: str) -> np.ndarray:
+    """Read-only complex copy of a square, nonempty, Hermitian matrix: the one copy that is kept.
+
+    The largest |m - m^dagger| entry must be within HERMITICITY_TOL; it is checked in
+    row blocks of at most _HERMITIAN_BLOCK entries, so the check adds no temporary
+    the size of m.
+    """
+    m = np.array(matrix, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise DimensionError(f"{what} must be a square nonempty matrix")
     rows = max(1, _HERMITIAN_BLOCK // m.shape[1])
     dev = float(np.max([np.max(np.abs(m[i:i + rows] - m[:, i:i + rows].conj().T))
                         for i in range(0, m.shape[0], rows)]))
-    if not dev <= tol:  # also rejects NaN entries
-        raise ValueError(f"matrix deviates from Hermitian by {dev:.3e} (> {tol:.0e})")
+    if not dev <= HERMITICITY_TOL:  # also rejects NaN entries
+        raise ValueError(f"matrix deviates from Hermitian by {dev:.3e} (> {HERMITICITY_TOL:.0e})")
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,10 +115,7 @@ class DensityOperator:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool):
-        m = np.array(self.matrix, dtype=np.complex128)  # the one copy that is kept
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise DimensionError("density operator must be a square nonempty matrix")
-        _check_hermitian(m, HERMITICITY_TOL)
+        m = _hermitian_copy(self.matrix, "density operator")
         tr = float(np.trace(m).real)
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace {tr!r} is not 1 within {TRACE_TOL:.0e}")
@@ -119,7 +125,6 @@ class DensityOperator:
                 raise ValueError(
                     f"minimum eigenvalue {low:.3e} is below the PSD floor {EIGENVALUE_FLOOR:.0e}"
                 )
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -137,12 +142,7 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128)  # the one copy that is kept
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise DimensionError("operator must be a square nonempty matrix")
-        _check_hermitian(m, HERMITICITY_TOL)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _hermitian_copy(self.matrix, "operator"))
 
     @property
     def dim(self) -> int:
@@ -195,13 +195,17 @@ def haar_unitary(dim: int, seed: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _half_trace_norms(m: np.ndarray) -> np.ndarray:
+    """Half the trace norm of each Hermitian matrix in a stack, over the last two axes."""
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1)
+
+
 def trace_distance(a, b) -> float:
     """Half the trace norm of (a - b), from eigenvalues of the Hermitian difference."""
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.shape != mb.shape:
         raise DimensionError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    eigs = np.linalg.eigvalsh(ma - mb)
-    return 0.5 * float(np.sum(np.abs(eigs)))
+    return float(_half_trace_norms(ma - mb))
 
 
 def hs_norm(a) -> float:

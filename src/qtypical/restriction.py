@@ -24,13 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .channels import (
-    QuantumChannel,
-    _choi_matrix,
-    _gated_linear_entropy,
-    _state_block,
-    choi_to_kraus,
-)
+from .channels import QuantumChannel, _gated_linear_entropy, _minimal_channel, _state_block
 from .qcore import DensityOperator, DimensionError, _check_dense_bytes
 
 __all__ = [
@@ -101,11 +95,7 @@ def restrict_channel(ch: QuantumChannel, sub: ExcitationSubspace) -> QuantumChan
         raise DimensionError(
             f"channel input dim {ch.dim_in} does not match 2^{sub.n_sites}"
         )
-    restricted = ch.kraus[:, :, sub.indices]
-    if restricted.shape[0] > sub.d_r * ch.dim_out:
-        j = _choi_matrix(restricted, sub.d_r)
-        return choi_to_kraus(j, dim_in=sub.d_r, dim_out=ch.dim_out)
-    return QuantumChannel(sub.d_r, ch.dim_out, restricted)
+    return _minimal_channel(ch.kraus[:, :, sub.indices], sub.d_r, ch.dim_out)
 
 
 def effective_environment_dimension(sub: ExcitationSubspace, split: tuple[int, int]) -> float:

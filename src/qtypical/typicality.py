@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channels import ConsistencyError, QuantumChannel, lipschitz_estimate
-from .qcore import DensityOperator, _check_dense_bytes, derive_seed, haar_sample
+from .qcore import DensityOperator, _check_dense_bytes, _half_trace_norms, derive_seed, haar_sample
 
 if TYPE_CHECKING:
     from .bns import DetectorChannel
@@ -115,8 +115,9 @@ def sample_distances(cfg: ExperimentConfig) -> list:
         stop = min(start + SAMPLE_CHUNK, cfg.samples)
         psis = np.stack([haar_sample(d, derive_seed(cfg.master_seed, i)).amplitudes
                          for i in range(start, stop)])
-        eigs = np.linalg.eigvalsh(ch.apply_pure_batch(psis) - omega)
-        distances[start:stop] = 0.5 * np.sum(np.abs(eigs), axis=1)
+        out = ch.apply_pure_batch(psis)
+        out -= omega  # in place: the chunk holds one block of outputs, not two
+        distances[start:stop] = _half_trace_norms(out)
     return distances.tolist()
 
 
@@ -189,25 +190,10 @@ class TypicalityReport:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "d_r": self.d_r,
-            "d_s": self.d_s,
-            "samples": self.samples,
-            "master_seed": self.master_seed,
-            "mean_distance": self.mean_distance,
-            "std_distance": self.std_distance,
-            "max_distance": self.max_distance,
-            "entropy_bound": self.entropy_bound,
-            "linear_entropy": self.linear_entropy,
-            "eta_mode": self.eta_mode,
-            "eta_used": self.eta_used,
-            "partial_trace_bound": self.partial_trace_bound,
-            "tail_diagnostic_only": self.tail_diagnostic_only,
-            "tail_table": [
-                {"epsilon": e, "empirical_tail": f, "levy_bound": b}
-                for e, f, b in self.tail_table
-            ],
-        }
+        data = asdict(self)
+        data["tail_table"] = [{"epsilon": e, "empirical_tail": f, "levy_bound": b}
+                              for e, f, b in self.tail_table]
+        return data
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -134,7 +134,10 @@ def test_apply_pure_batch_matches_apply_pure(ch_factory):
     batch = ch.apply_pure_batch(psis)
     assert batch.shape == (7, ch.dim_out, ch.dim_out)
     for psi, rho in zip(psis, batch):
+        # GEMM rounding depends on the row count, so the 7-row block agrees with
+        # one-row calls to the last bits only; apply_pure is the one-row block exactly
         np.testing.assert_allclose(rho, ch.apply_pure(psi), rtol=0, atol=1e-13)
+        assert np.array_equal(ch.apply_pure(psi), ch.apply_pure_batch(psi[None])[0])
 
 
 def test_apply_pure_batch_dimension_mismatch():
@@ -200,6 +203,26 @@ def test_choi_state_rejects_bad_marginal():
     bad = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     with pytest.raises(CPTPError):
         ChoiState(2, 2, DensityOperator(bad))
+
+
+def _choi_marginal_off_by(delta: float) -> np.ndarray:
+    """Completely depolarizing 2 x 2 Choi matrix with its input marginal off by delta;
+    it keeps unit trace and stays positive."""
+    j = np.eye(4, dtype=complex) / 4
+    j[0, 0] += delta  # (output 0, input 0)
+    j[1, 1] -= delta  # (output 0, input 1)
+    return j
+
+
+def test_choi_marginal_checks_keep_their_own_tolerances():
+    with pytest.raises(CPTPError, match=r"by 1\.000e-09 \(> 1e-10\)"):
+        ChoiState(2, 2, DensityOperator(_choi_marginal_off_by(1e-9)))
+    with pytest.raises(CPTPError, match=r"by 1\.000e-06 \(> 1e-08\)"):
+        choi_to_kraus(_choi_marginal_off_by(1e-6), dim_in=2, dim_out=2)
+    # a raw matrix within CHOI_MARGINAL_TOL passes the marginal check and is
+    # refused by the Kraus family's trace-preservation check instead
+    with pytest.raises(CPTPError, match="violates trace preservation"):
+        choi_to_kraus(_choi_marginal_off_by(1e-9), dim_in=2, dim_out=2)
 
 
 # -- linear entropy --

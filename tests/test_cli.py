@@ -1,7 +1,10 @@
 import csv
 import json
+import runpy
+import sys
 import time
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +193,26 @@ def test_figure_bound_rerun_is_byte_identical(tmp_path):
     run(["figure-bound", "--N", 4, "--k", 2, "--samples", 40, "--seed", 9,
          "--out", b])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("script, args, plot_names", [
+    ("typicality_bounds.py", ["--N", "4", "--samples", "20", "--k", "2", "4"],
+     ["bound_k2_plot.py", "bound_k4_plot.py"]),
+    ("energy_distributions.py", [], ["energy_plot.py"]),
+])
+def test_scripts_run_and_emit_compilable_plot_scripts(script, args, plot_names, tmp_path,
+                                                      monkeypatch):
+    # matplotlib is optional, so the generated plot scripts are compiled, not run
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [str(path), *args])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exited.value.code == 0
+    plots = sorted(tmp_path.glob("*_plot.py"))
+    assert [p.name for p in plots] == plot_names
+    for plot in plots:
+        compile(plot.read_text(), str(plot), "exec")
 
 
 def test_figure_bound_refuses_oversized_channel_quickly(tmp_path):

@@ -173,6 +173,13 @@ def test_trace_distance_plus_vs_zero():
     assert abs(trace_distance(plus, zero) - np.sqrt(0.5)) < 1e-12
 
 
+def test_half_trace_norms_of_a_stack_match_trace_distance_bitwise():
+    rhos = [random_density(20, seed).matrix for seed in range(6)]
+    sigma = random_density(20, 99).matrix
+    stacked = qcore._half_trace_norms(np.stack(rhos) - sigma)
+    assert stacked.tolist() == [trace_distance(rho, sigma) for rho in rhos]
+
+
 def test_trace_distance_dimension_mismatch():
     with pytest.raises(DimensionError):
         trace_distance(random_density(2, 0), random_density(3, 0))

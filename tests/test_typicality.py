@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from qtypical.typicality import (
     LEVY_CONSTANT,
     SAMPLE_CHUNK,
     ExperimentConfig,
+    TypicalityReport,
     canonical_state,
     depolarizing_bound,
     entropy_bound,
@@ -86,6 +89,18 @@ def test_sample_distances_match_per_sample_oracle(samples):
     got = sample_distances(cfg)
     assert len(got) == samples
     assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-14
+
+
+def test_sample_distances_peak_is_one_block_of_outputs():
+    cfg = ExperimentConfig(channel=identity_channel(128), samples=SAMPLE_CHUNK, master_seed=3)
+    outputs = 16 * SAMPLE_CHUNK * 128**2
+    tracemalloc.start()
+    try:
+        sample_distances(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * outputs
 
 
 def test_sample_distances_refuses_oversized_chunk_before_sampling(monkeypatch):
@@ -281,6 +296,7 @@ def test_report_json_roundtrip(tmp_path):
     path = tmp_path / "report.json"
     report.save(path)
     data = json.loads(path.read_text())
+    assert sorted(data) == sorted(f.name for f in dataclasses.fields(TypicalityReport))
     assert data["d_r"] == 3
     assert data["mean_distance"] == report.mean_distance
     assert data["tail_table"][0]["epsilon"] == 0.5
