@@ -480,9 +480,14 @@ def _orthonormal_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, n
     return q[:, 0], q[:, 1]
 
 
-def _pair_objective(ch, psi: np.ndarray, phi: np.ndarray) -> float:
-    out = ch.apply_pure_batch(np.stack((psi, phi)))
-    return float(_half_trace_norms(out[0] - out[1]))
+_LIPSCHITZ_GROUP = 128  # trials run in lockstep: a block of at most 256 rows, one sampling chunk
+
+
+def _pair_objectives(ch, psis: np.ndarray, phis: np.ndarray) -> list:
+    """||ch(psi) - ch(phi)||_1 / 2 for each row pair, from one applied block [psis; phis]."""
+    out = ch.apply_pure_batch(np.concatenate((psis, phis)))
+    n = len(psis)
+    return _half_trace_norms(out[:n] - out[n:]).tolist()
 
 
 def lipschitz_estimate(ch, trials: int, seed: int) -> float:
@@ -493,40 +498,55 @@ def lipschitz_estimate(ch, trials: int, seed: int) -> float:
     it over random pairs with greedy local refinement gives a guaranteed
     lower bound. The result is nondecreasing in ``trials`` for a fixed seed
     because each trial only extends the maximized set. ``ch`` needs only
-    ``dim_in`` and ``apply_pure_batch``: each candidate pair is applied as one
-    two-row block.
+    ``dim_in`` and ``apply_pure_batch``. Trial t draws from its own seed
+    ``derive_seed(seed, t)``; up to _LIPSCHITZ_GROUP trials run in lockstep,
+    and each refinement round applies all their candidate pairs as one block,
+    so every trial follows the same path as it would alone.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    d = ch.dim_in
-    if d == 1:
+    if ch.dim_in == 1:
         return 0.0
-    best = 0.0
-    for t in range(trials):
-        rng = _generator(derive_seed(seed, t))
-        psi, phi = _orthonormal_pair(rng, d)
-        value = _pair_objective(ch, psi, phi)
-        step = 0.4
-        for _ in range(60):
+    groups = (range(first, min(first + _LIPSCHITZ_GROUP, trials))
+              for first in range(0, trials, _LIPSCHITZ_GROUP))
+    return min(max(max(_lockstep_search(ch, group, seed)) for group in groups), 1.0)
+
+
+def _lockstep_search(ch, trial_ids: range, seed: int) -> list:
+    """Final objective of each trial's greedy search, the trials refined side by side."""
+    d = ch.dim_in
+    rngs = [_generator(derive_seed(seed, t)) for t in trial_ids]
+    pairs = [_orthonormal_pair(rng, d) for rng in rngs]
+    psis = np.array([psi for psi, _ in pairs])
+    phis = np.array([phi for _, phi in pairs])
+    values = _pair_objectives(ch, psis, phis)
+    steps = [0.4] * len(rngs)
+    for _ in range(60):
+        drawn, cand_psis, cand_phis = [], [], []
+        for i, (rng, step) in enumerate(zip(rngs, steps)):
             if step < 1e-4:
-                break
+                continue
             noise = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
-            cand_psi = psi + step * noise[:, 0]
+            cand_psi = psis[i] + step * noise[:, 0]
             cand_psi = cand_psi / np.linalg.norm(cand_psi)
-            cand_phi = phi + step * noise[:, 1]
+            cand_phi = phis[i] + step * noise[:, 1]
             cand_phi = cand_phi - (cand_psi.conj() @ cand_phi) * cand_psi
             norm = np.linalg.norm(cand_phi)
             if norm < 1e-12:
-                step *= 0.5
+                steps[i] *= 0.5
                 continue
-            cand_phi = cand_phi / norm
-            cand_value = _pair_objective(ch, cand_psi, cand_phi)
-            if cand_value > value:
-                psi, phi, value = cand_psi, cand_phi, cand_value
+            drawn.append(i)
+            cand_psis.append(cand_psi)
+            cand_phis.append(cand_phi / norm)
+        if not drawn:
+            continue
+        cand_values = _pair_objectives(ch, np.array(cand_psis), np.array(cand_phis))
+        for i, cand_psi, cand_phi, cand_value in zip(drawn, cand_psis, cand_phis, cand_values):
+            if cand_value > values[i]:
+                psis[i], phis[i], values[i] = cand_psi, cand_phi, cand_value
             else:
-                step *= 0.7
-        best = max(best, value)
-    return min(best, 1.0)
+                steps[i] *= 0.7
+    return values
 
 
 # -- equality and serialization -------------------------------------------------

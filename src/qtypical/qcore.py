@@ -172,12 +172,30 @@ def haar_sample(dim: int, seed: int) -> StateVector:
     and normalized; rotational invariance of the Gaussian makes the result
     exactly Haar distributed. Deterministic for a fixed seed.
     """
+    return StateVector(_haar_rows(dim, (seed,))[0])
+
+
+def _haar_rows(dim: int, seeds) -> np.ndarray:
+    """(len(seeds), dim) block of Haar states, row i drawn as ``haar_sample(dim, seeds[i])``.
+
+    Each seed has its own generator. Its 2*dim Gaussians fill one reused
+    (2, dim) buffer, are copied into the row's real and imaginary parts, and
+    the row is divided in place by its norm, so the block is the only array
+    of its size. One unit-norm check (within 1e-12) covers the whole block.
+    """
     if dim < 1:
         raise DimensionError(f"dimension must be >= 1, got {dim}")
-    rng = _generator(seed)
-    parts = rng.standard_normal((2, dim))
-    z = parts[0] + 1j * parts[1]
-    return StateVector(z / np.linalg.norm(z))
+    block = np.empty((len(seeds), dim), dtype=np.complex128)
+    buf = np.empty((2, dim))
+    for row, seed in zip(block, seeds):
+        _generator(seed).standard_normal(out=buf)
+        row.real, row.imag = buf
+        row /= np.linalg.norm(row)
+    flat = block.view(np.float64)
+    dev = float(np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", flat, flat)) - 1.0)))
+    if not dev <= 1e-12:
+        raise ValueError(f"Haar state norm deviates from 1 by {dev!r} (> 1e-12)")
+    return block
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:

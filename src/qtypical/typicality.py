@@ -14,9 +14,10 @@ a dense ``QuantumChannel``, or one of the matrix-free restricted channels
 canonical states and entropies are exact counts and which never form a
 Kraus array or a Choi matrix.
 
-Sampling runs in fixed chunks of SAMPLE_CHUNK samples: each chunk stacks
-its Haar vectors, applies the channel to the whole block in one batched
-call and takes the trace distances from one batched eigensolve. A chunk whose
+Sampling runs in fixed chunks of SAMPLE_CHUNK samples: each chunk fills one
+block with its Haar vectors in place (``qcore._haar_rows``, one generator per
+sample), applies the channel to the whole block in one batched call and
+takes the trace distances from one batched eigensolve. A chunk whose
 states or outputs exceed the 512 MiB dense budget is refused before any work.
 Sample i always uses seed derive_seed(master_seed, i), so it depends only
 on (master_seed, i). The chunk size is a constant, so output bytes never
@@ -33,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channels import ConsistencyError, QuantumChannel, lipschitz_estimate
-from .qcore import DensityOperator, _check_dense_bytes, _half_trace_norms, derive_seed, haar_sample
+from .qcore import DensityOperator, _check_dense_bytes, _haar_rows, _half_trace_norms, derive_seed
 
 if TYPE_CHECKING:
     from .bns import DetectorChannel
@@ -101,7 +102,8 @@ def sample_distances(cfg: ExperimentConfig) -> list:
 
     Output order follows the sample index; entry i is the distance for the
     state haar_sample(dim_in, derive_seed(master_seed, i)). Samples are
-    processed in blocks of SAMPLE_CHUNK.
+    processed in blocks of SAMPLE_CHUNK, each drawn in place into one
+    (chunk, dim_in) array by ``_haar_rows`` with the same bits.
     """
     ch = cfg.channel
     d, d_out = ch.dim_in, ch.dim_out
@@ -113,8 +115,7 @@ def sample_distances(cfg: ExperimentConfig) -> list:
     distances = np.empty(cfg.samples)
     for start in range(0, cfg.samples, SAMPLE_CHUNK):
         stop = min(start + SAMPLE_CHUNK, cfg.samples)
-        psis = np.stack([haar_sample(d, derive_seed(cfg.master_seed, i)).amplitudes
-                         for i in range(start, stop)])
+        psis = _haar_rows(d, [derive_seed(cfg.master_seed, i) for i in range(start, stop)])
         out = ch.apply_pure_batch(psis)
         out -= omega  # in place: the chunk holds one block of outputs, not two
         distances[start:stop] = _half_trace_norms(out)

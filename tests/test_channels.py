@@ -30,13 +30,18 @@ from qtypical.channels import (
     tensor,
     unitary_channel,
 )
+from qtypical.bns import DetectorChannel
 from qtypical.qcore import (
     DensityOperator,
     DimensionError,
     HermitianOperator,
     StateVector,
+    _generator,
+    derive_seed,
     haar_unitary,
 )
+from qtypical.restriction import RestrictedPartialTrace
+from qtypical.typicality import SAMPLE_CHUNK
 
 
 # -- construction invariants --
@@ -575,12 +580,87 @@ def test_lipschitz_two_row_batch_matches_per_state_objective(monkeypatch):
     ch = random_channel(6, 3, 4, seed=29)
     batched = lipschitz_estimate(ch, 3, 41)
 
-    def per_state(c, psi, phi):
-        delta = c.apply_pure(psi) - c.apply_pure(phi)
-        return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
+    def per_state(c, psis, phis):
+        deltas = [c.apply_pure(psi) - c.apply_pure(phi) for psi, phi in zip(psis, phis)]
+        return [0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta)))) for delta in deltas]
 
-    monkeypatch.setattr(channels, "_pair_objective", per_state)
+    monkeypatch.setattr(channels, "_pair_objectives", per_state)
     assert abs(lipschitz_estimate(ch, 3, 41) - batched) < 1e-12
+
+
+def _sequential_lipschitz_trials(ch, trials, seed):
+    # the 0.9.0 search: one trial after another, each candidate pair a two-row block
+    def objective(psi, phi):
+        out = ch.apply_pure_batch(np.stack((psi, phi)))
+        return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(out[0] - out[1]))))
+
+    d = ch.dim_in
+    finals = []
+    for t in range(trials):
+        rng = _generator(derive_seed(seed, t))
+        psi, phi = channels._orthonormal_pair(rng, d)
+        value, step = objective(psi, phi), 0.4
+        for _ in range(60):
+            if step < 1e-4:
+                break
+            noise = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+            cand_psi = psi + step * noise[:, 0]
+            cand_psi = cand_psi / np.linalg.norm(cand_psi)
+            cand_phi = phi + step * noise[:, 1]
+            cand_phi = cand_phi - (cand_psi.conj() @ cand_phi) * cand_psi
+            norm = np.linalg.norm(cand_phi)
+            if norm < 1e-12:
+                step *= 0.5
+                continue
+            cand_phi = cand_phi / norm
+            cand_value = objective(cand_psi, cand_phi)
+            if cand_value > value:
+                psi, phi, value = cand_psi, cand_phi, cand_value
+            else:
+                step *= 0.7
+        finals.append(value)
+    return finals
+
+
+@pytest.mark.parametrize("make", [lambda: RestrictedPartialTrace(10, 5, 3),
+                                  lambda: DetectorChannel(8, 2, 4)],
+                         ids=["partial_trace_10_5_3", "detector_8_2_4"])
+def test_lipschitz_lockstep_matches_sequential_trials_bit_for_bit(make):
+    ch = make()
+    expected = _sequential_lipschitz_trials(ch, 16, 2024)
+    assert channels._lockstep_search(ch, range(16), 2024) == expected
+    assert lipschitz_estimate(ch, 16, 2024) == min(max(expected), 1.0)
+
+
+def test_lipschitz_lockstep_matches_sequential_trials_on_dense_channel():
+    ch = random_channel(8, 4, 3, seed=5)
+    expected = _sequential_lipschitz_trials(ch, 16, 7)
+    got = channels._lockstep_search(ch, range(16), 7)
+    assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-12
+    assert abs(lipschitz_estimate(ch, 16, 7) - min(max(expected), 1.0)) <= 1e-12
+
+
+def test_lipschitz_crosses_a_trial_group_and_keeps_blocks_within_a_chunk(monkeypatch):
+    ch = RestrictedPartialTrace(6, 3, 2)
+    trials = channels._LIPSCHITZ_GROUP + 2
+    expected = min(max(_sequential_lipschitz_trials(ch, trials, 11)), 1.0)
+    groups, rows = [], []
+    search, apply_pure_batch = channels._lockstep_search, RestrictedPartialTrace.apply_pure_batch
+
+    def recording_search(c, trial_ids, seed):
+        groups.append(trial_ids)
+        return search(c, trial_ids, seed)
+
+    def counting_apply(c, psis):
+        rows.append(len(psis))
+        return apply_pure_batch(c, psis)
+
+    monkeypatch.setattr(channels, "_lockstep_search", recording_search)
+    monkeypatch.setattr(RestrictedPartialTrace, "apply_pure_batch", counting_apply)
+    assert lipschitz_estimate(ch, trials, 11) == expected
+    assert groups == [range(0, channels._LIPSCHITZ_GROUP), range(channels._LIPSCHITZ_GROUP, trials)]
+    # the first group's opening block is the largest, and no larger than a sampling chunk
+    assert max(rows) == 2 * channels._LIPSCHITZ_GROUP == SAMPLE_CHUNK
 
 
 def test_lipschitz_requires_positive_trials():

@@ -314,13 +314,13 @@ def test_typicality_distances_csv_samples_once(tmp_path, monkeypatch):
     import qtypical.typicality as typicality
 
     draws = []
-    original = typicality.haar_sample
+    original = typicality._haar_rows
 
-    def counting(dim, seed):
-        draws.append(seed)
-        return original(dim, seed)
+    def counting(dim, seeds):
+        draws.extend(seeds)
+        return original(dim, seeds)
 
-    monkeypatch.setattr(typicality, "haar_sample", counting)
+    monkeypatch.setattr(typicality, "_haar_rows", counting)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "channel": {"type": "bns", "N": 4, "k": 2, "Np": 2},

@@ -132,6 +132,36 @@ def test_haar_first_moment_matches_maximally_mixed():
     assert np.max(np.abs(mean - np.eye(dim) / dim)) < 5.0 / np.sqrt(n)
 
 
+def _haar_state_per_sample(dim, seed):
+    # the 0.9.0 haar_sample body, one generator and one normalisation per state
+    parts = qcore._generator(seed).standard_normal((2, dim))
+    z = parts[0] + 1j * parts[1]
+    return z / np.linalg.norm(z)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 252, 1000])
+@pytest.mark.parametrize("n_states", [256, 37])  # a full and a partial sampling chunk
+def test_haar_rows_match_per_sample_draws_bit_for_bit(dim, n_states):
+    seeds = [derive_seed(2024, i) for i in range(n_states)]
+    expected = np.stack([_haar_state_per_sample(dim, s) for s in seeds])
+    assert qcore._haar_rows(dim, seeds).tobytes() == expected.tobytes()
+    assert haar_sample(dim, seeds[-1]).amplitudes.tobytes() == expected[-1].tobytes()
+
+
+def test_haar_rows_peak_is_one_output_block():
+    dim = 1000
+    seeds = [derive_seed(5, i) for i in range(256)]
+    block = 16 * len(seeds) * dim
+    qcore._haar_rows(dim, seeds[:1])  # one-time module and generator setup is not per block
+    tracemalloc.start()
+    try:
+        qcore._haar_rows(dim, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * block
+
+
 def test_haar_unitary_is_unitary():
     u = haar_unitary(5, 3)
     assert np.max(np.abs(u @ u.conj().T - np.eye(5))) < 1e-12

@@ -108,7 +108,7 @@ def test_sample_distances_refuses_oversized_chunk_before_sampling(monkeypatch):
     import qtypical.typicality as typicality
 
     draws = []
-    monkeypatch.setattr(typicality, "haar_sample", lambda dim, seed: draws.append(seed))
+    monkeypatch.setattr(typicality, "_haar_rows", lambda dim, seeds: draws.extend(seeds))
     cfg = ExperimentConfig(channel=RestrictedPartialTrace(20, 10, 2), samples=300,
                            master_seed=1)
     with pytest.raises(DimensionError, match="MiB"):
@@ -122,7 +122,7 @@ def test_sample_distances_refuses_oversized_outputs_before_any_work(monkeypatch,
     import qtypical.typicality as typicality
 
     draws, canonical = [], []
-    monkeypatch.setattr(typicality, "haar_sample", lambda dim, seed: draws.append(seed))
+    monkeypatch.setattr(typicality, "_haar_rows", lambda dim, seeds: draws.extend(seeds))
     monkeypatch.setattr(typicality, "canonical_state", canonical.append)
     cfg = ExperimentConfig(channel=identity_channel(20), samples=11, master_seed=1)
     with pytest.raises(DimensionError, match="11 outputs of dimension 20"):
