@@ -22,6 +22,7 @@ from .qcore import (
     DensityOperator,
     DimensionError,
     _as_matrix,
+    _block_items,
     _check_dense_bytes,
     _generator,
     _half_trace_norms,
@@ -480,14 +481,12 @@ def _orthonormal_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, n
     return q[:, 0], q[:, 1]
 
 
-_LIPSCHITZ_GROUP = 128  # trials run in lockstep: a block of at most 256 rows, one sampling chunk
-
-
 def _pair_objectives(ch, psis: np.ndarray, phis: np.ndarray) -> list:
     """||ch(psi) - ch(phi)||_1 / 2 for each row pair, from one applied block [psis; phis]."""
     out = ch.apply_pure_batch(np.concatenate((psis, phis)))
     n = len(psis)
-    return _half_trace_norms(out[:n] - out[n:]).tolist()
+    out[:n] -= out[n:]  # in place: the differences add no half block
+    return _half_trace_norms(out[:n]).tolist()
 
 
 def lipschitz_estimate(ch, trials: int, seed: int) -> float:
@@ -496,20 +495,29 @@ def lipschitz_estimate(ch, trials: int, seed: int) -> float:
     Orthogonal pure pairs have difference of trace norm exactly 2, so
     ||channel(psi - phi)||_1 / 2 never exceeds the true constant; maximizing
     it over random pairs with greedy local refinement gives a guaranteed
-    lower bound. The result is nondecreasing in ``trials`` for a fixed seed
-    because each trial only extends the maximized set. ``ch`` needs only
-    ``dim_in`` and ``apply_pure_batch``. Trial t draws from its own seed
-    ``derive_seed(seed, t)``; up to _LIPSCHITZ_GROUP trials run in lockstep,
-    and each refinement round applies all their candidate pairs as one block,
-    so every trial follows the same path as it would alone.
+    lower bound. ``ch`` needs only ``dim_in``, ``dim_out`` and
+    ``apply_pure_batch``. Trial t draws from its own seed
+    ``derive_seed(seed, t)``. Trials run in lockstep groups, and each
+    refinement round applies all of a group's candidate pairs as one block.
+    A group is as large as ``_block_items`` allows: at most _BLOCK_ROWS / 2
+    trials, and no more than fit the 512 MiB budget at 8 input rows and 3
+    output-sized rows per trial (its pairs and candidates; two outputs and
+    room for the channel's work arrays), so the block never grows past the
+    budget with ``trials``.
+
+    The matrix-free restricted channels give outputs that do not depend on
+    the block's row count, so there every trial follows the same path as it
+    would alone, and the result is nondecreasing in ``trials`` for a fixed
+    seed. A dense ``QuantumChannel`` applies a block with one GEMM whose
+    rounding depends on the row count, so both hold only up to rounding.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if ch.dim_in == 1:
         return 0.0
-    groups = (range(first, min(first + _LIPSCHITZ_GROUP, trials))
-              for first in range(0, trials, _LIPSCHITZ_GROUP))
-    return min(max(max(_lockstep_search(ch, group, seed)) for group in groups), 1.0)
+    group = _block_items(16 * (8 * ch.dim_in + 3 * ch.dim_out**2), 2)
+    groups = (range(first, min(first + group, trials)) for first in range(0, trials, group))
+    return min(max(max(_lockstep_search(ch, ids, seed)) for ids in groups), 1.0)
 
 
 def _lockstep_search(ch, trial_ids: range, seed: int) -> list:

@@ -8,7 +8,9 @@ Conventions shared by every module in the package:
 * randomness is reproducible through ``derive_seed(master_seed, index)``,
   so results never depend on how work is split across threads;
 * one size policy: ``_check_dense_bytes`` refuses, before allocating, any
-  dense array above the 512 MiB budget with a ``DimensionError``.
+  dense array above the 512 MiB budget with a ``DimensionError``, and
+  ``_block_items`` sizes batched blocks by the same budget, capped at
+  ``_BLOCK_ROWS`` states.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 TRACE_TOL = 1e-10
 _DENSE_BYTES_LIMIT = 512 * 2**20  # largest dense array the package may allocate
+_BLOCK_ROWS = 256  # most states in one batched block; a constant, so block shapes never depend on the machine
 
 
 class DimensionError(ValueError):
@@ -48,6 +51,15 @@ def _check_dense_bytes(n_bytes: int, what: str) -> None:
     """Refuse, before allocating, a dense array above the 512 MiB budget."""
     if n_bytes > _DENSE_BYTES_LIMIT:
         raise DimensionError(f"{what} needs {n_bytes / 2**20:.0f} MiB (limit 512 MiB)")
+
+
+def _block_items(item_bytes: int, rows_per_item: int) -> int:
+    """Items per batched block, each item rows_per_item states needing item_bytes in all.
+
+    At most _BLOCK_ROWS states and the 512 MiB budget, and at least one item: an
+    item alone above the budget is left for its own size check to refuse.
+    """
+    return max(1, min(_BLOCK_ROWS // rows_per_item, _DENSE_BYTES_LIMIT // item_bytes))
 
 
 def _as_matrix(a) -> np.ndarray:

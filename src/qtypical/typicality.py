@@ -34,7 +34,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channels import ConsistencyError, QuantumChannel, lipschitz_estimate
-from .qcore import DensityOperator, _check_dense_bytes, _haar_rows, _half_trace_norms, derive_seed
+from .qcore import (
+    _BLOCK_ROWS,
+    DensityOperator,
+    _check_dense_bytes,
+    _haar_rows,
+    _half_trace_norms,
+    derive_seed,
+)
 
 if TYPE_CHECKING:
     from .bns import DetectorChannel
@@ -55,7 +62,7 @@ __all__ = [
 ]
 
 LEVY_CONSTANT = 2.0 / (9.0 * math.pi**3)
-SAMPLE_CHUNK = 256  # samples per batched block; a constant, so output bytes are reproducible
+SAMPLE_CHUNK = _BLOCK_ROWS  # samples per batched block; a constant, so output bytes are reproducible
 ETA_STREAM_INDEX = 0xFFFFFFFFFFFFFFFF  # seed stream index reserved for eta estimation
 
 

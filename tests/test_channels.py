@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import matrix_unit, random_density
-from qtypical import channels
+from qtypical import channels, qcore
 from qtypical.channels import (
     CPTPError,
     ChoiState,
@@ -41,7 +41,6 @@ from qtypical.qcore import (
     haar_unitary,
 )
 from qtypical.restriction import RestrictedPartialTrace
-from qtypical.typicality import SAMPLE_CHUNK
 
 
 # -- construction invariants --
@@ -640,9 +639,10 @@ def test_lipschitz_lockstep_matches_sequential_trials_on_dense_channel():
     assert abs(lipschitz_estimate(ch, 16, 7) - min(max(expected), 1.0)) <= 1e-12
 
 
-def test_lipschitz_crosses_a_trial_group_and_keeps_blocks_within_a_chunk(monkeypatch):
+def test_lipschitz_crosses_a_trial_group_and_keeps_blocks_within_the_row_cap(monkeypatch):
     ch = RestrictedPartialTrace(6, 3, 2)
-    trials = channels._LIPSCHITZ_GROUP + 2
+    group = qcore._BLOCK_ROWS // 2
+    trials = group + 2
     expected = min(max(_sequential_lipschitz_trials(ch, trials, 11)), 1.0)
     groups, rows = [], []
     search, apply_pure_batch = channels._lockstep_search, RestrictedPartialTrace.apply_pure_batch
@@ -658,9 +658,30 @@ def test_lipschitz_crosses_a_trial_group_and_keeps_blocks_within_a_chunk(monkeyp
     monkeypatch.setattr(channels, "_lockstep_search", recording_search)
     monkeypatch.setattr(RestrictedPartialTrace, "apply_pure_batch", counting_apply)
     assert lipschitz_estimate(ch, trials, 11) == expected
-    assert groups == [range(0, channels._LIPSCHITZ_GROUP), range(channels._LIPSCHITZ_GROUP, trials)]
-    # the first group's opening block is the largest, and no larger than a sampling chunk
-    assert max(rows) == 2 * channels._LIPSCHITZ_GROUP == SAMPLE_CHUNK
+    assert groups == [range(0, group), range(group, trials)]
+    # the first group's opening block is the largest, and no larger than the row cap
+    assert max(rows) == qcore._BLOCK_ROWS
+
+
+def test_lipschitz_groups_shrink_to_the_budget_where_a_two_row_block_fits(monkeypatch):
+    ch = RestrictedPartialTrace(12, 6, 6)
+    trials = 8
+    expected = lipschitz_estimate(ch, trials, 13)  # also builds the grouping plan at the real budget
+    # room for two trials by the group rule: a block of 2 rows fits, one of 2 * trials rows does not
+    per_trial = 16 * (8 * ch.dim_in + 3 * ch.dim_out**2)
+    monkeypatch.setattr(qcore, "_DENSE_BYTES_LIMIT", 2 * per_trial)
+    with pytest.raises(DimensionError):
+        ch.apply_pure_batch(np.zeros((2 * trials, ch.dim_in), dtype=np.complex128))
+    rows = []
+    apply_pure_batch = RestrictedPartialTrace.apply_pure_batch
+
+    def counting_apply(c, psis):
+        rows.append(len(psis))
+        return apply_pure_batch(c, psis)
+
+    monkeypatch.setattr(RestrictedPartialTrace, "apply_pure_batch", counting_apply)
+    assert lipschitz_estimate(ch, trials, 13) == expected
+    assert max(rows) == 4
 
 
 def test_lipschitz_requires_positive_trials():

@@ -162,6 +162,14 @@ def test_haar_rows_peak_is_one_output_block():
     assert peak <= 1.1 * block
 
 
+def test_block_items_caps_rows_then_fits_the_budget(small_dense_budget):
+    assert qcore._block_items(1, 1) == qcore._BLOCK_ROWS
+    assert qcore._block_items(1, 2) == qcore._BLOCK_ROWS // 2
+    assert qcore._block_items(small_dense_budget // 3, 2) == 3
+    assert qcore._block_items(small_dense_budget, 2) == 1
+    assert qcore._block_items(small_dense_budget + 1, 2) == 1  # left for its own size check
+
+
 def test_haar_unitary_is_unitary():
     u = haar_unitary(5, 3)
     assert np.max(np.abs(u @ u.conj().T - np.eye(5))) < 1e-12
