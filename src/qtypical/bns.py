@@ -26,7 +26,7 @@ import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -128,16 +128,35 @@ def _occupied_counts(n: int, n_excited: int, j_max: int) -> list[int]:
     The number of ways to place Np excitations in j blocks of n sites with no
     block empty; inclusion-exclusion over the empty blocks gives
     alpha_j = sum_q (-1)^(j - q) C(j, q) C(n q, Np), with C(a, b) = 0 for b > a.
+    That sum is the j-th forward difference at 0 of b_q = C(n q, Np), so it is
+    evaluated as a difference table: each row holds the differences of the row
+    above, and alpha_j is the leading entry of row j. That takes
+    j_max (j_max + 1) / 2 big-integer subtractions and no big products.
     """
-    big_binom = [comb(n * q, n_excited) for q in range(j_max + 1)]
+    row = [comb(n * q, n_excited) for q in range(j_max + 1)]
     counts = []
-    for j in range(j_max + 1):
-        total = 0
-        for q in range(j + 1):
-            term = comb(j, q) * big_binom[q]
-            total += term if (j - q) % 2 == 0 else -term
-        counts.append(total)
+    while row:
+        counts.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
     return counts
+
+
+def _exact_sum(values, factors=None) -> Fraction:
+    """sum_i factors[i] * values[i] for rationals, over one common denominator.
+
+    Each term costs one lcm step instead of the two gcds of ``Fraction``
+    addition; the result is the same exact rational. ``factors`` are integers,
+    all 1 by default.
+    """
+    values = tuple(values)
+    if factors is None:
+        factors = [1] * len(values)
+    try:
+        denominator = lcm(*(p.denominator for p in values))
+    except AttributeError:
+        raise TypeError("exact sums take rational values only") from None
+    return Fraction(sum(c * p.numerator * (denominator // p.denominator)
+                        for c, p in zip(factors, values)), denominator)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -169,7 +188,7 @@ class BnSCanonicalSpectrum:
     def __post_init__(self):
         if any(w < 0 for w in self.weights.values()):
             raise ValueError("negative sector weight")
-        if sum(self.sector_probability.values()) != 1:
+        if _exact_sum(self.sector_probability.values()) != 1:
             raise ValueError("sector probabilities do not sum to exactly 1")
 
     def weight(self, m: int) -> Fraction:
@@ -197,7 +216,9 @@ def canonical_spectrum(n_sites: int, n_excited: int, n_blocks: int) -> BnSCanoni
 
         w_m = (1/C(N, Np)) * sum_q C(m, q) * C((N/k) q, Np) * (-1)^(m-q)
 
-    with the convention C(a, b) = 0 for b > a. All arithmetic is exact.
+    with the convention C(a, b) = 0 for b > a. The alternating sums for every m
+    come out of one forward-difference table of the C((N/k) q, Np), built by
+    big-integer subtraction (``_occupied_counts``); all arithmetic is exact.
     """
     n = _block_size(n_sites, n_blocks)
     if not 0 <= n_excited <= n_sites:
@@ -387,14 +408,13 @@ class ExactDistribution:
     def __post_init__(self):
         if len(self.support) != len(self.probabilities):
             raise ValueError("support and probabilities differ in length")
-        if sum(self.probabilities, Fraction(0)) != 1:
+        if _exact_sum(self.probabilities) != 1:
             raise ValueError("probabilities do not sum to exactly 1")
         if any(p < 0 for p in self.probabilities):
             raise ValueError("negative probability")
 
     def mean(self) -> Fraction:
-        return sum((m * p for m, p in zip(self.support, self.probabilities)),
-                   Fraction(0))
+        return _exact_sum(self.probabilities, self.support)
 
     def probability(self, m: int) -> Fraction:
         for mm, p in zip(self.support, self.probabilities):

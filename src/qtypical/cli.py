@@ -264,11 +264,10 @@ def run_figure_energy(params: dict) -> list:
         raise UsageError(f"k = {k} does not divide N = {n}")
     trace_dist = energy_distribution_trace(n, np_excited, k)
     bns_dist = energy_distribution_bns(n, np_excited, k)
-    support = sorted(set(trace_dist.support) | set(bns_dist.support))
-    rows = [
-        [m, float(trace_dist.probability(m)), float(bns_dist.probability(m))]
-        for m in support
-    ]
+    trace_p = dict(zip(trace_dist.support, trace_dist.probabilities))
+    bns_p = dict(zip(bns_dist.support, bns_dist.probabilities))
+    rows = [[m, float(trace_p.get(m, 0)), float(bns_p.get(m, 0))]
+            for m in sorted(trace_p.keys() | bns_p.keys())]
     out = params["out"]
     _write_csv(out, ["m", "p_trace", "p_bns"], rows)
     base = _base(out)

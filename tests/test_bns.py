@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import dense_choi_purity, matrix_unit
 from qtypical.bns import (
+    BnSCanonicalSpectrum,
     DetectorChannel,
+    ExactDistribution,
+    _occupied_counts,
     _purity_numerator_closed_form,
     _purity_numerator_convolution,
     block_channel,
@@ -240,6 +243,48 @@ def test_spectrum_exact_normalization(block, k, data):
     assert all(w >= 0 for w in spec.weights.values())
 
 
+def inclusion_exclusion_counts(n: int, n_excited: int, j_max: int) -> list[int]:
+    """The occupied counts as version 0.10.0 evaluated them, term by term."""
+    big_binom = [comb(n * q, n_excited) for q in range(j_max + 1)]
+    counts = []
+    for j in range(j_max + 1):
+        total = 0
+        for q in range(j + 1):
+            term = comb(j, q) * big_binom[q]
+            total += term if (j - q) % 2 == 0 else -term
+        counts.append(total)
+    return counts
+
+
+# edge cases: j_max = 0 (4, 0, 0), Np = 0 (1, 0, 5) and Np > n j_max (2, 7, 3), where
+# every count is 0; the last case runs far past j = Np, where every count is an exact 0
+@pytest.mark.parametrize("n,n_excited,j_max", [(1, 0, 5), (4, 0, 0), (2, 7, 3), (3, 4, 3),
+                                               (5, 7, 2), (100, 200, 100), (10, 200, 200),
+                                               (10, 200, 1000)])
+def test_occupied_counts_equal_inclusion_exclusion(n, n_excited, j_max):
+    counts = _occupied_counts(n, n_excited, j_max)
+    assert counts == inclusion_exclusion_counts(n, n_excited, j_max)
+    assert all(type(c) is int for c in counts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 20), st.integers(0, 12))
+def test_occupied_counts_sweep(n, n_excited, j_max):
+    assert _occupied_counts(n, n_excited, j_max) == inclusion_exclusion_counts(n, n_excited,
+                                                                               j_max)
+
+
+def test_spectrum_sum_check_is_exact_at_paper_scale():
+    spec = canonical_spectrum(10000, 200, 1000)
+    eps = Fraction(1, comb(10000, 200) ** 2)
+    for m in (min(spec.sector_probability), max(spec.sector_probability)):
+        for delta in (eps, -eps):
+            off = dict(spec.sector_probability)
+            off[m] += delta
+            with pytest.raises(ValueError, match="exactly 1"):
+                BnSCanonicalSpectrum(10000, 200, 1000, spec.weights, off)
+
+
 def test_spectrum_rejects_bad_arguments():
     with pytest.raises(DimensionError):
         canonical_spectrum(5, 2, 2)
@@ -273,10 +318,37 @@ def test_bns_distribution_half_filled():
         1: Fraction(1, 3), 2: Fraction(2, 3)}
 
 
-@pytest.mark.parametrize("n,np_exc,k", [(4, 2, 2), (8, 3, 4), (12, 7, 6), (60, 11, 12)])
+@pytest.mark.parametrize("n,np_exc,k", [(4, 2, 2), (8, 3, 4), (12, 7, 6), (60, 11, 12),
+                                        (10000, 200, 1000), (20000, 1000, 1000)])
 def test_bns_distribution_mean_identity(n, np_exc, k):
     dist = energy_distribution_bns(n, np_exc, k)
     assert dist.mean() == bns_mean_exact(n, np_exc, k)
+
+
+@pytest.mark.parametrize("distribution", [energy_distribution_trace, energy_distribution_bns])
+def test_distribution_mean_equals_fraction_sum_at_paper_scale(distribution):
+    dist = distribution(10000, 200, 1000)
+    plain = sum((m * p for m, p in zip(dist.support, dist.probabilities)), Fraction(0))
+    mean = dist.mean()
+    assert type(mean) is Fraction and mean == plain
+
+
+def test_distribution_sum_check_is_exact():
+    with pytest.raises(ValueError, match="exactly 1"):
+        ExactDistribution((), ())
+    assert ExactDistribution((0, 1), (0, 1)).mean() == 1
+    assert ExactDistribution((2,), (Fraction(1),)).mean() == 2
+    with pytest.raises(TypeError, match="rational"):
+        ExactDistribution((0, 1), (0.5, 0.5))
+    eps = Fraction(1, comb(10000, 200) ** 2)
+    for distribution in (energy_distribution_trace, energy_distribution_bns):
+        dist = distribution(10000, 200, 1000)
+        for i in (0, len(dist.probabilities) - 1):
+            for delta in (eps, -eps):
+                probs = list(dist.probabilities)
+                probs[i] += delta
+                with pytest.raises(ValueError, match="exactly 1"):
+                    ExactDistribution(dist.support, tuple(probs))
 
 
 def test_bns_distribution_saturates_at_high_filling():

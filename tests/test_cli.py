@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import runpy
 import sys
@@ -163,6 +164,21 @@ def test_figure_energy_small_case(tmp_path):
     assert (tmp_path / "energy_trace_exact.csv").exists()
     assert (tmp_path / "energy_bns_exact.csv").exists()
     assert (tmp_path / "energy_plot.py").exists()
+
+
+def test_figure_energy_paper_scale_bytes(tmp_path):
+    # the exact N = 10000, Np = 200, k = 1000 outputs as version 0.10.0 wrote them
+    out = tmp_path / "energy.csv"
+    assert run(["figure-energy", "--N", 10000, "--Np", 200, "--k", 1000, "--out", out]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("energy.csv", "energy_trace_exact.csv", "energy_bns_exact.csv")}
+    assert digests == {
+        "energy.csv": "213afc3d364db0d3fab4729901a7334cb76f4d3b29d508bacedd98a50873f108",
+        "energy_trace_exact.csv":
+            "19771035eaf3d1104954d9cad997453718ca1c00002034e40c7c5b74c54ce385",
+        "energy_bns_exact.csv":
+            "5ccfeedd712aed1bd3b0c39673995cfb282033ce28d9fbd5bf6d992519ab3705",
+    }
 
 
 def test_figure_energy_rejects_bad_blocking(tmp_path):
