@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -528,9 +529,14 @@ def _params_from_args(args: argparse.Namespace) -> tuple[str, dict]:
     raise UsageError(f"unknown command {args.cmd!r}")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: building it costs about a millisecond; parsing leaves it as is."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         command, params = _params_from_args(args)
         if command == "replay":

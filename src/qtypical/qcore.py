@@ -16,6 +16,7 @@ Conventions shared by every module in the package:
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
 from dataclasses import InitVar, dataclass
 
@@ -34,7 +35,9 @@ __all__ = [
     "partial_trace",
 ]
 
+_U32 = (1 << 32) - 1
 _U64 = (1 << 64) - 1
+_U128 = (1 << 128) - 1
 
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
@@ -168,13 +171,65 @@ def derive_seed(master_seed: int, index: int) -> int:
     thread layout, or call order, which is what makes parallel sampling
     reproducible.
     """
-    payload = struct.pack("<QQ", master_seed & _U64, index & _U64)
+    payload = struct.pack("<QQ", operator.index(master_seed) & _U64, operator.index(index) & _U64)
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 
 def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed & _U64))
+    return np.random.Generator(np.random.PCG64(operator.index(seed) & _U64))
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """(calls, 1) columns of the constant each hash call xors in and the one it multiplies by."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _U32)
+    col = np.array(consts, dtype=np.uint32)[:, None]
+    return col[:-1], col[1:]
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
+# 128-bit PCG multiplier (numpy/random/src/pcg64/pcg64.h); NEP 19 keeps this
+# seeding stream-stable across numpy versions.
+_MIX_XOR, _MIX_MUL = _hash_consts(0x43B0D7E5, 0x931E8875, 16)  # mix_entropy's hashmix calls
+# generate_state's 8 output words, (2, 4) over the pool: word 4 j + r hashes pool word r
+_GEN_XOR, _GEN_MUL = (c.reshape(2, 4, 1) for c in _hash_consts(0x8B51F9DD, 0x58F38DED, 8))
+_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# mix_entropy's source stages: pool word src is hashed into the other three,
+# by hashmix calls 4 + 3 src .. 6 + 3 src
+_MIX_STAGES = tuple((src, [dst for dst in range(4) if dst != src], slice(4 + 3 * src, 7 + 3 * src))
+                    for src in range(4))
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (values ^ xor) * mul
+    return v ^ (v >> _XSHIFT)
+
+
+def _pcg64_states(seeds) -> list[tuple[int, int]]:
+    """The (state, inc) pair that ``np.random.PCG64(seed & _U64)`` starts from, for each seed.
+
+    numpy seeds PCG64 through SeedSequence, a fixed 32-bit hash of the seed's
+    words, then PCG64's srandom. Both are evaluated here for the whole block:
+    the hash in uint32 array arithmetic, the 128-bit srandom in Python ints.
+    A seed below 2**32 is one entropy word in numpy; its zero high word hashes
+    exactly like the missing word, so two words per seed give the same bits.
+    """
+    s = np.array([operator.index(seed) & _U64 for seed in seeds], dtype=np.uint64)
+    pool = np.zeros((4, s.size), dtype=np.uint32)  # SeedSequence's pool, one column per seed
+    pool[0] = s & _U32
+    pool[1] = s >> 32
+    pool = _hashmix(pool, _MIX_XOR[:4], _MIX_MUL[:4])
+    for src, dst, calls in _MIX_STAGES:
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _MIX_XOR[calls], _MIX_MUL[calls])
+        pool[dst] = mixed ^ (mixed >> _XSHIFT)
+    words = _hashmix(pool, _GEN_XOR, _GEN_MUL).reshape(8, -1).astype(np.uint64)
+    init_hi, init_lo, seq_hi, seq_lo = (words[0::2] | words[1::2] << 32).astype(object)
+    inc = (seq_hi << 65 | seq_lo << 1 | 1) & _U128
+    state = ((init_hi << 64 | init_lo) + inc) * _PCG_MULT + inc & _U128
+    return list(zip(state.tolist(), inc.tolist()))
 
 
 def haar_sample(dim: int, seed: int) -> StateVector:
@@ -190,19 +245,30 @@ def haar_sample(dim: int, seed: int) -> StateVector:
 def _haar_rows(dim: int, seeds) -> np.ndarray:
     """(len(seeds), dim) block of Haar states, row i drawn as ``haar_sample(dim, seeds[i])``.
 
-    Each seed has its own generator. Its 2*dim Gaussians fill one reused
-    (2, dim) buffer, are copied into the row's real and imaginary parts, and
-    the row is divided in place by its norm, so the block is the only array
-    of its size. One unit-norm check (within 1e-12) covers the whole block.
+    One generator serves the whole call. Before each row it is re-seeded to the
+    state ``PCG64(seed)`` starts from, which ``_pcg64_states`` computes for the
+    whole block at once by vectorising numpy's SeedSequence hash, so every row
+    has the bits of a generator of its own. The row's 2*dim Gaussians fill one
+    reused (2, dim) buffer and are copied into its real and imaginary parts;
+    its squared norm is summed as ``np.linalg.norm`` sums it. The block is then
+    divided once by its row norms, so it is the only array of its size. One
+    unit-norm check (within 1e-12) covers the whole block.
     """
     if dim < 1:
         raise DimensionError(f"dimension must be >= 1, got {dim}")
     block = np.empty((len(seeds), dim), dtype=np.complex128)
+    sq_norms = np.empty(len(seeds))
     buf = np.empty((2, dim))
-    for row, seed in zip(block, seeds):
-        _generator(seed).standard_normal(out=buf)
-        row.real, row.imag = buf
-        row /= np.linalg.norm(row)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for i, (state, inc) in enumerate(_pcg64_states(seeds)):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        rng.standard_normal(out=buf)
+        re, im = block[i].real, block[i].imag
+        re[:], im[:] = buf
+        sq_norms[i] = re.dot(re) + im.dot(im)
+    block /= np.sqrt(sq_norms)[:, None]
     flat = block.view(np.float64)
     dev = float(np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", flat, flat)) - 1.0)))
     if not dev <= 1e-12:

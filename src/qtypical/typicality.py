@@ -15,9 +15,10 @@ canonical states and entropies are exact counts and which never form a
 Kraus array or a Choi matrix.
 
 Sampling runs in fixed chunks of SAMPLE_CHUNK samples: each chunk fills one
-block with its Haar vectors in place (``qcore._haar_rows``, one generator per
-sample), applies the channel to the whole block in one batched call and
-takes the trace distances from one batched eigensolve. A chunk whose
+block with its Haar vectors in place (``qcore._haar_rows``: one generator per
+chunk, re-seeded before each sample to the state ``PCG64(seed)`` starts from),
+applies the channel to the whole block in one batched call and takes the
+trace distances from one batched eigensolve. A chunk whose
 states or outputs exceed the 512 MiB dense budget is refused before any work.
 Sample i always uses seed derive_seed(master_seed, i), so it depends only
 on (master_seed, i). The chunk size is a constant, so output bytes never
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
@@ -97,6 +99,7 @@ class ExperimentConfig:
         if self.eta_mode == "estimated" and self.eta_trials < 1:
             raise ValueError("eta_trials must be >= 1 when eta is estimated")
         object.__setattr__(self, "epsilon_grid", eps)
+        object.__setattr__(self, "master_seed", operator.index(self.master_seed))  # numpy ints too
 
 
 def canonical_state(ch) -> DensityOperator:

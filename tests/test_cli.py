@@ -166,6 +166,23 @@ def test_figure_energy_small_case(tmp_path):
     assert (tmp_path / "energy_plot.py").exists()
 
 
+def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch):
+    import qtypical.cli as cli
+
+    real, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run(["figure-energy", "--N", 4, "--Np", 2, "--k", 2,
+                        "--out", tmp_path / "energy.csv"]) == 0
+        assert run(["entropy", "--channel", "depolarizing", "--d", 2,
+                    "--out", tmp_path / "x.json"]) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
 def test_figure_energy_paper_scale_bytes(tmp_path):
     # the exact N = 10000, Np = 200, k = 1000 outputs as version 0.10.0 wrote them
     out = tmp_path / "energy.csv"

@@ -162,6 +162,46 @@ def test_haar_rows_peak_is_one_output_block():
     assert peak <= 1.1 * block
 
 
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, 2**64 + 5, 2**70]
+
+
+def _numpy_pcg64_state(seed):
+    state = np.random.PCG64(seed & qcore._U64).state["state"]
+    return state["state"], state["inc"]
+
+
+def test_pcg64_states_match_numpy_seeding_on_edge_seeds():
+    assert qcore._pcg64_states(_EDGE_SEEDS) == [_numpy_pcg64_state(s) for s in _EDGE_SEEDS]
+
+
+def test_pcg64_states_match_numpy_seeding_on_derived_seeds():
+    seeds = [derive_seed(2024, i) for i in range(10_000)]
+    assert qcore._pcg64_states(seeds) == [_numpy_pcg64_state(s) for s in seeds]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=8))
+def test_pcg64_states_match_numpy_seeding_on_any_integer(seeds):
+    assert qcore._pcg64_states(seeds) == [_numpy_pcg64_state(s) for s in seeds]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64 + 5, 2**70])
+def test_haar_sample_masks_out_of_range_seeds_like_its_generator(seed):
+    expected = _haar_state_per_sample(3, seed)
+    assert haar_sample(3, seed).amplitudes.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.int64(-1), np.uint64(2**64 - 1), np.uint64(7)])
+def test_numpy_integer_seeds_give_the_bytes_of_the_equal_python_int(seed):
+    value = int(seed)
+    assert derive_seed(seed, 3) == derive_seed(value, 3)
+    assert derive_seed(7, seed) == derive_seed(7, value)
+    assert haar_sample(2, seed).amplitudes.tobytes() == haar_sample(2, value).amplitudes.tobytes()
+    assert qcore._pcg64_states([seed]) == qcore._pcg64_states([value])
+    assert (qcore._generator(seed).standard_normal(4).tobytes()
+            == qcore._generator(value).standard_normal(4).tobytes())
+
+
 def test_block_items_caps_rows_then_fits_the_budget(small_dense_budget):
     assert qcore._block_items(1, 1) == qcore._BLOCK_ROWS
     assert qcore._block_items(1, 2) == qcore._BLOCK_ROWS // 2

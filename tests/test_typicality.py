@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qtypical import qcore
 from qtypical.bns import bns_channel
 from qtypical.channels import (
     QuantumChannel,
@@ -89,6 +90,33 @@ def test_sample_distances_match_per_sample_oracle(samples):
     got = sample_distances(cfg)
     assert len(got) == samples
     assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-14
+
+
+def test_sample_distances_match_per_sample_generators_bit_for_bit():
+    # two full chunks and a partial one, each row drawn by a generator of its own
+    ch = RestrictedPartialTrace(10, 5, 3)
+    cfg = ExperimentConfig(channel=ch, samples=600, master_seed=13)
+    omega = canonical_state(ch).matrix
+    expected = []
+    for start in range(0, cfg.samples, SAMPLE_CHUNK):
+        rows = []
+        for i in range(start, min(start + SAMPLE_CHUNK, cfg.samples)):
+            parts = qcore._generator(derive_seed(13, i)).standard_normal((2, ch.dim_in))
+            z = parts[0] + 1j * parts[1]
+            rows.append(z / np.linalg.norm(z))
+        out = ch.apply_pure_batch(np.stack(rows))
+        out -= omega
+        expected.extend(qcore._half_trace_norms(out).tolist())
+    assert np.array(sample_distances(cfg)).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7)])
+def test_numpy_integer_master_seed_gives_the_bytes_of_the_python_int(seed):
+    ch = identity_channel(3)
+    cfg = ExperimentConfig(channel=ch, samples=5, master_seed=seed)
+    assert sample_distances(cfg) == sample_distances(
+        ExperimentConfig(channel=ch, samples=5, master_seed=7))
+    assert json.loads(json.dumps(run_experiment(cfg).to_json_dict()))["master_seed"] == 7
 
 
 def test_sample_distances_peak_is_one_block_of_outputs():
