@@ -163,14 +163,23 @@ class QuantumChannel:
             )
         return self.apply_pure_batch(psi[None])[0]
 
+    @property
+    def _row_bytes(self) -> int:
+        """Bytes one row of ``apply_pure_batch`` allocates: its Kraus images, their
+        conjugate and its output."""
+        return 16 * (2 * self.n_kraus * self.dim_out + self.dim_out**2)
+
     def apply_pure_batch(self, psis) -> np.ndarray:
         """``apply_pure`` for a (B, dim_in) block of pure inputs, one per row.
 
         Returns the (B, dim_out, dim_out) stack of outputs. The whole block
         goes through the stacked Kraus array in one GEMM, and the outputs are
-        formed by one batched matmul.
+        formed by one batched matmul. Refused above 512 MiB (B ``_row_bytes``).
         """
         psis = _state_block(psis, self.dim_in)
+        b = psis.shape[0]
+        _check_dense_bytes(b * self._row_bytes, f"{b} outputs of dimension {self.dim_out} "
+                           f"and their {self.n_kraus} Kraus images")
         phi = (psis @ self.kraus.reshape(-1, self.dim_in).T).reshape(
             -1, self.n_kraus, self.dim_out)
         return phi.transpose(0, 2, 1) @ phi.conj()
@@ -495,15 +504,14 @@ def lipschitz_estimate(ch, trials: int, seed: int) -> float:
     Orthogonal pure pairs have difference of trace norm exactly 2, so
     ||channel(psi - phi)||_1 / 2 never exceeds the true constant; maximizing
     it over random pairs with greedy local refinement gives a guaranteed
-    lower bound. ``ch`` needs only ``dim_in``, ``dim_out`` and
-    ``apply_pure_batch``. Trial t draws from its own seed
+    lower bound. ``ch`` needs only ``dim_in``, ``apply_pure_batch`` and
+    ``_row_bytes``. Trial t draws from its own seed
     ``derive_seed(seed, t)``. Trials run in lockstep groups, and each
     refinement round applies all of a group's candidate pairs as one block.
     A group is as large as ``_block_items`` allows: at most _BLOCK_ROWS / 2
-    trials, and no more than fit the 512 MiB budget at 8 input rows and 3
-    output-sized rows per trial (its pairs and candidates; two outputs and
-    room for the channel's work arrays), so the block never grows past the
-    budget with ``trials``.
+    trials, and no more than fit the 512 MiB budget at 8 input rows (its pairs
+    and candidates) and two applied rows (the channel's ``_row_bytes``) per
+    trial, so the block never grows past the budget with ``trials``.
 
     The matrix-free restricted channels give outputs that do not depend on
     the block's row count, so there every trial follows the same path as it
@@ -515,7 +523,7 @@ def lipschitz_estimate(ch, trials: int, seed: int) -> float:
         raise ValueError("trials must be >= 1")
     if ch.dim_in == 1:
         return 0.0
-    group = _block_items(16 * (8 * ch.dim_in + 3 * ch.dim_out**2), 2)
+    group = _block_items(16 * 8 * ch.dim_in + 2 * ch._row_bytes, 2)
     groups = (range(first, min(first + group, trials)) for first in range(0, trials, group))
     return min(max(max(_lockstep_search(ch, ids, seed)) for ids in groups), 1.0)
 

@@ -47,8 +47,8 @@ from .restriction import RestrictedPartialTrace, effective_environment_dimension
 from .typicality import (
     ExperimentConfig,
     _entropy_bound,
+    _experiment,
     entropy_bound,
-    run_experiment,
     sample_distances,
 )
 
@@ -321,8 +321,7 @@ def run_typicality(params: dict) -> list:
                                eta_trials=eta_trials, d_e_eff=info["d_e_eff"])
     except ValueError as exc:
         raise UsageError(f"bad experiment config: {exc}") from exc
-    distances = sample_distances(cfg)
-    report = run_experiment(cfg, distances)
+    report, distances = _experiment(cfg)  # the entropy first: a refused one draws nothing
     out = params["out"]
     report.save(out)
     outputs = [out]

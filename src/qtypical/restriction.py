@@ -175,18 +175,21 @@ class _GatherGramChannel:
         _check_dense_bytes(8 * 3 * (memberships + self.dim_out**2),
                            f"the grouping plan of the {self.dim_in}-state {self._outputs} input")
 
+    @property
+    def _row_bytes(self) -> int:
+        """Bytes one row of ``apply_pure_batch`` allocates: its output plus the largest
+        group's gathered amplitudes, table, Gram matrix and selected entries."""
+        return 16 * (self.dim_out**2 + max(g.work for g in self._plan))
+
     def apply_pure_batch(self, psis) -> np.ndarray:
         """Outputs for a (B, d_R) block of pure inputs, one per row.
 
-        Refused above 512 MiB: the (B, dim_out, dim_out) outputs plus the largest
-        group's gathered amplitudes, table, Gram matrices and selected entries.
+        Refused above 512 MiB (B ``_row_bytes``).
         """
         psis = _state_block(psis, self.dim_in)
         b, d_out = psis.shape[0], self.dim_out
-        what = f"{b} {self._outputs} outputs of dimension {d_out}"
-        _check_dense_bytes(16 * b * d_out**2, what)
-        _check_dense_bytes(16 * b * (d_out**2 + max(g.work for g in self._plan)),
-                           f"{what} and their work arrays")
+        _check_dense_bytes(b * self._row_bytes, f"{b} {self._outputs} outputs of dimension "
+                           f"{d_out} and their work arrays")
         out = np.zeros((b, d_out * d_out), dtype=np.complex128)
         for g in self._plan:
             sums = psis[:, g.members]

@@ -8,21 +8,24 @@ the statistics against two analytic bounds: the entropy bound
 2 exp(-C d_R eps^2 / (4 eta^2)) with C = 2 / (9 pi^3).
 
 A channel here is anything with the channel interface (``dim_in``,
-``dim_out``, ``apply_pure_batch``, ``canonical_state``, ``linear_entropy``):
-a dense ``QuantumChannel``, or one of the matrix-free restricted channels
-``restriction.RestrictedPartialTrace`` and ``bns.DetectorChannel``, whose
-canonical states and entropies are exact counts and which never form a
-Kraus array or a Choi matrix.
+``dim_out``, ``apply_pure_batch``, ``_row_bytes``, ``canonical_state``,
+``linear_entropy``): a dense ``QuantumChannel``, or one of the matrix-free
+restricted channels ``restriction.RestrictedPartialTrace`` and
+``bns.DetectorChannel``, whose canonical states and entropies are exact
+counts and which never form a Kraus array or a Choi matrix.
 
-Sampling runs in fixed chunks of SAMPLE_CHUNK samples: each chunk fills one
-block with its Haar vectors in place (``qcore._haar_rows``: one generator per
-chunk, re-seeded before each sample to the state ``PCG64(seed)`` starts from),
-applies the channel to the whole block in one batched call and takes the
-trace distances from one batched eigensolve. A chunk whose
-states or outputs exceed the 512 MiB dense budget is refused before any work.
-Sample i always uses seed derive_seed(master_seed, i), so it depends only
-on (master_seed, i). The chunk size is a constant, so output bytes never
-depend on the machine or on any thread setting; QTYPICAL_THREADS is ignored.
+Sampling runs in chunks: each chunk fills one block with its Haar vectors in
+place (``qcore._haar_rows``: one generator per chunk, re-seeded before each
+sample to the state ``PCG64(seed)`` starts from), applies the channel to the
+whole block in one batched call and takes the trace distances from one
+batched eigensolve. A sample costs its state plus the channel's
+``_row_bytes``, and ``qcore._block_items`` makes the chunk as many samples as
+fit the 512 MiB dense budget, at most _BLOCK_ROWS; only a channel over budget
+at one sample is refused, before any work. Sample i always uses seed
+derive_seed(master_seed, i), so it depends only on (master_seed, i). The
+chunk follows from the channel's dimensions and the fixed budget alone, so
+output bytes never depend on the machine or on any thread setting;
+QTYPICAL_THREADS is ignored.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ import numpy as np
 
 from .channels import ConsistencyError, QuantumChannel, lipschitz_estimate
 from .qcore import (
-    _BLOCK_ROWS,
     DensityOperator,
+    _block_items,
     _check_dense_bytes,
     _haar_rows,
     _half_trace_norms,
@@ -51,7 +54,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "LEVY_CONSTANT",
-    "SAMPLE_CHUNK",
     "ExperimentConfig",
     "TypicalityReport",
     "canonical_state",
@@ -64,7 +66,6 @@ __all__ = [
 ]
 
 LEVY_CONSTANT = 2.0 / (9.0 * math.pi**3)
-SAMPLE_CHUNK = _BLOCK_ROWS  # samples per batched block; a constant, so output bytes are reproducible
 ETA_STREAM_INDEX = 0xFFFFFFFFFFFFFFFF  # seed stream index reserved for eta estimation
 
 
@@ -112,23 +113,26 @@ def sample_distances(cfg: ExperimentConfig) -> list:
 
     Output order follows the sample index; entry i is the distance for the
     state haar_sample(dim_in, derive_seed(master_seed, i)). Samples are
-    processed in blocks of SAMPLE_CHUNK, each drawn in place into one
-    (chunk, dim_in) array by ``_haar_rows`` with the same bits.
+    processed in chunks sized by ``_block_items`` from the bytes of one
+    sample, each drawn in place into one (chunk, dim_in) array by
+    ``_haar_rows`` with the same bits. Each chunk's states and outputs are
+    released before the next chunk is drawn, so the peak is one chunk.
     """
     ch = cfg.channel
-    d, d_out = ch.dim_in, ch.dim_out
-    chunk = min(SAMPLE_CHUNK, cfg.samples)
-    _check_dense_bytes(16 * chunk * d, f"a block of {chunk} states of dimension {d}")
-    _check_dense_bytes(16 * chunk * d_out**2,
-                       f"a block of {chunk} outputs of dimension {d_out}")
+    d = ch.dim_in
+    row = 16 * d + ch._row_bytes
+    _check_dense_bytes(row, f"one sampled state of dimension {d}, its output of "
+                       f"dimension {ch.dim_out} and work arrays")  # else a chunk fits
+    chunk = min(_block_items(row, 1), cfg.samples)
     omega = canonical_state(ch).matrix
     distances = np.empty(cfg.samples)
-    for start in range(0, cfg.samples, SAMPLE_CHUNK):
-        stop = min(start + SAMPLE_CHUNK, cfg.samples)
+    for start in range(0, cfg.samples, chunk):
+        stop = min(start + chunk, cfg.samples)
         psis = _haar_rows(d, [derive_seed(cfg.master_seed, i) for i in range(start, stop)])
         out = ch.apply_pure_batch(psis)
         out -= omega  # in place: the chunk holds one block of outputs, not two
         distances[start:stop] = _half_trace_norms(out)
+        del psis, out  # the next chunk is drawn and applied without this one alive
     return distances.tolist()
 
 
@@ -213,20 +217,30 @@ class TypicalityReport:
 
 
 def run_experiment(cfg: ExperimentConfig, distances=None) -> TypicalityReport:
-    """Full experiment: sampling, aggregation, bounds, and the tail table.
+    """Full experiment: entropy, sampling, aggregation, bounds, and the tail table.
 
     ``distances`` takes the output of ``sample_distances(cfg)`` when the
     caller already has it, so the samples are drawn only once.
     """
+    return _experiment(cfg, distances)[0]
+
+
+def _experiment(cfg: ExperimentConfig, distances=None) -> tuple[TypicalityReport, list]:
+    """``run_experiment``, also returning the distances it sampled or was given.
+
+    The linear entropy is evaluated first, so an entropy over the dense budget
+    is refused before any state is drawn.
+    """
     ch = cfg.channel
+    s_l = ch.linear_entropy()
     if distances is None:
         distances = sample_distances(cfg)
     if len(distances) != cfg.samples:
         raise ValueError(f"{len(distances)} distances given for {cfg.samples} samples")
-    distances = np.asarray(distances)
-    mean = float(np.mean(distances))
-    std = float(np.std(distances, ddof=1)) if cfg.samples > 1 else 0.0
-    top = float(np.max(distances))
+    values = np.asarray(distances)
+    mean = float(np.mean(values))
+    std = float(np.std(values, ddof=1)) if cfg.samples > 1 else 0.0
+    top = float(np.max(values))
 
     if cfg.eta_mode == "fixed_one":
         eta = 1.0
@@ -238,16 +252,15 @@ def run_experiment(cfg: ExperimentConfig, distances=None) -> TypicalityReport:
 
     tail_rows = []
     for eps in cfg.epsilon_grid:
-        fraction = float(np.mean(np.abs(distances - mean) > eps))
+        fraction = float(np.mean(np.abs(values - mean) > eps))
         bound = min(1.0, max(0.0, levy_tail_bound(ch.dim_in, eps, eta)))
         tail_rows.append((eps, fraction, bound))
 
-    s_l = ch.linear_entropy()
     p_bound = None
     if cfg.d_e_eff is not None:
         p_bound = partial_trace_bound(ch.dim_out, cfg.d_e_eff)
 
-    return TypicalityReport(
+    report = TypicalityReport(
         d_r=ch.dim_in,
         d_s=ch.dim_out,
         samples=cfg.samples,
@@ -263,3 +276,4 @@ def run_experiment(cfg: ExperimentConfig, distances=None) -> TypicalityReport:
         partial_trace_bound=p_bound,
         tail_diagnostic_only=diagnostic,
     )
+    return report, distances

@@ -497,10 +497,10 @@ def test_detector_output_block_refused_above_budget(small_dense_budget):
     # the 64 KiB budget, 13 do not, and 17 outputs alone exceed it
     ch = DetectorChannel(4, 4, 2)
     assert ch.apply_pure_batch(np.ones((12, 6)) / np.sqrt(6)).shape == (12, 16, 16)
-    with pytest.raises(DimensionError, match="work arrays"):
-        ch.apply_pure_batch(np.ones((13, 6)) / np.sqrt(6))
-    with pytest.raises(DimensionError, match="17 detector outputs of dimension 16 needs"):
-        ch.apply_pure_batch(np.ones((17, 6)) / np.sqrt(6))
+    for rows in (13, 17):
+        with pytest.raises(DimensionError, match=f"{rows} detector outputs of dimension 16 "
+                                                 "and their work arrays needs"):
+            ch.apply_pure_batch(np.ones((rows, 6)) / np.sqrt(6))
 
 
 def test_detector_canonical_state_and_kraus_refused_above_budget(small_dense_budget):

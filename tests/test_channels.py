@@ -473,6 +473,17 @@ def test_random_channel_refused_above_budget(small_dense_budget):
         random_channel(32, 16, 9, seed=1)
 
 
+def test_apply_pure_batch_refuses_kraus_images_above_budget(small_dense_budget):
+    # depolarizing(4): a row's 16 Kraus images, their conjugate and its output take
+    # 16 * (2 * 16 * 4 + 16) = 2304 bytes, so 28 rows fit the 64 KiB budget and 29 do not,
+    # although 29 outputs alone take 7.4 KB
+    ch = depolarizing(4, 0.5)
+    psis = np.ones((29, 4)) / 2
+    assert ch.apply_pure_batch(psis[:28]).shape == (28, 4, 4)
+    with pytest.raises(DimensionError, match="29 outputs of dimension 4 and their 16 Kraus images"):
+        ch.apply_pure_batch(psis)
+
+
 def test_depolarizing_rejects_outside_cp_range():
     with pytest.raises(CPTPError):
         depolarizing(2, -0.1)
@@ -668,7 +679,7 @@ def test_lipschitz_groups_shrink_to_the_budget_where_a_two_row_block_fits(monkey
     trials = 8
     expected = lipschitz_estimate(ch, trials, 13)  # also builds the grouping plan at the real budget
     # room for two trials by the group rule: a block of 2 rows fits, one of 2 * trials rows does not
-    per_trial = 16 * (8 * ch.dim_in + 3 * ch.dim_out**2)
+    per_trial = 16 * 8 * ch.dim_in + 2 * ch._row_bytes
     monkeypatch.setattr(qcore, "_DENSE_BYTES_LIMIT", 2 * per_trial)
     with pytest.raises(DimensionError):
         ch.apply_pure_batch(np.zeros((2 * trials, ch.dim_in), dtype=np.complex128))

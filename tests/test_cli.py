@@ -249,11 +249,11 @@ def test_scripts_run_and_emit_compilable_plot_scripts(script, args, plot_names, 
 
 
 def test_figure_bound_refuses_oversized_channel_quickly(tmp_path):
-    # N=11, k=11: the 64 MiB canonical state fits, but 10 detector outputs of
-    # 2^11 x 2^11 need 640 MiB; the size check runs before the first sample
+    # N=14, k=14: the grouping plan over the 2^14 x 2^14 output entries needs 6 GiB and
+    # one output 4 GiB, so no chunk fits; the size check runs before the first sample
     out = tmp_path / "bound.csv"
     started = time.perf_counter()
-    assert run(["figure-bound", "--N", 11, "--k", 11, "--samples", 10,
+    assert run(["figure-bound", "--N", 14, "--k", 14, "--samples", 10,
                 "--out", out]) == 3
     assert time.perf_counter() - started < 5.0
     assert not out.exists()
@@ -285,10 +285,10 @@ def test_figure_bound_above_twelve_sites_is_a_size_refusal(tmp_path):
 
 
 def test_typicality_refuses_oversized_partial_trace_quickly(tmp_path):
-    # N=22 split 11/11: 10 outputs of 2^11 x 2^11 need 640 MiB, refused before sampling
+    # N=30 split 15/15: the C(30, 15) basis indices alone need 1.24 GB, refused before sampling
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
-        "channel": {"type": "partial_trace", "N": 22, "Np": 11, "split": 11},
+        "channel": {"type": "partial_trace", "N": 30, "Np": 15, "split": 15},
         "samples": 10, "master_seed": 1}))
     out = tmp_path / "r.json"
     started = time.perf_counter()
@@ -371,6 +371,27 @@ def test_typicality_distances_csv_samples_once(tmp_path, monkeypatch):
     rows = list(csv.DictReader(dist_csv.read_text().splitlines()))
     csv_mean = float(np.mean([float(r["distance"]) for r in rows]))
     assert csv_mean == json.loads(out.read_text())["mean_distance"]
+
+
+def test_typicality_refuses_oversized_entropy_before_any_draw(tmp_path, monkeypatch):
+    # 300 samples of identity(100) fit the budget, its 10000^2 Choi matrix does not
+    import qtypical.typicality as typicality
+
+    draws = []
+    original = typicality._haar_rows
+
+    def counting(dim, seeds):
+        draws.extend(seeds)
+        return original(dim, seeds)
+
+    monkeypatch.setattr(typicality, "_haar_rows", counting)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"channel": {"type": "identity", "d": 100},
+                                  "samples": 300, "master_seed": 1}))
+    out = tmp_path / "r.json"
+    assert run(["typicality", "--config", config, "--out", out]) == 3
+    assert draws == []
+    assert not out.exists()
 
 
 def test_typicality_invalid_json_is_usage_error(tmp_path):

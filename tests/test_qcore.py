@@ -115,19 +115,17 @@ def test_haar_zero_dim_rejected():
 
 def test_haar_component_moments_dim4():
     # exchangeability forces mean |amplitude|^2 = 1/dim; 3 sigma < 0.01 at 1e5 draws
+    # the draws of haar_sample(4, derive_seed(0xA1, i)), as one block with the same bits
     n = 10**5
-    acc = np.zeros(4)
-    for i in range(n):
-        amps = haar_sample(4, derive_seed(0xA1, i)).amplitudes
-        acc += np.abs(amps) ** 2
-    acc /= n
+    batch = qcore._haar_rows(4, [derive_seed(0xA1, i) for i in range(n)])
+    acc = np.sum(np.abs(batch) ** 2, axis=0) / n
     assert np.max(np.abs(acc - 0.25)) < 0.01
 
 
 def test_haar_first_moment_matches_maximally_mixed():
     n = 10**4
     dim = 4
-    batch = np.stack([haar_sample(dim, derive_seed(7, i)).amplitudes for i in range(n)])
+    batch = qcore._haar_rows(dim, [derive_seed(7, i) for i in range(n)])  # haar_sample's bits
     mean = np.einsum("ni,nj->ij", batch, batch.conj()) / n
     assert np.max(np.abs(mean - np.eye(dim) / dim)) < 5.0 / np.sqrt(n)
 

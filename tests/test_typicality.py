@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from qtypical import qcore
-from qtypical.bns import bns_channel
+from qtypical.bns import DetectorChannel, bns_channel
 from qtypical.channels import (
     QuantumChannel,
     depolarizing,
     identity_channel,
     partial_trace_channel,
+    random_channel,
 )
 from qtypical.qcore import DimensionError, derive_seed, haar_sample, trace_distance
 from qtypical.restriction import (
@@ -23,7 +24,6 @@ from qtypical.restriction import (
 )
 from qtypical.typicality import (
     LEVY_CONSTANT,
-    SAMPLE_CHUNK,
     ExperimentConfig,
     TypicalityReport,
     canonical_state,
@@ -77,7 +77,7 @@ def test_saturated_detector_distances_vanish():
     assert max(sample_distances(cfg)) < 1e-10
 
 
-@pytest.mark.parametrize("samples", [1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1])
+@pytest.mark.parametrize("samples", [1, qcore._BLOCK_ROWS, qcore._BLOCK_ROWS + 1])
 def test_sample_distances_match_per_sample_oracle(samples):
     ch = restrict_channel(bns_channel(4, 2), enumerate_basis(4, 2))
     cfg = ExperimentConfig(channel=ch, samples=samples, master_seed=21)
@@ -98,9 +98,9 @@ def test_sample_distances_match_per_sample_generators_bit_for_bit():
     cfg = ExperimentConfig(channel=ch, samples=600, master_seed=13)
     omega = canonical_state(ch).matrix
     expected = []
-    for start in range(0, cfg.samples, SAMPLE_CHUNK):
+    for start in range(0, cfg.samples, qcore._BLOCK_ROWS):
         rows = []
-        for i in range(start, min(start + SAMPLE_CHUNK, cfg.samples)):
+        for i in range(start, min(start + qcore._BLOCK_ROWS, cfg.samples)):
             parts = qcore._generator(derive_seed(13, i)).standard_normal((2, ch.dim_in))
             z = parts[0] + 1j * parts[1]
             rows.append(z / np.linalg.norm(z))
@@ -119,9 +119,11 @@ def test_numpy_integer_master_seed_gives_the_bytes_of_the_python_int(seed):
     assert json.loads(json.dumps(run_experiment(cfg).to_json_dict()))["master_seed"] == 7
 
 
-def test_sample_distances_peak_is_one_block_of_outputs():
-    cfg = ExperimentConfig(channel=identity_channel(128), samples=SAMPLE_CHUNK, master_seed=3)
-    outputs = 16 * SAMPLE_CHUNK * 128**2
+@pytest.mark.parametrize("samples", [qcore._BLOCK_ROWS, 2 * qcore._BLOCK_ROWS + 1])
+def test_sample_distances_peak_is_one_block_of_outputs(samples):
+    # one chunk, or three: a finished chunk's outputs are released before the next is applied
+    cfg = ExperimentConfig(channel=identity_channel(128), samples=samples, master_seed=3)
+    outputs = 16 * qcore._BLOCK_ROWS * 128**2
     tracemalloc.start()
     try:
         sample_distances(cfg)
@@ -131,31 +133,78 @@ def test_sample_distances_peak_is_one_block_of_outputs():
     assert peak <= 1.1 * outputs
 
 
-def test_sample_distances_refuses_oversized_chunk_before_sampling(monkeypatch):
-    # 256 states of C(20, 10) = 184756 amplitudes: a 757 MB block
+def test_sample_distances_refuses_oversized_chunk_before_sampling(monkeypatch,
+                                                                  small_dense_budget):
+    # one sample of C(13, 6) = 1716 amplitudes and its work arrays need 72256 bytes, past
+    # the 64 KiB budget, while the 41568-byte grouping plan fits: no chunk size fits
     import qtypical.typicality as typicality
 
     draws = []
     monkeypatch.setattr(typicality, "_haar_rows", lambda dim, seeds: draws.extend(seeds))
-    cfg = ExperimentConfig(channel=RestrictedPartialTrace(20, 10, 2), samples=300,
+    cfg = ExperimentConfig(channel=RestrictedPartialTrace(13, 6, 2), samples=300,
                            master_seed=1)
-    with pytest.raises(DimensionError, match="MiB"):
+    with pytest.raises(DimensionError, match="one sampled state of dimension 1716"):
         sample_distances(cfg)
     assert draws == []
 
 
 def test_sample_distances_refuses_oversized_outputs_before_any_work(monkeypatch,
                                                                    small_dense_budget):
-    # 11 states of dimension 20 take 3.5 KB, their 20 x 20 outputs 70.4 KB
+    # one 64 x 64 output, its Kraus image and its conjugate need 67584 bytes, past the
+    # 64 KiB budget: refused before the canonical state or any draw
     import qtypical.typicality as typicality
 
     draws, canonical = [], []
     monkeypatch.setattr(typicality, "_haar_rows", lambda dim, seeds: draws.extend(seeds))
     monkeypatch.setattr(typicality, "canonical_state", canonical.append)
-    cfg = ExperimentConfig(channel=identity_channel(20), samples=11, master_seed=1)
-    with pytest.raises(DimensionError, match="11 outputs of dimension 20"):
+    cfg = ExperimentConfig(channel=identity_channel(64), samples=11, master_seed=1)
+    with pytest.raises(DimensionError, match="its output of dimension 64"):
         sample_distances(cfg)
     assert draws == [] and canonical == []
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RestrictedPartialTrace(8, 4, 2),
+    lambda: DetectorChannel(8, 2, 4),
+    lambda: depolarizing(4, 0.5),
+    lambda: random_channel(8, 4, 6, seed=2),
+], ids=["partial-trace", "detector", "depolarizing", "random"])
+def test_derived_chunk_gives_the_bits_of_the_full_chunk(make, monkeypatch):
+    # 301 samples run as chunks of 256 and 45 under the real budget, and as the smaller
+    # chunks the 64 KiB budget derives; no split has a one-row tail
+    import qtypical.typicality as typicality
+
+    ch = make()
+    cfg = ExperimentConfig(channel=ch, samples=301, master_seed=17)
+    chunks = []
+    original = typicality._haar_rows
+
+    def recording(dim, seeds):
+        chunks.append(len(seeds))
+        return original(dim, seeds)
+
+    monkeypatch.setattr(typicality, "_haar_rows", recording)
+    full = np.array(sample_distances(cfg))
+    assert chunks == [qcore._BLOCK_ROWS, 301 - qcore._BLOCK_ROWS]
+    chunks.clear()
+    monkeypatch.setattr(qcore, "_DENSE_BYTES_LIMIT", 2**16)
+    derived = np.array(sample_distances(cfg))
+    assert 2 <= chunks[0] < qcore._BLOCK_ROWS and min(chunks) >= 2
+    assert chunks[0] == qcore._block_items(16 * ch.dim_in + ch._row_bytes, 1)
+    assert derived.tobytes() == full.tobytes()
+
+
+def test_run_experiment_refuses_an_oversized_entropy_before_any_draw(monkeypatch,
+                                                                     small_dense_budget):
+    # 12 samples of identity(16) fit the 64 KiB budget, its 256^2 Choi matrix does not
+    import qtypical.typicality as typicality
+
+    draws = []
+    monkeypatch.setattr(typicality, "_haar_rows", lambda dim, seeds: draws.extend(seeds))
+    cfg = ExperimentConfig(channel=identity_channel(16), samples=12, master_seed=1)
+    with pytest.raises(DimensionError, match="Choi matrix"):
+        run_experiment(cfg)
+    assert draws == []
 
 
 def test_restricted_partial_trace_experiment_matches_dense_oracle():
