@@ -159,16 +159,6 @@ def _exact_sum(values, factors=None) -> Fraction:
                         for c, p in zip(factors, values)), denominator)
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def _sector_range(n_sites: int, n_excited: int, n_blocks: int) -> range:
-    lo = _ceil_div(n_blocks * n_excited, n_sites)
-    hi = min(n_excited, n_blocks)
-    return range(lo, hi + 1)
-
-
 @dataclass(frozen=True)
 class BnSCanonicalSpectrum:
     """Exact spectrum of the canonical state of the block-detector channel.
@@ -227,10 +217,10 @@ def canonical_spectrum(n_sites: int, n_excited: int, n_blocks: int) -> BnSCanoni
     counts = _occupied_counts(n, n_excited, min(n_excited, n_blocks))
     weights: dict[int, Fraction] = {}
     sector: dict[int, Fraction] = {}
-    for m in _sector_range(n_sites, n_excited, n_blocks):
-        w = Fraction(counts[m], d_r)
-        weights[m] = w
-        sector[m] = comb(n_blocks, m) * w
+    for m, count in enumerate(counts):
+        if count:  # the sectors some excitation pattern occupies
+            weights[m] = Fraction(count, d_r)
+            sector[m] = comb(n_blocks, m) * weights[m]
     return BnSCanonicalSpectrum(n_sites, n_excited, n_blocks, weights, sector)
 
 
@@ -434,14 +424,10 @@ def energy_distribution_trace(n_sites: int, n_excited: int, n_blocks: int) -> Ex
     if not 0 <= n_excited <= n_sites:
         raise ValueError(f"excitation count {n_excited} outside [0, {n_sites}]")
     d_r = comb(n_sites, n_excited)
-    lo = max(0, n_excited - (n_sites - n_blocks))
-    hi = min(n_excited, n_blocks)
-    support = tuple(range(lo, hi + 1))
-    probs = tuple(
-        Fraction(comb(n_blocks, m) * comb(n_sites - n_blocks, n_excited - m), d_r)
-        for m in support
-    )
-    return ExactDistribution(support, probs)
+    counts = [comb(n_blocks, m) * comb(n_sites - n_blocks, n_excited - m)
+              for m in range(min(n_excited, n_blocks) + 1)]
+    support = tuple(m for m, count in enumerate(counts) if count)
+    return ExactDistribution(support, tuple(Fraction(counts[m], d_r) for m in support))
 
 
 def energy_distribution_bns(n_sites: int, n_excited: int, n_blocks: int) -> ExactDistribution:

@@ -366,12 +366,12 @@ def _weyl_shift_clock(d: int) -> np.ndarray:
 def depolarizing(d: int, lam: float) -> QuantumChannel:
     """Channel O -> lam * tr(O) * identity/d + (1 - lam) * O.
 
-    Complete positivity holds for 0 <= lam <= 1 + 1/(d^2 - 1); validity is
-    always decided by the Choi eigenvalues rather than by a formula. Inside
-    [0, 1] the channel is assembled from the shift/clock unitary family; for
-    lam > 1 no probabilistic mixture exists and the Kraus family is extracted
-    from the Choi matrix instead. Either way a d^2 x d^2 array is built, so
-    the channel is refused above 512 MiB (16 d^4 bytes).
+    Complete positivity holds for 0 <= lam <= 1 + 1/(d^2 - 1), and on that whole
+    range the channel is one closed-form family of d^2 operators of size d x d:
+    K_0 = sqrt(1 - lam + lam/d^2) I and K_ab = (sqrt(lam)/d) X^a Z^b (X the shift,
+    Z the clock). 1 - lam + lam/d^2 >= 0 exactly on that range; K_0 is dropped
+    where it is at most the Kraus extraction cutoff, as at the CP limit. The
+    family takes 16 d^4 bytes and is refused above 512 MiB.
     """
     if d < 1:
         raise DimensionError("dimension must be >= 1")
@@ -389,18 +389,14 @@ def depolarizing(d: int, lam: float) -> QuantumChannel:
             f"lambda = {lam} exceeds the complete-positivity limit {cp_limit}"
         )
     _check_dense_bytes(16 * d**4, f"the depolarizing channel on {d}")
-    if lam <= 1.0:
-        # X^0 Z^0, the identity, leads the family and also carries the undepolarized part
-        ops = _weyl_shift_clock(d)
-        ops *= np.sqrt(lam) / d
-        ops[0] = np.sqrt(1.0 - lam + lam / d**2) * np.eye(d, dtype=np.complex128)
-        return QuantumChannel(d, d, ops if lam > 0 else ops[:1])  # lam = 0: the identity alone
-    # lam > 1: Choi = lam * (I/d (x) I/d) + (1 - lam) * phi_plus
-    phi = np.zeros((d * d, d * d), dtype=np.complex128)
-    diag = np.arange(d) * (d + 1)  # the index i * d + i of |i, i>
-    phi[np.ix_(diag, diag)] = 1.0 / d
-    j_matrix = (lam / d**2) * np.eye(d * d, dtype=np.complex128) + (1.0 - lam) * phi
-    return choi_to_kraus(j_matrix, dim_in=d, dim_out=d)
+    # X^0 Z^0, the identity, leads the family and also carries the undepolarized part
+    ops = _weyl_shift_clock(d)
+    ops *= np.sqrt(lam) / d
+    weight = 1.0 - lam + lam / d**2
+    if weight <= KRAUS_EIGENVALUE_CUTOFF:
+        return QuantumChannel(d, d, ops[1:])
+    ops[0] = np.sqrt(weight) * np.eye(d, dtype=np.complex128)
+    return QuantumChannel(d, d, ops if lam > 0 else ops[:1])  # lam = 0: the identity alone
 
 
 def random_channel(dim_in: int, dim_out: int, n_kraus: int, seed: int) -> QuantumChannel:

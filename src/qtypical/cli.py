@@ -2,14 +2,16 @@
 
 Every command writes its data files plus a run manifest (<out>.manifest.json)
 holding the full parameter set; ``replay`` re-executes a manifest and
-regenerates byte-identical outputs. Exit codes: 0 success, 2 usage error,
-3 data error (for example a non-CPTP channel file), 4 internal consistency
-failure.
+regenerates byte-identical outputs. Exit codes: 0 success, 2 usage error
+(a bad command line or config, or a parameter value out of range, refused
+before the command's work starts), 3 data error (for example a non-CPTP
+channel file), 4 internal consistency failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -61,6 +63,20 @@ class UsageError(Exception):
 
 class DataError(Exception):
     """Unusable input data (unreadable or invalid files); maps to exit code 3."""
+
+
+@contextlib.contextmanager
+def _parameter_errors(what: str):
+    """A library ValueError about a command's parameter, as a UsageError (exit 2).
+
+    Not its subclasses: CPTPError and DimensionError keep exit 3, LinAlgError is a failure.
+    """
+    try:
+        yield
+    except (CPTPError, DimensionError, np.linalg.LinAlgError):
+        raise
+    except ValueError as exc:
+        raise UsageError(f"bad {what}: {exc}") from exc
 
 
 # -- channel specs -------------------------------------------------------------
@@ -120,22 +136,16 @@ def build_channel(
     raise UsageError(f"unknown channel type {spec['type']!r}")
 
 
-def _spec_from_args(args: argparse.Namespace) -> dict:
-    if getattr(args, "channel_file", None):
-        return {"type": "file", "path": args.channel_file}
-    if not getattr(args, "channel", None):
+_SPEC = "channel."  # dest prefix of the channel flags; the rest of the dest is the spec key
+
+
+def _spec_from_args(entries: dict) -> dict:
+    """The channel spec from the prefixed flag values: a file, or a builtin family."""
+    if "path" in entries:
+        return {"type": "file", "path": entries["path"]}
+    if "type" not in entries:
         raise UsageError("provide --channel NAME or --channel-file PATH")
-    kind = args.channel.replace("-", "_")
-    spec: dict = {"type": kind}
-    for flag, key in (
-        ("d", "d"), ("lam", "lambda"), ("d_s", "dS"), ("d_e", "dE"),
-        ("N", "N"), ("Np", "Np"), ("k", "k"), ("split", "split"),
-        ("unitary_seed", "seed"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            spec[key] = value
-    return spec
+    return {**entries, "type": entries["type"].replace("-", "_")}
 
 
 # -- small IO helpers -----------------------------------------------------------
@@ -263,7 +273,8 @@ def run_figure_energy(params: dict) -> list:
         raise UsageError(f"N = {n} exceeds the supported exact range (20000)")
     if k < 1 or n % k != 0:
         raise UsageError(f"k = {k} does not divide N = {n}")
-    trace_dist = energy_distribution_trace(n, np_excited, k)
+    with _parameter_errors("figure-energy parameters"):
+        trace_dist = energy_distribution_trace(n, np_excited, k)
     bns_dist = energy_distribution_bns(n, np_excited, k)
     trace_p = dict(zip(trace_dist.support, trace_dist.probabilities))
     bns_p = dict(zip(bns_dist.support, bns_dist.probabilities))
@@ -290,8 +301,9 @@ def run_figure_bound(params: dict) -> list:
     rows = []
     for np_excited in range(1, n):
         ch = DetectorChannel(n, k, np_excited)
-        cfg = ExperimentConfig(channel=ch, samples=samples,
-                               master_seed=derive_seed(seed, np_excited))
+        with _parameter_errors("figure-bound parameters"):
+            cfg = ExperimentConfig(channel=ch, samples=samples,
+                                   master_seed=derive_seed(seed, np_excited))
         distances = np.asarray(sample_distances(cfg))
         std = float(np.std(distances, ddof=1)) if samples > 1 else 0.0
         rows.append([np_excited, ch.dim_in, float(np.mean(distances)), std,
@@ -315,12 +327,10 @@ def run_typicality(params: dict) -> list:
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad experiment config: {exc}") from exc
     ch, info = build_channel(channel_spec)
-    try:
+    with _parameter_errors("experiment config"):
         cfg = ExperimentConfig(channel=ch, samples=samples, master_seed=master_seed,
                                epsilon_grid=epsilon_grid, eta_mode=eta_mode,
                                eta_trials=eta_trials, d_e_eff=info["d_e_eff"])
-    except ValueError as exc:
-        raise UsageError(f"bad experiment config: {exc}") from exc
     report, distances = _experiment(cfg)  # the entropy first: a refused one draws nothing
     out = params["out"]
     report.save(out)
@@ -339,7 +349,8 @@ def run_typicality(params: dict) -> list:
 def run_lipschitz(params: dict) -> list:
     ch, _ = build_channel(params["channel"])
     trials, seed = int(params["trials"]), int(params["seed"])
-    estimate = lipschitz_estimate(ch, trials, seed)
+    with _parameter_errors("lipschitz parameters"):
+        estimate = lipschitz_estimate(ch, trials, seed)
     payload = {
         "dim_in": ch.dim_in,
         "dim_out": ch.dim_out,
@@ -434,19 +445,22 @@ def run_replay(params: dict) -> list:
 
 
 def _add_channel_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--channel", choices=["identity", "depolarizing", "partial-trace",
-                                         "unitary-trace", "bns"],
-                   help="builtin channel family")
-    p.add_argument("--channel-file", help="JSON Kraus file (alternative to --channel)")
-    p.add_argument("--d", type=int, help="dimension for identity / depolarizing")
-    p.add_argument("--lambda", type=float, dest="lam", help="depolarizing strength")
-    p.add_argument("--dS", type=int, dest="d_s", help="kept-factor dimension")
-    p.add_argument("--dE", type=int, dest="d_e", help="traced-factor dimension")
-    p.add_argument("--N", type=int, help="number of sites")
-    p.add_argument("--Np", type=int, help="number of excitations (restricts the input)")
-    p.add_argument("--k", type=int, help="number of detector blocks")
-    p.add_argument("--split", type=int, help="leading system qubits (restricted partial trace)")
-    p.add_argument("--unitary-seed", type=int, default=0, dest="unitary_seed",
+    """The channel spec flags; each one's dest is _SPEC plus its spec key."""
+    p.add_argument("--channel", dest=_SPEC + "type", help="builtin channel family",
+                   choices=["identity", "depolarizing", "partial-trace", "unitary-trace", "bns"])
+    p.add_argument("--channel-file", dest=_SPEC + "path",
+                   help="JSON Kraus file (alternative to --channel)")
+    p.add_argument("--d", type=int, dest=_SPEC + "d", help="dimension for identity / depolarizing")
+    p.add_argument("--lambda", type=float, dest=_SPEC + "lambda", help="depolarizing strength")
+    p.add_argument("--dS", type=int, dest=_SPEC + "dS", help="kept-factor dimension")
+    p.add_argument("--dE", type=int, dest=_SPEC + "dE", help="traced-factor dimension")
+    p.add_argument("--N", type=int, dest=_SPEC + "N", help="number of sites")
+    p.add_argument("--Np", type=int, dest=_SPEC + "Np",
+                   help="number of excitations (restricts the input)")
+    p.add_argument("--k", type=int, dest=_SPEC + "k", help="number of detector blocks")
+    p.add_argument("--split", type=int, dest=_SPEC + "split",
+                   help="leading system qubits (restricted partial trace)")
+    p.add_argument("--unitary-seed", type=int, default=0, dest=_SPEC + "seed",
                    help="seed of the random reshuffling unitary")
     p.add_argument("--save-channel", dest="save_channel",
                    help="also write the constructed channel as a JSON Kraus file")
@@ -496,36 +510,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from_args(args: argparse.Namespace) -> tuple[str, dict]:
-    if args.cmd == "entropy":
-        params = {"channel": _spec_from_args(args), "out": args.out}
-        if args.save_channel:
-            params["save_channel"] = args.save_channel
-        return "entropy", params
-    if args.cmd == "figure-energy":
-        return "figure-energy", {"N": args.N, "Np": args.Np, "k": args.k,
-                                 "out": args.out}
-    if args.cmd == "figure-bound":
-        return "figure-bound", {"N": args.N, "k": args.k, "samples": args.samples,
-                                "seed": args.seed, "out": args.out}
-    if args.cmd == "typicality":
+    """The command and its parameters: every flag given or defaulted, keyed by its dest.
+
+    Flags left unset are absent. The _SPEC-prefixed flags form the ``channel`` spec,
+    and ``typicality`` stores the contents of its config file, not the path.
+    """
+    params = {key: value for key, value in vars(args).items() if value not in (None, "")}
+    command = params.pop("cmd")
+    spec = {key[len(_SPEC):]: params.pop(key) for key in list(params) if key.startswith(_SPEC)}
+    if spec:
+        params["channel"] = _spec_from_args(spec)
+    if command == "typicality":
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
+            with open(params["config"], "r", encoding="utf-8") as fh:
+                params["config"] = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot parse config: {exc}") from exc
-        params = {"config": config, "out": args.out}
-        if args.distances_csv:
-            params["distances_csv"] = args.distances_csv
-        return "typicality", params
-    if args.cmd == "lipschitz":
-        params = {"channel": _spec_from_args(args), "trials": args.trials,
-                  "seed": args.seed, "out": args.out}
-        if args.save_channel:
-            params["save_channel"] = args.save_channel
-        return "lipschitz", params
-    if args.cmd == "replay":
-        return "replay", {"manifest": args.manifest}
-    raise UsageError(f"unknown command {args.cmd!r}")
+    return command, params
 
 
 @functools.cache

@@ -7,6 +7,13 @@ the statistics against two analytic bounds: the entropy bound
 (1/2) sqrt(d_S (1 - S_L)) on the mean, and the concentration tail bound
 2 exp(-C d_R eps^2 / (4 eta^2)) with C = 2 / (9 pi^3).
 
+The entropy bound is also a consistency gate: a report whose mean distance
+exceeds it by more than 3 std / sqrt(samples) (plus 1e-12), with std the
+sample standard deviation, raises ``ConsistencyError``. The gate needs a
+spread, so it does not apply at one sample: a single draw may lie above a
+bound on the mean. The range check 0 <= mean <= max <= 1 + 1e-9 applies at
+every sample count.
+
 A channel here is anything with the channel interface (``dim_in``,
 ``dim_out``, ``apply_pure_batch``, ``_row_bytes``, ``canonical_state``,
 ``linear_entropy``): a dense ``QuantumChannel``, or one of the matrix-free
@@ -198,7 +205,8 @@ class TypicalityReport:
         if not 0.0 <= self.mean_distance <= self.max_distance <= 1.0 + 1e-9:
             raise ValueError("distance statistics violate 0 <= mean <= max <= 1")
         slack = 3.0 * self.std_distance / math.sqrt(self.samples)
-        if self.mean_distance > self.entropy_bound + slack + 1e-12:
+        # one draw has no spread to judge a bound on the mean by
+        if self.samples > 1 and self.mean_distance > self.entropy_bound + slack + 1e-12:
             raise ConsistencyError(
                 f"mean distance {self.mean_distance!r} exceeds the entropy bound "
                 f"{self.entropy_bound!r} beyond statistical slack"
@@ -216,27 +224,20 @@ class TypicalityReport:
             fh.write("\n")
 
 
-def run_experiment(cfg: ExperimentConfig, distances=None) -> TypicalityReport:
-    """Full experiment: entropy, sampling, aggregation, bounds, and the tail table.
-
-    ``distances`` takes the output of ``sample_distances(cfg)`` when the
-    caller already has it, so the samples are drawn only once.
-    """
-    return _experiment(cfg, distances)[0]
+def run_experiment(cfg: ExperimentConfig) -> TypicalityReport:
+    """Full experiment: entropy, sampling, aggregation, bounds, and the tail table."""
+    return _experiment(cfg)[0]
 
 
-def _experiment(cfg: ExperimentConfig, distances=None) -> tuple[TypicalityReport, list]:
-    """``run_experiment``, also returning the distances it sampled or was given.
+def _experiment(cfg: ExperimentConfig) -> tuple[TypicalityReport, list]:
+    """``run_experiment``, also returning the distances it sampled.
 
     The linear entropy is evaluated first, so an entropy over the dense budget
     is refused before any state is drawn.
     """
     ch = cfg.channel
     s_l = ch.linear_entropy()
-    if distances is None:
-        distances = sample_distances(cfg)
-    if len(distances) != cfg.samples:
-        raise ValueError(f"{len(distances)} distances given for {cfg.samples} samples")
+    distances = sample_distances(cfg)
     values = np.asarray(distances)
     mean = float(np.mean(values))
     std = float(np.std(values, ddof=1)) if cfg.samples > 1 else 0.0

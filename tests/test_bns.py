@@ -233,6 +233,21 @@ def test_spectrum_support_range():
     assert spec.weight(lo - 1) == 0 and spec.weight(hi + 1) == 0
 
 
+@pytest.mark.parametrize("n_sites", range(1, 17))
+def test_supports_match_the_range_formulas(n_sites):
+    # the sectors with a nonzero count are ceil(k Np / N) .. min(Np, k) for the detector
+    # and max(0, Np - (N - k)) .. min(Np, k) for the kept sites
+    for n_excited in range(n_sites + 1):
+        for k in range(n_sites + 1):
+            hi = min(n_excited, k)
+            trace = energy_distribution_trace(n_sites, n_excited, k)
+            assert trace.support == tuple(range(max(0, n_excited - (n_sites - k)), hi + 1))
+            if k and n_sites % k == 0:
+                spectrum = canonical_spectrum(n_sites, n_excited, k)
+                assert tuple(spectrum.weights) == tuple(range(-(-k * n_excited // n_sites),
+                                                              hi + 1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 8), st.data())
 def test_spectrum_exact_normalization(block, k, data):

@@ -433,21 +433,41 @@ def test_depolarizing_cp_boundary_accepted():
     np.testing.assert_allclose(out, expected, atol=1e-10)
 
 
-@pytest.mark.parametrize("d,lam", [(3, 0.4), (2, 0.0), (2, 1.0)])
+def _cp_limit(d: int) -> float:
+    return 1.0 + 1.0 / (d * d - 1.0)
+
+
+@pytest.mark.parametrize("d,lam", [(3, 0.4), (2, 0.0), (2, 1.0), (3, 1.001), (2, 1.2),
+                                   (2, _cp_limit(2)), (3, _cp_limit(3)), (8, _cp_limit(8))])
 def test_depolarizing_family_matches_loop(d, lam):
     from qtypical.channels import _weyl_shift_clock
 
-    loop = [np.sqrt(1.0 - lam + lam / d**2) * np.eye(d, dtype=complex)]
+    weight = 1.0 - lam + lam / d**2  # K_0 is dropped at the extraction cutoff
+    loop = [np.sqrt(weight) * np.eye(d, dtype=complex)] if weight > 1e-12 else []
     loop += [np.sqrt(lam) / d * u for u in _weyl_shift_clock(d)[1:]]
     loop = np.stack([k for k in loop if np.any(k)])
     np.testing.assert_array_equal(depolarizing(d, lam).kraus, loop)
 
 
+@pytest.mark.parametrize("d", [2, 3, 8])
+@pytest.mark.parametrize("at_limit", [False, True], ids=["1.001", "cp_limit"])
+def test_depolarizing_above_one_matches_choi_extraction(d, at_limit):
+    # the Kraus family extracted from J = (lam/d^2) I + (1 - lam) |phi+><phi+|
+    lam = _cp_limit(d) if at_limit else 1.001
+    phi = np.zeros((d * d, d * d), dtype=complex)
+    diag = np.arange(d) * (d + 1)  # the index i * d + i of |i, i>
+    phi[np.ix_(diag, diag)] = 1.0 / d
+    oracle = choi_to_kraus((lam / d**2) * np.eye(d * d) + (1.0 - lam) * phi, dim_in=d, dim_out=d)
+    ch = depolarizing(d, lam)
+    assert channels_equal(ch, oracle, tol=1e-12)
+    assert ch.n_kraus == oracle.n_kraus == (d * d - 1 if at_limit else d * d)
+
+
 @pytest.mark.parametrize("lam", [0.5, 1.0 + 1.0 / 80.0],
-                         ids=["shift_clock_family", "choi_extraction"])
+                         ids=["shift_clock_family", "above_one"])
 def test_depolarizing_refused_above_budget(small_dense_budget, lam):
-    # both branches build a d^2 x d^2 array: 16 * 8^4 bytes fill the 64 KiB budget;
-    # 1 + 1/80 is the complete-positivity limit at d = 9, so it is valid at d = 8 too
+    # the family of d^2 operators of d x d takes 16 * d^4 bytes: 16 * 8^4 fill the 64 KiB
+    # budget; 1 + 1/80 is the complete-positivity limit at d = 9, so it is valid at d = 8 too
     assert depolarizing(8, lam).dim_in == 8
     with pytest.raises(DimensionError, match="MiB"):
         depolarizing(9, lam)

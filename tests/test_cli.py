@@ -271,13 +271,15 @@ def test_figure_bound_runs_twelve_sites_without_the_dense_channel(tmp_path):
         assert float(r["mean_distance"]) <= float(r["entropy_bound"]) + slack
 
 
-def test_figure_bound_above_twelve_sites_is_a_size_refusal(tmp_path):
-    # N=13, k=13 needs a 1 GiB canonical state: refused by the budget with exit 3
+def test_figure_bound_above_twelve_sites_is_a_size_refusal(tmp_path, capsys):
+    # N=13, k=13: the grouping plan over the 2^13 x 2^13 output entries needs 1536 MiB,
+    # refused by the budget with exit 3 when the first sample's bytes are checked
     out = tmp_path / "bound.csv"
     started = time.perf_counter()
     assert run(["figure-bound", "--N", 13, "--k", 13, "--samples", 10,
                 "--out", out]) == 3
     assert time.perf_counter() - started < 5.0
+    assert "grouping plan" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -438,7 +440,75 @@ def test_lipschitz_saturated_detector(tmp_path):
     assert json.loads(out.read_text())["estimate"] < 1e-10
 
 
+# -- out-of-range values --
+
+
+OUT_OF_RANGE = {
+    "figure-bound": ["figure-bound", "--N", 6, "--k", 2, "--samples", 0],
+    "lipschitz": ["lipschitz", "--channel", "depolarizing", "--d", 3, "--lambda", 0.5,
+                  "--trials", 0],
+    "figure-energy": ["figure-energy", "--N", 10, "--Np", 11, "--k", 2],
+}
+
+
+@pytest.mark.parametrize("command", OUT_OF_RANGE)
+def test_out_of_range_value_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out.dat"
+    assert run(OUT_OF_RANGE[command] + ["--out", out]) == 2
+    assert capsys.readouterr().err.startswith("usage error")
+    assert not out.exists()
+
+
+def test_replayed_out_of_range_value_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "bound.csv"
+    assert run(["figure-bound", "--N", 4, "--k", 2, "--samples", 3, "--out", out]) == 0
+    manifest = tmp_path / "bound.csv.manifest.json"
+    data = json.loads(manifest.read_text())
+    data["parameters"]["samples"] = 0
+    manifest.write_text(json.dumps(data))
+    out.unlink()
+    assert run(["replay", "--manifest", manifest]) == 2
+    assert capsys.readouterr().err.startswith("usage error")
+    assert not out.exists()
+
+
 # -- manifests and replay --
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["entropy", "--channel", "bns", "--N", 9, "--k", 3, "--Np", 4, "--out", "e.json"],
+     {"channel": {"type": "bns", "N": 9, "Np": 4, "k": 3, "seed": 0}, "out": "e.json"}),
+    (["entropy", "--channel", "depolarizing", "--d", 3, "--lambda", 0.4,
+      "--save-channel", "c.json"],
+     {"channel": {"type": "depolarizing", "d": 3, "lambda": 0.4, "seed": 0},
+      "out": "entropy.json", "save_channel": "c.json"}),
+    (["entropy", "--channel-file", "c.json", "--d", 4, "--out", "f.json"],
+     {"channel": {"type": "file", "path": "c.json"}, "out": "f.json"}),
+    (["figure-energy", "--N", 10000, "--Np", 200, "--k", 1000],
+     {"N": 10000, "Np": 200, "k": 1000, "out": "energy.csv"}),
+    (["figure-bound", "--N", 8, "--k", 2, "--samples", 4000, "--seed", 2024],
+     {"N": 8, "k": 2, "samples": 4000, "seed": 2024, "out": "bound.csv"}),
+    (["typicality", "--config", "CONFIG", "--out", "r.json", "--distances-csv", "d.csv"],
+     {"config": {"channel": {"type": "identity", "d": 2}, "samples": 3, "master_seed": 1},
+      "out": "r.json", "distances_csv": "d.csv"}),
+    (["lipschitz", "--channel", "partial-trace", "--N", 10, "--Np", 5, "--split", 3,
+      "--unitary-seed", 7],
+     {"channel": {"type": "partial_trace", "N": 10, "Np": 5, "split": 3, "seed": 7},
+      "trials": 8, "seed": 0, "out": "lipschitz.json"}),
+    (["replay", "--manifest", "m.json"], {"manifest": "m.json"}),
+], ids=["entropy", "entropy-save-channel", "entropy-channel-file", "figure-energy",
+        "figure-bound", "typicality-distances-csv", "lipschitz", "replay"])
+def test_params_are_the_flags_given_or_defaulted(tmp_path, argv, params):
+    # the dicts 0.13.0 stored in manifests; a change here changes every replay
+    from qtypical.cli import _params_from_args, build_parser
+
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"channel": {"type": "identity", "d": 2}, "samples": 3,
+                                  "master_seed": 1}))
+    argv = [str(config) if a == "CONFIG" else str(a) for a in argv]
+    assert _params_from_args(build_parser().parse_args(argv)) == (argv[0], params)
+
+
 
 
 def test_replay_reproduces_outputs_byte_identically(tmp_path):

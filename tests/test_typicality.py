@@ -9,6 +9,7 @@ import pytest
 from qtypical import qcore
 from qtypical.bns import DetectorChannel, bns_channel
 from qtypical.channels import (
+    ConsistencyError,
     QuantumChannel,
     depolarizing,
     identity_channel,
@@ -322,14 +323,26 @@ def test_run_experiment_report_contents():
         assert fraction <= bound <= 1.0
 
 
-def test_run_experiment_reuses_given_distances():
-    ch = restrict_channel(bns_channel(4, 2), enumerate_basis(4, 2))
-    cfg = ExperimentConfig(channel=ch, samples=40, master_seed=8, epsilon_grid=(0.1,))
-    distances = sample_distances(cfg)
-    assert run_experiment(cfg, distances).to_json_dict() \
-        == run_experiment(cfg).to_json_dict()
-    with pytest.raises(ValueError):
-        run_experiment(cfg, distances[:-1])
+def _report(samples: int, mean: float, std: float, bound: float) -> TypicalityReport:
+    return TypicalityReport(d_r=6, d_s=4, samples=samples, master_seed=0, mean_distance=mean,
+                            std_distance=std, max_distance=mean, entropy_bound=bound,
+                            linear_entropy=0.5, eta_mode="fixed_one", eta_used=1.0)
+
+
+def test_report_gate_refuses_a_mean_past_bound_and_slack():
+    # slack 3 * 0.1 / sqrt(2) = 0.212: the bound 0.2 allows means up to 0.412
+    assert _report(2, 0.41, 0.1, 0.2).samples == 2
+    with pytest.raises(ConsistencyError, match="entropy bound"):
+        _report(2, 0.42, 0.1, 0.2)
+
+
+def test_one_sample_run_above_the_mean_bound_is_a_report():
+    # one draw is not a mean: this one lies above the bound on the mean, which the
+    # gate refused when it compared a single sample with zero slack
+    cfg = ExperimentConfig(channel=DetectorChannel(8, 2, 2), samples=1, master_seed=33)
+    report = run_experiment(cfg)
+    assert report.std_distance == 0.0
+    assert report.mean_distance > report.entropy_bound
 
 
 def test_run_experiment_evaluates_entropy_once(monkeypatch):
