@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,8 +68,35 @@ class ConsistencyError(RuntimeError):
     """Two independent computation routes disagreed beyond tolerance."""
 
 
+class _EigensolveDistances:
+    """Distances to the canonical state by the dense route, for a channel class with
+    ``apply_pure_batch``, ``_row_bytes`` and ``canonical_state``.
+
+    A block's outputs are applied, the canonical state is subtracted from them in
+    place and half the trace norm of each difference comes from one batched
+    eigensolve. The canonical state is formed once per channel.
+    """
+
+    @cached_property
+    def _omega(self) -> np.ndarray:
+        return self.canonical_state().matrix
+
+    @property
+    def _distance_row_bytes(self) -> int:
+        """Bytes one row of ``distances_to_canonical`` allocates: those of
+        ``apply_pure_batch``, whose outputs the subtraction reuses."""
+        return self._row_bytes
+
+    def distances_to_canonical(self, psis) -> np.ndarray:
+        """Trace distance of the output of each row of a (B, dim_in) block to the canonical state."""
+        omega = self._omega  # formed before the block's outputs are allocated
+        out = self.apply_pure_batch(psis)
+        out -= omega  # in place: the block holds one stack of outputs, not two
+        return _half_trace_norms(out)
+
+
 @dataclass(frozen=True, eq=False)
-class QuantumChannel:
+class QuantumChannel(_EigensolveDistances):
     """CPTP map from operators on dim_in to operators on dim_out.
 
     ``kraus`` is a sequence of (dim_out, dim_in) matrices or one array;
@@ -514,6 +542,8 @@ def lipschitz_estimate(ch, trials: int, seed: int) -> float:
     would alone, and the result is nondecreasing in ``trials`` for a fixed
     seed. A dense ``QuantumChannel`` applies a block with one GEMM whose
     rounding depends on the row count, so both hold only up to rounding.
+    Reports and the ``lipschitz`` command search only where the channel has
+    no ``exact_eta`` (see ``_eta``).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -522,6 +552,15 @@ def lipschitz_estimate(ch, trials: int, seed: int) -> float:
     group = _block_items(16 * 8 * ch.dim_in + 2 * ch._row_bytes, 2)
     groups = (range(first, min(first + group, trials)) for first in range(0, trials, group))
     return min(max(max(_lockstep_search(ch, ids, seed)) for ids in groups), 1.0)
+
+
+def _eta(ch, trials: int, seed: int) -> tuple[float, bool]:
+    """(eta, exact): the channel's ``exact_eta()`` where it has one, else the lower bound
+    ``lipschitz_estimate(ch, trials, seed)``."""
+    exact = getattr(ch, "exact_eta", None)
+    if exact is not None:
+        return exact(), True
+    return lipschitz_estimate(ch, trials, seed), False
 
 
 def _lockstep_search(ch, trial_ids: range, seed: int) -> list:

@@ -34,11 +34,11 @@ from .channels import (
     CPTPError,
     ConsistencyError,
     QuantumChannel,
+    _eta,
     _gated_linear_entropy,
     compose,
     depolarizing,
     identity_channel,
-    lipschitz_estimate,
     load_channel,
     partial_trace_channel,
     save_channel,
@@ -82,6 +82,25 @@ def _parameter_errors(what: str):
 # -- channel specs -------------------------------------------------------------
 
 
+def _dimensions(spec: dict, *keys: str) -> list[int]:
+    """The spec's integer values under ``keys``, each a dimension or size of at least 1.
+
+    A value below 1 is a usage error (exit 2), found before any construction; the
+    library's own DimensionError for it would read as a size refusal (exit 3).
+    """
+    values = [int(spec[key]) for key in keys]
+    for key, value in zip(keys, values):
+        if value < 1:
+            raise UsageError(f"{key} = {value} must be >= 1")
+    return values
+
+
+def _check_blocking(n: int, k: int) -> None:
+    """k detector blocks must evenly divide N sites: a usage error (exit 2) otherwise."""
+    if k < 1 or n % k != 0:
+        raise UsageError(f"k = {k} does not divide N = {n}")
+
+
 def build_channel(
     spec: dict,
 ) -> tuple[QuantumChannel | RestrictedPartialTrace | DetectorChannel, dict]:
@@ -92,6 +111,8 @@ def build_channel(
     matrix-free: a partial trace with ``N``, ``Np``, ``split`` is a
     ``RestrictedPartialTrace`` and a detector with ``Np`` is a
     ``DetectorChannel``; every other spec is a dense ``QuantumChannel``.
+    Values out of range are usage errors; a DimensionError from construction is
+    a size refusal (exit 3).
     """
     if not isinstance(spec, dict) or "type" not in spec:
         raise UsageError("channel spec must be an object with a 'type' key")
@@ -99,26 +120,27 @@ def build_channel(
     info: dict = {"d_e_eff": None}
     try:
         if kind == "identity":
-            return identity_channel(int(spec["d"])), info
+            return identity_channel(*_dimensions(spec, "d")), info
         if kind == "depolarizing":
-            return depolarizing(int(spec["d"]), float(spec["lambda"])), info
+            return depolarizing(*_dimensions(spec, "d"), float(spec["lambda"])), info
         if kind == "partial_trace":
             if "N" in spec and spec.get("Np") is not None:
                 n, sq = int(spec["N"]), int(spec["split"])
                 ch = RestrictedPartialTrace(n, int(spec["Np"]), sq)
                 info["d_e_eff"] = effective_environment_dimension(ch.sub, (sq, n - sq))
                 return ch, info
-            d_s, d_e = int(spec["dS"]), int(spec["dE"])
+            d_s, d_e = _dimensions(spec, "dS", "dE")
             info["d_e_eff"] = float(d_e)
             return partial_trace_channel(d_s, d_e), info
         if kind == "unitary_trace":
-            d_s, d_e = int(spec["dS"]), int(spec["dE"])
+            d_s, d_e = _dimensions(spec, "dS", "dE")
             trace_out = partial_trace_channel(d_s, d_e)
             u = haar_unitary(d_s * d_e, int(spec.get("seed", 0)))
             info["d_e_eff"] = float(d_e)
             return compose(trace_out, unitary_channel(u)), info
         if kind == "bns":
-            n, k = int(spec["N"]), int(spec["k"])
+            n, k = _dimensions(spec, "N", "k")
+            _check_blocking(n, k)
             if spec.get("Np") is not None:
                 return DetectorChannel(n, k, int(spec["Np"])), info
             return bns_channel(n, k), info
@@ -271,8 +293,7 @@ def run_figure_energy(params: dict) -> list:
     n, np_excited, k = int(params["N"]), int(params["Np"]), int(params["k"])
     if n > 20000:
         raise UsageError(f"N = {n} exceeds the supported exact range (20000)")
-    if k < 1 or n % k != 0:
-        raise UsageError(f"k = {k} does not divide N = {n}")
+    _check_blocking(n, k)
     with _parameter_errors("figure-energy parameters"):
         trace_dist = energy_distribution_trace(n, np_excited, k)
     bns_dist = energy_distribution_bns(n, np_excited, k)
@@ -296,14 +317,14 @@ def run_figure_energy(params: dict) -> list:
 def run_figure_bound(params: dict) -> list:
     n, k = int(params["N"]), int(params["k"])
     samples, seed = int(params["samples"]), int(params["seed"])
-    if k < 1 or n % k != 0:
-        raise UsageError(f"k = {k} does not divide N = {n}")
+    _check_blocking(n, k)
+    if samples < 1:  # checked once: at N = 1 the Np loop below is empty
+        raise UsageError(f"samples = {samples} must be >= 1")
     rows = []
     for np_excited in range(1, n):
         ch = DetectorChannel(n, k, np_excited)
-        with _parameter_errors("figure-bound parameters"):
-            cfg = ExperimentConfig(channel=ch, samples=samples,
-                                   master_seed=derive_seed(seed, np_excited))
+        cfg = ExperimentConfig(channel=ch, samples=samples,
+                               master_seed=derive_seed(seed, np_excited))
         distances = np.asarray(sample_distances(cfg))
         std = float(np.std(distances, ddof=1)) if samples > 1 else 0.0
         rows.append([np_excited, ch.dim_in, float(np.mean(distances)), std,
@@ -347,10 +368,11 @@ def run_typicality(params: dict) -> list:
 
 
 def run_lipschitz(params: dict) -> list:
-    ch, _ = build_channel(params["channel"])
     trials, seed = int(params["trials"]), int(params["seed"])
-    with _parameter_errors("lipschitz parameters"):
-        estimate = lipschitz_estimate(ch, trials, seed)
+    if trials < 1:  # checked for every spec, also where the exact value needs no trial
+        raise UsageError(f"trials = {trials} must be >= 1")
+    ch, _ = build_channel(params["channel"])
+    estimate, exact = _eta(ch, trials, seed)
     payload = {
         "dim_in": ch.dim_in,
         "dim_out": ch.dim_out,
@@ -358,7 +380,8 @@ def run_lipschitz(params: dict) -> list:
         "trials": trials,
         "seed": seed,
     }
-    print(f"Lipschitz lower bound: {_fmt(estimate)}")
+    label = "Lipschitz constant" if exact else "Lipschitz lower bound"
+    print(f"{label:<21}: {_fmt(estimate)}")
     out = params["out"]
     _write_json(out, payload)
     outputs = [out]
@@ -497,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distances-csv", dest="distances_csv",
                    help="also dump per-sample distances")
 
-    p = sub.add_parser("lipschitz", help="lower bound on the channel Lipschitz constant")
+    p = sub.add_parser("lipschitz", help="lower bound on the channel Lipschitz constant; "
+                                         "restricted specs report the exact value")
     _add_channel_flags(p)
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)

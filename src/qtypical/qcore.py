@@ -249,15 +249,16 @@ def _haar_rows(dim: int, seeds) -> np.ndarray:
     state ``PCG64(seed)`` starts from, which ``_pcg64_states`` computes for the
     whole block at once by vectorising numpy's SeedSequence hash, so every row
     has the bits of a generator of its own. The row's 2*dim Gaussians fill one
-    reused (2, dim) buffer and are copied into its real and imaginary parts;
-    its squared norm is summed as ``np.linalg.norm`` sums it. The block is then
-    divided once by its row norms, so it is the only array of its size. One
-    unit-norm check (within 1e-12) covers the whole block.
+    reused (2, dim) buffer and are copied into its real and imaginary parts.
+    The squared row norms are then summed as ``np.linalg.norm`` sums them, one
+    dot product per part and row, by two stacked (1 x dim) @ (dim x 1) products
+    over the strided parts, and the block is divided once by its row norms, so
+    it is the only array of its size. One unit-norm check (within 1e-12) covers
+    the whole block.
     """
     if dim < 1:
         raise DimensionError(f"dimension must be >= 1, got {dim}")
     block = np.empty((len(seeds), dim), dtype=np.complex128)
-    sq_norms = np.empty(len(seeds))
     buf = np.empty((2, dim))
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
@@ -265,10 +266,11 @@ def _haar_rows(dim: int, seeds) -> np.ndarray:
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
         rng.standard_normal(out=buf)
-        re, im = block[i].real, block[i].imag
-        re[:], im[:] = buf
-        sq_norms[i] = re.dot(re) + im.dot(im)
-    block /= np.sqrt(sq_norms)[:, None]
+        row = block[i]
+        row.real, row.imag = buf
+    re, im = block.real[:, None], block.imag[:, None]
+    sq_norms = (re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
+    block /= np.sqrt(sq_norms)
     flat = block.view(np.float64)
     dev = float(np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", flat, flat)) - 1.0)))
     if not dev <= 1e-12:

@@ -12,8 +12,10 @@ The two matrix-free restricted channels, ``RestrictedPartialTrace`` and
 of Gram matrices of small tables of summed amplitudes, one table per group
 of a plan built once per channel, so neither forms a Kraus array, a Choi
 matrix or any 2^N buffer. Their canonical states and Choi purities are exact
-counts. ``restrict_channel`` pulls back any dense channel, and it is the
-oracle both structured classes are tested against.
+counts, and so is their Lipschitz constant (``exact_eta``). The restricted
+partial trace also takes its trace distances to the canonical state block by
+block, from the same tables. ``restrict_channel`` pulls back any dense channel,
+and it is the oracle both structured classes are tested against.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ from math import comb
 
 import numpy as np
 
-from .channels import QuantumChannel, _gated_linear_entropy, _minimal_channel, _state_block
+from .channels import (
+    QuantumChannel,
+    _EigensolveDistances,
+    _gated_linear_entropy,
+    _minimal_channel,
+    _state_block,
+)
 from .qcore import DensityOperator, DimensionError, _check_dense_bytes
 
 __all__ = [
@@ -151,14 +159,16 @@ class _PatternGroup:
         self.work = 2 * members.size + self.n_rows * (self.n_cols + self.n_rows) + 2 * first.size
 
 
-class _GatherGramChannel:
+class _GatherGramChannel(_EigensolveDistances):
     """Channel interface of the matrix-free restricted channels.
 
     The output for psi is the sum over the plan's groups of the kept entries of
     T T^dagger, T the group's table of summed amplitudes of psi. A subclass is a
     frozen dataclass with ``sub`` and ``dim_out``; it supplies ``_build_plan``,
     ``_canonical_diagonal``, ``choi_purity_routes`` and ``_outputs``, the name of
-    its outputs in refusal messages.
+    its outputs in refusal messages. Its distances to the canonical state take the
+    dense route of ``channels._EigensolveDistances`` unless it overrides
+    ``distances_to_canonical``.
     """
 
     @property
@@ -192,11 +202,7 @@ class _GatherGramChannel:
                            f"{d_out} and their work arrays")
         out = np.zeros((b, d_out * d_out), dtype=np.complex128)
         for g in self._plan:
-            sums = psis[:, g.members]
-            if g.starts is not None:
-                sums = np.add.reduceat(sums, g.starts, axis=1)
-            table = np.zeros((b, g.n_rows, g.n_cols), dtype=np.complex128)
-            table.reshape(b, -1)[:, g.cells] = sums
+            table = _table(g, psis)
             gram = (table @ table.conj().transpose(0, 2, 1)).reshape(b, -1)
             out[:, g.out_index] = gram[:, g.gram_index] * g.coherence
         return out.reshape(b, d_out, d_out)
@@ -215,6 +221,26 @@ class _GatherGramChannel:
         """1 - Choi purity, gated on the agreement of the two purity routes."""
         return _gated_linear_entropy(*self.choi_purity_routes())
 
+    def exact_eta(self) -> float:
+        """The exact trace-norm contraction coefficient eta of the channel: 1.0 or 0.0.
+
+        Basis state x goes to the pure output |p(x)><p(x)|, p(x) its pattern, so two
+        basis states with different patterns have orthogonal outputs and reach the cap
+        of 1. With one pattern the channel is constant and eta is 0. The patterns that
+        occur are the nonzero entries of the canonical diagonal.
+        """
+        return 1.0 if np.count_nonzero(self._canonical_diagonal()) > 1 else 0.0
+
+
+def _table(g: _PatternGroup, psis: np.ndarray) -> np.ndarray:
+    """Group g's (B, rows, cols) table of summed amplitudes of each row of psis."""
+    sums = psis[:, g.members]
+    if g.starts is not None:
+        sums = np.add.reduceat(sums, g.starts, axis=1)
+    table = np.zeros((psis.shape[0], g.n_rows, g.n_cols), dtype=np.complex128)
+    table.reshape(psis.shape[0], -1)[:, g.cells] = sums
+    return table
+
 
 @dataclass(frozen=True, eq=False)
 class RestrictedPartialTrace(_GatherGramChannel):
@@ -223,13 +249,15 @@ class RestrictedPartialTrace(_GatherGramChannel):
     Matrix-free form of ``restrict_channel(partial_trace_channel(2^split,
     2^(N - split)), enumerate_basis(N, n_excited))``, with the same channel
     interface: ``dim_in`` (d_R), ``dim_out`` (2^split), ``apply_pure_batch``,
-    ``canonical_state``, ``choi_purity_routes`` and ``linear_entropy``. A
-    subspace index x splits into the system pattern x >> (N - split) and the
-    environment pattern x & (2^(N - split) - 1). A system pattern of weight w
-    pairs only with environment patterns of weight Np - w, so the output for psi
-    is block-diagonal in w, one Gram matrix per w; the canonical state is
-    diagonal; and the Kraus operators have disjoint supports, so the Choi purity
-    is a sum of squared environment-pattern counts.
+    ``distances_to_canonical``, ``canonical_state``, ``exact_eta``,
+    ``choi_purity_routes`` and ``linear_entropy``. A subspace index x splits into
+    the system pattern x >> (N - split) and the environment pattern
+    x & (2^(N - split) - 1). A system pattern of weight w pairs only with
+    environment patterns of weight Np - w, so the output for psi is
+    block-diagonal in w, one Gram matrix per w; the canonical state is diagonal,
+    c_w I on block w, so the distances are taken block by block; and the Kraus
+    operators have disjoint supports, so the Choi purity is a sum of squared
+    environment-pattern counts.
     """
 
     n_sites: int
@@ -273,6 +301,47 @@ class RestrictedPartialTrace(_GatherGramChannel):
     def _canonical_diagonal(self) -> np.ndarray:
         """System-pattern counts / d_R."""
         return np.bincount(self._patterns()[0], minlength=self.dim_out) / self.dim_in
+
+    @property
+    def _distance_row_bytes(self) -> int:
+        """Bytes one row of ``distances_to_canonical`` allocates: the largest group's
+        gathered amplitudes, table, conjugate table and smaller Gram matrix, that Gram
+        matrix's eigenvalues with two temporaries of their size, and the row's sums."""
+        return max(16 * (g.members.size + 2 * g.n_rows * g.n_cols + m * m) + 8 * (3 * m + 2)
+                   for g in self._plan for m in [min(g.n_rows, g.n_cols)])
+
+    def distances_to_canonical(self, psis) -> np.ndarray:
+        """Trace distance of the output of each row of a (B, d_R) block to the canonical state.
+
+        Block by block: on system weight w the output is A A^dagger, A the group's
+        table, and the canonical state is c_w I with c_w = C(N - split, Np - w) / d_R,
+        the table's column count over d_R. The m = min(rows, cols) eigenvalues lambda_i
+        of the smaller Gram matrix, A A^dagger or A^dagger A, are the block's
+        eigenvalues but for rows - m zeros, so the distance is
+        1/2 sum_w [sum_i |lambda_i - c_w| + (rows - m) c_w]. No d_S x d_S output and no
+        dense canonical state is formed. Refused above 512 MiB (B ``_distance_row_bytes``).
+        """
+        psis = _state_block(psis, self.dim_in)
+        b = psis.shape[0]
+        _check_dense_bytes(b * self._distance_row_bytes,
+                           f"the distances of {b} partial-trace outputs by system weight")
+        sums = np.zeros(b)
+        for g in self._plan:
+            sums += self._block_sums(g, psis)
+        return 0.5 * sums
+
+    def _block_sums(self, g: _PatternGroup, psis: np.ndarray) -> np.ndarray:
+        """sum_i |lambda_i - c_w| + (rows - m) c_w of group g for each row of psis.
+
+        A function of its own, so that one group's arrays are released before the next
+        group's are allocated.
+        """
+        table = _table(g, psis)
+        adjoint = table.conj().transpose(0, 2, 1)
+        gram = table @ adjoint if g.n_rows <= g.n_cols else adjoint @ table
+        level = g.n_cols / self.dim_in
+        zeros = max(g.n_rows - g.n_cols, 0)
+        return np.sum(np.abs(np.linalg.eigvalsh(gram) - level), axis=1) + zeros * level
 
     def choi_purity_routes(self) -> tuple[float, float]:
         """(closed-form Choi purity, purity counted from the enumerated indices).

@@ -15,20 +15,26 @@ bound on the mean. The range check 0 <= mean <= max <= 1 + 1e-9 applies at
 every sample count.
 
 A channel here is anything with the channel interface (``dim_in``,
-``dim_out``, ``apply_pure_batch``, ``_row_bytes``, ``canonical_state``,
-``linear_entropy``): a dense ``QuantumChannel``, or one of the matrix-free
+``dim_out``, ``distances_to_canonical``, ``_distance_row_bytes``,
+``linear_entropy``, and ``apply_pure_batch`` and ``_row_bytes`` for the
+Lipschitz search): a dense ``QuantumChannel``, or one of the matrix-free
 restricted channels ``restriction.RestrictedPartialTrace`` and
 ``bns.DetectorChannel``, whose canonical states and entropies are exact
-counts and which never form a Kraus array or a Choi matrix.
+counts and which never form a Kraus array or a Choi matrix. The two
+matrix-free channels also have ``exact_eta``, the exact Lipschitz constant
+that an "estimated" eta takes in place of the search's lower bound.
 
 Sampling runs in chunks: each chunk fills one block with its Haar vectors in
 place (``qcore._haar_rows``: one generator per chunk, re-seeded before each
-sample to the state ``PCG64(seed)`` starts from), applies the channel to the
-whole block in one batched call and takes the trace distances from one
-batched eigensolve. A sample costs its state plus the channel's
-``_row_bytes``, and ``qcore._block_items`` makes the chunk as many samples as
-fit the 512 MiB dense budget, at most _BLOCK_ROWS; only a channel over budget
-at one sample is refused, before any work. Sample i always uses seed
+sample to the state ``PCG64(seed)`` starts from) and takes the whole block's
+trace distances from one ``distances_to_canonical`` call. A dense channel and
+the detector apply the block, subtract the canonical state and run one
+batched eigensolve; the restricted partial trace works block by block on its
+system weights and forms neither a d_S x d_S output nor a dense canonical
+state. A sample costs its state plus the channel's ``_distance_row_bytes``,
+and ``qcore._block_items`` makes the chunk as many samples as fit the 512 MiB
+dense budget, at most _BLOCK_ROWS; only a channel over budget at one sample
+is refused, before any work. Sample i always uses seed
 derive_seed(master_seed, i), so it depends only on (master_seed, i). The
 chunk follows from the channel's dimensions and the fixed budget alone, so
 output bytes never depend on the machine or on any thread setting;
@@ -45,15 +51,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import ConsistencyError, QuantumChannel, lipschitz_estimate
-from .qcore import (
-    DensityOperator,
-    _block_items,
-    _check_dense_bytes,
-    _haar_rows,
-    _half_trace_norms,
-    derive_seed,
-)
+from .channels import ConsistencyError, QuantumChannel, _eta
+from .qcore import DensityOperator, _block_items, _check_dense_bytes, _haar_rows, derive_seed
 
 if TYPE_CHECKING:
     from .bns import DetectorChannel
@@ -81,11 +80,13 @@ class ExperimentConfig:
     """Inputs of one Monte Carlo run.
 
     ``channel`` is a ``QuantumChannel``, a ``RestrictedPartialTrace`` or a
-    ``DetectorChannel``; the run uses only their shared interface. ``eta_mode`` selects the Lipschitz
-    constant used in the tail bound: "fixed_one" uses the channel-independent
-    value 1, "estimated" runs the lower-bound search with ``eta_trials``
-    restarts. The estimate is only a lower bound, so an estimated eta makes
-    the tail comparison diagnostic rather than conservative.
+    ``DetectorChannel``; the run uses only their shared interface. ``eta_mode``
+    selects the Lipschitz constant used in the tail bound: "fixed_one" uses the
+    channel-independent value 1; "estimated" uses the channel's exact value where
+    it has one (``exact_eta`` of the two matrix-free channels, 1 or 0), and
+    otherwise runs the lower-bound search with ``eta_trials`` restarts. A searched
+    eta is only a lower bound, so it makes the tail comparison diagnostic rather
+    than conservative; an exact eta does not.
     """
 
     channel: QuantumChannel | RestrictedPartialTrace | DetectorChannel
@@ -122,24 +123,22 @@ def sample_distances(cfg: ExperimentConfig) -> list:
     state haar_sample(dim_in, derive_seed(master_seed, i)). Samples are
     processed in chunks sized by ``_block_items`` from the bytes of one
     sample, each drawn in place into one (chunk, dim_in) array by
-    ``_haar_rows`` with the same bits. Each chunk's states and outputs are
+    ``_haar_rows`` with the same bits and passed to the channel's
+    ``distances_to_canonical``. Each chunk's states and work arrays are
     released before the next chunk is drawn, so the peak is one chunk.
     """
     ch = cfg.channel
     d = ch.dim_in
-    row = 16 * d + ch._row_bytes
+    row = 16 * d + ch._distance_row_bytes
     _check_dense_bytes(row, f"one sampled state of dimension {d}, its output of "
                        f"dimension {ch.dim_out} and work arrays")  # else a chunk fits
     chunk = min(_block_items(row, 1), cfg.samples)
-    omega = canonical_state(ch).matrix
     distances = np.empty(cfg.samples)
     for start in range(0, cfg.samples, chunk):
         stop = min(start + chunk, cfg.samples)
         psis = _haar_rows(d, [derive_seed(cfg.master_seed, i) for i in range(start, stop)])
-        out = ch.apply_pure_batch(psis)
-        out -= omega  # in place: the chunk holds one block of outputs, not two
-        distances[start:stop] = _half_trace_norms(out)
-        del psis, out  # the next chunk is drawn and applied without this one alive
+        distances[start:stop] = ch.distances_to_canonical(psis)
+        del psis  # the next chunk is drawn without this one alive
     return distances.tolist()
 
 
@@ -183,7 +182,8 @@ class TypicalityReport:
     """Aggregated Monte Carlo statistics next to the analytic bounds.
 
     ``tail_table`` rows are (epsilon, empirical fraction of samples with
-    |D - mean| > epsilon, clamped tail bound).
+    |D - mean| > epsilon, clamped tail bound). ``tail_diagnostic_only`` is set
+    when ``eta_used`` came from the lower-bound search.
     """
 
     d_r: int
@@ -247,9 +247,8 @@ def _experiment(cfg: ExperimentConfig) -> tuple[TypicalityReport, list]:
         eta = 1.0
         diagnostic = False
     else:
-        eta = lipschitz_estimate(ch, cfg.eta_trials,
-                                 derive_seed(cfg.master_seed, ETA_STREAM_INDEX))
-        diagnostic = True
+        eta, exact = _eta(ch, cfg.eta_trials, derive_seed(cfg.master_seed, ETA_STREAM_INDEX))
+        diagnostic = not exact  # a searched eta is only a lower bound
 
     tail_rows = []
     for eps in cfg.epsilon_grid:

@@ -84,7 +84,8 @@ def test_traced_restricted_typicality_run_records_restriction_layers(tmp_path):
     for name in ("enumerate_basis", "effective_environment_dimension"):
         assert calls["restriction." + name] >= 1, name
     assert calls["typicality.sample_distances"] >= 1
-    assert calls["typicality.canonical_state"] >= 1
+    # the partial trace's distances are taken block by block: no dense canonical state
+    assert calls["typicality.canonical_state"] == 0
     # the restricted partial trace is matrix-free: no dense channel is built or restricted
     assert calls["restriction.restrict_channel"] == 0
     assert calls["channels.QuantumChannel.init"] == 0

@@ -418,6 +418,19 @@ def test_lipschitz_identity(tmp_path):
     assert json.loads(out.read_text())["estimate"] >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["--channel", "partial-trace", "--N", 10, "--Np", 5, "--split", 3], 1.0),
+    (["--channel", "bns", "--N", 8, "--k", 2, "--Np", 4], 1.0),
+    (["--channel", "partial-trace", "--N", 6, "--Np", 3, "--split", 0], 0.0),
+], ids=["partial-trace", "detector", "constant"])
+def test_lipschitz_reports_the_exact_value_on_restricted_specs(tmp_path, capsys, argv,
+                                                               expected):
+    out = tmp_path / "lip.json"
+    assert run(["lipschitz", *argv, "--trials", 2, "--out", out]) == 0
+    assert json.loads(out.read_text())["estimate"] == expected
+    assert "Lipschitz constant" in capsys.readouterr().out
+
+
 def test_lipschitz_refuses_oversized_identity_quickly(tmp_path):
     # a 20000 x 20000 identity is 6.4 GB
     started = time.perf_counter()
@@ -448,6 +461,16 @@ OUT_OF_RANGE = {
     "lipschitz": ["lipschitz", "--channel", "depolarizing", "--d", 3, "--lambda", 0.5,
                   "--trials", 0],
     "figure-energy": ["figure-energy", "--N", 10, "--Np", 11, "--k", 2],
+    # spec values out of range, refused before construction, not as size refusals
+    "entropy-blocking": ["entropy", "--channel", "bns", "--N", 6, "--k", 4],
+    "entropy-dimension": ["entropy", "--channel", "identity", "--d", 0],
+    "entropy-factor": ["entropy", "--channel", "partial-trace", "--dS", 2, "--dE", 0],
+    "figure-bound-blocking": ["figure-bound", "--N", 6, "--k", 4],
+    # the Np loop is empty at one site, so the samples check must not live inside it
+    "figure-bound-one-site": ["figure-bound", "--N", 1, "--k", 1, "--samples", 0],
+    # the restricted spec's exact eta needs no trial, but the value is still checked
+    "lipschitz-restricted": ["lipschitz", "--channel", "partial-trace", "--N", 6, "--Np", 3,
+                             "--split", 2, "--trials", 0],
 }
 
 
@@ -456,6 +479,18 @@ def test_out_of_range_value_is_a_usage_error(tmp_path, capsys, command):
     out = tmp_path / "out.dat"
     assert run(OUT_OF_RANGE[command] + ["--out", out]) == 2
     assert capsys.readouterr().err.startswith("usage error")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--channel", "identity", "--d", 20000],  # the 512 MiB budget
+    ["entropy", "--channel", "partial-trace", "--N", 40, "--Np", 3, "--split", 2],
+    ["entropy", "--channel", "bns", "--N", 11, "--k", 1],  # BLOCK_LIMIT
+], ids=["budget", "enumeration-limit", "block-limit"])
+def test_size_refusal_of_a_spec_is_still_a_data_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", out]) == 3
+    assert capsys.readouterr().err.startswith("data error")
     assert not out.exists()
 
 

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import dense_choi_purity, random_density
-from qtypical.bns import block_channel
+from qtypical.bns import DetectorChannel, block_channel
 from qtypical.channels import (
     QuantumChannel,
+    _pair_objectives,
     channels_equal,
+    lipschitz_estimate,
     partial_trace_channel,
     replace_channel,
 )
@@ -25,6 +27,7 @@ from qtypical.restriction import (
     enumerate_basis,
     restrict_channel,
 )
+from qtypical.typicality import ETA_STREAM_INDEX
 
 
 # -- basis enumeration --
@@ -287,3 +290,55 @@ def test_enumeration_refused_above_budget():
     # C(30, 15) indices would take 1.24 GB
     with pytest.raises(DimensionError, match="MiB"):
         enumerate_basis(30, 15)
+
+
+# -- exact eta of the matrix-free channels --
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RestrictedPartialTrace(10, 5, 3),
+    lambda: RestrictedPartialTrace(8, 4, 2),
+    lambda: DetectorChannel(8, 2, 4),
+    lambda: DetectorChannel(9, 3, 4),
+    lambda: DetectorChannel(12, 4, 6),
+], ids=["ptrace-10-5-3", "ptrace-8-4-2", "bns-8-2-4", "bns-9-3-4", "bns-12-4-6"])
+def test_exact_eta_is_one_where_two_patterns_occur(make):
+    ch = make()
+    assert np.count_nonzero(ch.canonical_state().matrix.diagonal()) >= 2
+    assert ch.exact_eta() == 1.0
+    # the greedy search only bounds it from below
+    seed = derive_seed(2024, ETA_STREAM_INDEX)
+    assert lipschitz_estimate(ch, 16, seed) <= ch.exact_eta()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DetectorChannel(8, 4, 7),
+    lambda: DetectorChannel(8, 2, 0),
+    lambda: DetectorChannel(8, 2, 8),
+    lambda: RestrictedPartialTrace(6, 3, 0),
+    lambda: RestrictedPartialTrace(6, 0, 3),
+    lambda: RestrictedPartialTrace(6, 6, 3),
+], ids=["bns-8-4-7", "bns-Np-0", "bns-Np-N", "ptrace-split-0", "ptrace-Np-0", "ptrace-Np-N"])
+def test_exact_eta_is_zero_on_a_constant_channel(make):
+    ch = make()
+    assert np.count_nonzero(ch.canonical_state().matrix.diagonal()) == 1
+    assert ch.exact_eta() == 0.0
+    if ch.dim_in > 1:  # every output is the canonical state
+        psis = np.stack([haar_sample(ch.dim_in, s).amplitudes for s in (1, 2)])
+        assert np.max(np.abs(ch.apply_pure_batch(psis) - ch.canonical_state().matrix)) < 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RestrictedPartialTrace(8, 4, 2),
+    lambda: RestrictedPartialTrace(7, 3, 7),
+    lambda: DetectorChannel(8, 2, 4),
+    lambda: DetectorChannel(9, 3, 4),
+], ids=["ptrace-8-4-2", "ptrace-7-3-7", "bns-8-2-4", "bns-9-3-4"])
+def test_basis_states_of_different_patterns_reach_the_cap_exactly(make):
+    # one basis state per pattern, each paired with the first: orthogonal pure outputs
+    ch = make()
+    patterns = ch._patterns()[0] if isinstance(ch, RestrictedPartialTrace) else ch._patterns()
+    firsts = np.unique(patterns, return_index=True)[1]
+    basis = np.eye(ch.dim_in, dtype=np.complex128)
+    psis = basis[np.repeat(firsts[:1], firsts.size - 1)]
+    assert _pair_objectives(ch, psis, basis[firsts[1:]]) == [1.0] * (firsts.size - 1)

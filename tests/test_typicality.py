@@ -97,7 +97,6 @@ def test_sample_distances_match_per_sample_generators_bit_for_bit():
     # two full chunks and a partial one, each row drawn by a generator of its own
     ch = RestrictedPartialTrace(10, 5, 3)
     cfg = ExperimentConfig(channel=ch, samples=600, master_seed=13)
-    omega = canonical_state(ch).matrix
     expected = []
     for start in range(0, cfg.samples, qcore._BLOCK_ROWS):
         rows = []
@@ -105,9 +104,7 @@ def test_sample_distances_match_per_sample_generators_bit_for_bit():
             parts = qcore._generator(derive_seed(13, i)).standard_normal((2, ch.dim_in))
             z = parts[0] + 1j * parts[1]
             rows.append(z / np.linalg.norm(z))
-        out = ch.apply_pure_batch(np.stack(rows))
-        out -= omega
-        expected.extend(qcore._half_trace_norms(out).tolist())
+        expected.extend(ch.distances_to_canonical(np.stack(rows)).tolist())
     assert np.array(sample_distances(cfg)).tobytes() == np.array(expected).tobytes()
 
 
@@ -136,8 +133,8 @@ def test_sample_distances_peak_is_one_block_of_outputs(samples):
 
 def test_sample_distances_refuses_oversized_chunk_before_sampling(monkeypatch,
                                                                   small_dense_budget):
-    # one sample of C(13, 6) = 1716 amplitudes and its work arrays need 72256 bytes, past
-    # the 64 KiB budget, while the 41568-byte grouping plan fits: no chunk size fits
+    # one sample of C(13, 6) = 1716 amplitudes and its distance work arrays need 71936
+    # bytes, past the 64 KiB budget, while the 41568-byte grouping plan fits: no chunk fits
     import qtypical.typicality as typicality
 
     draws = []
@@ -165,7 +162,7 @@ def test_sample_distances_refuses_oversized_outputs_before_any_work(monkeypatch,
 
 
 @pytest.mark.parametrize("make", [
-    lambda: RestrictedPartialTrace(8, 4, 2),
+    lambda: RestrictedPartialTrace(8, 4, 3),
     lambda: DetectorChannel(8, 2, 4),
     lambda: depolarizing(4, 0.5),
     lambda: random_channel(8, 4, 6, seed=2),
@@ -191,8 +188,77 @@ def test_derived_chunk_gives_the_bits_of_the_full_chunk(make, monkeypatch):
     monkeypatch.setattr(qcore, "_DENSE_BYTES_LIMIT", 2**16)
     derived = np.array(sample_distances(cfg))
     assert 2 <= chunks[0] < qcore._BLOCK_ROWS and min(chunks) >= 2
-    assert chunks[0] == qcore._block_items(16 * ch.dim_in + ch._row_bytes, 1)
+    assert chunks[0] == qcore._block_items(16 * ch.dim_in + ch._distance_row_bytes, 1)
     assert derived.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("spec", [(10, 5, 3), (10, 5, 0), (10, 5, 10), (8, 4, 2), (8, 4, 3),
+                                  (12, 6, 6), (9, 2, 7), (14, 7, 7), (6, 0, 3), (6, 6, 3),
+                                  (7, 3, 7), (7, 3, 1)], ids=str)
+def test_weight_block_distances_match_the_dense_route(spec):
+    # the dense route: whole outputs minus the dense canonical state, one eigensolve each
+    ch = RestrictedPartialTrace(*spec)
+    psis = qcore._haar_rows(ch.dim_in, [derive_seed(31, i) for i in range(24)])
+    out = ch.apply_pure_batch(psis)
+    out -= canonical_state(ch).matrix
+    expected = qcore._half_trace_norms(out)
+    assert np.max(np.abs(ch.distances_to_canonical(psis) - expected)) <= 1e-15
+
+
+def test_partial_trace_samples_without_outputs_or_a_dense_canonical_state(monkeypatch):
+    ch = RestrictedPartialTrace(10, 5, 3)
+    cfg = ExperimentConfig(channel=ch, samples=40, master_seed=4)
+    expected = sample_distances(cfg)
+
+    def refuse(self, *args):
+        raise AssertionError("the weight-block route formed a dense output or state")
+
+    monkeypatch.setattr(RestrictedPartialTrace, "apply_pure_batch", refuse)
+    monkeypatch.setattr(RestrictedPartialTrace, "canonical_state", refuse)
+    assert sample_distances(cfg) == expected
+
+
+def test_partial_trace_chunk_grows_past_an_output_over_budget(small_dense_budget):
+    # split 7: one 128 x 128 output alone (256 KiB) is over the 64 KiB budget, so the
+    # output-sized chunk refused this spec; the weight-block route needs 9304 bytes a
+    # sample and runs chunks of 7. The grouping plan is built at the real budget first.
+    ch = RestrictedPartialTrace(10, 5, 7)
+    cfg = ExperimentConfig(channel=ch, samples=20, master_seed=8)
+    with pytest.MonkeyPatch.context() as real_budget:
+        real_budget.setattr(qcore, "_DENSE_BYTES_LIMIT", 512 * 2**20)
+        expected = sample_distances(cfg)
+    assert 16 * ch.dim_out**2 > small_dense_budget
+    row = 16 * ch.dim_in + ch._distance_row_bytes
+    chunk = qcore._block_items(row, 1)
+    assert chunk == 7
+    tracemalloc.start()
+    try:
+        got = sample_distances(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    assert peak <= 1.1 * chunk * row
+
+
+def test_estimated_eta_is_exact_on_the_matrix_free_channels(monkeypatch):
+    import qtypical.channels as channels
+
+    def no_search(*args):
+        raise AssertionError("the exact eta needs no search")
+
+    monkeypatch.setattr(channels, "lipschitz_estimate", no_search)
+    for ch in (RestrictedPartialTrace(10, 5, 3), DetectorChannel(8, 2, 4)):
+        reports = [run_experiment(ExperimentConfig(channel=ch, samples=60, master_seed=2,
+                                                   epsilon_grid=(0.05, 0.1), eta_mode=mode))
+                   for mode in ("estimated", "fixed_one")]
+        estimated, fixed = (r.to_json_dict() for r in reports)
+        assert estimated["eta_used"] == 1.0 and not estimated["tail_diagnostic_only"]
+        assert estimated["tail_table"] == fixed["tail_table"]
+    report = run_experiment(ExperimentConfig(channel=DetectorChannel(8, 4, 7), samples=5,
+                                             master_seed=2, epsilon_grid=(0.05,),
+                                             eta_mode="estimated"))
+    assert report.eta_used == 0.0 and report.tail_table[0][2] == 0.0
 
 
 def test_run_experiment_refuses_an_oversized_entropy_before_any_draw(monkeypatch,
@@ -217,8 +283,10 @@ def test_restricted_partial_trace_experiment_matches_dense_oracle():
     assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-15
     got, expected = (run_experiment(cfg).to_json_dict() for cfg in configs)
     for key in ("mean_distance", "std_distance", "max_distance", "entropy_bound",
-                "linear_entropy", "eta_used"):
+                "linear_entropy"):
         assert abs(got[key] - expected[key]) < 1e-12, key
+    # the matrix-free channel reports its exact eta; the dense oracle searches a lower bound
+    assert got["eta_used"] == 1.0 and expected["eta_used"] <= got["eta_used"]
 
 
 def test_distances_deterministic_and_thread_independent(monkeypatch):
