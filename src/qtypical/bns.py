@@ -25,18 +25,24 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import comb, lcm
 
 import numpy as np
 
-from .channels import KRAUS_EIGENVALUE_CUTOFF, QuantumChannel, tensor
+from .channels import (
+    KRAUS_EIGENVALUE_CUTOFF,
+    QuantumChannel,
+    _EigensolveDistances,
+    _state_block,
+    tensor,
+)
 from .qcore import DimensionError, _check_dense_bytes
 from .restriction import (
     ExcitationSubspace,
-    _GatherGramChannel,
-    _PatternGroup,
-    _popcount,
+    _gram,
+    _PatternChannel,
+    _truncated_product,
     enumerate_basis,
 )
 
@@ -260,36 +266,73 @@ def _purity_numerator_convolution(n: int, n_blocks: int, n_excited: int) -> int:
     scale = 2**n - 1
     terms = [(0, 0, scale)] + [(p, q, comb(n, max(p, q)) * (scale if p == q else 1))
                                for r in range(1, n + 1) for p, q in ((r, r), (r, 0), (0, r))]
-    size = n_excited + 1
-    table = np.zeros((size, size), dtype=object)
-    table[0, 0] = 1
-    for _ in range(n_blocks):
-        product = np.zeros((size, size), dtype=object)
-        for p, q, value in terms:
-            if p < size and q < size:
-                product[p:, q:] += value * table[:size - p, :size - q]
-        table = product
-    return int(table[n_excited, n_excited])
+    return _truncated_product([(terms, n_blocks)], n_excited)
+
+
+# -- the detector's gather-Gram plan ----------------------------------------------------
+
+
+def _popcount(values: np.ndarray, n_bits: int) -> np.ndarray:
+    return sum(((values >> bit) & 1 for bit in range(n_bits)), np.zeros_like(values))
+
+
+class _PatternGroup:
+    """Gather, reduce and Gram step of one group of the detector's plan.
+
+    Basis state ``members[i]`` is summed into the cell (``row[i]``, column of
+    label ``cols[i]``) of a table whose rows are the ascending output indices
+    ``rows``. The Gram entries of the row pairs in the mask ``keep`` enter the
+    output times ``coherence`` (an array of the mask's shape, or a scalar).
+    ``work`` is the complex entries per state that one application allocates.
+    """
+
+    def __init__(self, members, rows, row, cols, keep, coherence, d_out: int):
+        labels, col = np.unique(cols, return_inverse=True)
+        key = row * labels.size + col
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        first, second = np.nonzero(keep)
+        self.members = members[order]
+        self.starts = starts if starts.size < members.size else None
+        self.cells = key[starts]
+        self.n_rows, self.n_cols = rows.size, labels.size
+        self.gram_index = np.flatnonzero(keep)
+        self.out_index = rows[first] * d_out + rows[second]
+        self.coherence = np.broadcast_to(coherence, keep.shape)[keep]
+        self.work = 2 * members.size + self.n_rows * (self.n_cols + self.n_rows) + 2 * first.size
+
+    def table(self, psis: np.ndarray) -> np.ndarray:
+        """The group's (B, rows, cols) table of summed amplitudes of each row of psis."""
+        sums = psis[:, self.members]
+        if self.starts is not None:
+            sums = np.add.reduceat(sums, self.starts, axis=1)
+        table = np.zeros((psis.shape[0], self.n_rows, self.n_cols), dtype=np.complex128)
+        table.reshape(psis.shape[0], -1)[:, self.cells] = sums
+        return table
 
 
 @dataclass(frozen=True, eq=False)
-class DetectorChannel(_GatherGramChannel):
+class DetectorChannel(_PatternChannel, _EigensolveDistances):
     """The k-block detector restricted to the n_excited subspace of N sites.
 
     Matrix-free form of ``restrict_channel(bns_channel(N, k), enumerate_basis(N,
     n_excited))``, with the channel interface of ``RestrictedPartialTrace``:
     ``dim_in`` (d_R = C(N, Np)), ``dim_out`` (2^k), ``apply_pure_batch``,
-    ``canonical_state``, ``choi_purity_routes``, ``linear_entropy`` and ``kraus``
-    built on demand. Block b holds sites b n .. b n + n - 1 and is output bit
-    k - 1 - b, so a basis state x has the occupancy pattern y(x) of its non-empty
-    blocks. For a pure input psi, with c = (2^n - 1)^(-1/2),
+    ``distances_to_canonical`` (the dense route of ``channels._EigensolveDistances``),
+    ``canonical_state``, ``exact_eta``, ``choi_purity_routes``, ``linear_entropy``
+    and ``kraus`` built on demand. Block b holds sites b n .. b n + n - 1 and is
+    output bit k - 1 - b, so a basis state x has the occupancy pattern y(x) of its
+    non-empty blocks. For a pure input psi, with c = (2^n - 1)^(-1/2),
 
         rho[y, y'] = c^|y xor y'| sum of psi_x conj(psi_x') over the x, x' with
                      patterns y, y' that agree on the blocks both occupy,
 
     so the output needs only sums of psi over the blocks one pattern occupies
-    and the other does not. The canonical state is the exact spectrum and the
-    Choi purity an exact generating-function count.
+    and the other does not: it is a sum of Gram matrices of small tables of
+    summed amplitudes, one table per group of a plan built once from the
+    enumerated basis. The canonical state is the exact spectrum and the Choi
+    purity an exact generating-function count.
     """
 
     n_sites: int
@@ -297,11 +340,13 @@ class DetectorChannel(_GatherGramChannel):
     n_excited: int
     sub: ExcitationSubspace = field(init=False, repr=False)
 
-    _outputs = "detector"
-
     def __post_init__(self):
         _block_size(self.n_sites, self.n_blocks)
         object.__setattr__(self, "sub", enumerate_basis(self.n_sites, self.n_excited))
+
+    @property
+    def dim_in(self) -> int:
+        return self.sub.d_r
 
     @property
     def dim_out(self) -> int:
@@ -326,14 +371,18 @@ class DetectorChannel(_GatherGramChannel):
         c = 1.0 / np.sqrt(2.0 ** (self.n_sites // self.n_blocks) - 1.0)
         return c ** _popcount(np.arange(self.dim_out, dtype=np.int64), self.n_blocks)
 
-    def _build_plan(self) -> tuple:
-        """One group per block set S that some output entry needs.
+    @cached_property
+    def _plan(self) -> tuple[_PatternGroup, ...]:
+        """One group per block set S that some output entry needs, built once.
 
         Group S sums each basis state whose pattern contains S into the cell (its
         pattern, its configuration on S) and keeps the pattern pairs sharing exactly S.
+        Refused above 512 MiB: three index entries per membership and per output entry.
         """
         y, x, d_out = self._patterns(), self.sub.indices, self.dim_out
-        self._check_plan_bytes(int(np.sum(2 ** _popcount(y, self.n_blocks))))
+        memberships = int(np.sum(2 ** _popcount(y, self.n_blocks)))
+        _check_dense_bytes(8 * 3 * (memberships + d_out**2),
+                           f"the grouping plan of the {self.dim_in}-state detector input")
         masks, coherences = self._site_masks(), self._coherences()
         groups = []
         for shared in range(d_out):
@@ -346,9 +395,35 @@ class DetectorChannel(_GatherGramChannel):
                                             keep, coherence, d_out))
         return tuple(groups)
 
+    @property
+    def _row_bytes(self) -> int:
+        """Bytes one row of ``apply_pure_batch`` allocates: its output plus the largest
+        group's gathered amplitudes, table, Gram matrix and selected entries."""
+        return 16 * (self.dim_out**2 + max(g.work for g in self._plan))
+
+    def apply_pure_batch(self, psis) -> np.ndarray:
+        """Outputs for a (B, d_R) block of pure inputs, one per row.
+
+        Refused above 512 MiB (B ``_row_bytes``).
+        """
+        psis = _state_block(psis, self.dim_in)
+        b, d_out = psis.shape[0], self.dim_out
+        _check_dense_bytes(b * self._row_bytes, f"{b} detector outputs of dimension "
+                           f"{d_out} and their work arrays")
+        out = np.zeros((b, d_out * d_out), dtype=np.complex128)
+        for g in self._plan:
+            gram = _gram(g.table(psis)).reshape(b, -1)
+            out[:, g.out_index] = gram[:, g.gram_index] * g.coherence
+        return out.reshape(b, d_out, d_out)
+
     def _canonical_diagonal(self) -> np.ndarray:
         """The exact canonical spectrum."""
         return canonical_spectrum(self.n_sites, self.n_excited, self.n_blocks).diagonal()
+
+    def _pattern_count(self) -> int:
+        """C(k, m) summed over the excited-block counts m of the exact spectrum."""
+        spectrum = canonical_spectrum(self.n_sites, self.n_excited, self.n_blocks)
+        return sum(comb(self.n_blocks, m) for m in spectrum.weights)
 
     def choi_purity_routes(self) -> tuple[float, float]:
         """(closed-form Choi purity, purity from the k-fold block-table product).

@@ -127,7 +127,7 @@ def build_channel(
             if "N" in spec and spec.get("Np") is not None:
                 n, sq = int(spec["N"]), int(spec["split"])
                 ch = RestrictedPartialTrace(n, int(spec["Np"]), sq)
-                info["d_e_eff"] = effective_environment_dimension(ch.sub, (sq, n - sq))
+                info["d_e_eff"] = effective_environment_dimension(ch, (sq, n - sq))
                 return ch, info
             d_s, d_e = _dimensions(spec, "dS", "dE")
             info["d_e_eff"] = float(d_e)

@@ -8,15 +8,18 @@ isometry: the full 2^N space only appears when a full-space channel needs to
 act, and then the embedding is a plain column selection of its Kraus array.
 
 The two matrix-free restricted channels, ``RestrictedPartialTrace`` and
-``bns.DetectorChannel``, share one gather-Gram engine: each output is a sum
-of Gram matrices of small tables of summed amplitudes, one table per group
-of a plan built once per channel, so neither forms a Kraus array, a Choi
-matrix or any 2^N buffer. Their canonical states and Choi purities are exact
-counts, and so is their Lipschitz constant (``exact_eta``). The restricted
-partial trace also takes its trace distances to the canonical state block by
-block, from the same tables. ``restrict_channel`` pulls back any dense channel,
-and it is the oracle both structured classes are tested against.
-"""
+``bns.DetectorChannel``, send each basis state to a pure output given by its
+pattern. They share the exact quantities this gives (``_PatternChannel``): the
+diagonal canonical state, the Choi purity gated on two exact routes, and the
+Lipschitz constant ``exact_eta``. Neither forms a Kraus array, a Choi matrix
+or any 2^N buffer. The restricted partial trace needs no basis at all: the
+states of one system pattern are one contiguous run of the basis, so each
+output block is the Gram matrix of a table of runs gathered from the input,
+its distances to the canonical state are taken block by block, and every
+other quantity is a count. The detector sums its input into the tables of a
+grouping plan built from the enumerated basis. ``restrict_channel`` pulls back
+any dense channel, and it is the oracle both structured classes are tested
+against."""
 
 from __future__ import annotations
 
@@ -26,13 +29,7 @@ from math import comb
 
 import numpy as np
 
-from .channels import (
-    QuantumChannel,
-    _EigensolveDistances,
-    _gated_linear_entropy,
-    _minimal_channel,
-    _state_block,
-)
+from .channels import QuantumChannel, _gated_linear_entropy, _minimal_channel, _state_block
 from .qcore import DensityOperator, DimensionError, _check_dense_bytes
 
 __all__ = [
@@ -106,12 +103,14 @@ def restrict_channel(ch: QuantumChannel, sub: ExcitationSubspace) -> QuantumChan
     return _minimal_channel(ch.kraus[:, :, sub.indices], sub.d_r, ch.dim_out)
 
 
-def effective_environment_dimension(sub: ExcitationSubspace, split: tuple[int, int]) -> float:
+def effective_environment_dimension(sub, split: tuple[int, int]) -> float:
     """1 / purity of the environment marginal of the maximally mixed subspace state.
 
-    ``split`` gives (system qubits, environment qubits), leading qubits first.
-    The marginal is diagonal: an environment pattern of weight w carries
-    C(sq, Np - w) of the C(N, Np) basis states, so the result is
+    ``sub`` is anything with ``n_sites`` and ``n_excited``, such as an
+    ``ExcitationSubspace`` or a ``RestrictedPartialTrace``. ``split`` gives
+    (system qubits, environment qubits), leading qubits first. The marginal is
+    diagonal: an environment pattern of weight w carries C(sq, Np - w) of the
+    C(N, Np) basis states, so the result is
     C(N, Np)^2 / sum_w C(eq, w) C(sq, Np - w)^2, divided in exact integers.
     """
     sq, eq = split
@@ -128,84 +127,45 @@ def _marginal_square_sum(n_excited: int, sq: int, eq: int) -> int:
                for w in range(min(eq, n_excited) + 1))
 
 
-def _popcount(values: np.ndarray, n_bits: int) -> np.ndarray:
-    return sum(((values >> bit) & 1 for bit in range(n_bits)), np.zeros_like(values))
+def _marginal_square_product(n_excited: int, sq: int, eq: int) -> int:
+    """Table-product route to the same sum: [x^Np y^Np] (1 + x)^sq (1 + y)^sq (1 + xy)^eq.
 
-
-class _PatternGroup:
-    """Gather, reduce and Gram step of one group of a gather-Gram plan.
-
-    Basis state ``members[i]`` is summed into the cell (``row[i]``, column of
-    label ``cols[i]``) of a table whose rows are the ascending output indices
-    ``rows``. The Gram entries of the row pairs in the mask ``keep`` enter the
-    output times ``coherence`` (an array of the mask's shape, or a scalar).
-    ``work`` is the complex entries per state that one application allocates.
+    It counts the triples (s, s', e) of two system patterns and one environment
+    pattern with |s| + |e| = |s'| + |e| = Np: the pairs of basis states that share
+    their environment pattern.
     """
-
-    def __init__(self, members, rows, row, cols, keep, coherence, d_out: int):
-        labels, col = np.unique(cols, return_inverse=True)
-        key = row * labels.size + col
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        first, second = np.nonzero(keep)
-        self.members = members[order]
-        self.starts = starts if starts.size < members.size else None
-        self.cells = key[starts]
-        self.n_rows, self.n_cols = rows.size, labels.size
-        self.gram_index = np.flatnonzero(keep)
-        self.out_index = rows[first] * d_out + rows[second]
-        self.coherence = np.broadcast_to(coherence, keep.shape)[keep]
-        self.work = 2 * members.size + self.n_rows * (self.n_cols + self.n_rows) + 2 * first.size
+    one = (0, 0, 1)
+    return _truncated_product([([one, (1, 0, 1)], sq), ([one, (0, 1, 1)], sq),
+                               ([one, (1, 1, 1)], eq)], n_excited)
 
 
-class _GatherGramChannel(_EigensolveDistances):
-    """Channel interface of the matrix-free restricted channels.
+def _truncated_product(factors, degree: int) -> int:
+    """[x^degree y^degree] of a product of bivariate polynomials with integer coefficients.
 
-    The output for psi is the sum over the plan's groups of the kept entries of
-    T T^dagger, T the group's table of summed amplitudes of psi. A subclass is a
-    frozen dataclass with ``sub`` and ``dim_out``; it supplies ``_build_plan``,
-    ``_canonical_diagonal``, ``choi_purity_routes`` and ``_outputs``, the name of
-    its outputs in refusal messages. Its distances to the canonical state take the
-    dense route of ``channels._EigensolveDistances`` unless it overrides
-    ``distances_to_canonical``.
+    ``factors`` lists (terms, power) pairs, each term a triple (p, q, coefficient) of
+    x^p y^q; the factors are multiplied into one table that keeps degrees up to
+    ``degree`` in each variable, in exact integers.
     """
+    size = degree + 1
+    table = np.zeros((size, size), dtype=object)
+    table[0, 0] = 1
+    for terms, power in factors:
+        for _ in range(power):
+            product = np.zeros((size, size), dtype=object)
+            for p, q, value in terms:
+                if p < size and q < size:
+                    product[p:, q:] += value * table[:size - p, :size - q]
+            table = product
+    return int(table[degree, degree])
 
-    @property
-    def dim_in(self) -> int:
-        return self.sub.d_r
 
-    @cached_property
-    def _plan(self) -> tuple[_PatternGroup, ...]:
-        """The grouping plan, built once."""
-        return self._build_plan()
+class _PatternChannel:
+    """Exact quantities shared by the matrix-free restricted channels.
 
-    def _check_plan_bytes(self, memberships: int) -> None:
-        """Refuse a plan above 512 MiB: three index entries per membership and per output entry."""
-        _check_dense_bytes(8 * 3 * (memberships + self.dim_out**2),
-                           f"the grouping plan of the {self.dim_in}-state {self._outputs} input")
-
-    @property
-    def _row_bytes(self) -> int:
-        """Bytes one row of ``apply_pure_batch`` allocates: its output plus the largest
-        group's gathered amplitudes, table, Gram matrix and selected entries."""
-        return 16 * (self.dim_out**2 + max(g.work for g in self._plan))
-
-    def apply_pure_batch(self, psis) -> np.ndarray:
-        """Outputs for a (B, d_R) block of pure inputs, one per row.
-
-        Refused above 512 MiB (B ``_row_bytes``).
-        """
-        psis = _state_block(psis, self.dim_in)
-        b, d_out = psis.shape[0], self.dim_out
-        _check_dense_bytes(b * self._row_bytes, f"{b} {self._outputs} outputs of dimension "
-                           f"{d_out} and their work arrays")
-        out = np.zeros((b, d_out * d_out), dtype=np.complex128)
-        for g in self._plan:
-            table = _table(g, psis)
-            gram = (table @ table.conj().transpose(0, 2, 1)).reshape(b, -1)
-            out[:, g.out_index] = gram[:, g.gram_index] * g.coherence
-        return out.reshape(b, d_out, d_out)
+    Both send a basis state x to the pure output |p(x)><p(x)|, p(x) its pattern.
+    A subclass supplies ``_canonical_diagonal`` (the diagonal of the canonical state),
+    ``_pattern_count`` (the number of patterns that occur) and ``choi_purity_routes``.
+    """
 
     def canonical_state(self) -> DensityOperator:
         """Diagonal image of the maximally mixed input.
@@ -224,96 +184,125 @@ class _GatherGramChannel(_EigensolveDistances):
     def exact_eta(self) -> float:
         """The exact trace-norm contraction coefficient eta of the channel: 1.0 or 0.0.
 
-        Basis state x goes to the pure output |p(x)><p(x)|, p(x) its pattern, so two
-        basis states with different patterns have orthogonal outputs and reach the cap
-        of 1. With one pattern the channel is constant and eta is 0. The patterns that
-        occur are the nonzero entries of the canonical diagonal.
+        Two basis states with different patterns have orthogonal pure outputs and reach
+        the cap of 1. With one pattern the channel is constant and eta is 0. The
+        patterns are counted exactly, with no array over the output basis.
         """
-        return 1.0 if np.count_nonzero(self._canonical_diagonal()) > 1 else 0.0
-
-
-def _table(g: _PatternGroup, psis: np.ndarray) -> np.ndarray:
-    """Group g's (B, rows, cols) table of summed amplitudes of each row of psis."""
-    sums = psis[:, g.members]
-    if g.starts is not None:
-        sums = np.add.reduceat(sums, g.starts, axis=1)
-    table = np.zeros((psis.shape[0], g.n_rows, g.n_cols), dtype=np.complex128)
-    table.reshape(psis.shape[0], -1)[:, g.cells] = sums
-    return table
+        return 1.0 if self._pattern_count() > 1 else 0.0
 
 
 @dataclass(frozen=True, eq=False)
-class RestrictedPartialTrace(_GatherGramChannel):
+class RestrictedPartialTrace(_PatternChannel):
     """Trace over the trailing N - split qubits, restricted to the n_excited subspace.
 
     Matrix-free form of ``restrict_channel(partial_trace_channel(2^split,
     2^(N - split)), enumerate_basis(N, n_excited))``, with the same channel
-    interface: ``dim_in`` (d_R), ``dim_out`` (2^split), ``apply_pure_batch``,
-    ``distances_to_canonical``, ``canonical_state``, ``exact_eta``,
-    ``choi_purity_routes`` and ``linear_entropy``. A subspace index x splits into
-    the system pattern x >> (N - split) and the environment pattern
-    x & (2^(N - split) - 1). A system pattern of weight w pairs only with
+    interface: ``dim_in`` (d_R = C(N, Np)), ``dim_out`` (2^split),
+    ``apply_pure_batch``, ``distances_to_canonical``, ``canonical_state``,
+    ``exact_eta``, ``choi_purity_routes`` and ``linear_entropy``. A subspace
+    index x splits into the system pattern s = x >> (N - split) and the
+    environment pattern x & (2^(N - split) - 1). The basis ascends with qubit 0
+    most significant, so the states with system pattern s form one contiguous
+    run of C(N - split, Np - |s|) states, ordered by environment pattern, and
+    the runs come in ascending s. A system pattern of weight w pairs only with
     environment patterns of weight Np - w, so the output for psi is
-    block-diagonal in w, one Gram matrix per w; the canonical state is diagonal,
-    c_w I on block w, so the distances are taken block by block; and the Kraus
-    operators have disjoint supports, so the Choi purity is a sum of squared
-    environment-pattern counts.
+    block-diagonal in w: block w is the Gram matrix of the table whose rows are
+    the runs of the weight-w patterns, gathered from psi. Everything else is a
+    count: the canonical state is diagonal, run length / d_R, so the distances
+    are taken block by block; and the Kraus operators have disjoint supports,
+    so the Choi purity is a sum of squared environment-pattern counts. Only
+    ``kraus`` enumerates the basis.
     """
 
     n_sites: int
     n_excited: int
     split: int
-    sub: ExcitationSubspace = field(init=False, repr=False)
-
-    _outputs = "partial-trace"
 
     def __post_init__(self):
+        if not 0 <= self.n_excited <= self.n_sites:
+            raise ValueError(f"excitation count {self.n_excited} outside [0, {self.n_sites}]")
         if not 0 <= self.split <= self.n_sites:
             raise ValueError(f"split {self.split} outside [0, {self.n_sites}]")
-        object.__setattr__(self, "sub", enumerate_basis(self.n_sites, self.n_excited))
+
+    @property
+    def dim_in(self) -> int:
+        return comb(self.n_sites, self.n_excited)
 
     @property
     def dim_out(self) -> int:
         return 2**self.split
 
-    def _patterns(self) -> tuple[np.ndarray, np.ndarray]:
-        """(system pattern, environment pattern) of every subspace basis state."""
-        eq = self.n_sites - self.split
-        return self.sub.indices >> eq, self.sub.indices & ((1 << eq) - 1)
+    @property
+    def _weights(self) -> range:
+        """The system weights w that occur: split >= w and N - split >= Np - w >= 0."""
+        return range(max(0, self.n_excited - (self.n_sites - self.split)),
+                     min(self.split, self.n_excited) + 1)
 
-    def _build_plan(self) -> tuple[_PatternGroup, ...]:
-        """One group per system weight w, with every row pair kept at coherence 1.
+    def _run_length(self, w: int) -> int:
+        """C(N - split, Np - w): the basis states of each system pattern of weight w."""
+        return comb(self.n_sites - self.split, self.n_excited - w)
 
-        Rows are the system patterns of weight w and columns the environment
-        patterns of weight Np - w, so the output is block-diagonal in w.
+    @property
+    def _block_shapes(self) -> list[tuple[int, int]]:
+        """(patterns, run length) of each weight block's table."""
+        return [(comb(self.split, w), self._run_length(w)) for w in self._weights]
+
+    @cached_property
+    def _runs(self) -> tuple:
+        """(ascending system patterns, their run offsets, run length) per weight block.
+
+        The run of pattern s starts after the runs of every smaller pattern; the
+        weight-v patterns below s number ``searchsorted`` of s among them, and each
+        has a run of C(N - split, Np - v) states.
         """
-        sys_pattern, env_pattern = self._patterns()
-        weight = _popcount(sys_pattern, self.split)
-        self._check_plan_bytes(self.dim_in)
-        groups = []
-        for w in np.unique(weight):
-            members = np.flatnonzero(weight == w)
-            rows, row = np.unique(sys_pattern[members], return_inverse=True)
-            groups.append(_PatternGroup(members, rows, row, env_pattern[members],
-                                        np.ones((rows.size,) * 2, dtype=bool), 1.0, self.dim_out))
-        return tuple(groups)
+        patterns = [enumerate_basis(self.split, w).indices for w in self._weights]
+        lengths = [self._run_length(w) for w in self._weights]
+        return tuple((rows, sum(np.searchsorted(other, rows) * length
+                                for other, length in zip(patterns, lengths)), width)
+                     for rows, width in zip(patterns, lengths))
+
+    def _pattern_count(self) -> int:
+        return sum(comb(self.split, w) for w in self._weights)
 
     def _canonical_diagonal(self) -> np.ndarray:
-        """System-pattern counts / d_R."""
-        return np.bincount(self._patterns()[0], minlength=self.dim_out) / self.dim_in
+        """Run length / d_R on each system pattern, the two counts divided once."""
+        diagonal = np.zeros(self.dim_out)
+        for w in self._weights:
+            diagonal[enumerate_basis(self.split, w).indices] = self._run_length(w) / self.dim_in
+        return diagonal
+
+    @property
+    def _row_bytes(self) -> int:
+        """Bytes one row of ``apply_pure_batch`` allocates: its output plus the largest
+        block's gather index (8 bytes an entry), table, conjugate table and Gram matrix."""
+        return 16 * self.dim_out**2 + max(40 * r * c + 16 * r * r for r, c in self._block_shapes)
+
+    def apply_pure_batch(self, psis) -> np.ndarray:
+        """Outputs for a (B, d_R) block of pure inputs, one per row.
+
+        Refused above 512 MiB (B ``_row_bytes``).
+        """
+        psis = _state_block(psis, self.dim_in)
+        b, d_out = psis.shape[0], self.dim_out
+        _check_dense_bytes(b * self._row_bytes, f"{b} partial-trace outputs of dimension "
+                           f"{d_out} and their work arrays")
+        out = np.zeros((b, d_out, d_out), dtype=np.complex128)
+        for rows, offsets, width in self._runs:
+            out[:, rows[:, None], rows] = _gram(_gather(psis, offsets, width))
+        return out
 
     @property
     def _distance_row_bytes(self) -> int:
-        """Bytes one row of ``distances_to_canonical`` allocates: the largest group's
-        gathered amplitudes, table, conjugate table and smaller Gram matrix, that Gram
+        """Bytes one row of ``distances_to_canonical`` allocates: the largest block's
+        gather index, table, conjugate table and smaller Gram matrix, that Gram
         matrix's eigenvalues with two temporaries of their size, and the row's sums."""
-        return max(16 * (g.members.size + 2 * g.n_rows * g.n_cols + m * m) + 8 * (3 * m + 2)
-                   for g in self._plan for m in [min(g.n_rows, g.n_cols)])
+        return max(40 * r * c + 16 * m * m + 8 * (3 * m + 2)
+                   for r, c in self._block_shapes for m in [min(r, c)])
 
     def distances_to_canonical(self, psis) -> np.ndarray:
         """Trace distance of the output of each row of a (B, d_R) block to the canonical state.
 
-        Block by block: on system weight w the output is A A^dagger, A the group's
+        Block by block: on system weight w the output is A A^dagger, A the block's
         table, and the canonical state is c_w I with c_w = C(N - split, Np - w) / d_R,
         the table's column count over d_R. The m = min(rows, cols) eigenvalues lambda_i
         of the smaller Gram matrix, A A^dagger or A^dagger A, are the block's
@@ -326,35 +315,33 @@ class RestrictedPartialTrace(_GatherGramChannel):
         _check_dense_bytes(b * self._distance_row_bytes,
                            f"the distances of {b} partial-trace outputs by system weight")
         sums = np.zeros(b)
-        for g in self._plan:
-            sums += self._block_sums(g, psis)
+        for _, offsets, width in self._runs:
+            sums += self._block_sums(_gather(psis, offsets, width))
         return 0.5 * sums
 
-    def _block_sums(self, g: _PatternGroup, psis: np.ndarray) -> np.ndarray:
-        """sum_i |lambda_i - c_w| + (rows - m) c_w of group g for each row of psis.
+    def _block_sums(self, table: np.ndarray) -> np.ndarray:
+        """sum_i |lambda_i - c_w| + (rows - m) c_w of one block's table, for each row.
 
-        A function of its own, so that one group's arrays are released before the next
-        group's are allocated.
+        A function of its own, so that one block's arrays are released before the next
+        block's are gathered.
         """
-        table = _table(g, psis)
+        n_rows, n_cols = table.shape[1:]
         adjoint = table.conj().transpose(0, 2, 1)
-        gram = table @ adjoint if g.n_rows <= g.n_cols else adjoint @ table
-        level = g.n_cols / self.dim_in
-        zeros = max(g.n_rows - g.n_cols, 0)
+        gram = table @ adjoint if n_rows <= n_cols else adjoint @ table
+        level = n_cols / self.dim_in
+        zeros = max(n_rows - n_cols, 0)
         return np.sum(np.abs(np.linalg.eigvalsh(gram) - level), axis=1) + zeros * level
 
     def choi_purity_routes(self) -> tuple[float, float]:
-        """(closed-form Choi purity, purity counted from the enumerated indices).
+        """(closed-form Choi purity, purity from the truncated table product).
 
-        The closed form is sum_w C(eq, w) C(split, Np - w)^2 / C(N, Np)^2 in
-        exact integers; the count is sum_j c_j^2 / d_R^2 over the
-        environment-pattern counts c_j of the enumerated basis (the int64 sum
-        is exact: it is at most d_R^2).
+        Both count the pairs of basis states that share an environment pattern,
+        sum_w C(eq, w) C(split, Np - w)^2 and [x^Np y^Np] (1 + x)^split (1 + y)^split
+        (1 + xy)^eq, in exact integers, each divided once by C(N, Np)^2.
         """
-        eq = self.n_sites - self.split
-        closed = _marginal_square_sum(self.n_excited, self.split, eq) / self.dim_in**2
-        counts = np.unique(self._patterns()[1], return_counts=True)[1]
-        return closed, int(np.sum(counts * counts)) / self.dim_in**2
+        args = (self.n_excited, self.split, self.n_sites - self.split)
+        return (_marginal_square_sum(*args) / self.dim_in**2,
+                _marginal_square_product(*args) / self.dim_in**2)
 
     @property
     def kraus(self) -> np.ndarray:
@@ -362,10 +349,13 @@ class RestrictedPartialTrace(_GatherGramChannel):
 
         One operator per environment pattern j, in the order ``restrict_channel``
         keeps them; when that exceeds d_R * dim_out operators only the nonzero
-        ones are kept, which is a minimal family. Refused above 512 MiB.
+        ones are kept, which is a minimal family. The only method that enumerates
+        the basis. Refused above 512 MiB.
         """
-        sys_pattern, env_pattern = self._patterns()
-        n_ops = 2 ** (self.n_sites - self.split)
+        indices = enumerate_basis(self.n_sites, self.n_excited).indices
+        eq = self.n_sites - self.split
+        sys_pattern, env_pattern = indices >> eq, indices & ((1 << eq) - 1)
+        n_ops = 2**eq
         if n_ops > self.dim_in * self.dim_out:
             envs, env_pattern = np.unique(env_pattern, return_inverse=True)
             n_ops = envs.size
@@ -375,3 +365,17 @@ class RestrictedPartialTrace(_GatherGramChannel):
         ops[env_pattern, sys_pattern, np.arange(self.dim_in)] = 1.0
         ops.setflags(write=False)
         return ops
+
+
+def _gather(psis: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
+    """The (B, rows, width) table of each row of psis: row i is its run from offsets[i].
+
+    ``np.take`` returns a C-contiguous table; a fancy-indexed ``psis[:, index]`` is
+    not, and its Gram matrix can differ in the last bit.
+    """
+    return np.take(psis, offsets[:, None] + np.arange(width), axis=1)
+
+
+def _gram(table: np.ndarray) -> np.ndarray:
+    """T T^dagger of each (rows, cols) table of a (B, rows, cols) stack."""
+    return table @ table.conj().transpose(0, 2, 1)

@@ -18,11 +18,14 @@ A channel here is anything with the channel interface (``dim_in``,
 ``dim_out``, ``distances_to_canonical``, ``_distance_row_bytes``,
 ``linear_entropy``, and ``apply_pure_batch`` and ``_row_bytes`` for the
 Lipschitz search): a dense ``QuantumChannel``, or one of the matrix-free
-restricted channels ``restriction.RestrictedPartialTrace`` and
-``bns.DetectorChannel``, whose canonical states and entropies are exact
-counts and which never form a Kraus array or a Choi matrix. The two
-matrix-free channels also have ``exact_eta``, the exact Lipschitz constant
-that an "estimated" eta takes in place of the search's lower bound.
+restricted channels, which never form a Kraus array or a Choi matrix. These
+share their exact quantities (``restriction._PatternChannel``): a diagonal
+canonical state, an entropy gated on two exact purity counts, and
+``exact_eta``, the exact Lipschitz constant that an "estimated" eta takes in
+place of the search's lower bound. ``restriction.RestrictedPartialTrace``
+gathers each weight block of its input from contiguous runs of the basis and
+enumerates no basis; ``bns.DetectorChannel`` sums its input into the tables
+of a grouping plan built from the enumerated basis.
 
 Sampling runs in chunks: each chunk fills one block with its Haar vectors in
 place (``qcore._haar_rows``: one generator per chunk, re-seeded before each

@@ -443,6 +443,20 @@ def test_detector_purity_routes_are_equal_rationals():
                     == _purity_numerator_convolution(*args), (n_sites, *args)
 
 
+@pytest.mark.parametrize("args,numerator", [
+    ((3, 3, 4), 44856),
+    ((2, 5, 5), 114696),
+    ((4, 6, 12), 31677979481120),
+    ((1, 9, 4), 15876),
+    ((8, 1, 3), 14280),
+    ((5, 20, 30), 34127451727525311066517013721647893072497464680249138900),
+])
+def test_detector_purity_numerator_is_unchanged(args, numerator):
+    # (N/k, k, Np): the values of the per-block convolution before it became a call to
+    # the shared table product
+    assert _purity_numerator_convolution(*args) == numerator
+
+
 @pytest.mark.parametrize("n_sites,n_blocks,n_excited,purity", [
     (9, 3, 4, 0.008237308528853718),
     (10, 5, 5, 0.007432602670697909),

@@ -422,7 +422,10 @@ def test_lipschitz_identity(tmp_path):
     (["--channel", "partial-trace", "--N", 10, "--Np", 5, "--split", 3], 1.0),
     (["--channel", "bns", "--N", 8, "--k", 2, "--Np", 4], 1.0),
     (["--channel", "partial-trace", "--N", 6, "--Np", 3, "--split", 0], 0.0),
-], ids=["partial-trace", "detector", "constant"])
+    # 2^30 outputs: the patterns are counted, not read off a 2^30 diagonal
+    (["--channel", "partial-trace", "--N", 30, "--Np", 1, "--split", 30], 1.0),
+    (["--channel", "bns", "--N", 30, "--k", 30, "--Np", 1], 1.0),
+], ids=["partial-trace", "detector", "constant", "partial-trace-2^30", "detector-2^30"])
 def test_lipschitz_reports_the_exact_value_on_restricted_specs(tmp_path, capsys, argv,
                                                                expected):
     out = tmp_path / "lip.json"
@@ -465,6 +468,8 @@ OUT_OF_RANGE = {
     "entropy-blocking": ["entropy", "--channel", "bns", "--N", 6, "--k", 4],
     "entropy-dimension": ["entropy", "--channel", "identity", "--d", 0],
     "entropy-factor": ["entropy", "--channel", "partial-trace", "--dS", 2, "--dE", 0],
+    "entropy-excitations": ["entropy", "--channel", "partial-trace", "--N", 40, "--Np", 41,
+                            "--split", 8],
     "figure-bound-blocking": ["figure-bound", "--N", 6, "--k", 4],
     # the Np loop is empty at one site, so the samples check must not live inside it
     "figure-bound-one-site": ["figure-bound", "--N", 1, "--k", 1, "--samples", 0],
@@ -484,7 +489,7 @@ def test_out_of_range_value_is_a_usage_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("argv", [
     ["entropy", "--channel", "identity", "--d", 20000],  # the 512 MiB budget
-    ["entropy", "--channel", "partial-trace", "--N", 40, "--Np", 3, "--split", 2],
+    ["entropy", "--channel", "bns", "--N", 32, "--k", 2, "--Np", 2],  # ENUMERATION_LIMIT
     ["entropy", "--channel", "bns", "--N", 11, "--k", 1],  # BLOCK_LIMIT
 ], ids=["budget", "enumeration-limit", "block-limit"])
 def test_size_refusal_of_a_spec_is_still_a_data_error(tmp_path, capsys, argv):
@@ -492,6 +497,17 @@ def test_size_refusal_of_a_spec_is_still_a_data_error(tmp_path, capsys, argv):
     assert run(argv + ["--out", out]) == 3
     assert capsys.readouterr().err.startswith("data error")
     assert not out.exists()
+
+
+def test_restricted_partial_trace_entropy_needs_no_basis(tmp_path):
+    # C(40, 20) = 1.4e11 basis states, past the 30-site enumeration limit: every
+    # quantity entropy reports is an exact count
+    out = tmp_path / "entropy.json"
+    assert run(["entropy", "--channel", "partial-trace", "--N", 40, "--Np", 20, "--split", 8,
+                "--out", out]) == 0
+    data = json.loads(out.read_text())
+    assert (data["dim_in"], data["dim_out"]) == (comb(40, 20), 256)
+    assert data["purity_route_difference"] == 0.0
 
 
 def test_replayed_out_of_range_value_is_a_usage_error(tmp_path, capsys):

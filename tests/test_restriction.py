@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -17,12 +18,16 @@ from qtypical.channels import (
 from qtypical.qcore import (
     DensityOperator,
     DimensionError,
+    _check_dense_bytes,
     derive_seed,
     haar_sample,
     partial_trace,
 )
 from qtypical.restriction import (
     RestrictedPartialTrace,
+    _gather,
+    _marginal_square_product,
+    _marginal_square_sum,
     effective_environment_dimension,
     enumerate_basis,
     restrict_channel,
@@ -237,7 +242,7 @@ def test_restricted_partial_trace_matches_dense_oracle(n):
 
 def test_restricted_partial_trace_purity_is_inverse_effective_environment():
     ch = RestrictedPartialTrace(12, 6, 5)
-    d_e_eff = effective_environment_dimension(ch.sub, (5, 7))
+    d_e_eff = effective_environment_dimension(enumerate_basis(12, 6), (5, 7))
     assert ch.choi_purity_routes()[0] == ch.choi_purity_routes()[1]
     assert abs(ch.choi_purity_routes()[0] * d_e_eff - 1.0) < 1e-15
 
@@ -261,21 +266,80 @@ def test_restricted_partial_trace_outputs_do_not_depend_on_the_block(n, np_exc, 
 
 def test_restricted_partial_trace_needs_no_full_space_buffer(small_dense_budget):
     # 2 states of 10/5/3 scattered into 2^10 amplitudes, their conjugates and
-    # outputs would take 67.6 KB; the weight blocks need 13 KB of work arrays
+    # outputs would take 67.6 KB; the outputs and weight blocks need 10.7 KB
     ch = RestrictedPartialTrace(10, 5, 3)
+    assert 2 * ch._row_bytes == 10736
     psis = np.stack([haar_sample(ch.dim_in, derive_seed(3, i)).amplitudes for i in range(2)])
     full = np.zeros((2, 2**10), dtype=np.complex128)  # the scatter oracle
-    full[:, ch.sub.indices] = psis
+    full[:, enumerate_basis(10, 5).indices] = psis
     m = full.reshape(2, 8, 128)
     assert np.max(np.abs(ch.apply_pure_batch(psis) - m @ m.conj().transpose(0, 2, 1))) < 1e-15
 
 
-def test_restricted_partial_trace_plan_refused_above_budget(small_dense_budget):
-    # 8 * 3 * (d_R + 4^split) bytes: 10/5/3 fits the 64 KiB budget, 14/7/3 does not
+def test_restricted_partial_trace_weight_block_refused_above_budget(small_dense_budget):
+    # a row costs its output plus 40 r c + 16 r^2 bytes of its largest r x c weight
+    # block: 5368 bytes at 10/5/3 fit the 64 KiB budget; at 16/8/3 the 3 x 1716 block
+    # alone needs 206064 bytes, so one row is refused, its output and distance alike
     assert RestrictedPartialTrace(10, 5, 3).apply_pure_batch(np.eye(1, 252)).shape == (1, 8, 8)
-    big = RestrictedPartialTrace(14, 7, 3)
-    with pytest.raises(DimensionError, match="grouping plan"):
+    big = RestrictedPartialTrace(16, 8, 3)
+    assert (3, 1716) in big._block_shapes and 16 * 8**2 < small_dense_budget
+    with pytest.raises(DimensionError, match="1 partial-trace outputs"):
         big.apply_pure_batch(np.eye(1, big.dim_in))
+    with pytest.raises(DimensionError, match="distances of 1 partial-trace outputs"):
+        big.distances_to_canonical(np.eye(1, big.dim_in))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_run_tables_equal_the_enumerated_split(n):
+    # each weight block's table, gathered from its run offsets, holds the amplitudes of
+    # the enumerated basis states split into (system row, environment column), bit for bit
+    rng = np.random.default_rng(n)
+    for sq in range(n + 1):
+        eq = n - sq
+        for np_exc in range(n + 1):
+            ch = RestrictedPartialTrace(n, np_exc, sq)
+            indices = enumerate_basis(n, np_exc).indices
+            system, environment = indices >> eq, indices & ((1 << eq) - 1)
+            psis = rng.standard_normal((2, ch.dim_in)) + 1j * rng.standard_normal((2, ch.dim_in))
+            rows = [r for r, _, _ in ch._runs]
+            np.testing.assert_array_equal(np.sort(np.concatenate(rows)), np.unique(system))
+            for pattern_rows, offsets, width in ch._runs:
+                assert np.all(np.diff(pattern_rows) > 0)
+                positions = np.stack([np.flatnonzero(system == s) for s in pattern_rows])
+                assert positions.shape[1] == width
+                # column j is the j-th environment pattern of the block's weight
+                assert np.all(environment[positions] == environment[positions[0]])
+                assert np.all(np.diff(environment[positions[0]]) > 0)
+                table = _gather(psis, offsets, width)
+                assert table.tobytes() == np.ascontiguousarray(psis[:, positions]).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_table_product_purity_route_equals_the_enumerated_count(n):
+    # both purity routes count the pairs of basis states sharing an environment pattern
+    for sq in range(n + 1):
+        eq = n - sq
+        for np_exc in range(n + 1):
+            environment = enumerate_basis(n, np_exc).indices & ((1 << eq) - 1)
+            counts = np.unique(environment, return_counts=True)[1]
+            pairs = int(np.sum(counts * counts))
+            assert _marginal_square_product(np_exc, sq, eq) == pairs, (n, np_exc, sq)
+            assert _marginal_square_sum(np_exc, sq, eq) == pairs, (n, np_exc, sq)
+
+
+def test_partial_trace_runs_tile_the_basis_past_the_old_plan_limit():
+    # 24/12/13 was refused for a 1598 MiB grouping plan; its runs are the 8190 system
+    # patterns of weights 1 .. 12, and one sample with its distance work fits the budget
+    ch = RestrictedPartialTrace(24, 12, 13)
+    _check_dense_bytes(16 * ch.dim_in + ch._distance_row_bytes, "one 24/12/13 sample")
+    starts = np.concatenate([offsets for _, offsets, _ in ch._runs])
+    widths = np.concatenate([np.full(o.size, w) for _, o, w in ch._runs])
+    order = np.argsort(starts)
+    assert starts.size == 2**13 - 2
+    # the runs tile the basis: each starts where the one before it ends
+    assert starts[order][0] == 0
+    np.testing.assert_array_equal(starts[order][1:], np.cumsum(widths[order])[:-1])
+    assert int(np.sum(widths)) == ch.dim_in == comb(24, 12)
 
 
 def test_restricted_partial_trace_rejects_wrong_state_block():
@@ -328,6 +392,32 @@ def test_exact_eta_is_zero_on_a_constant_channel(make):
         assert np.max(np.abs(ch.apply_pure_batch(psis) - ch.canonical_state().matrix)) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pattern_count_is_the_support_of_the_canonical_diagonal(n):
+    channels = [RestrictedPartialTrace(n, np_exc, sq)
+                for sq in range(n + 1) for np_exc in range(n + 1)]
+    channels += [DetectorChannel(n, k, np_exc)
+                 for k in range(1, n + 1) if n % k == 0 for np_exc in range(n + 1)]
+    for ch in channels:
+        assert ch._pattern_count() == np.count_nonzero(ch._canonical_diagonal()), ch
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RestrictedPartialTrace(22, 1, 22),
+    lambda: DetectorChannel(30, 30, 1),
+], ids=["ptrace-22-1-22", "bns-30-30-1"])
+def test_exact_eta_allocates_nothing_over_the_outputs(make):
+    # 2^22 and 2^30 output patterns: a diagonal over them would take 32 MiB and 8 GiB
+    tracemalloc.start()
+    try:
+        eta = make().exact_eta()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eta == 1.0
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("make", [
     lambda: RestrictedPartialTrace(8, 4, 2),
     lambda: RestrictedPartialTrace(7, 3, 7),
@@ -337,7 +427,10 @@ def test_exact_eta_is_zero_on_a_constant_channel(make):
 def test_basis_states_of_different_patterns_reach_the_cap_exactly(make):
     # one basis state per pattern, each paired with the first: orthogonal pure outputs
     ch = make()
-    patterns = ch._patterns()[0] if isinstance(ch, RestrictedPartialTrace) else ch._patterns()
+    if isinstance(ch, RestrictedPartialTrace):  # the system pattern of each basis state
+        patterns = enumerate_basis(ch.n_sites, ch.n_excited).indices >> (ch.n_sites - ch.split)
+    else:
+        patterns = ch._patterns()
     firsts = np.unique(patterns, return_index=True)[1]
     basis = np.eye(ch.dim_in, dtype=np.complex128)
     psis = basis[np.repeat(firsts[:1], firsts.size - 1)]

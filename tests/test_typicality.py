@@ -133,15 +133,17 @@ def test_sample_distances_peak_is_one_block_of_outputs(samples):
 
 def test_sample_distances_refuses_oversized_chunk_before_sampling(monkeypatch,
                                                                   small_dense_budget):
-    # one sample of C(13, 6) = 1716 amplitudes and its distance work arrays need 71936
-    # bytes, past the 64 KiB budget, while the 41568-byte grouping plan fits: no chunk fits
+    # one sample of C(14, 7) = 3432 amplitudes (54912 bytes) fits the 64 KiB budget, but
+    # with the gather index, table and conjugate of its 2 x 924 weight block (73920
+    # bytes) and the rest of its distance work it needs 128960 bytes: no chunk fits
     import qtypical.typicality as typicality
 
     draws = []
     monkeypatch.setattr(typicality, "_haar_rows", lambda dim, seeds: draws.extend(seeds))
-    cfg = ExperimentConfig(channel=RestrictedPartialTrace(13, 6, 2), samples=300,
-                           master_seed=1)
-    with pytest.raises(DimensionError, match="one sampled state of dimension 1716"):
+    ch = RestrictedPartialTrace(14, 7, 2)
+    assert 16 * ch.dim_in + ch._distance_row_bytes == 128960
+    cfg = ExperimentConfig(channel=ch, samples=300, master_seed=1)
+    with pytest.raises(DimensionError, match="one sampled state of dimension 3432"):
         sample_distances(cfg)
     assert draws == []
 
@@ -162,7 +164,7 @@ def test_sample_distances_refuses_oversized_outputs_before_any_work(monkeypatch,
 
 
 @pytest.mark.parametrize("make", [
-    lambda: RestrictedPartialTrace(8, 4, 3),
+    lambda: RestrictedPartialTrace(8, 4, 2),
     lambda: DetectorChannel(8, 2, 4),
     lambda: depolarizing(4, 0.5),
     lambda: random_channel(8, 4, 6, seed=2),
@@ -220,8 +222,8 @@ def test_partial_trace_samples_without_outputs_or_a_dense_canonical_state(monkey
 
 def test_partial_trace_chunk_grows_past_an_output_over_budget(small_dense_budget):
     # split 7: one 128 x 128 output alone (256 KiB) is over the 64 KiB budget, so the
-    # output-sized chunk refused this spec; the weight-block route needs 9304 bytes a
-    # sample and runs chunks of 7. The grouping plan is built at the real budget first.
+    # output-sized chunk refused this spec; the weight-block route needs 8464 bytes a
+    # sample (4032 of them its state) and runs chunks of 7
     ch = RestrictedPartialTrace(10, 5, 7)
     cfg = ExperimentConfig(channel=ch, samples=20, master_seed=8)
     with pytest.MonkeyPatch.context() as real_budget:
@@ -230,7 +232,7 @@ def test_partial_trace_chunk_grows_past_an_output_over_budget(small_dense_budget
     assert 16 * ch.dim_out**2 > small_dense_budget
     row = 16 * ch.dim_in + ch._distance_row_bytes
     chunk = qcore._block_items(row, 1)
-    assert chunk == 7
+    assert (row, chunk) == (8464, 7)
     tracemalloc.start()
     try:
         got = sample_distances(cfg)
