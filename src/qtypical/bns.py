@@ -13,20 +13,27 @@ happens for every N >= 13. On the fixed-excitation subspace the detector is
 ``DetectorChannel``, which is matrix-free: it acts through the occupancy
 pattern of each basis state, its canonical state is the exact spectrum, and
 its Choi purity is an exact count from a generating function, so it never
-forms the tensor power, a Kraus array or a Choi matrix. The canonical
-spectrum and the two excitation-count distributions are computed in exact
-big-integer rational arithmetic and stay valid up to N = 10000 and beyond.
+forms the tensor power, a Kraus array or a Choi matrix.
+
+The canonical spectrum and the two excitation-count distributions are exact
+integer counts of excitation patterns over their one common denominator
+C(N, Np), and stay valid up to N = 10000 and beyond. Their binomials come in
+rows from exact ratio recurrences (``_binomial_row``), one big-integer
+product and one exact division per entry, instead of one ``math.comb`` each.
 The alternating sum for the canonical weights cancels catastrophically in
-floating point at large N, so no float enters before the output boundary.
+floating point at large N, so it is taken in integers. Construction checks
+that every count is nonnegative and that the counts add up to exactly the
+total, which is the exact "sums to 1" guarantee; reduced ``Fraction`` views
+are formed on request, and the only float is a count divided by the total,
+at the output boundary.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import comb, lcm
+from math import comb, gcd, perm
 
 import numpy as np
 
@@ -128,6 +135,31 @@ def _block_size(n_sites: int, n_blocks: int) -> int:
     return n_sites // n_blocks
 
 
+def _binomial_row(top: int, bottom: int, count: int, top_step: int = 0) -> list[int]:
+    """``count`` binomials from C(top, bottom), each from the last by an exact ratio.
+
+    With ``top_step`` 0 the lower index advances, C(top, bottom + i), through
+    C(t, b + 1) = C(t, b) (t - b) // (b + 1); otherwise the upper index does,
+    C(top + i top_step, bottom), through
+    C(t + s, b) = C(t, b) perm(t + s, s) // perm(t + s - b, s). Each entry costs one
+    big-integer product and one exact division. In a column a zero entry (b > t)
+    has no ratio, so the next entry comes from ``math.comb``, which returns a zero
+    at once: a column pays one full ``comb``, at its first nonzero entry.
+    """
+    value = comb(top, bottom)
+    row = [value]
+    for _ in range(count - 1):
+        if top_step:
+            top += top_step
+            value = (value * perm(top, top_step) // perm(top - bottom, top_step) if value
+                     else comb(top, bottom))
+        else:
+            value = value * (top - bottom) // (bottom + 1)
+            bottom += 1
+        row.append(value)
+    return row
+
+
 def _occupied_counts(n: int, n_excited: int, j_max: int) -> list[int]:
     """alpha_j = [u^Np] ((1 + u)^n - 1)^j for j = 0 .. j_max.
 
@@ -136,10 +168,11 @@ def _occupied_counts(n: int, n_excited: int, j_max: int) -> list[int]:
     alpha_j = sum_q (-1)^(j - q) C(j, q) C(n q, Np), with C(a, b) = 0 for b > a.
     That sum is the j-th forward difference at 0 of b_q = C(n q, Np), so it is
     evaluated as a difference table: each row holds the differences of the row
-    above, and alpha_j is the leading entry of row j. That takes
-    j_max (j_max + 1) / 2 big-integer subtractions and no big products.
+    above, and alpha_j is the leading entry of row j. The b_q are one
+    ``_binomial_row`` column, and the table takes j_max (j_max + 1) / 2
+    big-integer subtractions and no big products.
     """
-    row = [comb(n * q, n_excited) for q in range(j_max + 1)]
+    row = _binomial_row(0, n_excited, j_max + 1, top_step=n)
     counts = []
     while row:
         counts.append(row[0])
@@ -147,48 +180,58 @@ def _occupied_counts(n: int, n_excited: int, j_max: int) -> list[int]:
     return counts
 
 
-def _exact_sum(values, factors=None) -> Fraction:
-    """sum_i factors[i] * values[i] for rationals, over one common denominator.
+def _check_counts(counts, total: int) -> None:
+    """Refuse counts that are not nonnegative integers adding up to exactly ``total``.
 
-    Each term costs one lcm step instead of the two gcds of ``Fraction``
-    addition; the result is the same exact rational. ``factors`` are integers,
-    all 1 by default.
+    The counts over ``total`` are then probabilities that sum to exactly 1: the exact
+    normalisation check, in integer arithmetic.
     """
-    values = tuple(values)
-    if factors is None:
-        factors = [1] * len(values)
-    try:
-        denominator = lcm(*(p.denominator for p in values))
-    except AttributeError:
-        raise TypeError("exact sums take rational values only") from None
-    return Fraction(sum(c * p.numerator * (denominator // p.denominator)
-                        for c, p in zip(factors, values)), denominator)
+    if not all(isinstance(c, int) for c in (*counts, total)):
+        raise TypeError("exact distributions take integer counts only")
+    if any(c < 0 for c in counts):
+        raise ValueError("negative count")
+    if total < 1 or sum(counts) != total:
+        raise ValueError("probabilities do not sum to exactly 1")
 
 
 @dataclass(frozen=True)
 class BnSCanonicalSpectrum:
     """Exact spectrum of the canonical state of the block-detector channel.
 
-    ``weights[m]`` is the weight of each individual output basis string with
-    m excited effective atoms; ``sector_probability[m]`` is the total weight
-    C(k, m) * weights[m] of that excitation sector. Everything is an exact
-    rational and the sector probabilities sum to exactly 1.
+    ``counts[m]`` is the number of excitation patterns that occupy exactly a
+    given set of m blocks, and ``total`` their common denominator C(N, Np), so
+    each output basis string with m excited effective atoms has the weight
+    counts[m] / total. ``sector_counts[m]`` is C(k, m) counts[m], the patterns
+    of the whole sector; construction checks that the counts are nonnegative
+    and that the sector counts add up to exactly ``total``. The ``weights`` and
+    ``sector_probability`` dictionaries are the reduced ``Fraction`` views.
     """
 
     N: int
     Np: int
     k: int
-    weights: dict
-    sector_probability: dict
+    counts: dict
+    total: int
+    sector_counts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if any(w < 0 for w in self.weights.values()):
-            raise ValueError("negative sector weight")
-        if _exact_sum(self.sector_probability.values()) != 1:
-            raise ValueError("sector probabilities do not sum to exactly 1")
+        if any(not 0 <= m <= self.k for m in self.counts):
+            raise ValueError(f"sector outside [0, {self.k}]")
+        sizes = _binomial_row(self.k, 0, max(self.counts, default=0) + 1)
+        object.__setattr__(self, "sector_counts",
+                           {m: sizes[m] * c for m, c in self.counts.items()})
+        _check_counts(self.sector_counts.values(), self.total)
+
+    @cached_property
+    def weights(self) -> dict:
+        return {m: Fraction(c, self.total) for m, c in self.counts.items()}
+
+    @cached_property
+    def sector_probability(self) -> dict:
+        return {m: Fraction(c, self.total) for m, c in self.sector_counts.items()}
 
     def weight(self, m: int) -> Fraction:
-        return self.weights.get(m, Fraction(0))
+        return Fraction(self.counts.get(m, 0), self.total)
 
     def diagonal(self) -> np.ndarray:
         """Float diagonal of the canonical state over the 2^k output basis.
@@ -200,7 +243,7 @@ class BnSCanonicalSpectrum:
         popcount = np.zeros(1, dtype=np.uint8)
         for _ in range(self.k):  # a new top bit adds 1 to the count of every lower string
             popcount = np.concatenate((popcount, popcount + 1))
-        return np.array([float(self.weight(m)) for m in range(self.k + 1)])[popcount]
+        return np.array([self.counts.get(m, 0) / self.total for m in range(self.k + 1)])[popcount]
 
 
 def canonical_spectrum(n_sites: int, n_excited: int, n_blocks: int) -> BnSCanonicalSpectrum:
@@ -213,21 +256,18 @@ def canonical_spectrum(n_sites: int, n_excited: int, n_blocks: int) -> BnSCanoni
         w_m = (1/C(N, Np)) * sum_q C(m, q) * C((N/k) q, Np) * (-1)^(m-q)
 
     with the convention C(a, b) = 0 for b > a. The alternating sums for every m
-    come out of one forward-difference table of the C((N/k) q, Np), built by
-    big-integer subtraction (``_occupied_counts``); all arithmetic is exact.
+    come out of one forward-difference table of the column C((N/k) q, Np),
+    built by big-integer subtraction (``_occupied_counts``); the spectrum keeps
+    the nonzero counts over C(N, Np) and multiplies in the sector sizes C(k, m)
+    from one ``_binomial_row``. All arithmetic is exact.
     """
     n = _block_size(n_sites, n_blocks)
     if not 0 <= n_excited <= n_sites:
         raise ValueError(f"excitation count {n_excited} outside [0, {n_sites}]")
-    d_r = comb(n_sites, n_excited)
     counts = _occupied_counts(n, n_excited, min(n_excited, n_blocks))
-    weights: dict[int, Fraction] = {}
-    sector: dict[int, Fraction] = {}
-    for m, count in enumerate(counts):
-        if count:  # the sectors some excitation pattern occupies
-            weights[m] = Fraction(count, d_r)
-            sector[m] = comb(n_blocks, m) * weights[m]
-    return BnSCanonicalSpectrum(n_sites, n_excited, n_blocks, weights, sector)
+    return BnSCanonicalSpectrum(n_sites, n_excited, n_blocks,
+                                {m: c for m, c in enumerate(counts) if c},
+                                comb(n_sites, n_excited))
 
 
 # -- the detector restricted to a fixed-excitation subspace ----------------------------
@@ -248,12 +288,18 @@ def _purity_numerator_closed_form(n: int, n_blocks: int, n_excited: int) -> int:
     sit in the u copy, of the occupied counts alpha_j(Np - t).
     """
     alpha = [_occupied_counts(n, r, n_blocks) for r in range(n_excited + 1)]
-    # split[m][r] = [u^r v^r] (A(u) + A(v))^m
-    split = [[sum(comb(m, j) * alpha[r][j] * alpha[r][m - j] for j in range(m + 1))
-              for r in range(n_excited + 1)] for m in range(n_blocks + 1)]
-    scale = 2**n - 1
-    return sum(comb(n_blocks, a) * scale**a * comb(n * a, t) * split[n_blocks - a][n_excited - t]
-               for a in range(n_blocks + 1) for t in range(min(n * a, n_excited) + 1))
+    # split[m][r] = [u^r v^r] (A(u) + A(v))^m, from the binomial row C(m, j) of each m
+    split = []
+    for m in range(n_blocks + 1):
+        binomials = _binomial_row(m, 0, m + 1)
+        split.append([sum(c * counts[j] * counts[m - j] for j, c in enumerate(binomials))
+                      for counts in alpha])
+    scale, numerator = 2**n - 1, 0
+    for a, c_a in enumerate(_binomial_row(n_blocks, 0, n_blocks + 1)):
+        rest, binomials = split[n_blocks - a], _binomial_row(n * a, 0, min(n * a, n_excited) + 1)
+        numerator += c_a * scale**a * sum(c * rest[n_excited - t]
+                                          for t, c in enumerate(binomials))
+    return numerator
 
 
 def _purity_numerator_convolution(n: int, n_blocks: int, n_excited: int) -> int:
@@ -422,8 +468,9 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
 
     def _pattern_count(self) -> int:
         """C(k, m) summed over the excited-block counts m of the exact spectrum."""
-        spectrum = canonical_spectrum(self.n_sites, self.n_excited, self.n_blocks)
-        return sum(comb(self.n_blocks, m) for m in spectrum.weights)
+        counts = canonical_spectrum(self.n_sites, self.n_excited, self.n_blocks).counts
+        sizes = _binomial_row(self.n_blocks, 0, max(counts) + 1)
+        return sum(sizes[m] for m in counts)
 
     def choi_purity_routes(self) -> tuple[float, float]:
         """(closed-form Choi purity, purity from the k-fold block-table product).
@@ -465,26 +512,35 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
 
 @dataclass(frozen=True)
 class ExactDistribution:
-    """Probability distribution over integers with exact rational weights."""
+    """Probability distribution over integers: integer counts over one total.
+
+    ``support[i]`` has the probability counts[i] / total. Construction checks
+    that the counts are nonnegative integers that add up to exactly ``total``,
+    so the probabilities sum to exactly 1. ``probabilities``,
+    ``probability(m)`` and ``mean()`` are reduced ``Fraction``s derived from
+    the counts.
+    """
 
     support: tuple
-    probabilities: tuple
+    counts: tuple
+    total: int
 
     def __post_init__(self):
-        if len(self.support) != len(self.probabilities):
-            raise ValueError("support and probabilities differ in length")
-        if _exact_sum(self.probabilities) != 1:
-            raise ValueError("probabilities do not sum to exactly 1")
-        if any(p < 0 for p in self.probabilities):
-            raise ValueError("negative probability")
+        if len(self.support) != len(self.counts):
+            raise ValueError("support and counts differ in length")
+        _check_counts(self.counts, self.total)
+
+    @cached_property
+    def probabilities(self) -> tuple:
+        return tuple(Fraction(c, self.total) for c in self.counts)
 
     def mean(self) -> Fraction:
-        return _exact_sum(self.probabilities, self.support)
+        return Fraction(sum(m * c for m, c in zip(self.support, self.counts)), self.total)
 
     def probability(self, m: int) -> Fraction:
-        for mm, p in zip(self.support, self.probabilities):
+        for mm, c in zip(self.support, self.counts):
             if mm == m:
-                return p
+                return Fraction(c, self.total)
         return Fraction(0)
 
 
@@ -492,25 +548,28 @@ def energy_distribution_trace(n_sites: int, n_excited: int, n_blocks: int) -> Ex
     """Excitation-count distribution of k sites kept out of N, traced exactly.
 
     Keeping k of the N sites of the fixed-excitation mixed state yields the
-    hypergeometric law P(m) = C(k, m) C(N-k, Np-m) / C(N, Np).
+    hypergeometric law P(m) = C(k, m) C(N-k, Np-m) / C(N, Np), nonzero for
+    max(0, Np - (N - k)) <= m <= min(Np, k). Both factors of the counts come
+    from one ``_binomial_row`` each, the second read backwards.
     """
     if not 0 <= n_blocks <= n_sites:
         raise DimensionError(f"cannot keep {n_blocks} of {n_sites} sites")
     if not 0 <= n_excited <= n_sites:
         raise ValueError(f"excitation count {n_excited} outside [0, {n_sites}]")
-    d_r = comb(n_sites, n_excited)
-    counts = [comb(n_blocks, m) * comb(n_sites - n_blocks, n_excited - m)
-              for m in range(min(n_excited, n_blocks) + 1)]
-    support = tuple(m for m, count in enumerate(counts) if count)
-    return ExactDistribution(support, tuple(Fraction(counts[m], d_r) for m in support))
+    lo, hi = max(0, n_excited - (n_sites - n_blocks)), min(n_excited, n_blocks)
+    kept = _binomial_row(n_blocks, lo, hi - lo + 1)
+    rest = _binomial_row(n_sites - n_blocks, n_excited - hi, hi - lo + 1)
+    return ExactDistribution(tuple(range(lo, hi + 1)),
+                             tuple(a * b for a, b in zip(kept, reversed(rest))),
+                             comb(n_sites, n_excited))
 
 
 def energy_distribution_bns(n_sites: int, n_excited: int, n_blocks: int) -> ExactDistribution:
     """Distribution of the number of excited effective atoms under the detector map."""
     spectrum = canonical_spectrum(n_sites, n_excited, n_blocks)
-    support = tuple(sorted(spectrum.sector_probability))
-    probs = tuple(spectrum.sector_probability[m] for m in support)
-    return ExactDistribution(support, probs)
+    support = tuple(sorted(spectrum.sector_counts))
+    return ExactDistribution(support, tuple(spectrum.sector_counts[m] for m in support),
+                             spectrum.total)
 
 
 def bns_mean_exact(n_sites: int, n_excited: int, n_blocks: int) -> Fraction:
@@ -525,10 +584,15 @@ def bns_mean_exact(n_sites: int, n_excited: int, n_blocks: int) -> Fraction:
 
 
 def write_distribution_csv(path, dist: ExactDistribution) -> None:
-    """CSV with columns m, probability (17 significant digits), numerator, denominator."""
+    """CSV with columns m, probability (17 significant digits), numerator, denominator.
+
+    Each row reduces its count over the total with one gcd; the probability is the
+    count divided by the total in integer true division, the correctly rounded float
+    that ``float(Fraction)`` gives. The file is written in one call, LF line endings.
+    """
+    lines = ["m,probability,numerator,denominator"]
+    for m, c in zip(dist.support, dist.counts):
+        g = gcd(c, dist.total)
+        lines.append(f"{m},{format(c / dist.total, '.17g')},{c // g},{dist.total // g}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["m", "probability", "numerator", "denominator"])
-        for m, p in zip(dist.support, dist.probabilities):
-            writer.writerow([m, format(float(p), ".17g"), str(p.numerator),
-                             str(p.denominator)])
+        fh.write("\n".join(lines) + "\n")

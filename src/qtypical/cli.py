@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import os
@@ -180,11 +179,14 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:
+    """Header and rows, comma-separated with LF endings, in one write.
+
+    The fields are names and numbers, which need no quoting, so the bytes are
+    those of ``csv.writer`` with ``lineterminator="\\n"``.
+    """
+    lines = [",".join(map(_fmt, row)) for row in [header, *rows]]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -297,9 +299,9 @@ def run_figure_energy(params: dict) -> list:
     with _parameter_errors("figure-energy parameters"):
         trace_dist = energy_distribution_trace(n, np_excited, k)
     bns_dist = energy_distribution_bns(n, np_excited, k)
-    trace_p = dict(zip(trace_dist.support, trace_dist.probabilities))
-    bns_p = dict(zip(bns_dist.support, bns_dist.probabilities))
-    rows = [[m, float(trace_p.get(m, 0)), float(bns_p.get(m, 0))]
+    trace_p, bns_p = ({m: c / d.total for m, c in zip(d.support, d.counts)}
+                      for d in (trace_dist, bns_dist))
+    rows = [[m, trace_p.get(m, 0.0), bns_p.get(m, 0.0)]
             for m in sorted(trace_p.keys() | bns_p.keys())]
     out = params["out"]
     _write_csv(out, ["m", "p_trace", "p_bns"], rows)

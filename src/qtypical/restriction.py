@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 30
+PATTERN_BITS_LIMIT = 62  # widest system pattern held in int64
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,9 @@ class ExcitationSubspace:
     """Span of the N-qubit basis states with n_excited ones.
 
     ``indices`` is the read-only, ascending int64 array of their full-space
-    indices (qubit 0 most significant, so lexicographic bitstring order). It
-    is built one bit at a time from the least significant end: a new top bit
-    puts every number that has it after every number that lacks it, so each
-    weight class stays sorted under concatenation. Classes that can no longer
-    reach n_excited are dropped, so no 2^N intermediate is formed. An index
-    array above the 512 MiB dense budget is refused before it is built.
+    indices (qubit 0 most significant, so lexicographic bitstring order), from
+    ``_weight_class``. An index array above the 512 MiB dense budget is refused
+    before it is built.
     """
 
     n_sites: int
@@ -70,18 +68,30 @@ class ExcitationSubspace:
                 "the exact combinatorial paths cover larger systems"
             )
         _check_dense_bytes(8 * comb(n, k), f"the C({n}, {k}) basis indices")
-        empty = np.zeros(0, dtype=np.int64)
-        by_weight = [np.zeros(1, dtype=np.int64)] + [empty] * k  # the 0-bit numbers
-        for m in range(n):
-            by_weight = [empty if w < k - (n - 1 - m) else np.concatenate(
-                (by_weight[w], by_weight[w - 1] | (1 << m) if w else empty))
-                for w in range(k + 1)]
-        by_weight[k].setflags(write=False)
-        object.__setattr__(self, "indices", by_weight[k])
+        indices = _weight_class(n, k)
+        indices.setflags(write=False)
+        object.__setattr__(self, "indices", indices)
 
     @property
     def d_r(self) -> int:
         return self.indices.size
+
+
+def _weight_class(n_bits: int, weight: int) -> np.ndarray:
+    """The ascending int64 array of the n_bits-bit numbers with ``weight`` ones.
+
+    Built one bit at a time from the least significant end: a new top bit puts
+    every number that has it after every number that lacks it, so each weight
+    class stays sorted under concatenation. Classes that can no longer reach
+    ``weight`` are dropped, so no 2^n_bits intermediate is formed.
+    """
+    empty = np.zeros(0, dtype=np.int64)
+    by_weight = [np.zeros(1, dtype=np.int64)] + [empty] * weight  # the 0-bit numbers
+    for m in range(n_bits):
+        by_weight = [empty if w < weight - (n_bits - 1 - m) else np.concatenate(
+            (by_weight[w], by_weight[w - 1] | (1 << m) if w else empty))
+            for w in range(weight + 1)]
+    return by_weight[weight]
 
 
 def enumerate_basis(n_sites: int, n_excited: int) -> ExcitationSubspace:
@@ -211,7 +221,8 @@ class RestrictedPartialTrace(_PatternChannel):
     count: the canonical state is diagonal, run length / d_R, so the distances
     are taken block by block; and the Kraus operators have disjoint supports,
     so the Choi purity is a sum of squared environment-pattern counts. Only
-    ``kraus`` enumerates the basis.
+    ``kraus`` enumerates the basis; the system patterns are built directly, so
+    any split up to ``PATTERN_BITS_LIMIT`` qubits works.
     """
 
     n_sites: int
@@ -253,9 +264,15 @@ class RestrictedPartialTrace(_PatternChannel):
 
         The run of pattern s starts after the runs of every smaller pattern; the
         weight-v patterns below s number ``searchsorted`` of s among them, and each
-        has a run of C(N - split, Np - v) states.
+        has a run of C(N - split, Np - v) states. The patterns are int64, so a split
+        above ``PATTERN_BITS_LIMIT`` is refused, and so are patterns above 512 MiB.
         """
-        patterns = [enumerate_basis(self.split, w).indices for w in self._weights]
+        if self.split > PATTERN_BITS_LIMIT:
+            raise DimensionError(f"system patterns of {self.split} qubits exceed the "
+                                 f"int64 limit of {PATTERN_BITS_LIMIT}")
+        _check_dense_bytes(8 * self._pattern_count(),
+                           f"the system patterns of {self.split} qubits")
+        patterns = [_weight_class(self.split, w) for w in self._weights]
         lengths = [self._run_length(w) for w in self._weights]
         return tuple((rows, sum(np.searchsorted(other, rows) * length
                                 for other, length in zip(patterns, lengths)), width)
@@ -267,8 +284,8 @@ class RestrictedPartialTrace(_PatternChannel):
     def _canonical_diagonal(self) -> np.ndarray:
         """Run length / d_R on each system pattern, the two counts divided once."""
         diagonal = np.zeros(self.dim_out)
-        for w in self._weights:
-            diagonal[enumerate_basis(self.split, w).indices] = self._run_length(w) / self.dim_in
+        for rows, _, width in self._runs:
+            diagonal[rows] = width / self.dim_in
         return diagonal
 
     @property

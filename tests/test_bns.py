@@ -15,6 +15,7 @@ from qtypical.bns import (
     BnSCanonicalSpectrum,
     DetectorChannel,
     ExactDistribution,
+    _binomial_row,
     _occupied_counts,
     _purity_numerator_closed_form,
     _purity_numerator_convolution,
@@ -236,16 +237,31 @@ def test_spectrum_support_range():
 @pytest.mark.parametrize("n_sites", range(1, 17))
 def test_supports_match_the_range_formulas(n_sites):
     # the sectors with a nonzero count are ceil(k Np / N) .. min(Np, k) for the detector
-    # and max(0, Np - (N - k)) .. min(Np, k) for the kept sites
+    # and max(0, Np - (N - k)) .. min(Np, k) for the kept sites; both distributions
+    # equal their defining comb and Fraction formulas there
     for n_excited in range(n_sites + 1):
+        d_r = comb(n_sites, n_excited)
         for k in range(n_sites + 1):
             hi = min(n_excited, k)
             trace = energy_distribution_trace(n_sites, n_excited, k)
             assert trace.support == tuple(range(max(0, n_excited - (n_sites - k)), hi + 1))
+            assert trace.total == d_r
+            assert trace.probabilities == tuple(
+                Fraction(comb(k, m) * comb(n_sites - k, n_excited - m), d_r)
+                for m in trace.support)
             if k and n_sites % k == 0:
                 spectrum = canonical_spectrum(n_sites, n_excited, k)
                 assert tuple(spectrum.weights) == tuple(range(-(-k * n_excited // n_sites),
                                                               hi + 1))
+                n = n_sites // k
+                occupied = {m: sum((-1) ** (m - q) * comb(m, q) * comb(n * q, n_excited)
+                                   for q in range(m + 1)) for m in spectrum.weights}
+                assert spectrum.weights == {m: Fraction(c, d_r) for m, c in occupied.items()}
+                assert spectrum.sector_probability == {
+                    m: comb(k, m) * Fraction(c, d_r) for m, c in occupied.items()}
+                bns = energy_distribution_bns(n_sites, n_excited, k)
+                assert dict(zip(bns.support, bns.probabilities)) \
+                    == spectrum.sector_probability
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,6 +272,32 @@ def test_spectrum_exact_normalization(block, k, data):
     spec = canonical_spectrum(n_sites, n_excited, k)
     assert sum(spec.sector_probability.values()) == 1
     assert all(w >= 0 for w in spec.weights.values())
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 7, 16, 40])
+def test_binomial_rows_equal_comb(top):
+    # rows that run past their last nonzero entry, columns that start below the lower
+    # index (n q < Np) and columns that never reach it within count (Np > n j_max)
+    for bottom in range(top + 3):
+        for count in (1, 2, top + 4):
+            assert _binomial_row(top, bottom, count) \
+                == [comb(top, bottom + i) for i in range(count)]
+            for step in (1, 2, 5, top + 1):
+                assert _binomial_row(top, bottom, count, top_step=step) \
+                    == [comb(top + i * step, bottom) for i in range(count)]
+
+
+# the paper's scales, Np = 0, Np = N, k = N (n = 1), k = 1 (n = N) and near-full filling
+@pytest.mark.parametrize("n_sites,n_excited,n_blocks",
+                         [(10000, 200, 1000), (20000, 1000, 2000), (200, 0, 20), (200, 200, 20),
+                          (200, 30, 200), (200, 30, 1), (12, 11, 3), (40, 39, 2)])
+def test_binomial_rows_of_the_exact_distributions(n_sites, n_excited, n_blocks):
+    n, j_max = n_sites // n_blocks, min(n_excited, n_blocks)
+    assert _binomial_row(0, n_excited, j_max + 1, top_step=n) \
+        == [comb(n * q, n_excited) for q in range(j_max + 1)]
+    assert _binomial_row(n_blocks, 0, j_max + 1) == [comb(n_blocks, m) for m in range(j_max + 1)]
+    assert _binomial_row(n_sites - n_blocks, 0, n_excited + 1) \
+        == [comb(n_sites - n_blocks, b) for b in range(n_excited + 1)]
 
 
 def inclusion_exclusion_counts(n: int, n_excited: int, j_max: int) -> list[int]:
@@ -290,14 +332,23 @@ def test_occupied_counts_sweep(n, n_excited, j_max):
 
 
 def test_spectrum_sum_check_is_exact_at_paper_scale():
+    # counts and total scaled by C(N, Np): one count off by 1 moves a weight by
+    # 1 / C(N, Np)^2, and that is refused
     spec = canonical_spectrum(10000, 200, 1000)
-    eps = Fraction(1, comb(10000, 200) ** 2)
-    for m in (min(spec.sector_probability), max(spec.sector_probability)):
-        for delta in (eps, -eps):
-            off = dict(spec.sector_probability)
+    scale = comb(10000, 200)
+    scaled = {m: c * scale for m, c in spec.counts.items()}
+    assert BnSCanonicalSpectrum(10000, 200, 1000, scaled, spec.total * scale).weights \
+        == spec.weights
+    for m in (min(spec.counts), max(spec.counts)):
+        for delta in (1, -1):
+            off = dict(scaled)
             off[m] += delta
             with pytest.raises(ValueError, match="exactly 1"):
-                BnSCanonicalSpectrum(10000, 200, 1000, spec.weights, off)
+                BnSCanonicalSpectrum(10000, 200, 1000, off, spec.total * scale)
+    with pytest.raises(ValueError, match="negative"):
+        BnSCanonicalSpectrum(4, 2, 2, {1: 3, 2: -1}, 2)
+    with pytest.raises(ValueError, match="sector"):
+        BnSCanonicalSpectrum(4, 2, 2, {3: 1}, 8)
 
 
 def test_spectrum_rejects_bad_arguments():
@@ -350,20 +401,31 @@ def test_distribution_mean_equals_fraction_sum_at_paper_scale(distribution):
 
 def test_distribution_sum_check_is_exact():
     with pytest.raises(ValueError, match="exactly 1"):
-        ExactDistribution((), ())
-    assert ExactDistribution((0, 1), (0, 1)).mean() == 1
-    assert ExactDistribution((2,), (Fraction(1),)).mean() == 2
-    with pytest.raises(TypeError, match="rational"):
-        ExactDistribution((0, 1), (0.5, 0.5))
-    eps = Fraction(1, comb(10000, 200) ** 2)
+        ExactDistribution((), (), 0)
+    assert ExactDistribution((0, 1), (0, 1), 1).mean() == 1
+    assert ExactDistribution((2,), (3,), 3).mean() == 2
+    assert ExactDistribution((0, 1), (2, 4), 6).probabilities == (Fraction(1, 3),
+                                                                  Fraction(2, 3))
+    with pytest.raises(TypeError, match="integer"):
+        ExactDistribution((0, 1), (0.5, 0.5), 1)
+    with pytest.raises(ValueError, match="negative"):
+        ExactDistribution((0, 1), (-1, 2), 1)
+    with pytest.raises(ValueError, match="length"):
+        ExactDistribution((0, 1), (1,), 1)
+    # counts and total scaled by C(N, Np): one count off by 1 moves a probability by
+    # 1 / C(N, Np)^2, and that is refused
+    scale = comb(10000, 200)
     for distribution in (energy_distribution_trace, energy_distribution_bns):
         dist = distribution(10000, 200, 1000)
-        for i in (0, len(dist.probabilities) - 1):
-            for delta in (eps, -eps):
-                probs = list(dist.probabilities)
-                probs[i] += delta
+        scaled = [c * scale for c in dist.counts]
+        assert ExactDistribution(dist.support, tuple(scaled), dist.total * scale) \
+            .probabilities == dist.probabilities
+        for i in (0, len(scaled) - 1):
+            for delta in (1, -1):
+                counts = list(scaled)
+                counts[i] += delta
                 with pytest.raises(ValueError, match="exactly 1"):
-                    ExactDistribution(dist.support, tuple(probs))
+                    ExactDistribution(dist.support, tuple(counts), dist.total * scale)
 
 
 def test_bns_distribution_saturates_at_high_filling():

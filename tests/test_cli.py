@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qtypical import cli
 from qtypical.bns import DetectorChannel, bns_channel
 from qtypical.cli import UsageError, build_channel, main
 from qtypical.channels import (
@@ -181,6 +182,38 @@ def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch):
     finally:
         cli._parser.cache_clear()
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("spec,expected", [
+    ((12, 5, 4), ("e810929ba764bd7d82fd70b75026bdf3f6fffb68cc5c23ad9feab24bac82cbb8",
+                  "d34e78f5efede95af0ad40651dd62c2b5de117da3b511aca48e57e84999e28fe",
+                  "c249ae0ef1e5cfa271f9ae469cdfe0f445ef948a5670a3178d2ff28376f25d40")),
+    ((8, 7, 4), ("fe072dca28d620f90c6a98c961f02b6559ed568b64586203169f350890be6ab2",
+                 "f9bd4bbf6a79a5883dcd12fcb8001a201d88b15ee3672a32a11b46da61d233fa",
+                 "c3c53012ed70d62158f8d905003287e305dd59aded8084f1a1a8f8ec2cd0636a")),
+])
+def test_figure_energy_small_spec_bytes(tmp_path, spec, expected):
+    # the outputs as version 0.16.0 wrote them with Fraction arithmetic
+    n, np_excited, k = spec
+    out = tmp_path / "energy.csv"
+    assert run(["figure-energy", "--N", n, "--Np", np_excited, "--k", k, "--out", out]) == 0
+    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in ("energy.csv", "energy_trace_exact.csv",
+                              "energy_bns_exact.csv")) == expected
+
+
+def test_csv_writer_bytes_equal_the_csv_module(tmp_path):
+    header = ["index", "distance", "m"]
+    rows = [[0, 0.1, 3], [1, 1e-300, -2], [2, 1 / 3, 10**40], [3, 0.0, 0], [4, 1.5e16, 7]]
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    cli._write_csv(str(ours), header, rows)
+    with open(theirs, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([[cli._fmt(v) for v in row] for row in rows])
+    assert ours.read_bytes() == theirs.read_bytes()
+    cli._write_csv(str(ours), header, [])
+    assert ours.read_bytes() == b"index,distance,m\n"
 
 
 def test_figure_energy_paper_scale_bytes(tmp_path):

@@ -342,6 +342,22 @@ def test_partial_trace_runs_tile_the_basis_past_the_old_plan_limit():
     assert int(np.sum(widths)) == ch.dim_in == comb(24, 12)
 
 
+def test_partial_trace_splits_past_the_enumeration_limit():
+    # one excitation and every qubit kept: a basis state is pure, the canonical state
+    # is I / split over the weight-1 patterns, and the distance is 1 - 1 / split
+    for split in (30, 40, 62):
+        ch = RestrictedPartialTrace(split, 1, split)
+        np.testing.assert_allclose(ch.distances_to_canonical(np.eye(1, split)),
+                                   [1 - 1 / split], rtol=1e-15)
+    rows = RestrictedPartialTrace(40, 2, 40)._runs[0][0]
+    assert rows.tolist() == sorted(2**a + 2**b for a, b in combinations(range(40), 2))
+    with pytest.raises(DimensionError, match="int64"):
+        RestrictedPartialTrace(63, 1, 63).distances_to_canonical(np.eye(1, 63))
+    # C(40, 20) patterns would take 1.0 TiB
+    with pytest.raises(DimensionError, match="MiB"):
+        RestrictedPartialTrace(40, 20, 40)._runs
+
+
 def test_restricted_partial_trace_rejects_wrong_state_block():
     ch = RestrictedPartialTrace(4, 2, 2)
     with pytest.raises(DimensionError):
