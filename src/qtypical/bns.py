@@ -13,7 +13,8 @@ happens for every N >= 13. On the fixed-excitation subspace the detector is
 ``DetectorChannel``, which is matrix-free: it acts through the occupancy
 pattern of each basis state, its canonical state is the exact spectrum, and
 its Choi purity is an exact count from a generating function, so it never
-forms the tensor power, a Kraus array or a Choi matrix.
+forms the tensor power or a Choi matrix, and only the plan that applies it
+and its on-demand Kraus family enumerate a basis.
 
 The canonical spectrum and the two excitation-count distributions are exact
 integer counts of excitation patterns over their one common denominator
@@ -46,7 +47,7 @@ from .channels import (
 )
 from .qcore import DimensionError, _check_dense_bytes
 from .restriction import (
-    ExcitationSubspace,
+    _check_excitations,
     _gram,
     _PatternChannel,
     _truncated_product,
@@ -262,8 +263,7 @@ def canonical_spectrum(n_sites: int, n_excited: int, n_blocks: int) -> BnSCanoni
     from one ``_binomial_row``. All arithmetic is exact.
     """
     n = _block_size(n_sites, n_blocks)
-    if not 0 <= n_excited <= n_sites:
-        raise ValueError(f"excitation count {n_excited} outside [0, {n_sites}]")
+    _check_excitations(n_sites, n_excited)
     counts = _occupied_counts(n, n_excited, min(n_excited, n_blocks))
     return BnSCanonicalSpectrum(n_sites, n_excited, n_blocks,
                                 {m: c for m, c in enumerate(counts) if c},
@@ -376,34 +376,29 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
 
     so the output needs only sums of psi over the blocks one pattern occupies
     and the other does not: it is a sum of Gram matrices of small tables of
-    summed amplitudes, one table per group of a plan built once from the
-    enumerated basis. The canonical state is the exact spectrum and the Choi
-    purity an exact generating-function count.
+    summed amplitudes, one table per group of a plan built once. The plan and
+    ``kraus`` alone enumerate the basis; everything else is a count: d_R, the
+    exact spectrum, the generating-function Choi purity and ``exact_eta``.
     """
 
     n_sites: int
     n_blocks: int
     n_excited: int
-    sub: ExcitationSubspace = field(init=False, repr=False)
 
     def __post_init__(self):
         _block_size(self.n_sites, self.n_blocks)
-        object.__setattr__(self, "sub", enumerate_basis(self.n_sites, self.n_excited))
-
-    @property
-    def dim_in(self) -> int:
-        return self.sub.d_r
+        _check_excitations(self.n_sites, self.n_excited)
 
     @property
     def dim_out(self) -> int:
         return 2**self.n_blocks
 
-    def _patterns(self) -> np.ndarray:
-        """Occupancy pattern y(x) of every subspace basis state."""
+    def _patterns(self, indices: np.ndarray) -> np.ndarray:
+        """Occupancy pattern y(x) of each basis state x of ``indices``."""
         n, k = self.n_sites // self.n_blocks, self.n_blocks
-        y = np.zeros(self.dim_in, dtype=np.int64)
+        y = np.zeros(indices.size, dtype=np.int64)
         for bit in range(k):  # output bit i reads the block held in bits n i .. n i + n - 1 of x
-            y |= (((self.sub.indices >> (n * bit)) & (2**n - 1)) != 0).astype(np.int64) << bit
+            y |= (((indices >> (n * bit)) & (2**n - 1)) != 0).astype(np.int64) << bit
         return y
 
     def _site_masks(self) -> np.ndarray:
@@ -417,18 +412,27 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
         c = 1.0 / np.sqrt(2.0 ** (self.n_sites // self.n_blocks) - 1.0)
         return c ** _popcount(np.arange(self.dim_out, dtype=np.int64), self.n_blocks)
 
+    def _check_plan_bytes(self) -> None:
+        """Refuse a plan above 512 MiB, 24 (memberships + 4^k) bytes, before any index array.
+
+        A state of pattern y is a member of the 2^|y| groups within y, so there are
+        sum_m sector_counts[m] 2^m memberships; the bytes cover the 8 d_R of the basis.
+        """
+        spectrum = canonical_spectrum(self.n_sites, self.n_excited, self.n_blocks)
+        memberships = sum(c << m for m, c in spectrum.sector_counts.items())
+        _check_dense_bytes(8 * 3 * (memberships + self.dim_out**2),
+                           f"the grouping plan of the {self.dim_in}-state detector input")
+
     @cached_property
     def _plan(self) -> tuple[_PatternGroup, ...]:
         """One group per block set S that some output entry needs, built once.
 
         Group S sums each basis state whose pattern contains S into the cell (its
         pattern, its configuration on S) and keeps the pattern pairs sharing exactly S.
-        Refused above 512 MiB: three index entries per membership and per output entry.
         """
-        y, x, d_out = self._patterns(), self.sub.indices, self.dim_out
-        memberships = int(np.sum(2 ** _popcount(y, self.n_blocks)))
-        _check_dense_bytes(8 * 3 * (memberships + d_out**2),
-                           f"the grouping plan of the {self.dim_in}-state detector input")
+        self._check_plan_bytes()
+        x = enumerate_basis(self.n_sites, self.n_excited).indices
+        y, d_out = self._patterns(x), self.dim_out
         masks, coherences = self._site_masks(), self._coherences()
         groups = []
         for shared in range(d_out):
@@ -496,7 +500,8 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
         """
         d = self.dim_in
         _check_dense_bytes(48 * d * d, f"the {d} x {d} detector Choi block")
-        x, y = self.sub.indices, self._patterns()
+        x = enumerate_basis(self.n_sites, self.n_excited).indices
+        y = self._patterns(x)
         agree = (x[:, None] ^ x[None, :]) & self._site_masks()[y[:, None] & y[None, :]] == 0
         eigs, vecs = np.linalg.eigh(np.where(agree, self._coherences()[y[:, None] ^ y[None, :]],
                                              0.0))
@@ -554,8 +559,7 @@ def energy_distribution_trace(n_sites: int, n_excited: int, n_blocks: int) -> Ex
     """
     if not 0 <= n_blocks <= n_sites:
         raise DimensionError(f"cannot keep {n_blocks} of {n_sites} sites")
-    if not 0 <= n_excited <= n_sites:
-        raise ValueError(f"excitation count {n_excited} outside [0, {n_sites}]")
+    _check_excitations(n_sites, n_excited)
     lo, hi = max(0, n_excited - (n_sites - n_blocks)), min(n_excited, n_blocks)
     kept = _binomial_row(n_blocks, lo, hi - lo + 1)
     rest = _binomial_row(n_sites - n_blocks, n_excited - hi, hi - lo + 1)
@@ -578,7 +582,8 @@ def bns_mean_exact(n_sites: int, n_excited: int, n_blocks: int) -> Fraction:
     Linearity of expectation over the uniform excitation patterns gives
     k * (1 - C(N - N/k, Np) / C(N, Np)) without touching the alternating sum.
     """
-    n = n_sites // n_blocks
+    n = _block_size(n_sites, n_blocks)
+    _check_excitations(n_sites, n_excited)
     empty = Fraction(comb(n_sites - n, n_excited), comb(n_sites, n_excited))
     return n_blocks * (1 - empty)
 

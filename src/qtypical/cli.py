@@ -277,7 +277,7 @@ def run_entropy(params: dict) -> list:
         "choi_purity": purity_choi,
         "choi_purity_kraus_route": purity_kraus,
         "purity_route_difference": abs(purity_choi - purity_kraus),
-        "entropy_bound": _entropy_bound(ch.dim_out, s_l),
+        "entropy_bound": _entropy_bound(ch.dim_out, purity_choi),
     }
     print(f"linear entropy       : {_fmt(payload['linear_entropy'])}")
     print(f"Choi purity          : {_fmt(purity_choi)}")
@@ -322,9 +322,11 @@ def run_figure_bound(params: dict) -> list:
     _check_blocking(n, k)
     if samples < 1:  # checked once: at N = 1 the Np loop below is empty
         raise UsageError(f"samples = {samples} must be >= 1")
+    sweep = [DetectorChannel(n, k, np_excited) for np_excited in range(1, n)]
+    for ch in sweep:  # every plan is checked before the first state is drawn
+        ch._check_plan_bytes()
     rows = []
-    for np_excited in range(1, n):
-        ch = DetectorChannel(n, k, np_excited)
+    for np_excited, ch in enumerate(sweep, start=1):
         cfg = ExperimentConfig(channel=ch, samples=samples,
                                master_seed=derive_seed(seed, np_excited))
         distances = np.asarray(sample_distances(cfg))

@@ -9,17 +9,16 @@ act, and then the embedding is a plain column selection of its Kraus array.
 
 The two matrix-free restricted channels, ``RestrictedPartialTrace`` and
 ``bns.DetectorChannel``, send each basis state to a pure output given by its
-pattern. They share the exact quantities this gives (``_PatternChannel``): the
-diagonal canonical state, the Choi purity gated on two exact routes, and the
-Lipschitz constant ``exact_eta``. Neither forms a Kraus array, a Choi matrix
-or any 2^N buffer. The restricted partial trace needs no basis at all: the
-states of one system pattern are one contiguous run of the basis, so each
-output block is the Gram matrix of a table of runs gathered from the input,
-its distances to the canonical state are taken block by block, and every
-other quantity is a count. The detector sums its input into the tables of a
-grouping plan built from the enumerated basis. ``restrict_channel`` pulls back
-any dense channel, and it is the oracle both structured classes are tested
-against."""
+pattern. They share the exact quantities this gives (``_PatternChannel``), all
+counts: d_R = C(N, Np), the diagonal canonical state, the Choi purity gated on
+two exact routes, and the Lipschitz constant ``exact_eta``. Neither forms a
+Choi matrix or any 2^N buffer. The partial trace gathers each output block
+from contiguous runs of the basis and takes its distances block by block; the
+detector sums its input into the tables of a grouping plan, sized from counts
+first. Only that plan and ``kraus`` enumerate a basis, through the one builder
+of basis and pattern arrays, ``_weight_class``, which refuses numbers wider
+than int64. ``restrict_channel`` pulls back any dense channel, and it is the
+oracle both structured classes are tested against."""
 
 from __future__ import annotations
 
@@ -40,18 +39,14 @@ __all__ = [
     "effective_environment_dimension",
 ]
 
-ENUMERATION_LIMIT = 30
-PATTERN_BITS_LIMIT = 62  # widest system pattern held in int64
-
 
 @dataclass(frozen=True)
 class ExcitationSubspace:
     """Span of the N-qubit basis states with n_excited ones.
 
     ``indices`` is the read-only, ascending int64 array of their full-space
-    indices (qubit 0 most significant, so lexicographic bitstring order), from
-    ``_weight_class``. An index array above the 512 MiB dense budget is refused
-    before it is built.
+    indices (qubit 0 most significant, so lexicographic bitstring order) from
+    ``_weight_class``, refused above the 512 MiB dense budget before it is built.
     """
 
     n_sites: int
@@ -60,13 +55,7 @@ class ExcitationSubspace:
 
     def __post_init__(self):
         n, k = self.n_sites, self.n_excited
-        if not 0 <= k <= n:
-            raise ValueError(f"excitation count {k} outside [0, {n}]")
-        if n > ENUMERATION_LIMIT:
-            raise DimensionError(
-                f"basis enumeration supports at most {ENUMERATION_LIMIT} sites; "
-                "the exact combinatorial paths cover larger systems"
-            )
+        _check_excitations(n, k)
         _check_dense_bytes(8 * comb(n, k), f"the C({n}, {k}) basis indices")
         indices = _weight_class(n, k)
         indices.setflags(write=False)
@@ -77,14 +66,23 @@ class ExcitationSubspace:
         return self.indices.size
 
 
+def _check_excitations(n_sites: int, n_excited: int) -> None:
+    """A ValueError unless 0 <= n_excited <= n_sites."""
+    if not 0 <= n_excited <= n_sites:
+        raise ValueError(f"excitation count {n_excited} outside [0, {n_sites}]")
+
+
 def _weight_class(n_bits: int, weight: int) -> np.ndarray:
     """The ascending int64 array of the n_bits-bit numbers with ``weight`` ones.
 
     Built one bit at a time from the least significant end: a new top bit puts
     every number that has it after every number that lacks it, so each weight
     class stays sorted under concatenation. Classes that can no longer reach
-    ``weight`` are dropped, so no 2^n_bits intermediate is formed.
+    ``weight`` are dropped, so no 2^n_bits intermediate is formed. Numbers of more
+    than 62 bits are refused: int64 holds no wider ones.
     """
+    if n_bits > 62:
+        raise DimensionError(f"{n_bits}-bit numbers exceed the int64 limit of 62 bits")
     empty = np.zeros(0, dtype=np.int64)
     by_weight = [np.zeros(1, dtype=np.int64)] + [empty] * weight  # the 0-bit numbers
     for m in range(n_bits):
@@ -172,10 +170,15 @@ def _truncated_product(factors, degree: int) -> int:
 class _PatternChannel:
     """Exact quantities shared by the matrix-free restricted channels.
 
-    Both send a basis state x to the pure output |p(x)><p(x)|, p(x) its pattern.
-    A subclass supplies ``_canonical_diagonal`` (the diagonal of the canonical state),
+    Both send a basis state x of the n_excited subspace of n_sites qubits to the pure
+    output |p(x)><p(x)|, p(x) its pattern; ``dim_in`` is d_R = C(n_sites, n_excited),
+    a count. A subclass supplies ``_canonical_diagonal`` (the diagonal of the canonical state),
     ``_pattern_count`` (the number of patterns that occur) and ``choi_purity_routes``.
     """
+
+    @property
+    def dim_in(self) -> int:
+        return comb(self.n_sites, self.n_excited)
 
     def canonical_state(self) -> DensityOperator:
         """Diagonal image of the maximally mixed input.
@@ -222,7 +225,7 @@ class RestrictedPartialTrace(_PatternChannel):
     are taken block by block; and the Kraus operators have disjoint supports,
     so the Choi purity is a sum of squared environment-pattern counts. Only
     ``kraus`` enumerates the basis; the system patterns are built directly, so
-    any split up to ``PATTERN_BITS_LIMIT`` qubits works.
+    any split up to the 62 bits of ``_weight_class`` works.
     """
 
     n_sites: int
@@ -230,14 +233,9 @@ class RestrictedPartialTrace(_PatternChannel):
     split: int
 
     def __post_init__(self):
-        if not 0 <= self.n_excited <= self.n_sites:
-            raise ValueError(f"excitation count {self.n_excited} outside [0, {self.n_sites}]")
+        _check_excitations(self.n_sites, self.n_excited)
         if not 0 <= self.split <= self.n_sites:
             raise ValueError(f"split {self.split} outside [0, {self.n_sites}]")
-
-    @property
-    def dim_in(self) -> int:
-        return comb(self.n_sites, self.n_excited)
 
     @property
     def dim_out(self) -> int:
@@ -264,12 +262,9 @@ class RestrictedPartialTrace(_PatternChannel):
 
         The run of pattern s starts after the runs of every smaller pattern; the
         weight-v patterns below s number ``searchsorted`` of s among them, and each
-        has a run of C(N - split, Np - v) states. The patterns are int64, so a split
-        above ``PATTERN_BITS_LIMIT`` is refused, and so are patterns above 512 MiB.
+        has a run of C(N - split, Np - v) states. Patterns above 512 MiB are refused,
+        and ``_weight_class`` refuses a split above 62 qubits.
         """
-        if self.split > PATTERN_BITS_LIMIT:
-            raise DimensionError(f"system patterns of {self.split} qubits exceed the "
-                                 f"int64 limit of {PATTERN_BITS_LIMIT}")
         _check_dense_bytes(8 * self._pattern_count(),
                            f"the system patterns of {self.split} qubits")
         patterns = [_weight_class(self.split, w) for w in self._weights]

@@ -5,7 +5,9 @@ image of the maximally mixed state. The experiment samples Haar-random pure
 inputs, measures their trace distance to the canonical state, and compares
 the statistics against two analytic bounds: the entropy bound
 (1/2) sqrt(d_S (1 - S_L)) on the mean, and the concentration tail bound
-2 exp(-C d_R eps^2 / (4 eta^2)) with C = 2 / (9 pi^3).
+2 exp(-C d_R eps^2 / (4 eta^2)) with C = 2 / (9 pi^3). The entropy bound is
+evaluated as (1/2) sqrt(d_S min(P, 1)) from the gated Choi purity P = 1 - S_L
+itself: forming 1 - S_L would cancel a purity below about 1e-16 to nothing.
 
 The entropy bound is also a consistency gate: a report whose mean distance
 exceeds it by more than 3 std / sqrt(samples) (plus 1e-12), with std the
@@ -16,7 +18,7 @@ every sample count.
 
 A channel here is anything with the channel interface (``dim_in``,
 ``dim_out``, ``distances_to_canonical``, ``_distance_row_bytes``,
-``linear_entropy``, and ``apply_pure_batch`` and ``_row_bytes`` for the
+``choi_purity_routes``, and ``apply_pure_batch`` and ``_row_bytes`` for the
 Lipschitz search): a dense ``QuantumChannel``, or one of the matrix-free
 restricted channels, which never form a Kraus array or a Choi matrix. These
 share their exact quantities (``restriction._PatternChannel``): a diagonal
@@ -25,7 +27,8 @@ canonical state, an entropy gated on two exact purity counts, and
 place of the search's lower bound. ``restriction.RestrictedPartialTrace``
 gathers each weight block of its input from contiguous runs of the basis and
 enumerates no basis; ``bns.DetectorChannel`` sums its input into the tables
-of a grouping plan built from the enumerated basis.
+of a grouping plan, which alone enumerates its basis, after a size check from
+counts.
 
 Sampling runs in chunks: each chunk fills one block with its Haar vectors in
 place (``qcore._haar_rows``: one generator per chunk, re-seeded before each
@@ -54,7 +57,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import ConsistencyError, QuantumChannel, _eta
+from .channels import ConsistencyError, QuantumChannel, _eta, _gated_linear_entropy
 from .qcore import DensityOperator, _block_items, _check_dense_bytes, _haar_rows, derive_seed
 
 if TYPE_CHECKING:
@@ -147,11 +150,19 @@ def sample_distances(cfg: ExperimentConfig) -> list:
 
 def entropy_bound(ch) -> float:
     """Mean-distance bound (1/2) sqrt(d_S * (1 - S_L)) from the channel entropy."""
-    return _entropy_bound(ch.dim_out, ch.linear_entropy())
+    return _entropy(ch)[1]
 
 
-def _entropy_bound(d_s: int, linear_entropy: float) -> float:
-    return 0.5 * math.sqrt(d_s * (1.0 - linear_entropy))
+def _entropy(ch) -> tuple[float, float]:
+    """(linear entropy, entropy bound) from one gated evaluation of the purity routes."""
+    purity_choi, purity_kraus = ch.choi_purity_routes()
+    return (_gated_linear_entropy(purity_choi, purity_kraus),
+            _entropy_bound(ch.dim_out, purity_choi))
+
+
+def _entropy_bound(d_s: int, purity: float) -> float:
+    """(1/2) sqrt(d_S min(P, 1)): 1 - S_L with S_L = max(0, 1 - P), read off P itself."""
+    return 0.5 * math.sqrt(d_s * min(purity, 1.0))
 
 
 def partial_trace_bound(d_s: int, d_e_eff: float) -> float:
@@ -239,7 +250,7 @@ def _experiment(cfg: ExperimentConfig) -> tuple[TypicalityReport, list]:
     is refused before any state is drawn.
     """
     ch = cfg.channel
-    s_l = ch.linear_entropy()
+    s_l, mean_bound = _entropy(ch)
     distances = sample_distances(cfg)
     values = np.asarray(distances)
     mean = float(np.mean(values))
@@ -271,7 +282,7 @@ def _experiment(cfg: ExperimentConfig) -> tuple[TypicalityReport, list]:
         mean_distance=mean,
         std_distance=std,
         max_distance=top,
-        entropy_bound=_entropy_bound(ch.dim_out, s_l),
+        entropy_bound=mean_bound,
         linear_entropy=s_l,
         eta_mode=cfg.eta_mode,
         eta_used=eta,

@@ -60,6 +60,8 @@ def test_traced_restricted_detector_run_builds_no_dense_channel(tmp_path):
     assert code == 0
     calls, _, _ = tracer.totals()
     assert calls["cli.build_channel"] == 1
+    # every quantity entropy reports is a count: the detector enumerates no basis
+    assert calls["restriction.enumerate_basis"] == 0
     # the restricted detector is matrix-free: no dense channel is built or restricted
     assert calls["channels.QuantumChannel.init"] == 0
     assert calls["restriction.restrict_channel"] == 0

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_choi_purity, matrix_unit
+from qtypical import bns
 from qtypical.bns import (
     BnSCanonicalSpectrum,
     DetectorChannel,
@@ -391,6 +392,16 @@ def test_bns_distribution_mean_identity(n, np_exc, k):
     assert dist.mean() == bns_mean_exact(n, np_exc, k)
 
 
+def test_bns_mean_exact_validates_its_spec():
+    # 3 blocks do not divide 10 sites, and no block count or Np outside [0, N] has a mean
+    for n_blocks in (3, 0, -2):
+        with pytest.raises(DimensionError, match="do not evenly divide"):
+            bns_mean_exact(10, 4, n_blocks)
+    for n_excited in (11, -1):
+        with pytest.raises(ValueError, match="outside"):
+            bns_mean_exact(10, n_excited, 2)
+
+
 @pytest.mark.parametrize("distribution", [energy_distribution_trace, energy_distribution_bns])
 def test_distribution_mean_equals_fraction_sum_at_paper_scale(distribution):
     dist = distribution(10000, 200, 1000)
@@ -574,13 +585,40 @@ def test_detector_channel_rejects_bad_arguments():
         ch.apply_pure_batch(np.zeros(6))
 
 
-def test_detector_plan_refused_above_budget(small_dense_budget):
+def test_detector_plan_refused_above_budget(small_dense_budget, monkeypatch):
     # 8 * 3 * (memberships + 4^k) bytes: 8/2/4 fits the 64 KiB budget, 12/4/6 does not
     fits = DetectorChannel(8, 2, 4)
     assert fits.apply_pure_batch(np.eye(1, fits.dim_in)).shape == (1, 4, 4)
     big = DetectorChannel(12, 4, 6)
+    # refused from counts, before the basis is enumerated
+    monkeypatch.setattr(bns, "enumerate_basis", None)
     with pytest.raises(DimensionError, match="grouping plan"):
         big.apply_pure_batch(np.eye(1, big.dim_in))
+
+
+@pytest.mark.parametrize("n_sites,n_blocks,n_excited", [
+    (8, 2, 4), (9, 3, 4), (12, 4, 5), (16, 4, 8), (12, 12, 6), (10, 5, 10), (10, 10, 0),
+    (20, 4, 10), (6, 1, 3), (6, 6, 1)])
+def test_plan_memberships_from_counts_equal_the_basis_sum(n_sites, n_blocks, n_excited):
+    # sum_x 2^|y(x)| over the basis equals sum_m sector_counts[m] 2^m of the spectrum
+    ch = DetectorChannel(n_sites, n_blocks, n_excited)
+    y = ch._patterns(enumerate_basis(n_sites, n_excited).indices)
+    direct = sum(2 ** bin(p).count("1") for p in y.tolist())
+    spectrum = canonical_spectrum(n_sites, n_excited, n_blocks)
+    assert direct == sum(c * 2**m for m, c in spectrum.sector_counts.items())
+    # the groups the plan keeps hold at most that many members
+    assert sum(g.members.size for g in ch._plan) <= direct
+
+
+def test_detector_holds_no_basis_and_counts_its_dimension():
+    ch = DetectorChannel(40, 4, 20)
+    assert ch.dim_in == comb(40, 20)
+    assert not hasattr(ch, "sub")
+    # past 62 sites the plan check passes for one block, and the basis builder refuses
+    wide = DetectorChannel(64, 1, 1)
+    assert wide.dim_in == 64 and wide.exact_eta() == 0.0  # one block, always occupied
+    with pytest.raises(DimensionError, match="int64"):
+        wide.apply_pure_batch(np.eye(1, 64))
 
 
 def test_detector_output_block_refused_above_budget(small_dense_budget):

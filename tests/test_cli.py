@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtypical import cli
+from qtypical import cli, typicality
 from qtypical.bns import DetectorChannel, bns_channel
 from qtypical.cli import UsageError, build_channel, main
 from qtypical.channels import (
@@ -503,6 +503,8 @@ OUT_OF_RANGE = {
     "entropy-factor": ["entropy", "--channel", "partial-trace", "--dS", 2, "--dE", 0],
     "entropy-excitations": ["entropy", "--channel", "partial-trace", "--N", 40, "--Np", 41,
                             "--split", 8],
+    "entropy-detector-excitations": ["entropy", "--channel", "bns", "--N", 8, "--k", 2,
+                                     "--Np", 9],
     "figure-bound-blocking": ["figure-bound", "--N", 6, "--k", 4],
     # the Np loop is empty at one site, so the samples check must not live inside it
     "figure-bound-one-site": ["figure-bound", "--N", 1, "--k", 1, "--samples", 0],
@@ -522,14 +524,55 @@ def test_out_of_range_value_is_a_usage_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("argv", [
     ["entropy", "--channel", "identity", "--d", 20000],  # the 512 MiB budget
-    ["entropy", "--channel", "bns", "--N", 32, "--k", 2, "--Np", 2],  # ENUMERATION_LIMIT
+    # the detector's entropy at 30/5/15 is a count, but its 111219 MiB grouping plan is
+    # refused from counts, before its basis or any state exists
+    ["typicality", "--config", {"channel": {"type": "bns", "N": 30, "k": 5, "Np": 15},
+                                "samples": 10, "master_seed": 1}],
     ["entropy", "--channel", "bns", "--N", 11, "--k", 1],  # BLOCK_LIMIT
-], ids=["budget", "enumeration-limit", "block-limit"])
-def test_size_refusal_of_a_spec_is_still_a_data_error(tmp_path, capsys, argv):
+], ids=["budget", "detector-plan", "block-limit"])
+def test_size_refusal_of_a_spec_is_still_a_data_error(tmp_path, capsys, monkeypatch, argv):
+    draws = []
+    monkeypatch.setattr(typicality, "_haar_rows", lambda *args: draws.append(args))
+    if isinstance(argv[-1], dict):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [config]
     out = tmp_path / "out.json"
     assert run(argv + ["--out", out]) == 3
     assert capsys.readouterr().err.startswith("data error")
     assert not out.exists()
+    assert draws == []
+
+
+def test_detector_entropy_needs_no_basis(tmp_path):
+    # C(100, 50) = 1.0e29 basis states: the entropy, its bound and eta are counts
+    out = tmp_path / "entropy.json"
+    for n, k, np_excited in [(40, 4, 20), (100, 10, 50)]:
+        assert run(["entropy", "--channel", "bns", "--N", n, "--k", k, "--Np", np_excited,
+                    "--out", out]) == 0
+        data = json.loads(out.read_text())
+        assert (data["dim_in"], data["dim_out"]) == (comb(n, np_excited), 2**k)
+        assert data["purity_route_difference"] == 0.0
+        expected = 0.5 * np.sqrt(2**k * data["choi_purity"])
+        assert 0.0 < expected and abs(data["entropy_bound"] - expected) <= 1e-15 * expected
+    # 2^64 output patterns, each basis state its own
+    assert run(["lipschitz", "--channel", "bns", "--N", 64, "--k", 64, "--Np", 1,
+                "--out", out]) == 0
+    assert json.loads(out.read_text())["estimate"] == 1.0
+
+
+def test_figure_bound_refuses_before_its_first_sample(tmp_path, capsys, monkeypatch):
+    # N = 32, k = 2: Np = 1 .. 7 fit, but Np = 8's 962 MiB grouping plan does not, and
+    # every plan is checked from counts before anything is drawn
+    draws = []
+    monkeypatch.setattr(typicality, "_haar_rows", lambda *args: draws.append(args))
+    out = tmp_path / "bound.csv"
+    started = time.perf_counter()
+    assert run(["figure-bound", "--N", 32, "--k", 2, "--samples", 10, "--out", out]) == 3
+    assert time.perf_counter() - started < 2.0
+    assert "962 MiB" in capsys.readouterr().err
+    assert draws == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_restricted_partial_trace_entropy_needs_no_basis(tmp_path):

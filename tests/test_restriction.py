@@ -26,6 +26,7 @@ from qtypical.qcore import (
 from qtypical.restriction import (
     RestrictedPartialTrace,
     _gather,
+    _weight_class,
     _marginal_square_product,
     _marginal_square_sum,
     effective_environment_dimension,
@@ -88,8 +89,13 @@ def test_enumerate_basis_range_errors():
         enumerate_basis(4, 5)
     with pytest.raises(ValueError):
         enumerate_basis(4, -1)
-    with pytest.raises(DimensionError):
-        enumerate_basis(31, 1)
+    # no site limit: 62 bits fit int64, and the builder refuses wider numbers itself
+    assert enumerate_basis(62, 1).indices.tolist() == [2**b for b in range(62)]
+    for n_bits in (63, 64):
+        with pytest.raises(DimensionError, match="int64"):
+            enumerate_basis(n_bits, 1)
+        with pytest.raises(DimensionError, match="int64"):
+            _weight_class(n_bits, 1)
 
 
 # -- haar first moment over the restricted space --
@@ -421,9 +427,11 @@ def test_pattern_count_is_the_support_of_the_canonical_diagonal(n):
 @pytest.mark.parametrize("make", [
     lambda: RestrictedPartialTrace(22, 1, 22),
     lambda: DetectorChannel(30, 30, 1),
-], ids=["ptrace-22-1-22", "bns-30-30-1"])
+    lambda: DetectorChannel(28, 4, 14),
+], ids=["ptrace-22-1-22", "bns-30-30-1", "bns-28-4-14"])
 def test_exact_eta_allocates_nothing_over_the_outputs(make):
-    # 2^22 and 2^30 output patterns: a diagonal over them would take 32 MiB and 8 GiB
+    # 2^22 and 2^30 output patterns: a diagonal over them would take 32 MiB and 8 GiB;
+    # the C(28, 14) = 4.0e7 basis states of 28/4/14 would take 321 MB as indices alone
     tracemalloc.start()
     try:
         eta = make().exact_eta()
@@ -443,10 +451,11 @@ def test_exact_eta_allocates_nothing_over_the_outputs(make):
 def test_basis_states_of_different_patterns_reach_the_cap_exactly(make):
     # one basis state per pattern, each paired with the first: orthogonal pure outputs
     ch = make()
+    indices = enumerate_basis(ch.n_sites, ch.n_excited).indices
     if isinstance(ch, RestrictedPartialTrace):  # the system pattern of each basis state
-        patterns = enumerate_basis(ch.n_sites, ch.n_excited).indices >> (ch.n_sites - ch.split)
+        patterns = indices >> (ch.n_sites - ch.split)
     else:
-        patterns = ch._patterns()
+        patterns = ch._patterns(indices)
     firsts = np.unique(patterns, return_index=True)[1]
     basis = np.eye(ch.dim_in, dtype=np.complex128)
     psis = basis[np.repeat(firsts[:1], firsts.size - 1)]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qtypical.channels import (
 from qtypical.qcore import DimensionError, derive_seed, haar_sample, trace_distance
 from qtypical.restriction import (
     RestrictedPartialTrace,
+    _marginal_square_sum,
     effective_environment_dimension,
     enumerate_basis,
     restrict_channel,
@@ -419,16 +421,28 @@ def test_run_experiment_evaluates_entropy_once(monkeypatch):
     ch = restrict_channel(bns_channel(4, 2), enumerate_basis(4, 2))
     cfg = ExperimentConfig(channel=ch, samples=20, master_seed=10)
     calls = []
-    original = QuantumChannel.linear_entropy
+    original = QuantumChannel.choi_purity_routes
 
     def counting(self):
         calls.append(self)
         return original(self)
 
-    monkeypatch.setattr(QuantumChannel, "linear_entropy", counting)
+    # the linear entropy and the bound both come from one evaluation of the purity routes
+    monkeypatch.setattr(QuantumChannel, "choi_purity_routes", counting)
     report = run_experiment(cfg)
     assert len(calls) == 1
     assert report.entropy_bound == entropy_bound(ch)
+
+
+@pytest.mark.parametrize("n,np_exc,split", [(40, 20, 8), (100, 50, 8)])
+def test_entropy_bound_comes_from_the_purity_not_from_one_minus_entropy(n, np_exc, split):
+    # purities 3.8e-10 and 5.1e-28: 1 - S_L keeps about 7 digits of the first and
+    # cancels the second to 0
+    ch = RestrictedPartialTrace(n, np_exc, split)
+    purity = _marginal_square_sum(np_exc, split, n - split) / comb(n, np_exc) ** 2
+    expected = 0.5 * math.sqrt(2**split * purity)
+    assert expected > 0.0
+    assert abs(entropy_bound(ch) - expected) <= 1e-15 * expected
 
 
 def test_run_experiment_estimated_eta_is_flagged():
