@@ -403,8 +403,8 @@ def depolarizing(d: int, lam: float) -> QuantumChannel:
     """
     if d < 1:
         raise DimensionError("dimension must be >= 1")
-    if lam < 0:
-        raise CPTPError(f"lambda = {lam} is negative")
+    if not lam >= 0:  # NaN fails this too
+        raise CPTPError(f"lambda = {lam} is not a number >= 0")
     if d == 1:
         if lam > 1 + 1e-12:
             # one-dimensional case: the map is the identity for any lam,

@@ -1,6 +1,7 @@
-"""Command-line front end: build channels from flags or JSON, run experiments.
+"""Command-line front end: parse flags or JSON, refuse bad values, write files.
 
-Every command writes its data files plus a run manifest (<out>.manifest.json)
+Reported numbers come from ``typicality``: ``figure-bound`` runs one
+``run_experiment`` per Np, as ``typicality`` runs one. Every command writes its data files plus a run manifest (<out>.manifest.json)
 holding the full parameter set; ``replay`` re-executes a manifest and
 regenerates byte-identical outputs. Exit codes: 0 success, 2 usage error
 (a bad command line or config, or a parameter value out of range, refused
@@ -34,7 +35,6 @@ from .channels import (
     ConsistencyError,
     QuantumChannel,
     _eta,
-    _gated_linear_entropy,
     compose,
     depolarizing,
     identity_channel,
@@ -45,13 +45,7 @@ from .channels import (
 )
 from .qcore import DimensionError, derive_seed, haar_unitary
 from .restriction import RestrictedPartialTrace, effective_environment_dimension
-from .typicality import (
-    ExperimentConfig,
-    _entropy_bound,
-    _experiment,
-    entropy_bound,
-    sample_distances,
-)
+from .typicality import ExperimentConfig, _entropy, _experiment, run_experiment
 
 FLOAT_FORMAT = ".17g"
 
@@ -95,7 +89,9 @@ def _dimensions(spec: dict, *keys: str) -> list[int]:
 
 
 def _check_blocking(n: int, k: int) -> None:
-    """k detector blocks must evenly divide N sites: a usage error (exit 2) otherwise."""
+    """k detector blocks must evenly divide N >= 1 sites: a usage error (exit 2) otherwise."""
+    if n < 1:
+        raise UsageError(f"N = {n} must be >= 1")
     if k < 1 or n % k != 0:
         raise UsageError(f"k = {k} does not divide N = {n}")
 
@@ -268,8 +264,7 @@ def _maybe_save_channel(ch, params: dict, outputs: list) -> None:
 
 def run_entropy(params: dict) -> list:
     ch, _ = build_channel(params["channel"])
-    purity_choi, purity_kraus = ch.choi_purity_routes()
-    s_l = _gated_linear_entropy(purity_choi, purity_kraus)
+    purity_choi, purity_kraus, s_l, bound = _entropy(ch)
     payload = {
         "dim_in": ch.dim_in,
         "dim_out": ch.dim_out,
@@ -277,7 +272,7 @@ def run_entropy(params: dict) -> list:
         "choi_purity": purity_choi,
         "choi_purity_kraus_route": purity_kraus,
         "purity_route_difference": abs(purity_choi - purity_kraus),
-        "entropy_bound": _entropy_bound(ch.dim_out, purity_choi),
+        "entropy_bound": bound,
     }
     print(f"linear entropy       : {_fmt(payload['linear_entropy'])}")
     print(f"Choi purity          : {_fmt(purity_choi)}")
@@ -322,17 +317,15 @@ def run_figure_bound(params: dict) -> list:
     _check_blocking(n, k)
     if samples < 1:  # checked once: at N = 1 the Np loop below is empty
         raise UsageError(f"samples = {samples} must be >= 1")
-    sweep = [DetectorChannel(n, k, np_excited) for np_excited in range(1, n)]
-    for ch in sweep:  # every plan is checked before the first state is drawn
-        ch._check_plan_bytes()
+    for np_excited in range(1, n):  # every plan is checked before the first state is drawn
+        DetectorChannel(n, k, np_excited)._check_plan_bytes()
     rows = []
-    for np_excited, ch in enumerate(sweep, start=1):
-        cfg = ExperimentConfig(channel=ch, samples=samples,
-                               master_seed=derive_seed(seed, np_excited))
-        distances = np.asarray(sample_distances(cfg))
-        std = float(np.std(distances, ddof=1)) if samples > 1 else 0.0
-        rows.append([np_excited, ch.dim_in, float(np.mean(distances)), std,
-                     entropy_bound(ch)])
+    for np_excited in range(1, n):  # a fresh channel per row: one plan alive at a time
+        report = run_experiment(ExperimentConfig(
+            channel=DetectorChannel(n, k, np_excited), samples=samples,
+            master_seed=derive_seed(seed, np_excited)))
+        rows.append([np_excited, report.d_r, report.mean_distance, report.std_distance,
+                     report.entropy_bound])
     out = params["out"]
     _write_csv(out, ["Np", "d_R", "mean_distance", "std_distance", "entropy_bound"],
                rows)

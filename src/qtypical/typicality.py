@@ -9,12 +9,16 @@ the statistics against two analytic bounds: the entropy bound
 evaluated as (1/2) sqrt(d_S min(P, 1)) from the gated Choi purity P = 1 - S_L
 itself: forming 1 - S_L would cancel a purity below about 1e-16 to nothing.
 
+Every reported number comes from here: ``_entropy`` (one evaluation of the
+purity routes) and ``run_experiment``, which the CLI's ``figure-bound`` runs
+once per Np.
+
 The entropy bound is also a consistency gate: a report whose mean distance
 exceeds it by more than 3 std / sqrt(samples) (plus 1e-12), with std the
 sample standard deviation, raises ``ConsistencyError``. The gate needs a
 spread, so it does not apply at one sample: a single draw may lie above a
 bound on the mean. The range check 0 <= mean <= max <= 1 + 1e-9 applies at
-every sample count.
+every sample count and raises ``ConsistencyError`` too.
 
 A channel here is anything with the channel interface (``dim_in``,
 ``dim_out``, ``distances_to_canonical``, ``_distance_row_bytes``,
@@ -40,7 +44,8 @@ system weights and forms neither a d_S x d_S output nor a dense canonical
 state. A sample costs its state plus the channel's ``_distance_row_bytes``,
 and ``qcore._block_items`` makes the chunk as many samples as fit the 512 MiB
 dense budget, at most _BLOCK_ROWS; only a channel over budget at one sample
-is refused, before any work. Sample i always uses seed
+is refused, before any work, as is a distances array (8 bytes a sample)
+over the budget. Sample i always uses seed
 derive_seed(master_seed, i), so it depends only on (master_seed, i). The
 chunk follows from the channel's dimensions and the fixed budget alone, so
 output bytes never depend on the machine or on any thread setting;
@@ -131,7 +136,8 @@ def sample_distances(cfg: ExperimentConfig) -> list:
     sample, each drawn in place into one (chunk, dim_in) array by
     ``_haar_rows`` with the same bits and passed to the channel's
     ``distances_to_canonical``. Each chunk's states and work arrays are
-    released before the next chunk is drawn, so the peak is one chunk.
+    released before the next chunk is drawn, so the peak is one chunk; the
+    distances array (8 bytes a sample) is checked against the budget first.
     """
     ch = cfg.channel
     d = ch.dim_in
@@ -139,6 +145,7 @@ def sample_distances(cfg: ExperimentConfig) -> list:
     _check_dense_bytes(row, f"one sampled state of dimension {d}, its output of "
                        f"dimension {ch.dim_out} and work arrays")  # else a chunk fits
     chunk = min(_block_items(row, 1), cfg.samples)
+    _check_dense_bytes(8 * cfg.samples, f"the distances of {cfg.samples} samples")
     distances = np.empty(cfg.samples)
     for start in range(0, cfg.samples, chunk):
         stop = min(start + chunk, cfg.samples)
@@ -149,20 +156,17 @@ def sample_distances(cfg: ExperimentConfig) -> list:
 
 
 def entropy_bound(ch) -> float:
-    """Mean-distance bound (1/2) sqrt(d_S * (1 - S_L)) from the channel entropy."""
-    return _entropy(ch)[1]
+    """Mean-distance bound (1/2) sqrt(d_S min(P, 1)), computed from the Choi purity P."""
+    return _entropy(ch)[3]
 
 
-def _entropy(ch) -> tuple[float, float]:
-    """(linear entropy, entropy bound) from one gated evaluation of the purity routes."""
+def _entropy(ch) -> tuple[float, float, float, float]:
+    """(Choi purity, Kraus-route purity, linear entropy, entropy bound) from one
+    gated evaluation of the purity routes."""
     purity_choi, purity_kraus = ch.choi_purity_routes()
-    return (_gated_linear_entropy(purity_choi, purity_kraus),
-            _entropy_bound(ch.dim_out, purity_choi))
-
-
-def _entropy_bound(d_s: int, purity: float) -> float:
-    """(1/2) sqrt(d_S min(P, 1)): 1 - S_L with S_L = max(0, 1 - P), read off P itself."""
-    return 0.5 * math.sqrt(d_s * min(purity, 1.0))
+    s_l = _gated_linear_entropy(purity_choi, purity_kraus)
+    # min(P, 1) is 1 - S_L read off P: 1 - S_L would cancel a purity below ~1e-16
+    return purity_choi, purity_kraus, s_l, 0.5 * math.sqrt(ch.dim_out * min(purity_choi, 1.0))
 
 
 def partial_trace_bound(d_s: int, d_e_eff: float) -> float:
@@ -217,7 +221,7 @@ class TypicalityReport:
 
     def __post_init__(self):
         if not 0.0 <= self.mean_distance <= self.max_distance <= 1.0 + 1e-9:
-            raise ValueError("distance statistics violate 0 <= mean <= max <= 1")
+            raise ConsistencyError("distance statistics violate 0 <= mean <= max <= 1")
         slack = 3.0 * self.std_distance / math.sqrt(self.samples)
         # one draw has no spread to judge a bound on the mean by
         if self.samples > 1 and self.mean_distance > self.entropy_bound + slack + 1e-12:
@@ -250,7 +254,7 @@ def _experiment(cfg: ExperimentConfig) -> tuple[TypicalityReport, list]:
     is refused before any state is drawn.
     """
     ch = cfg.channel
-    s_l, mean_bound = _entropy(ch)
+    _, _, s_l, mean_bound = _entropy(ch)
     distances = sample_distances(cfg)
     values = np.asarray(distances)
     mean = float(np.mean(values))

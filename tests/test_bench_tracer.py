@@ -72,6 +72,7 @@ def test_traced_restricted_typicality_run_records_restriction_layers(tmp_path):
     names = ("enumerate_basis", "restrict_channel", "effective_environment_dimension")
     originals = {name: getattr(restriction, name) for name in names}
     original_sampler = typicality.sample_distances
+    original_runner = typicality.run_experiment
     original_canonical = typicality.canonical_state
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
@@ -96,5 +97,5 @@ def test_traced_restricted_typicality_run_records_restriction_layers(tmp_path):
         assert getattr(restriction, name) is originals[name]
     assert cli.effective_environment_dimension is originals["effective_environment_dimension"]
     assert typicality.sample_distances is original_sampler
-    assert cli.sample_distances is original_sampler
+    assert cli.run_experiment is original_runner
     assert typicality.canonical_state is original_canonical

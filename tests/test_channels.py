@@ -73,6 +73,13 @@ def test_validation_rejects_nan_entries(construct):
         construct()
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_depolarizing_rejects_nan_strength(d):
+    # NaN passes `lam < 0`: d = 1 returned the identity, d = 2 failed trace preservation
+    with pytest.raises(CPTPError, match="lambda = nan"):
+        depolarizing(d, NAN)
+
+
 def test_rejects_oversized_family():
     ops = tuple(np.eye(2) / np.sqrt(5) for _ in range(5))
     with pytest.raises(CPTPError):

@@ -4,6 +4,7 @@ import json
 import runpy
 import sys
 import time
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -26,6 +27,10 @@ from qtypical.restriction import enumerate_basis, restrict_channel
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+# sha256 of `figure-bound --N 8 --k 2 --samples 300 --seed 3` as written by 0.18.0
+FIGURE_BOUND_8_2_DIGEST = "edcc257f9f141ad7bd801ce10fdce979a72077a021935e80b2e501f52222145c"
 
 
 # -- channel spec handling --
@@ -250,6 +255,37 @@ def test_figure_bound_rows_and_bound_property(tmp_path):
     for r in rows:
         slack = 3 * float(r["std_distance"]) / np.sqrt(60)
         assert float(r["mean_distance"]) <= float(r["entropy_bound"]) + slack
+
+
+def test_figure_bound_bytes(tmp_path):
+    # the rows are run_experiment reports with the bytes of the 0.18.0 sweep
+    out = tmp_path / "bound.csv"
+    assert run(["figure-bound", "--N", 8, "--k", 2, "--samples", 300, "--seed", 3,
+                "--out", out]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_BOUND_8_2_DIGEST
+
+
+def test_figure_bound_keeps_one_plan_alive(tmp_path):
+    # each Np's channel, and so its grouping plan, is dropped after its row: the
+    # traced peak is 3.7 MiB, and 9.0 MiB when every plan is kept to the end
+    tracemalloc.start()
+    try:
+        assert run(["figure-bound", "--N", 16, "--k", 4, "--samples", 2,
+                    "--out", tmp_path / "bound.csv"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+def test_figure_bound_rows_pass_the_report_gate(tmp_path, capsys, monkeypatch):
+    # a purity of 1e-30 puts the entropy bound at 1e-15, far below every mean: each
+    # row is a TypicalityReport, so its 3 sigma gate refuses the sweep
+    monkeypatch.setattr(DetectorChannel, "choi_purity_routes", lambda self: (1e-30, 1e-30))
+    out = tmp_path / "bound.csv"
+    assert run(["figure-bound", "--N", 6, "--k", 2, "--samples", 50, "--out", out]) == 4
+    assert "entropy bound" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_figure_bound_rerun_is_byte_identical(tmp_path):
@@ -511,6 +547,15 @@ OUT_OF_RANGE = {
     # the restricted spec's exact eta needs no trial, but the value is still checked
     "lipschitz-restricted": ["lipschitz", "--channel", "partial-trace", "--N", 6, "--Np", 3,
                              "--split", 2, "--trials", 0],
+    # no sites: an empty Np loop wrote a header-only CSV, and figure-energy a data error
+    "figure-bound-no-sites": ["figure-bound", "--N", 0, "--k", 1, "--samples", 2],
+    "figure-bound-negative-sites": ["figure-bound", "--N", -2, "--k", 1],
+    "figure-energy-no-sites": ["figure-energy", "--N", 0, "--Np", 0, "--k", 1],
+    # NaN passes `lam < 0`: at d = 1 it was the identity, at d = 2 a trace-preservation error
+    "entropy-nan-lambda-d1": ["entropy", "--channel", "depolarizing", "--d", 1,
+                              "--lambda", "nan"],
+    "entropy-nan-lambda-d2": ["entropy", "--channel", "depolarizing", "--d", 2,
+                              "--lambda", "nan"],
 }
 
 
@@ -522,15 +567,21 @@ def test_out_of_range_value_is_a_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["entropy", "--channel", "identity", "--d", 20000],  # the 512 MiB budget
+@pytest.mark.parametrize("argv, message", [
+    (["entropy", "--channel", "identity", "--d", 20000], "MiB"),  # the 512 MiB budget
     # the detector's entropy at 30/5/15 is a count, but its 111219 MiB grouping plan is
     # refused from counts, before its basis or any state exists
-    ["typicality", "--config", {"channel": {"type": "bns", "N": 30, "k": 5, "Np": 15},
-                                "samples": 10, "master_seed": 1}],
-    ["entropy", "--channel", "bns", "--N", 11, "--k", 1],  # BLOCK_LIMIT
-], ids=["budget", "detector-plan", "block-limit"])
-def test_size_refusal_of_a_spec_is_still_a_data_error(tmp_path, capsys, monkeypatch, argv):
+    (["typicality", "--config", {"channel": {"type": "bns", "N": 30, "k": 5, "Np": 15},
+                                 "samples": 10, "master_seed": 1}], "MiB"),
+    (["entropy", "--channel", "bns", "--N", 11, "--k", 1], "dense limit"),  # BLOCK_LIMIT
+    # 10^10 distances need 76294 MiB: refused before the array or any state exists
+    (["typicality", "--config", {"channel": {"type": "identity", "d": 2},
+                                 "samples": 10**10, "master_seed": 1}], "MiB"),
+    (["figure-bound", "--N", 4, "--k", 2, "--samples", 10**10], "MiB"),
+], ids=["budget", "detector-plan", "block-limit", "typicality-distances",
+        "figure-bound-distances"])
+def test_size_refusal_of_a_spec_is_still_a_data_error(tmp_path, capsys, monkeypatch, argv,
+                                                      message):
     draws = []
     monkeypatch.setattr(typicality, "_haar_rows", lambda *args: draws.append(args))
     if isinstance(argv[-1], dict):
@@ -539,7 +590,8 @@ def test_size_refusal_of_a_spec_is_still_a_data_error(tmp_path, capsys, monkeypa
         argv = argv[:-1] + [config]
     out = tmp_path / "out.json"
     assert run(argv + ["--out", out]) == 3
-    assert capsys.readouterr().err.startswith("data error")
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and message in err
     assert not out.exists()
     assert draws == []
 

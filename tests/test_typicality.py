@@ -408,6 +408,12 @@ def test_report_gate_refuses_a_mean_past_bound_and_slack():
         _report(2, 0.42, 0.1, 0.2)
 
 
+def test_report_range_check_is_a_consistency_failure():
+    # a trace distance above 1 is no statistic of distances: exit 4 in the CLI
+    with pytest.raises(ConsistencyError, match="violate"):
+        _report(2, 1.5, 0.0, 2.0)
+
+
 def test_one_sample_run_above_the_mean_bound_is_a_report():
     # one draw is not a mean: this one lies above the bound on the mean, which the
     # gate refused when it compared a single sample with zero slack
