@@ -1,16 +1,14 @@
 """Canonical states and typicality statistics for channel-defined subsystems."""
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 from .qcore import (
     DensityOperator,
     DimensionError,
-    HermitianOperator,
     StateVector,
     derive_seed,
     haar_sample,
     haar_unitary,
-    hs_norm,
     partial_trace,
     trace_distance,
 )
@@ -19,7 +17,6 @@ from .channels import (
     ConsistencyError,
     CPTPError,
     QuantumChannel,
-    StinespringIsometry,
     channels_equal,
     choi_to_kraus,
     compose,

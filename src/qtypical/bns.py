@@ -329,7 +329,6 @@ class _PatternGroup:
     label ``cols[i]``) of a table whose rows are the ascending output indices
     ``rows``. The Gram entries of the row pairs in the mask ``keep`` enter the
     output times ``coherence`` (an array of the mask's shape, or a scalar).
-    ``work`` is the complex entries per state that one application allocates.
     """
 
     def __init__(self, members, rows, row, cols, keep, coherence, d_out: int):
@@ -346,7 +345,6 @@ class _PatternGroup:
         self.gram_index = np.flatnonzero(keep)
         self.out_index = rows[first] * d_out + rows[second]
         self.coherence = np.broadcast_to(coherence, keep.shape)[keep]
-        self.work = 2 * members.size + self.n_rows * (self.n_cols + self.n_rows) + 2 * first.size
 
     def table(self, psis: np.ndarray) -> np.ndarray:
         """The group's (B, rows, cols) table of summed amplitudes of each row of psis."""
@@ -356,6 +354,15 @@ class _PatternGroup:
         table = np.zeros((psis.shape[0], self.n_rows, self.n_cols), dtype=np.complex128)
         table.reshape(psis.shape[0], -1)[:, self.cells] = sums
         return table
+
+    def entries(self, psis: np.ndarray) -> np.ndarray:
+        """The group's kept Gram entries times their coherences, for each row of psis.
+
+        A function of its own, so that one group's table and Gram matrix are released
+        before the next group's are gathered.
+        """
+        gram = _gram(self.table(psis)).reshape(psis.shape[0], -1)
+        return gram[:, self.gram_index] * self.coherence
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,8 +455,36 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
     @property
     def _row_bytes(self) -> int:
         """Bytes one row of ``apply_pure_batch`` allocates: its output plus the largest
-        group's gathered amplitudes, table, Gram matrix and selected entries."""
-        return 16 * (self.dim_out**2 + max(g.work for g in self._plan))
+        group's gathered amplitudes, table, Gram matrix and selected entries, counted
+        by ``_largest_group_work`` without building the plan."""
+        return 16 * (self.dim_out**2 + self._largest_group_work())
+
+    def _largest_group_work(self) -> int:
+        """Complex entries per state that the plan's largest group allocates, from counts.
+
+        The groups of s shared blocks are alike. With counts[m] the states of each
+        pattern of m blocks and f = k - s free blocks, such a group has
+        sum_m C(f, m - s) counts[m] members, one row per occurring pattern that holds
+        the shared blocks, one column per configuration of w excitations on their n s
+        sites with none of them empty (alpha_s(w), for every w that leaves the other
+        Np - w room in the n f free sites) and one kept pair per two occurring patterns
+        that share exactly those blocks. It allocates 2 members + rows (cols + rows)
+        + 2 kept entries, and the plan keeps the groups with a kept pair.
+        """
+        n, k, n_excited = self.n_sites // self.n_blocks, self.n_blocks, self.n_excited
+        counts = canonical_spectrum(self.n_sites, n_excited, k).counts
+        occupied = [_occupied_counts(n, w, k) for w in range(n_excited + 1)]
+        works = []
+        for s in range(k + 1):
+            free, held = k - s, [m for m in counts if m >= s]
+            kept = sum(comb(free, a - s) * comb(free - a + s, b - s) for a in held for b in held)
+            if kept:
+                members = sum(comb(free, m - s) * counts[m] for m in held)
+                rows = sum(comb(free, m - s) for m in held)
+                cols = sum(occupied[w][s] for w in range(max(s, n_excited - n * free),
+                                                         min(n * s, n_excited) + 1))
+                works.append(2 * members + rows * (cols + rows) + 2 * kept)
+        return max(works)
 
     def apply_pure_batch(self, psis) -> np.ndarray:
         """Outputs for a (B, d_R) block of pure inputs, one per row.
@@ -462,8 +497,7 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
                            f"{d_out} and their work arrays")
         out = np.zeros((b, d_out * d_out), dtype=np.complex128)
         for g in self._plan:
-            gram = _gram(g.table(psis)).reshape(b, -1)
-            out[:, g.out_index] = gram[:, g.gram_index] * g.coherence
+            out[:, g.out_index] = g.entries(psis)
         return out.reshape(b, d_out, d_out)
 
     def _canonical_diagonal(self) -> np.ndarray:

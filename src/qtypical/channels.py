@@ -3,12 +3,11 @@
 A channel stores its Kraus family as one read-only, C-contiguous complex128
 array of shape (n_kraus, dim_out, dim_in); its (n_kraus*dim_out, dim_in)
 reshape is the stacked family that every action multiplies with. The Choi
-matrix is derived on demand and cached. Conversions to Stinespring form,
-channel algebra (compose / tensor), entropy, and a Lipschitz-constant lower
-bound all live here. Choi matrices use the convention J = (channel x id)
-applied to the maximally entangled state, with the output factor leading,
-so J has dimension dim_out * dim_in and its reduced state on the input
-factor is identity(dim_in)/dim_in.
+matrix is derived on demand and cached. Channel algebra (compose / tensor),
+entropy, and a Lipschitz-constant lower bound all live here. Choi matrices
+use the convention J = (channel x id) applied to the maximally entangled
+state, with the output factor leading, so J has dimension dim_out * dim_in
+and its reduced state on the input factor is identity(dim_in)/dim_in.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "ConsistencyError",
     "QuantumChannel",
     "ChoiState",
-    "StinespringIsometry",
     "identity_channel",
     "unitary_channel",
     "replace_channel",
@@ -154,16 +152,6 @@ class QuantumChannel(_EigensolveDistances):
                                DensityOperator(j, validate=False))
             object.__setattr__(self, "_choi_cache", cached)
         return cached
-
-    def stinespring(self) -> "StinespringIsometry":
-        """Isometry V with tr over the environment of V rho V^dagger = apply(rho).
-
-        Kraus blocks are interleaved so the output factor leads and the
-        environment (dimension = number of Kraus operators) trails.
-        """
-        v = self.kraus.transpose(1, 0, 2).reshape(-1, self.dim_in)
-        return StinespringIsometry(matrix=v, dim_env=self.n_kraus, dim_in=self.dim_in,
-                                   dim_out=self.dim_out)
 
     # -- action -----------------------------------------------------------
 
@@ -288,34 +276,6 @@ def _check_choi_marginal(m: np.ndarray, dim_in: int, dim_out: int, tol: float) -
     if not dev <= tol:  # also rejects NaN entries
         raise CPTPError(f"Choi reduced state deviates from identity/dim_in by {dev:.3e} "
                         f"(> {tol:.0e}); map is not trace preserving")
-
-
-@dataclass(frozen=True, eq=False)
-class StinespringIsometry:
-    """Isometry V: input -> output (x) environment with V^dagger V = identity."""
-
-    matrix: np.ndarray
-    dim_env: int
-    dim_in: int
-    dim_out: int
-
-    def __post_init__(self):
-        v = np.asarray(self.matrix, dtype=np.complex128)
-        if v.shape != (self.dim_out * self.dim_env, self.dim_in):
-            raise DimensionError("isometry shape does not match declared dimensions")
-        dev = float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim_in))))
-        if not dev <= TP_TOL:
-            raise ValueError(f"V^dagger V deviates from the identity by {dev:.3e}")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "matrix", v)
-
-    def reconstruct(self, m) -> np.ndarray:
-        """tr over the environment of V m V^dagger."""
-        m = np.asarray(m, dtype=np.complex128)
-        big = self.matrix @ m @ self.matrix.conj().T
-        t = big.reshape(self.dim_out, self.dim_env, self.dim_out, self.dim_env)
-        return np.einsum("aibi->ab", t)
 
 
 # -- construction helpers ----------------------------------------------------

@@ -45,7 +45,7 @@ from .channels import (
 )
 from .qcore import DimensionError, derive_seed, haar_unitary
 from .restriction import RestrictedPartialTrace, effective_environment_dimension
-from .typicality import ExperimentConfig, _entropy, _experiment, run_experiment
+from .typicality import ExperimentConfig, _entropy, _experiment, _sample_row_bytes, run_experiment
 
 FLOAT_FORMAT = ".17g"
 
@@ -317,8 +317,10 @@ def run_figure_bound(params: dict) -> list:
     _check_blocking(n, k)
     if samples < 1:  # checked once: at N = 1 the Np loop below is empty
         raise UsageError(f"samples = {samples} must be >= 1")
-    for np_excited in range(1, n):  # every plan is checked before the first state is drawn
-        DetectorChannel(n, k, np_excited)._check_plan_bytes()
+    for np_excited in range(1, n):  # every plan and sample is checked before the first draw
+        channel = DetectorChannel(n, k, np_excited)
+        channel._check_plan_bytes()
+        _sample_row_bytes(channel)
     rows = []
     for np_excited in range(1, n):  # a fresh channel per row: one plan alive at a time
         report = run_experiment(ExperimentConfig(

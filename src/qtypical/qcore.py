@@ -26,12 +26,10 @@ __all__ = [
     "DimensionError",
     "StateVector",
     "DensityOperator",
-    "HermitianOperator",
     "derive_seed",
     "haar_sample",
     "haar_unitary",
     "trace_distance",
-    "hs_norm",
     "partial_trace",
 ]
 
@@ -73,7 +71,7 @@ def _as_matrix(a) -> np.ndarray:
 _HERMITIAN_BLOCK = 2**14  # entries per row block of the hermiticity check
 
 
-def _hermitian_copy(matrix, what: str) -> np.ndarray:
+def _hermitian_copy(matrix) -> np.ndarray:
     """Read-only complex copy of a square, nonempty, Hermitian matrix: the one copy that is kept.
 
     The largest |m - m^dagger| entry must be within HERMITICITY_TOL; it is checked in
@@ -82,7 +80,7 @@ def _hermitian_copy(matrix, what: str) -> np.ndarray:
     """
     m = np.array(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise DimensionError(f"{what} must be a square nonempty matrix")
+        raise DimensionError("density operator must be a square nonempty matrix")
     rows = max(1, _HERMITIAN_BLOCK // m.shape[1])
     dev = float(np.max([np.max(np.abs(m[i:i + rows] - m[:, i:i + rows].conj().T))
                         for i in range(0, m.shape[0], rows)]))
@@ -130,7 +128,7 @@ class DensityOperator:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool):
-        m = _hermitian_copy(self.matrix, "density operator")
+        m = _hermitian_copy(self.matrix)
         tr = float(np.trace(m).real)
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace {tr!r} is not 1 within {TRACE_TOL:.0e}")
@@ -148,20 +146,6 @@ class DensityOperator:
 
     def purity(self) -> float:
         return float(np.sum(np.abs(self.matrix) ** 2))
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    """Hermitian matrix without positivity or trace constraints."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _hermitian_copy(self.matrix, "operator"))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -304,12 +288,6 @@ def trace_distance(a, b) -> float:
     if ma.shape != mb.shape:
         raise DimensionError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
     return float(_half_trace_norms(ma - mb))
-
-
-def hs_norm(a) -> float:
-    """Hilbert-Schmidt norm sqrt(tr(a^dagger a))."""
-    m = _as_matrix(a)
-    return float(np.sqrt(np.sum(np.abs(m) ** 2)))
 
 
 def _partial_trace_matrix(m: np.ndarray, keep: str, dims: tuple[int, int]) -> np.ndarray:

@@ -23,10 +23,11 @@ every sample count and raises ``ConsistencyError`` too.
 A channel here is anything with the channel interface (``dim_in``,
 ``dim_out``, ``distances_to_canonical``, ``_distance_row_bytes``,
 ``choi_purity_routes``, and ``apply_pure_batch`` and ``_row_bytes`` for the
-Lipschitz search): a dense ``QuantumChannel``, or one of the matrix-free
-restricted channels, which never form a Kraus array or a Choi matrix. These
-share their exact quantities (``restriction._PatternChannel``): a diagonal
-canonical state, an entropy gated on two exact purity counts, and
+Lipschitz search; ``tests/test_conformance.py`` checks every channel class
+on it against its dense oracle): a dense ``QuantumChannel``, or one of the
+matrix-free restricted channels, which never form a Kraus array or a Choi
+matrix. These share their exact quantities (``restriction._PatternChannel``):
+a diagonal canonical state, an entropy gated on two exact purity counts, and
 ``exact_eta``, the exact Lipschitz constant that an "estimated" eta takes in
 place of the search's lower bound. ``restriction.RestrictedPartialTrace``
 gathers each weight block of its input from contiguous runs of the basis and
@@ -141,10 +142,7 @@ def sample_distances(cfg: ExperimentConfig) -> list:
     """
     ch = cfg.channel
     d = ch.dim_in
-    row = 16 * d + ch._distance_row_bytes
-    _check_dense_bytes(row, f"one sampled state of dimension {d}, its output of "
-                       f"dimension {ch.dim_out} and work arrays")  # else a chunk fits
-    chunk = min(_block_items(row, 1), cfg.samples)
+    chunk = min(_block_items(_sample_row_bytes(ch), 1), cfg.samples)
     _check_dense_bytes(8 * cfg.samples, f"the distances of {cfg.samples} samples")
     distances = np.empty(cfg.samples)
     for start in range(0, cfg.samples, chunk):
@@ -153,6 +151,17 @@ def sample_distances(cfg: ExperimentConfig) -> list:
         distances[start:stop] = ch.distances_to_canonical(psis)
         del psis  # the next chunk is drawn without this one alive
     return distances.tolist()
+
+
+def _sample_row_bytes(ch) -> int:
+    """Bytes one sample needs, its state and the channel's ``_distance_row_bytes``.
+
+    Refused above the 512 MiB budget, so that a chunk of at least one sample fits.
+    """
+    row = 16 * ch.dim_in + ch._distance_row_bytes
+    _check_dense_bytes(row, f"one sampled state of dimension {ch.dim_in}, its output of "
+                       f"dimension {ch.dim_out} and work arrays")
+    return row
 
 
 def entropy_bound(ch) -> float:

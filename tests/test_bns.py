@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_choi_purity, matrix_unit
+from conftest import matrix_unit
 from qtypical import bns
 from qtypical.bns import (
     BnSCanonicalSpectrum,
@@ -30,7 +30,6 @@ from qtypical.bns import (
     write_distribution_csv,
 )
 from qtypical.channels import (
-    QuantumChannel,
     channels_equal,
     choi_to_kraus,
     identity_channel,
@@ -38,6 +37,7 @@ from qtypical.channels import (
 )
 from qtypical.qcore import DensityOperator, DimensionError, derive_seed, haar_sample
 from qtypical.restriction import enumerate_basis, restrict_channel
+from qtypical.typicality import ExperimentConfig, sample_distances
 
 
 def reference_block_action(n: int, s1: int, s2: int) -> np.ndarray:
@@ -112,17 +112,6 @@ def test_block_closed_form_matches_choi_oracle(n):
 def test_block_kraus_count_is_choi_rank():
     for n in (1, 2, 3, 4):
         assert block_channel(n).n_kraus == 2**n - 1
-
-
-def test_block_stinespring_dilation():
-    ch = block_channel(2)
-    v = ch.stinespring()
-    assert v.dim_env == ch.n_kraus == 3
-    for i in range(4):
-        for j in range(4):
-            np.testing.assert_allclose(
-                v.reconstruct(matrix_unit(i, j, 4)),
-                ch.apply_matrix(matrix_unit(i, j, 4)), atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -476,36 +465,6 @@ def test_channel_application_matches_spectrum(n_sites, n_blocks):
 # -- matrix-free restricted detector --
 
 
-@pytest.mark.parametrize("n_sites", range(2, 11))
-def test_detector_channel_matches_dense_oracle(n_sites):
-    for n_blocks in [k for k in range(1, n_sites + 1) if n_sites % k == 0]:
-        full = bns_channel(n_sites, n_blocks)
-        for n_excited in range(1, n_sites):
-            ch = DetectorChannel(n_sites, n_blocks, n_excited)
-            dense = restrict_channel(full, enumerate_basis(n_sites, n_excited))
-            case = (n_sites, n_blocks, n_excited)
-            assert (ch.dim_in, ch.dim_out) == (dense.dim_in, dense.dim_out)
-            psis = np.stack([haar_sample(ch.dim_in, derive_seed(n_sites, i)).amplitudes
-                             for i in range(3)])
-            delta = ch.apply_pure_batch(psis) - dense.apply_pure_batch(psis)
-            assert np.max(np.abs(delta)) < 1e-14, case
-            omega = dense.apply_matrix(np.eye(ch.dim_in) / ch.dim_in)
-            assert np.max(np.abs(ch.canonical_state().matrix - omega)) < 1e-14, case
-            purity = dense_choi_purity(dense)
-            for route in ch.choi_purity_routes():
-                assert abs(route - purity) < 1e-14, case
-            assert abs(ch.linear_entropy() - (1.0 - purity)) < 1e-14, case
-            rebuilt = QuantumChannel(ch.dim_in, ch.dim_out, ch.kraus)
-            if (ch.dim_in * ch.dim_out) ** 2 <= 2**20:
-                assert channels_equal(rebuilt, dense), case
-            else:  # the Choi matrices are large: compare the action on a generic operator
-                rng = np.random.default_rng(derive_seed(n_sites, n_excited))
-                op = rng.standard_normal((ch.dim_in,) * 2) \
-                    + 1j * rng.standard_normal((ch.dim_in,) * 2)
-                delta = rebuilt.apply_matrix(op) - dense.apply_matrix(op)
-                assert np.max(np.abs(delta)) < 1e-12, case
-
-
 def test_detector_purity_routes_are_equal_rationals():
     for n_sites in range(1, 25):
         for n_blocks in [k for k in range(1, n_sites + 1) if n_sites % k == 0]:
@@ -563,16 +522,6 @@ def test_detector_channel_is_self_consistent_beyond_the_dense_path():
         assert abs(route - kraus_purity) < 1e-14
 
 
-@pytest.mark.parametrize("n_sites,n_blocks,n_excited", [(8, 2, 4), (9, 3, 4), (10, 5, 5)])
-def test_detector_outputs_do_not_depend_on_the_block(n_sites, n_blocks, n_excited):
-    ch = DetectorChannel(n_sites, n_blocks, n_excited)
-    psis = np.stack([haar_sample(ch.dim_in, derive_seed(n_sites, i)).amplitudes
-                     for i in range(17)])
-    block = ch.apply_pure_batch(psis)
-    for psi, out in zip(psis, block):
-        assert np.array_equal(ch.apply_pure_batch(psi[None]), out[None])
-
-
 def test_detector_channel_rejects_bad_arguments():
     with pytest.raises(DimensionError):
         DetectorChannel(4, 3, 2)
@@ -608,6 +557,30 @@ def test_plan_memberships_from_counts_equal_the_basis_sum(n_sites, n_blocks, n_e
     assert direct == sum(c * 2**m for m, c in spectrum.sector_counts.items())
     # the groups the plan keeps hold at most that many members
     assert sum(g.members.size for g in ch._plan) <= direct
+
+
+@pytest.mark.parametrize("n_sites", range(1, 11))
+def test_largest_group_work_from_counts_equals_the_plan(n_sites):
+    # the work the row bytes count from the spectrum is that of the plan's largest group
+    specs = [(n_sites, k, np_exc) for k in range(1, n_sites + 1) if n_sites % k == 0
+             for np_exc in range(n_sites + 1)]
+    if n_sites == 10:
+        specs += [(12, 4, 5), (12, 12, 6), (16, 4, 8), (20, 4, 10), (18, 6, 7)]
+    for spec in specs:
+        ch = DetectorChannel(*spec)
+        work = max(2 * g.members.size + g.n_rows * (g.n_cols + g.n_rows) + 2 * g.gram_index.size
+                   for g in ch._plan)
+        assert ch._largest_group_work() == work, spec
+
+
+def test_detector_row_bytes_build_no_plan(monkeypatch):
+    # C(40, 20) = 1.4e11 basis states: the row is counted, and refused, with no plan
+    monkeypatch.setattr(bns, "enumerate_basis", None)
+    ch = DetectorChannel(40, 4, 20)
+    assert ch._row_bytes > 2**40
+    with pytest.raises(DimensionError, match="one sampled state"):
+        sample_distances(ExperimentConfig(channel=ch, samples=1, master_seed=0))
+    assert "_plan" not in vars(ch)
 
 
 def test_detector_holds_no_basis_and_counts_its_dimension():

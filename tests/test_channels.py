@@ -13,7 +13,6 @@ from qtypical.channels import (
     CPTPError,
     ChoiState,
     QuantumChannel,
-    StinespringIsometry,
     channel_from_json_dict,
     channel_to_json_dict,
     channels_equal,
@@ -34,7 +33,6 @@ from qtypical.bns import DetectorChannel
 from qtypical.qcore import (
     DensityOperator,
     DimensionError,
-    HermitianOperator,
     StateVector,
     _generator,
     derive_seed,
@@ -60,13 +58,10 @@ NAN = float("nan")
     lambda: StateVector([NAN, 0]),
     lambda: DensityOperator([[NAN, 0], [0, 1]]),
     lambda: DensityOperator([[NAN, 0], [0, 1]], validate=False),
-    lambda: HermitianOperator([[NAN]]),
-    lambda: StinespringIsometry([[1], [NAN]], dim_env=2, dim_in=1, dim_out=1),
     # a stand-in state, so that ChoiState's own marginal check sees the NaN
     lambda: ChoiState(1, 1, SimpleNamespace(dim=1, matrix=np.array([[NAN]]))),
     lambda: choi_to_kraus(np.array([[NAN, 0], [0, 1]]), dim_in=1, dim_out=2),
-], ids=["state_vector", "density", "density_unvalidated", "hermitian", "stinespring",
-        "choi_state", "choi_to_kraus"])
+], ids=["state_vector", "density", "density_unvalidated", "choi_state", "choi_to_kraus"])
 def test_validation_rejects_nan_entries(construct):
     # each check must be written so that a NaN deviation fails it
     with pytest.raises(ValueError, match="nan"):
@@ -516,44 +511,6 @@ def test_depolarizing_rejects_outside_cp_range():
         depolarizing(2, -0.1)
     with pytest.raises(CPTPError):
         depolarizing(2, 1.4)
-
-
-# -- Stinespring --
-
-
-def test_stinespring_identity():
-    v = identity_channel(3).stinespring()
-    assert v.dim_env == 1
-    np.testing.assert_allclose(v.matrix, np.eye(3), atol=1e-12)
-
-
-def test_stinespring_partial_trace_is_permutation():
-    ch = partial_trace_channel(2, 3)
-    v = ch.stinespring()
-    assert v.dim_env == 3
-    # a permutation matrix: a single unit entry per row and column
-    assert np.allclose(np.abs(v.matrix).sum(axis=0), 1.0)
-    assert np.allclose(np.abs(v.matrix).sum(axis=1), 1.0)
-    for i in range(6):
-        for j in range(6):
-            np.testing.assert_allclose(
-                v.reconstruct(matrix_unit(i, j, 6)),
-                ch.apply_matrix(matrix_unit(i, j, 6)), atol=1e-12)
-
-
-def test_stinespring_reconstructs_random_channel():
-    ch = random_channel(4, 3, 5, seed=41)
-    v = ch.stinespring()
-    assert v.dim_env == ch.n_kraus
-    loop = np.zeros((3 * ch.n_kraus, 4), dtype=complex)
-    for m, k in enumerate(ch.kraus):
-        loop[m::ch.n_kraus, :] = k
-    np.testing.assert_array_equal(v.matrix, loop)
-    for i in range(4):
-        for j in range(4):
-            np.testing.assert_allclose(
-                v.reconstruct(matrix_unit(i, j, 4)),
-                ch.apply_matrix(matrix_unit(i, j, 4)), atol=1e-10)
 
 
 # -- Choi <-> Kraus --

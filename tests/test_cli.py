@@ -627,6 +627,23 @@ def test_figure_bound_refuses_before_its_first_sample(tmp_path, capsys, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
+def test_figure_bound_refuses_a_sample_row_before_its_first_sample(tmp_path, capsys,
+                                                                   monkeypatch):
+    # N = 16, k = 1 at a 700000-byte budget: every plan fits, but one sample of Np = 7
+    # (C(16, 7) = 11440 amplitudes, its output and its largest group) does not; each
+    # row is checked from counts before anything is drawn
+    from qtypical import qcore
+
+    monkeypatch.setattr(qcore, "_DENSE_BYTES_LIMIT", 700000)
+    draws = []
+    monkeypatch.setattr(typicality, "_haar_rows", lambda *args: draws.append(args))
+    out = tmp_path / "bound.csv"
+    assert run(["figure-bound", "--N", 16, "--k", 1, "--samples", 3, "--out", out]) == 3
+    assert "one sampled state of dimension 11440" in capsys.readouterr().err
+    assert draws == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_restricted_partial_trace_entropy_needs_no_basis(tmp_path):
     # C(40, 20) = 1.4e11 basis states, past the 30-site enumeration limit: every
     # quantity entropy reports is an exact count

@@ -10,12 +10,10 @@ from qtypical import qcore
 from qtypical.qcore import (
     DensityOperator,
     DimensionError,
-    HermitianOperator,
     StateVector,
     derive_seed,
     haar_sample,
     haar_unitary,
-    hs_norm,
     partial_trace,
     trace_distance,
 )
@@ -61,8 +59,6 @@ def test_hermiticity_check_reports_the_largest_deviation_of_any_row_block(dim):
     m[0, 1] = 1e-12j
     with pytest.raises(ValueError, match=r"deviates from Hermitian by 2\.000e-12 \(> 1e-12\)"):
         DensityOperator(m, validate=False)
-    with pytest.raises(ValueError, match=r"by 2\.000e-12"):
-        HermitianOperator(m)
     m[dim - 1, dim - 2] = 5e-13
     m[0, 1] = 0.0
     assert DensityOperator(m, validate=False).dim == dim
@@ -87,11 +83,6 @@ def test_density_operator_keeps_a_read_only_copy():
     assert rho.matrix[0, 0] == 0.5
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 1.0
-
-
-def test_hermitian_operator_accepts_traceless():
-    op = HermitianOperator(np.diag([1.0, -1.0]).astype(complex))
-    assert op.dim == 2
 
 
 # -- haar sampling --
@@ -272,15 +263,6 @@ def test_trace_distance_symmetric_triangle_unitary_invariant():
         u = haar_unitary(6, trial)
         rotated = trace_distance(u @ a.matrix @ u.conj().T, u @ b.matrix @ u.conj().T)
         assert abs(rotated - dab) < 1e-10
-
-
-# -- norms --
-
-
-def test_hs_norm_examples():
-    assert abs(hs_norm(np.eye(4)) - 2.0) < 1e-12
-    assert hs_norm(np.zeros((3, 3))) == 0.0
-    assert abs(hs_norm(np.diag([1.0, -1.0])) - np.sqrt(2)) < 1e-12
 
 
 # -- partial trace --
