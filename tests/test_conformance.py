@@ -11,7 +11,9 @@ and the exact-eta and stated-peak checks on every row they apply to. The rows
 whose oracles restrict one dense full channel form a group, which a check takes
 as one batch: the full channel is built once, and one group's oracles are alive
 at a time. A new channel class gets its checks by adding rows;
-``test_every_channel_class_is_a_row`` refuses a class without one.
+``test_every_channel_class_is_a_row`` refuses a class without one. The sampling
+path's own checks (``distances_to_canonical`` against the dense route, the bits of a
+derived chunk, the report against the dense oracle) are in ``test_typicality.py``.
 """
 
 import importlib
@@ -27,7 +29,6 @@ import pytest
 
 import qtypical
 from conftest import dense_choi_purity
-from qtypical import qcore
 from qtypical.bns import DetectorChannel, bns_channel
 from qtypical.channels import (
     QuantumChannel,
@@ -41,12 +42,7 @@ from qtypical.channels import (
 )
 from qtypical.qcore import _haar_rows, derive_seed
 from qtypical.restriction import RestrictedPartialTrace, enumerate_basis, restrict_channel
-from qtypical.typicality import (
-    ETA_STREAM_INDEX,
-    ExperimentConfig,
-    run_experiment,
-    sample_distances,
-)
+from qtypical.typicality import ETA_STREAM_INDEX
 
 
 @dataclass(frozen=True)
@@ -141,17 +137,12 @@ BY_ID = {row.id: row for row in ROWS}
 
 # the rows of each check that does not run on every row it applies to
 CHECKS = {
-    "distances": ["ptrace-10-5-3", "ptrace-10-5-0", "ptrace-10-5-10", "ptrace-8-4-2",
-                  "ptrace-8-4-3", "ptrace-12-6-6", "ptrace-9-2-7", "ptrace-14-7-7",
-                  "ptrace-6-0-3", "ptrace-6-6-3", "ptrace-7-3-7", "ptrace-7-3-1"],
-    "experiment": ["ptrace-8-4-3"],
     "block": ["ptrace-10-5-3", "ptrace-10-5-0", "ptrace-8-4-8", "ptrace-12-6-6",
               "bns-8-2-4", "bns-9-3-4", "bns-10-5-5"],
     "eta-search": ["ptrace-10-5-3", "ptrace-8-4-2", "bns-8-2-4", "bns-9-3-4", "bns-12-4-6"],
     "constant": ["bns-8-4-7", "bns-8-2-0", "bns-8-2-8", "ptrace-6-3-0", "ptrace-6-0-3",
                  "ptrace-6-6-3"],
     "cap": ["ptrace-8-4-2", "ptrace-7-3-7", "bns-8-2-4", "bns-9-3-4"],
-    "chunk": ["ptrace-8-4-2", "bns-8-2-4", "depolarizing-4-0.5", "random-8-4-6"],
 }
 
 
@@ -237,33 +228,7 @@ def test_kraus(cases):
         c.row.same_kraus(c.ch, c.dense)
 
 
-# -- distances and sampling --
-
-
-@_rows("distances")
-def test_distances_to_canonical(row):
-    # the dense route: whole outputs minus the dense canonical state, one eigensolve each
-    ch = row.make()
-    psis = _states(ch.dim_in, 24, 31)
-    out = ch.apply_pure_batch(psis)
-    out -= ch.canonical_state().matrix
-    expected = qcore._half_trace_norms(out)
-    assert np.max(np.abs(ch.distances_to_canonical(psis) - expected)) <= 1e-15
-
-
-@_rows("experiment")
-def test_sampling_and_report(row):
-    configs = [ExperimentConfig(channel=c, samples=300, master_seed=13, epsilon_grid=(0.05,),
-                                eta_mode="estimated", eta_trials=2)
-               for c in (row.make(), row.oracle())]
-    got, expected = (sample_distances(cfg) for cfg in configs)
-    assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-15
-    got, expected = (run_experiment(cfg).to_json_dict() for cfg in configs)
-    for key in ("mean_distance", "std_distance", "max_distance", "entropy_bound",
-                "linear_entropy"):
-        assert abs(got[key] - expected[key]) < 1e-12, key
-    # the matrix-free channel reports its exact eta; the dense oracle searches a lower bound
-    assert got["eta_used"] == 1.0 and expected["eta_used"] <= got["eta_used"]
+# -- outputs of one row and of a block --
 
 
 @_rows("block")
@@ -273,32 +238,6 @@ def test_outputs_do_not_depend_on_the_block(row):
     block = ch.apply_pure_batch(psis)
     for psi, out in zip(psis, block):
         assert np.array_equal(ch.apply_pure_batch(psi[None]), out[None])
-
-
-@_rows("chunk")
-def test_derived_chunk_gives_the_bits_of_the_full_chunk(row, monkeypatch):
-    # 301 samples run as chunks of 256 and 45 under the real budget, and as the smaller
-    # chunks the 64 KiB budget derives; no split has a one-row tail
-    import qtypical.typicality as typicality
-
-    ch = row.make()
-    cfg = ExperimentConfig(channel=ch, samples=301, master_seed=17)
-    chunks = []
-    original = typicality._haar_rows
-
-    def recording(dim, seeds):
-        chunks.append(len(seeds))
-        return original(dim, seeds)
-
-    monkeypatch.setattr(typicality, "_haar_rows", recording)
-    full = np.array(sample_distances(cfg))
-    assert chunks == [qcore._BLOCK_ROWS, 301 - qcore._BLOCK_ROWS]
-    chunks.clear()
-    monkeypatch.setattr(qcore, "_DENSE_BYTES_LIMIT", 2**16)
-    derived = np.array(sample_distances(cfg))
-    assert 2 <= chunks[0] < qcore._BLOCK_ROWS and min(chunks) >= 2
-    assert chunks[0] == qcore._block_items(16 * ch.dim_in + ch._distance_row_bytes, 1)
-    assert derived.tobytes() == full.tobytes()
 
 
 # -- exact eta --

@@ -15,6 +15,7 @@ from qtypical.channels import (
     depolarizing,
     identity_channel,
     partial_trace_channel,
+    random_channel,
 )
 from qtypical.qcore import DimensionError, derive_seed, haar_sample, trace_distance
 from qtypical.restriction import (
@@ -164,6 +165,50 @@ def test_sample_distances_refuses_oversized_outputs_before_any_work(monkeypatch,
     assert draws == [] and canonical == []
 
 
+@pytest.mark.parametrize("make", [
+    lambda: RestrictedPartialTrace(8, 4, 2),
+    lambda: DetectorChannel(8, 2, 4),
+    lambda: depolarizing(4, 0.5),
+    lambda: random_channel(8, 4, 6, seed=2),
+], ids=["partial-trace", "detector", "depolarizing", "random"])
+def test_derived_chunk_gives_the_bits_of_the_full_chunk(make, monkeypatch):
+    # 301 samples run as chunks of 256 and 45 under the real budget, and as the smaller
+    # chunks the 64 KiB budget derives; no split has a one-row tail
+    import qtypical.typicality as typicality
+
+    ch = make()
+    cfg = ExperimentConfig(channel=ch, samples=301, master_seed=17)
+    chunks = []
+    original = typicality._haar_rows
+
+    def recording(dim, seeds):
+        chunks.append(len(seeds))
+        return original(dim, seeds)
+
+    monkeypatch.setattr(typicality, "_haar_rows", recording)
+    full = np.array(sample_distances(cfg))
+    assert chunks == [qcore._BLOCK_ROWS, 301 - qcore._BLOCK_ROWS]
+    chunks.clear()
+    monkeypatch.setattr(qcore, "_DENSE_BYTES_LIMIT", 2**16)
+    derived = np.array(sample_distances(cfg))
+    assert 2 <= chunks[0] < qcore._BLOCK_ROWS and min(chunks) >= 2
+    assert chunks[0] == qcore._block_items(16 * ch.dim_in + ch._distance_row_bytes, 1)
+    assert derived.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("spec", [(10, 5, 3), (10, 5, 0), (10, 5, 10), (8, 4, 2), (8, 4, 3),
+                                  (12, 6, 6), (9, 2, 7), (14, 7, 7), (6, 0, 3), (6, 6, 3),
+                                  (7, 3, 7), (7, 3, 1)], ids=str)
+def test_weight_block_distances_match_the_dense_route(spec):
+    # the dense route: whole outputs minus the dense canonical state, one eigensolve each
+    ch = RestrictedPartialTrace(*spec)
+    psis = qcore._haar_rows(ch.dim_in, [derive_seed(31, i) for i in range(24)])
+    out = ch.apply_pure_batch(psis)
+    out -= canonical_state(ch).matrix
+    expected = qcore._half_trace_norms(out)
+    assert np.max(np.abs(ch.distances_to_canonical(psis) - expected)) <= 1e-15
+
+
 def test_partial_trace_samples_without_outputs_or_a_dense_canonical_state(monkeypatch):
     ch = RestrictedPartialTrace(10, 5, 3)
     cfg = ExperimentConfig(channel=ch, samples=40, master_seed=4)
@@ -231,6 +276,21 @@ def test_run_experiment_refuses_an_oversized_entropy_before_any_draw(monkeypatch
     with pytest.raises(DimensionError, match="Choi matrix"):
         run_experiment(cfg)
     assert draws == []
+
+
+def test_restricted_partial_trace_experiment_matches_dense_oracle():
+    dense = restrict_channel(partial_trace_channel(8, 32), enumerate_basis(8, 4))
+    configs = [ExperimentConfig(channel=c, samples=300, master_seed=13,
+                                epsilon_grid=(0.05,), eta_mode="estimated", eta_trials=2)
+               for c in (RestrictedPartialTrace(8, 4, 3), dense)]
+    got, expected = (sample_distances(cfg) for cfg in configs)
+    assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-15
+    got, expected = (run_experiment(cfg).to_json_dict() for cfg in configs)
+    for key in ("mean_distance", "std_distance", "max_distance", "entropy_bound",
+                "linear_entropy"):
+        assert abs(got[key] - expected[key]) < 1e-12, key
+    # the matrix-free channel reports its exact eta; the dense oracle searches a lower bound
+    assert got["eta_used"] == 1.0 and expected["eta_used"] <= got["eta_used"]
 
 
 def test_distances_deterministic_and_thread_independent(monkeypatch):
