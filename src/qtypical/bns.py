@@ -352,7 +352,7 @@ class _PatternGroup:
         if self.starts is not None:
             sums = np.add.reduceat(sums, self.starts, axis=1)
         table = np.zeros((psis.shape[0], self.n_rows, self.n_cols), dtype=np.complex128)
-        table.reshape(psis.shape[0], -1)[:, self.cells] = sums
+        table.reshape(psis.shape[0], self.n_rows * self.n_cols)[:, self.cells] = sums
         return table
 
     def entries(self, psis: np.ndarray) -> np.ndarray:
@@ -361,7 +361,7 @@ class _PatternGroup:
         A function of its own, so that one group's table and Gram matrix are released
         before the next group's are gathered.
         """
-        gram = _gram(self.table(psis)).reshape(psis.shape[0], -1)
+        gram = _gram(self.table(psis)).reshape(psis.shape[0], self.n_rows**2)
         return gram[:, self.gram_index] * self.coherence
 
 

@@ -185,6 +185,13 @@ def _write_csv(path: str, header: list, rows: list) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_distances_csv(path: str, distances: list) -> None:
+    """The index,distance table of ``_write_csv``, each row formatted by one f-string."""
+    body = "".join([f"{i},{d:{FLOAT_FORMAT}}\n" for i, d in enumerate(distances)])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("index,distance\n" + body)
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -356,8 +363,7 @@ def run_typicality(params: dict) -> list:
     report.save(out)
     outputs = [out]
     if params.get("distances_csv"):
-        _write_csv(params["distances_csv"], ["index", "distance"],
-                   [[i, d] for i, d in enumerate(distances)])
+        _write_distances_csv(params["distances_csv"], distances)
         outputs.append(params["distances_csv"])
     print(f"mean distance        : {_fmt(report.mean_distance)}")
     print(f"entropy bound        : {_fmt(report.entropy_bound)}")

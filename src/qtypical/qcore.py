@@ -6,7 +6,7 @@ Conventions shared by every module in the package:
   bitstring, with qubit 0 the most significant bit;
 * all arrays are ``complex128`` and immutable after construction;
 * randomness is reproducible through ``derive_seed(master_seed, index)``,
-  so results never depend on how work is split across threads;
+  so results never depend on how work is split across processes;
 * one size policy: ``_check_dense_bytes`` refuses, before allocating, any
   dense array above the 512 MiB budget with a ``DimensionError``, and
   ``_block_items`` sizes batched blocks by the same budget, capped at
@@ -49,9 +49,14 @@ class DimensionError(ValueError):
 
 
 def _check_dense_bytes(n_bytes: int, what: str) -> None:
-    """Refuse, before allocating, a dense array above the 512 MiB budget."""
+    """Refuse, before allocating, a dense array above the budget, ``_DENSE_BYTES_LIMIT``."""
     if n_bytes > _DENSE_BYTES_LIMIT:
-        raise DimensionError(f"{what} needs {n_bytes / 2**20:.0f} MiB (limit 512 MiB)")
+        raise DimensionError(f"{what} needs {_mib(n_bytes)} (limit {_mib(_DENSE_BYTES_LIMIT)})")
+
+
+def _mib(n_bytes: int) -> str:
+    """A byte count in MiB: whole MiB from 1 MiB up, four significant digits below."""
+    return f"{n_bytes / 2**20:.0f} MiB" if n_bytes >= 2**20 else f"{n_bytes / 2**20:.4g} MiB"
 
 
 def _block_items(item_bytes: int, rows_per_item: int) -> int:
@@ -152,12 +157,24 @@ def derive_seed(master_seed: int, index: int) -> int:
     """Stable 64-bit per-index seed.
 
     The value depends only on ``(master_seed, index)``, never on platform,
-    thread layout, or call order, which is what makes parallel sampling
+    worker layout, or call order, which is what makes parallel sampling
     reproducible.
     """
-    payload = struct.pack("<QQ", operator.index(master_seed) & _U64, operator.index(index) & _U64)
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    index = operator.index(index) & _U64
+    return _derive_seeds(master_seed, index, index + 1)[0]
+
+
+_SEED_WORDS = struct.Struct("<QQ")  # (master, index), the payload that is hashed
+
+
+def _derive_seeds(master_seed: int, start: int, stop: int) -> list[int]:
+    """[derive_seed(master_seed, i) for i in range(start, stop)], 0 <= start <= stop <= 2**64.
+
+    The master is masked once and each payload packed by one precompiled struct.
+    """
+    master, pack, blake2b = operator.index(master_seed) & _U64, _SEED_WORDS.pack, hashlib.blake2b
+    return [int.from_bytes(blake2b(pack(master, i), digest_size=8).digest(), "little")
+            for i in range(start, stop)]
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -236,9 +253,13 @@ def _haar_rows(dim: int, seeds) -> np.ndarray:
     reused (2, dim) buffer and are copied into its real and imaginary parts.
     The squared row norms are then summed as ``np.linalg.norm`` sums them, one
     dot product per part and row, by two stacked (1 x dim) @ (dim x 1) products
-    over the strided parts, and the block is divided once by its row norms, so
-    it is the only array of its size. One unit-norm check (within 1e-12) covers
-    the whole block.
+    over the strided parts, and the block's float64 view is multiplied in place
+    by the reciprocal row norms. numpy divides a complex by a real c as
+    x * (1 / c) (Smith's method with a zero imaginary part), so the bits are
+    those of ``z / np.linalg.norm(z)``. The block is the only array of its
+    size; the multiply's ufunc buffer (at most 64 KiB) is allocated after the
+    draw buffer is released. One unit-norm check (within 1e-12) covers the
+    whole block.
     """
     if dim < 1:
         raise DimensionError(f"dimension must be >= 1, got {dim}")
@@ -252,10 +273,11 @@ def _haar_rows(dim: int, seeds) -> np.ndarray:
         rng.standard_normal(out=buf)
         row = block[i]
         row.real, row.imag = buf
+    del buf, rng, bit_generator  # dead before the scaling's ufunc buffer is allocated
     re, im = block.real[:, None], block.imag[:, None]
     sq_norms = (re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
-    block /= np.sqrt(sq_norms)
     flat = block.view(np.float64)
+    flat *= np.divide(1.0, np.sqrt(sq_norms, out=sq_norms), out=sq_norms)
     dev = float(np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", flat, flat)) - 1.0)))
     if not dev <= 1e-12:
         raise ValueError(f"Haar state norm deviates from 1 by {dev!r} (> 1e-12)")

@@ -335,14 +335,16 @@ class RestrictedPartialTrace(_PatternChannel):
         """sum_i |lambda_i - c_w| + (rows - m) c_w of one block's table, for each row.
 
         A function of its own, so that one block's arrays are released before the next
-        block's are gathered.
+        block's are gathered. A 1 x 1 Gram matrix is its own eigenvalue: its real part
+        is what LAPACK's eigensolver returns at n = 1, so it is taken without one.
         """
         n_rows, n_cols = table.shape[1:]
         adjoint = table.conj().transpose(0, 2, 1)
         gram = table @ adjoint if n_rows <= n_cols else adjoint @ table
         level = n_cols / self.dim_in
         zeros = max(n_rows - n_cols, 0)
-        return np.sum(np.abs(np.linalg.eigvalsh(gram) - level), axis=1) + zeros * level
+        eigenvalues = gram[:, :, 0].real if gram.shape[1] == 1 else np.linalg.eigvalsh(gram)
+        return np.sum(np.abs(eigenvalues - level), axis=1) + zeros * level
 
     def choi_purity_routes(self) -> tuple[float, float]:
         """(closed-form Choi purity, purity from the truncated table product).

@@ -51,20 +51,44 @@ derive_seed(master_seed, i), so it depends only on (master_seed, i). The
 chunk follows from the channel's dimensions and the fixed budget alone, so
 output bytes never depend on the machine or on any thread setting;
 QTYPICAL_THREADS is ignored.
+
+The chunks are shared among W processes: the caller runs the first chunk,
+which builds what the channel caches, then forks one worker for each further
+process, and each takes a contiguous share of the remaining chunks, writing
+into one shared anonymous mapping. W is the least of the usable CPUs
+(``os.sched_getaffinity``), the chunks left and the chunks the 512 MiB budget
+holds at once, so the chunks in flight fit the budget together. W is 1, and
+nothing is forked, without ``os.fork`` or ``os.sched_getaffinity`` and in a
+program with a second Python thread. No option sets W; ``taskset`` or a cpuset
+limits it. The bytes do not depend on W, since a distance depends only on its
+sample's seed. A traced run sees the caller's share only; on Python 3.12 and
+later ``os.fork`` warns when other threads, such as OpenBLAS's, are running.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import operator
+import os
+import signal
+import threading
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import qcore
 from .channels import ConsistencyError, QuantumChannel, _eta, _gated_linear_entropy
-from .qcore import DensityOperator, _block_items, _check_dense_bytes, _haar_rows, derive_seed
+from .qcore import (
+    DensityOperator,
+    _block_items,
+    _check_dense_bytes,
+    _derive_seeds,
+    _haar_rows,
+    derive_seed,
+)
 
 if TYPE_CHECKING:
     from .bns import DetectorChannel
@@ -137,20 +161,111 @@ def sample_distances(cfg: ExperimentConfig) -> list:
     sample, each drawn in place into one (chunk, dim_in) array by
     ``_haar_rows`` with the same bits and passed to the channel's
     ``distances_to_canonical``. Each chunk's states and work arrays are
-    released before the next chunk is drawn, so the peak is one chunk; the
-    distances array (8 bytes a sample) is checked against the budget first.
+    released before the next chunk is drawn, so the peak of a process is one
+    chunk; the distances array (8 bytes a sample) is checked against the
+    budget first, and every refusal comes before the first chunk.
+
+    The parent computes the first chunk, which builds what the channel caches,
+    and then the remaining chunks are split into ``_worker_count`` contiguous
+    shares: a forked worker takes each but the last, and the parent the last.
+    With more than one process all write into one shared anonymous mapping; the
+    bits do not depend on the share a chunk falls in.
     """
     ch = cfg.channel
-    d = ch.dim_in
-    chunk = min(_block_items(_sample_row_bytes(ch), 1), cfg.samples)
+    row = _sample_row_bytes(ch)
+    chunk = min(_block_items(row, 1), cfg.samples)
     _check_dense_bytes(8 * cfg.samples, f"the distances of {cfg.samples} samples")
-    distances = np.empty(cfg.samples)
-    for start in range(0, cfg.samples, chunk):
+    chunks = -(-cfg.samples // chunk)
+    workers = _worker_count(chunks - 1, chunk * row)
+    # forked workers write into a shared anonymous mapping; one process needs none
+    distances = (np.empty(cfg.samples) if workers == 1
+                 else np.frombuffer(mmap.mmap(-1, 8 * cfg.samples)))
+    _fill(distances, cfg, chunk, range(1))
+    _distribute(distances, cfg, chunk, [range(1 + (chunks - 1) * j // workers,
+                                              1 + (chunks - 1) * (j + 1) // workers)
+                                        for j in range(workers)])
+    return distances.tolist()
+
+
+def _fill(distances: np.ndarray, cfg: ExperimentConfig, chunk: int, share: range) -> None:
+    """Write the distances of the chunks numbered in ``share`` into ``distances``."""
+    ch = cfg.channel
+    for start in range(share.start * chunk, min(share.stop * chunk, cfg.samples), chunk):
         stop = min(start + chunk, cfg.samples)
-        psis = _haar_rows(d, [derive_seed(cfg.master_seed, i) for i in range(start, stop)])
+        psis = _haar_rows(ch.dim_in, _derive_seeds(cfg.master_seed, start, stop))
         distances[start:stop] = ch.distances_to_canonical(psis)
         del psis  # the next chunk is drawn without this one alive
-    return distances.tolist()
+
+
+def _worker_count(chunks: int, chunk_bytes: int) -> int:
+    """Processes that share ``chunks`` chunks of ``chunk_bytes`` each, the parent included.
+
+    One per usable CPU (``os.sched_getaffinity``, so ``taskset`` and cpusets limit
+    it), at most one per chunk, and no more than the budget holds chunks in flight
+    at once. One, and no fork, where the platform has no ``fork`` or no affinity,
+    and in a threaded program, whose forked child could deadlock.
+    """
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), chunks,
+                      qcore._DENSE_BYTES_LIMIT // chunk_bytes))
+
+
+def _distribute(distances: np.ndarray, cfg: ExperimentConfig, chunk: int, shares: list) -> None:
+    """Fill ``distances`` on every share: one forked worker on each share but the
+    last, and the last, the largest, in this process.
+
+    A worker leaves only through ``os._exit``. Every worker is reaped before this
+    returns; if this process raises, its workers are killed first. A share whose
+    worker did not exit 0, or could not be forked, is computed here, so its
+    exception is raised here with its own type.
+    """
+    forked, own = {}, shares[-1:]
+    try:
+        for share in shares[:-1]:
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare
+                own.append(share)
+                continue
+            if pid == 0:
+                _work_and_exit(distances, cfg, chunk, share)
+            forked[pid] = share
+        for share in own:
+            _fill(distances, cfg, chunk, share)
+    except BaseException:
+        for pid in forked:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        failed = [share for pid, share in forked.items() if not _exited_cleanly(pid)]
+    for share in failed:
+        _fill(distances, cfg, chunk, share)
+
+
+def _exited_cleanly(pid: int) -> bool:
+    """Reap a worker: True if it exited 0. A worker reaped elsewhere (SIGCHLD
+    ignored) has lost its status and counts as failed."""
+    try:
+        return os.waitpid(pid, 0)[1] == 0
+    except ChildProcessError:
+        return False
+
+
+def _work_and_exit(distances: np.ndarray, cfg: ExperimentConfig, chunk: int,
+                   share: range) -> None:
+    """A forked worker: its share, then ``os._exit``, with status 0 only on success.
+
+    ``os._exit`` runs no atexit handler and flushes no stdio buffer the worker
+    inherited.
+    """
+    status = 1
+    try:
+        _fill(distances, cfg, chunk, share)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _sample_row_bytes(ch) -> int:

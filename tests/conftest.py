@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,48 @@ def small_dense_budget(monkeypatch):
     """Shrink the dense budget to 64 KiB, so refusal tests never need gigabytes."""
     monkeypatch.setattr(qcore, "_DENSE_BYTES_LIMIT", 2**16)
     return 2**16
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process, running or unreaped."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child process {pid or '(still running)'}")
+
+
+@pytest.fixture
+def draw_log(tmp_path, monkeypatch):
+    """Record the chunks ``typicality`` draws, in this process and in forked workers.
+
+    ``typicality._haar_rows`` is wrapped to append one line per call, the drawing
+    process id and the chunk's seeds, in one write to a file opened with O_APPEND, so
+    a worker's record outlives it. Returns a function that reads the (pid, seeds)
+    records in the order they were written.
+    """
+    import qtypical.typicality as typicality
+
+    path = tmp_path / "draws.log"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    original = typicality._haar_rows
+
+    def recording(dim, seeds):
+        os.write(fd, f"{os.getpid()} {' '.join(map(str, seeds))}\n".encode())
+        return original(dim, seeds)
+
+    def records():
+        lines = path.read_text().splitlines()
+        return [(int(pid), [int(s) for s in seeds.split()])
+                for pid, _, seeds in (line.partition(" ") for line in lines)]
+
+    monkeypatch.setattr(typicality, "_haar_rows", recording)
+    yield records
+    os.close(fd)
 
 
 def random_density(dim: int, seed: int) -> DensityOperator:

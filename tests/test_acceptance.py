@@ -6,6 +6,7 @@ lines alongside the pytest verdicts. Every tolerance is pinned here.
 
 import json
 import math
+import os
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -174,7 +175,8 @@ def test_criterion_8_two_route_purity_identity():
 
 
 def test_criterion_9_thread_count_determinism(tmp_path, monkeypatch):
-    with criterion(9, "identical bytes from 1, 4, and 8 worker threads"):
+    # the worker count follows the CPUs the affinity reports; the thread setting is ignored
+    with criterion(9, "identical bytes from 1, 2, and 3 workers and 1, 4, and 8 threads"):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
             "channel": {"type": "bns", "N": 8, "k": 2, "Np": 4},
@@ -183,8 +185,9 @@ def test_criterion_9_thread_count_determinism(tmp_path, monkeypatch):
             "epsilon_grid": [0.02, 0.05, 0.1, 0.2],
         }))
         snapshots = []
-        for threads in ("1", "4", "8"):
+        for threads, workers in (("1", 1), ("4", 2), ("8", 3)):
             monkeypatch.setenv("QTYPICAL_THREADS", threads)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=workers: set(range(n)))
             outdir = tmp_path / f"threads{threads}"
             outdir.mkdir()
             blob = b""

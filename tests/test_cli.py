@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import runpy
 import sys
@@ -22,6 +23,7 @@ from qtypical.channels import (
     partial_trace_channel,
     save_channel,
 )
+from qtypical.qcore import derive_seed
 from qtypical.restriction import enumerate_basis, restrict_channel
 
 
@@ -414,17 +416,8 @@ def test_typicality_partial_trace_config(tmp_path):
     assert len(rows) == 150
 
 
-def test_typicality_distances_csv_samples_once(tmp_path, monkeypatch):
-    import qtypical.typicality as typicality
-
-    draws = []
-    original = typicality._haar_rows
-
-    def counting(dim, seeds):
-        draws.extend(seeds)
-        return original(dim, seeds)
-
-    monkeypatch.setattr(typicality, "_haar_rows", counting)
+def test_typicality_distances_csv_samples_once(tmp_path, draw_log):
+    # the draws of every process, forked workers included
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "channel": {"type": "bns", "N": 4, "k": 2, "Np": 2},
@@ -438,10 +431,27 @@ def test_typicality_distances_csv_samples_once(tmp_path, monkeypatch):
     dist_csv = tmp_path / "distances.csv"
     assert run(["typicality", "--config", config, "--out", out,
                 "--distances-csv", dist_csv]) == 0
-    assert len(draws) == 300
+    draws = [seed for _, seeds in draw_log() for seed in seeds]
+    assert sorted(draws) == sorted(derive_seed(12, i) for i in range(300))
     rows = list(csv.DictReader(dist_csv.read_text().splitlines()))
     csv_mean = float(np.mean([float(r["distance"]) for r in rows]))
     assert csv_mean == json.loads(out.read_text())["mean_distance"]
+
+
+def test_distances_csv_has_the_bytes_of_csv_writer(tmp_path):
+    # the rows are formatted by one f-string each; the bytes are those of csv.writer
+    # over the fields _fmt formats, as _write_csv writes every other table
+    distances = [0.0, 0.1, 1.0, 1 / 3, 5e-324, 1e-20, 0.9999999999999999, 2.5e-7]
+    path = tmp_path / "distances.csv"
+    cli._write_distances_csv(path, distances)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerows([["index", "distance"],
+                      *([i, cli._fmt(d)] for i, d in enumerate(distances))])
+    assert path.read_bytes() == expected.getvalue().encode()
+    table = tmp_path / "table.csv"
+    cli._write_csv(table, ["index", "distance"], [[i, d] for i, d in enumerate(distances)])
+    assert table.read_bytes() == path.read_bytes()
 
 
 def test_typicality_refuses_oversized_entropy_before_any_draw(tmp_path, monkeypatch):

@@ -240,6 +240,15 @@ def test_outputs_do_not_depend_on_the_block(row):
         assert np.array_equal(ch.apply_pure_batch(psi[None]), out[None])
 
 
+@_each_batch(ROWS)
+def test_an_empty_block_has_empty_outputs_and_distances(batch):
+    for row in batch:
+        ch = row.make()
+        psis = np.zeros((0, ch.dim_in), dtype=np.complex128)
+        assert ch.apply_pure_batch(psis).shape == (0, ch.dim_out, ch.dim_out), row.id
+        assert ch.distances_to_canonical(psis).shape == (0,), row.id
+
+
 # -- exact eta --
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import struct
 import tracemalloc
 
 import numpy as np
@@ -204,6 +206,20 @@ def test_haar_unitary_is_unitary():
     assert np.max(np.abs(u @ u.conj().T - np.eye(5))) < 1e-12
 
 
+def test_budget_message_reports_the_budget_in_force(small_dense_budget):
+    # a need below 1 MiB shows four significant digits, as does the 64 KiB budget
+    message = r"^the block needs 0\.06445 MiB \(limit 0\.0625 MiB\)$"
+    with pytest.raises(DimensionError, match=message):
+        qcore._check_dense_bytes(67584, "the block")
+    with pytest.raises(DimensionError, match=r"needs 962 MiB \(limit 0\.0625 MiB\)$"):
+        qcore._check_dense_bytes(962 * 2**20 + 5, "the plan")
+
+
+def test_budget_message_keeps_whole_mib_at_the_real_budget():
+    with pytest.raises(DimensionError, match=r"needs 962 MiB \(limit 512 MiB\)$"):
+        qcore._check_dense_bytes(962 * 2**20 + 5, "the plan")
+
+
 def test_haar_unitary_refused_above_budget(small_dense_budget):
     # 16 * 64^2 bytes fill the 64 KiB budget exactly; one more row exceeds it
     assert haar_unitary(64, 0).shape == (64, 64)
@@ -217,6 +233,19 @@ def test_derive_seed_is_stable_and_spreads():
     assert len(seen) == 1000
     # frozen value pins the derivation across releases
     assert derive_seed(0, 0) == 1041621211125469266
+
+
+@pytest.mark.parametrize("master", [0, 42, -1, 2**64 + 5, np.uint64(2**64 - 1)])
+def test_derived_seed_list_is_the_blake2b_of_each_payload(master):
+    # the list helper against the hash written out: blake2b of the (master, index)
+    # little-endian words, each masked to 64 bits
+    def oracle(i):
+        payload = struct.pack("<QQ", int(master) & (2**64 - 1), i)
+        return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+
+    for start, stop in ((0, 300), (2**64 - 3, 2**64), (7, 7)):
+        assert qcore._derive_seeds(master, start, stop) == [oracle(i) for i in range(start, stop)]
+    assert derive_seed(master, -1) == oracle(2**64 - 1)
 
 
 # -- trace distance --

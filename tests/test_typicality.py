@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
 from math import comb
 
@@ -171,29 +172,120 @@ def test_sample_distances_refuses_oversized_outputs_before_any_work(monkeypatch,
     lambda: depolarizing(4, 0.5),
     lambda: random_channel(8, 4, 6, seed=2),
 ], ids=["partial-trace", "detector", "depolarizing", "random"])
-def test_derived_chunk_gives_the_bits_of_the_full_chunk(make, monkeypatch):
+def test_derived_chunk_gives_the_bits_of_the_full_chunk(make, monkeypatch, draw_log):
     # 301 samples run as chunks of 256 and 45 under the real budget, and as the smaller
-    # chunks the 64 KiB budget derives; no split has a one-row tail
-    import qtypical.typicality as typicality
-
+    # chunks the 64 KiB budget derives; no split has a one-row tail. The draw log
+    # counts the chunks of every process, forked workers included
     ch = make()
     cfg = ExperimentConfig(channel=ch, samples=301, master_seed=17)
-    chunks = []
-    original = typicality._haar_rows
-
-    def recording(dim, seeds):
-        chunks.append(len(seeds))
-        return original(dim, seeds)
-
-    monkeypatch.setattr(typicality, "_haar_rows", recording)
     full = np.array(sample_distances(cfg))
+    chunks = [len(seeds) for _, seeds in draw_log()]
     assert chunks == [qcore._BLOCK_ROWS, 301 - qcore._BLOCK_ROWS]
-    chunks.clear()
     monkeypatch.setattr(qcore, "_DENSE_BYTES_LIMIT", 2**16)
     derived = np.array(sample_distances(cfg))
+    chunks = [len(seeds) for _, seeds in draw_log()][2:]
     assert 2 <= chunks[0] < qcore._BLOCK_ROWS and min(chunks) >= 2
+    assert sum(chunks) == 301
     assert chunks[0] == qcore._block_items(16 * ch.dim_in + ch._distance_row_bytes, 1)
     assert derived.tobytes() == full.tobytes()
+
+
+# -- forked workers --
+
+# five chunks of the real budget, the last one partial
+WORKER_SAMPLES = 4 * qcore._BLOCK_ROWS + 45
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RestrictedPartialTrace(10, 5, 3),
+    lambda: DetectorChannel(8, 2, 4),
+    lambda: depolarizing(4, 0.5),
+], ids=["partial-trace", "detector", "depolarizing"])
+def test_worker_count_does_not_change_the_bits(make, monkeypatch, draw_log):
+    # W = 1, 2 and 3 processes, set by the CPUs the affinity reports: each draws its
+    # own chunks of the one grid, and the distances are the same bytes
+    ch = make()
+    cfg = ExperimentConfig(channel=ch, samples=WORKER_SAMPLES, master_seed=23)
+    results, seen = [], 0
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=workers: set(range(n)))
+        results.append(np.array(sample_distances(cfg)).tobytes())
+        records = draw_log()[seen:]
+        seen += len(records)
+        assert len({pid for pid, _ in records}) == workers
+        assert records[0] == (os.getpid(), [derive_seed(23, i) for i in range(256)])
+        assert sorted(seed for _, seeds in records for seed in seeds) == sorted(
+            derive_seed(23, i) for i in range(WORKER_SAMPLES))
+    assert results[0] == results[1] == results[2]
+
+
+def _raise_on_sample(monkeypatch, draw_log, index, message):
+    """Make ``typicality._haar_rows`` raise ``message`` on the chunk holding sample
+    ``index`` of master seed 5, after the draw log has recorded the chunk."""
+    import qtypical.typicality as typicality
+
+    recording, target = typicality._haar_rows, derive_seed(5, index)
+
+    def failing(dim, seeds):
+        out = recording(dim, seeds)
+        if target in seeds:
+            raise ArithmeticError(message)
+        return out
+
+    monkeypatch.setattr(typicality, "_haar_rows", failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_a_failed_worker_share_is_raised_by_the_parent(monkeypatch, draw_log):
+    # three chunks: the parent takes chunks 0 and 2, the worker chunk 1, which raises
+    # there and then again in the parent, which recomputes it
+    cfg = ExperimentConfig(channel=depolarizing(4, 0.5), samples=2 * qcore._BLOCK_ROWS + 10,
+                           master_seed=5)
+    index = qcore._BLOCK_ROWS
+    _raise_on_sample(monkeypatch, draw_log, index, "the worker's chunk failed")
+    with pytest.raises(ArithmeticError, match="^the worker's chunk failed$"):
+        sample_distances(cfg)
+    drew = [pid for pid, seeds in draw_log() if derive_seed(5, index) in seeds]
+    assert len(drew) == 2 and drew[1] == os.getpid() != drew[0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_parent_share_reaps_the_workers(monkeypatch, draw_log):
+    # the parent's own share, the last chunk, raises: its worker is killed and reaped
+    # before the error leaves
+    cfg = ExperimentConfig(channel=depolarizing(4, 0.5), samples=2 * qcore._BLOCK_ROWS + 10,
+                           master_seed=5)
+    _raise_on_sample(monkeypatch, draw_log, cfg.samples - 1, "the parent's chunk failed")
+    with pytest.raises(ArithmeticError, match="^the parent's chunk failed$"):
+        sample_distances(cfg)
+    assert [pid for pid, seeds in draw_log() if derive_seed(5, cfg.samples - 1) in seeds] == [
+        os.getpid()]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_count_rule(monkeypatch):
+    # CPUs, chunks left and chunks in flight within the budget; one without fork, without
+    # an affinity, or with a second thread
+    import threading
+
+    import qtypical.typicality as typicality
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    budget = qcore._DENSE_BYTES_LIMIT
+    assert typicality._worker_count(20, 2**20) == 8
+    assert typicality._worker_count(3, 2**20) == 3
+    assert typicality._worker_count(0, 2**20) == 1
+    assert typicality._worker_count(20, budget // 5) == 5
+    assert typicality._worker_count(20, budget) == 1
+    with monkeypatch.context() as m:
+        m.setattr(threading, "active_count", lambda: 2)
+        assert typicality._worker_count(20, 2**20) == 1
+    for name in ("fork", "sched_getaffinity"):
+        with monkeypatch.context() as m:
+            m.delattr(os, name)
+            assert typicality._worker_count(20, 2**20) == 1
 
 
 @pytest.mark.parametrize("spec", [(10, 5, 3), (10, 5, 0), (10, 5, 10), (8, 4, 2), (8, 4, 3),
