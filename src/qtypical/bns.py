@@ -20,21 +20,28 @@ The canonical spectrum and the two excitation-count distributions are exact
 integer counts of excitation patterns over their one common denominator
 C(N, Np), and stay valid up to N = 10000 and beyond. Their binomials come in
 rows from exact ratio recurrences (``_binomial_row``), one big-integer
-product and one exact division per entry, instead of one ``math.comb`` each.
+product and one exact division per entry, instead of one ``math.comb`` each;
+the hypergeometric counts of the kept-sites law come from their own ratio
+recurrence, one product and one exact division by small integers per row.
 The alternating sum for the canonical weights cancels catastrophically in
 floating point at large N, so it is taken in integers. Construction checks
 that every count is nonnegative and that the counts add up to exactly the
-total, which is the exact "sums to 1" guarantee; reduced ``Fraction`` views
-are formed on request, and the only float is a count divided by the total,
-at the output boundary.
+total, which is the exact "sums to 1" guarantee. The only float is a count
+divided by the total, taken once per row at the output boundary. The exact
+CSV reduces each row to lowest terms: by one gcd of its count and the total
+in general, and for the hypergeometric law from the row before and the small
+ratio between them, with two gcds of a big and a small integer, so that only
+its first row pays a full gcd.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import comb, gcd, perm
+from operator import sub
 
 import numpy as np
 
@@ -45,12 +52,14 @@ from .channels import (
     _state_block,
     tensor,
 )
-from .qcore import DimensionError, _check_dense_bytes
+from .qcore import FLOAT_FORMAT, DimensionError, _check_dense_bytes, _write_lines
 from .restriction import (
     _check_excitations,
+    _exact_purity_routes,
     _gram,
     _PatternChannel,
-    _truncated_product,
+    _shift_add,
+    _unit_table,
     enumerate_basis,
 )
 
@@ -171,13 +180,14 @@ def _occupied_counts(n: int, n_excited: int, j_max: int) -> list[int]:
     evaluated as a difference table: each row holds the differences of the row
     above, and alpha_j is the leading entry of row j. The b_q are one
     ``_binomial_row`` column, and the table takes j_max (j_max + 1) / 2
-    big-integer subtractions and no big products.
+    big-integer subtractions and no big products, each row one ``map`` of
+    ``operator.sub``.
     """
     row = _binomial_row(0, n_excited, j_max + 1, top_step=n)
     counts = []
     while row:
         counts.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
+        row = list(map(sub, row[1:], row))  # each entry minus the one before it
     return counts
 
 
@@ -276,7 +286,8 @@ def canonical_spectrum(n_sites: int, n_excited: int, n_blocks: int) -> BnSCanoni
 # g = (1 + uv)^n + c^2 ((1 + u)^n + (1 + v)^n - 2) and c^2 = 1/(2^n - 1): a block is
 # occupied alike in both copies (weight 1), occupied in one copy only (c^2), or
 # empty in both. Both routes below return the numerator scaled by (2^n - 1)^k, an
-# exact integer over the common denominator (2^n - 1)^k C(N, Np)^2.
+# exact integer over the common denominator (2^n - 1)^k C(N, Np)^2, and
+# ``DetectorChannel.choi_purity_routes`` checks the two integers equal.
 
 
 def _purity_numerator_closed_form(n: int, n_blocks: int, n_excited: int) -> int:
@@ -288,12 +299,17 @@ def _purity_numerator_closed_form(n: int, n_blocks: int, n_excited: int) -> int:
     sit in the u copy, of the occupied counts alpha_j(Np - t).
     """
     alpha = [_occupied_counts(n, r, n_blocks) for r in range(n_excited + 1)]
-    # split[m][r] = [u^r v^r] (A(u) + A(v))^m, from the binomial row C(m, j) of each m
+    # split[m][r] = [u^r v^r] (A(u) + A(v))^m = sum_j C(m, j) alpha_j(r) alpha_(m - j)(r). The
+    # terms j and m - j are equal, so the sum is twice its terms j < m / 2, plus the
+    # middle term j = m / 2 when m is even.
     split = []
     for m in range(n_blocks + 1):
-        binomials = _binomial_row(m, 0, m + 1)
-        split.append([sum(c * counts[j] * counts[m - j] for j, c in enumerate(binomials))
-                      for counts in alpha])
+        half, binomials = (m + 1) // 2, _binomial_row(m, 0, m // 2 + 1)
+        row = [2 * sum(c * counts[j] * counts[m - j] for j, c in enumerate(binomials[:half]))
+               for counts in alpha]
+        if m % 2 == 0:
+            row = [s + binomials[half] * counts[half] ** 2 for s, counts in zip(row, alpha)]
+        split.append(row)
     scale, numerator = 2**n - 1, 0
     for a, c_a in enumerate(_binomial_row(n_blocks, 0, n_blocks + 1)):
         rest, binomials = split[n_blocks - a], _binomial_row(n * a, 0, min(n * a, n_excited) + 1)
@@ -305,14 +321,24 @@ def _purity_numerator_closed_form(n: int, n_blocks: int, n_excited: int) -> int:
 def _purity_numerator_convolution(n: int, n_blocks: int, n_excited: int) -> int:
     """Scaled purity numerator from the k-fold product of the per-block table.
 
-    (2^n - 1) g has the integer coefficients 2^n - 1 at u^0 v^0, (2^n - 1) C(n, p)
-    at u^p v^p and C(n, p) at u^p and at v^p (p >= 1); the product keeps degrees
-    up to Np in each variable.
+    The table keeps degrees up to Np in each variable, and each block multiplies it by
+    (2^n - 1) g = (2^n - 1) (1 + uv)^n + (1 + u)^n + (1 + v)^n - 2 through two
+    shift-add chains (``_shift_add``). The table starts at 1 and every factor is
+    symmetric in u and v, so the table stays symmetric, and its product with
+    (1 + v)^n is the transpose of its product with (1 + u)^n. Each block raises the
+    degree by at most n, so block b (from 0) works on the window of degrees up to
+    (b + 1) n, above which the table is 0, and from Np - (k - b) n, below which no
+    entry can still reach u^Np v^Np; the window's lowest n degrees are left short of
+    their terms from below it, which no later block reads.
     """
-    scale = 2**n - 1
-    terms = [(0, 0, scale)] + [(p, q, comb(n, max(p, q)) * (scale if p == q else 1))
-                               for r in range(1, n + 1) for p, q in ((r, r), (r, 0), (0, r))]
-    return _truncated_product([(terms, n_blocks)], n_excited)
+    scale, table = 2**n - 1, _unit_table(n_excited)
+    for b in range(n_blocks):
+        window = slice(max(0, n_excited - (n_blocks - b) * n), min(n_excited, (b + 1) * n) + 1)
+        part = table[window, window]
+        one_copy = _shift_add(part.copy(), 1, 0, n)
+        table[window, window] = (scale * _shift_add(part.copy(), 1, 1, n) + one_copy
+                                 + one_copy.T - 2 * part)
+    return int(table[n_excited, n_excited])
 
 
 # -- the detector's gather-Gram plan ----------------------------------------------------
@@ -513,13 +539,14 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
     def choi_purity_routes(self) -> tuple[float, float]:
         """(closed-form Choi purity, purity from the k-fold block-table product).
 
-        Both are exact integers over (2^n - 1)^k C(N, Np)^2, divided once.
+        Both are exact integers over (2^n - 1)^k C(N, Np)^2, checked equal and then
+        divided once (``_exact_purity_routes``).
         """
         n = self.n_sites // self.n_blocks
-        denominator = (2**n - 1) ** self.n_blocks * self.dim_in**2
         args = (n, self.n_blocks, self.n_excited)
-        return (_purity_numerator_closed_form(*args) / denominator,
-                _purity_numerator_convolution(*args) / denominator)
+        return _exact_purity_routes(_purity_numerator_closed_form(*args),
+                                    _purity_numerator_convolution(*args),
+                                    (2**n - 1) ** self.n_blocks * self.dim_in**2)
 
     @property
     def kraus(self) -> np.ndarray:
@@ -557,17 +584,69 @@ class ExactDistribution:
     that the counts are nonnegative integers that add up to exactly ``total``,
     so the probabilities sum to exactly 1. ``probabilities``,
     ``probability(m)`` and ``mean()`` are reduced ``Fraction``s derived from
-    the counts.
+    the counts; ``floats`` and ``reduced()`` are the two views the exact CSV
+    writes. ``ratios`` is empty unless the distribution was built by
+    ``_from_ratios``, from its first count and the small exact ratio of each
+    count to the one before; ``reduced()`` then takes one full gcd in all
+    instead of one per row.
     """
 
     support: tuple
     counts: tuple
     total: int
+    ratios: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.support) != len(self.counts):
             raise ValueError("support and counts differ in length")
         _check_counts(self.counts, self.total)
+
+    @classmethod
+    def _from_ratios(cls, support: tuple, first: int, ratios: tuple, total: int):
+        """The distribution whose counts start at ``first`` and go on by ``ratios``.
+
+        Each ratio is a pair (r1, r2) of positive integers with
+        counts[i + 1] = counts[i] r1 / r2, and each such quotient must be exact.
+        """
+        counts = [first]
+        for r1, r2 in ratios:
+            if r1 < 1 or r2 < 1:
+                raise ValueError(f"the count ratio {r1}/{r2} is not positive")
+            count, rest = divmod(counts[-1] * r1, r2)
+            if rest:
+                raise ValueError(f"the count ratio {r1}/{r2} gives no integer count")
+            counts.append(count)
+        dist = cls(support, tuple(counts), total)
+        object.__setattr__(dist, "ratios", tuple(ratios))
+        return dist
+
+    @cached_property
+    def floats(self) -> tuple:
+        """Each probability as a float: its count over the total in integer true
+        division, the correctly rounded value that ``float(Fraction)`` gives."""
+        return tuple(c / self.total for c in self.counts)
+
+    def reduced(self) -> Iterator[tuple[int, int]]:
+        """(numerator, denominator) of each probability in lowest terms, row by row.
+
+        Without ``ratios`` each row takes one gcd of its count and the total. With
+        them only the first row does: if a/b is a row in lowest terms and r1/r2 its
+        reduced ratio to the next, gcd(a r1, b r2) = gcd(a, r2) gcd(r1, b), so the
+        next row costs two gcds of a big and a small integer and exact divisions by
+        small ones. The pairs are yielded, not kept: a writer holds one at a time.
+        """
+        if not self.ratios:
+            for c in self.counts:
+                yield _lowest_terms(c, self.total)
+            return
+        a, b = _lowest_terms(self.counts[0], self.total)
+        yield a, b
+        for r1, r2 in self.ratios:
+            g = gcd(r1, r2)
+            r1, r2 = r1 // g, r2 // g
+            g1, g2 = gcd(a, r2), gcd(r1, b)
+            a, b = a // g1 * (r1 // g2), b // g2 * (r2 // g1)
+            yield a, b
 
     @cached_property
     def probabilities(self) -> tuple:
@@ -583,23 +662,31 @@ class ExactDistribution:
         return Fraction(0)
 
 
+def _lowest_terms(numerator: int, denominator: int) -> tuple[int, int]:
+    g = gcd(numerator, denominator)
+    return numerator // g, denominator // g
+
+
 def energy_distribution_trace(n_sites: int, n_excited: int, n_blocks: int) -> ExactDistribution:
     """Excitation-count distribution of k sites kept out of N, traced exactly.
 
     Keeping k of the N sites of the fixed-excitation mixed state yields the
     hypergeometric law P(m) = C(k, m) C(N-k, Np-m) / C(N, Np), nonzero for
-    max(0, Np - (N - k)) <= m <= min(Np, k). Both factors of the counts come
-    from one ``_binomial_row`` each, the second read backwards.
+    max(0, Np - (N - k)) <= m <= min(Np, k). The first count is two
+    ``math.comb``; each next one comes from the ratio
+    P(m + 1) / P(m) = (k - m)(Np - m) / ((m + 1)(N - k - Np + m + 1)), whose two
+    factors are positive on the support, by one product and one exact division
+    with small integers (``ExactDistribution._from_ratios``).
     """
     if not 0 <= n_blocks <= n_sites:
         raise DimensionError(f"cannot keep {n_blocks} of {n_sites} sites")
     _check_excitations(n_sites, n_excited)
     lo, hi = max(0, n_excited - (n_sites - n_blocks)), min(n_excited, n_blocks)
-    kept = _binomial_row(n_blocks, lo, hi - lo + 1)
-    rest = _binomial_row(n_sites - n_blocks, n_excited - hi, hi - lo + 1)
-    return ExactDistribution(tuple(range(lo, hi + 1)),
-                             tuple(a * b for a, b in zip(kept, reversed(rest))),
-                             comb(n_sites, n_excited))
+    gap = n_sites - n_blocks - n_excited + 1
+    return ExactDistribution._from_ratios(
+        tuple(range(lo, hi + 1)), comb(n_blocks, lo) * comb(n_sites - n_blocks, n_excited - lo),
+        tuple(((n_blocks - m) * (n_excited - m), (m + 1) * (gap + m)) for m in range(lo, hi)),
+        comb(n_sites, n_excited))
 
 
 def energy_distribution_bns(n_sites: int, n_excited: int, n_blocks: int) -> ExactDistribution:
@@ -625,13 +712,12 @@ def bns_mean_exact(n_sites: int, n_excited: int, n_blocks: int) -> Fraction:
 def write_distribution_csv(path, dist: ExactDistribution) -> None:
     """CSV with columns m, probability (17 significant digits), numerator, denominator.
 
-    Each row reduces its count over the total with one gcd; the probability is the
-    count divided by the total in integer true division, the correctly rounded float
-    that ``float(Fraction)`` gives. The file is written in one call, LF line endings.
+    The probability is the row's ``floats`` entry, the count over the total in
+    integer true division, and the fraction its ``reduced()`` pair in lowest terms:
+    one gcd per row in general, and two gcds with small integers per row for a law
+    with ``ratios``, such as the hypergeometric law of ``energy_distribution_trace``.
+    Each row is one f-string, and the file is written in one call, LF line endings.
     """
-    lines = ["m,probability,numerator,denominator"]
-    for m, c in zip(dist.support, dist.counts):
-        g = gcd(c, dist.total)
-        lines.append(f"{m},{format(c / dist.total, '.17g')},{c // g},{dist.total // g}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, ["m,probability,numerator,denominator", *[
+        f"{m},{p:{FLOAT_FORMAT}},{a},{b}"
+        for m, p, (a, b) in zip(dist.support, dist.floats, dist.reduced())]])

@@ -43,11 +43,16 @@ from .channels import (
     save_channel,
     unitary_channel,
 )
-from .qcore import DimensionError, derive_seed, haar_unitary
+from .qcore import (
+    FLOAT_FORMAT,
+    DimensionError,
+    _write_json,
+    _write_lines,
+    derive_seed,
+    haar_unitary,
+)
 from .restriction import RestrictedPartialTrace, effective_environment_dimension
 from .typicality import ExperimentConfig, _entropy, _experiment, _sample_row_bytes, run_experiment
-
-FLOAT_FORMAT = ".17g"
 
 
 class UsageError(Exception):
@@ -180,22 +185,13 @@ def _write_csv(path: str, header: list, rows: list) -> None:
     The fields are names and numbers, which need no quoting, so the bytes are
     those of ``csv.writer`` with ``lineterminator="\\n"``.
     """
-    lines = [",".join(map(_fmt, row)) for row in [header, *rows]]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, [",".join(map(_fmt, row)) for row in [header, *rows]])
 
 
 def _write_distances_csv(path: str, distances: list) -> None:
     """The index,distance table of ``_write_csv``, each row formatted by one f-string."""
-    body = "".join([f"{i},{d:{FLOAT_FORMAT}}\n" for i, d in enumerate(distances)])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("index,distance\n" + body)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_lines(path, ["index,distance",
+                        *[f"{i},{d:{FLOAT_FORMAT}}" for i, d in enumerate(distances)]])
 
 
 def _base(out: str) -> str:
@@ -301,12 +297,11 @@ def run_figure_energy(params: dict) -> list:
     with _parameter_errors("figure-energy parameters"):
         trace_dist = energy_distribution_trace(n, np_excited, k)
     bns_dist = energy_distribution_bns(n, np_excited, k)
-    trace_p, bns_p = ({m: c / d.total for m, c in zip(d.support, d.counts)}
-                      for d in (trace_dist, bns_dist))
-    rows = [[m, trace_p.get(m, 0.0), bns_p.get(m, 0.0)]
-            for m in sorted(trace_p.keys() | bns_p.keys())]
+    trace_p, bns_p = (dict(zip(d.support, d.floats)) for d in (trace_dist, bns_dist))
     out = params["out"]
-    _write_csv(out, ["m", "p_trace", "p_bns"], rows)
+    _write_lines(out, ["m,p_trace,p_bns", *[
+        f"{m},{trace_p.get(m, 0.0):{FLOAT_FORMAT}},{bns_p.get(m, 0.0):{FLOAT_FORMAT}}"
+        for m in sorted(trace_p.keys() | bns_p.keys())]])
     base = _base(out)
     trace_csv = base + "_trace_exact.csv"
     bns_csv = base + "_bns_exact.csv"

@@ -10,12 +10,17 @@ Conventions shared by every module in the package:
 * one size policy: ``_check_dense_bytes`` refuses, before allocating, any
   dense array above the 512 MiB budget with a ``DimensionError``, and
   ``_block_items`` sizes batched blocks by the same budget, capped at
-  ``_BLOCK_ROWS`` states.
+  ``_BLOCK_ROWS`` states;
+* one output format: floats are written at ``FLOAT_FORMAT`` (17 significant
+  digits, enough to read every float back exactly), and every CSV table and
+  JSON report is written by ``_write_lines``, UTF-8 with LF line endings, in
+  one write.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import operator
 import struct
 from dataclasses import InitVar, dataclass
@@ -42,6 +47,7 @@ EIGENVALUE_FLOOR = -1e-10
 TRACE_TOL = 1e-10
 _DENSE_BYTES_LIMIT = 512 * 2**20  # largest dense array the package may allocate
 _BLOCK_ROWS = 256  # most states in one batched block; a constant, so block shapes never depend on the machine
+FLOAT_FORMAT = ".17g"  # the format of every float the package writes to a file
 
 
 class DimensionError(ValueError):
@@ -57,6 +63,21 @@ def _check_dense_bytes(n_bytes: int, what: str) -> None:
 def _mib(n_bytes: int) -> str:
     """A byte count in MiB: whole MiB from 1 MiB up, four significant digits below."""
     return f"{n_bytes / 2**20:.0f} MiB" if n_bytes >= 2**20 else f"{n_bytes / 2**20:.4g} MiB"
+
+
+def _write_lines(path, lines) -> None:
+    """The lines, each ended by LF, written to ``path`` as UTF-8 in one write."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_json(path, payload: dict) -> None:
+    """``payload`` as indented JSON with sorted keys and a final LF, encoded once.
+
+    The bytes are those of ``json.dump`` with the same settings, which writes the
+    indented encoder's many small chunks one at a time.
+    """
+    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def _block_items(item_bytes: int, rows_per_item: int) -> int:

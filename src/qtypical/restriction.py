@@ -11,11 +11,12 @@ The two matrix-free restricted channels, ``RestrictedPartialTrace`` and
 ``bns.DetectorChannel``, send each basis state to a pure output given by its
 pattern. They share the exact quantities this gives (``_PatternChannel``), all
 counts: d_R = C(N, Np), the diagonal canonical state, the Choi purity gated on
-two exact routes, and the Lipschitz constant ``exact_eta``. Neither forms a
-Choi matrix or any 2^N buffer. The partial trace gathers each output block
-from contiguous runs of the basis and takes its distances block by block; the
-detector sums its input into the tables of a grouping plan, sized from counts
-first. Only that plan and ``kraus`` enumerate a basis, through the one builder
+the integer equality of two exact routes (the second multiplies truncated
+tables by shift-adds, ``_shift_add``), and the Lipschitz constant
+``exact_eta``. Neither forms a Choi matrix or any 2^N buffer. The partial
+trace gathers each output block from contiguous runs of the basis and takes
+its distances block by block; the detector sums its input into the tables of
+a grouping plan, sized from counts first. Only that plan and ``kraus`` enumerate a basis, through the one builder
 of basis and pattern arrays, ``_weight_class``, which refuses numbers wider
 than int64. ``restrict_channel`` pulls back any dense channel, and it is the
 oracle both structured classes are tested against."""
@@ -28,7 +29,13 @@ from math import comb
 
 import numpy as np
 
-from .channels import QuantumChannel, _gated_linear_entropy, _minimal_channel, _state_block
+from .channels import (
+    ConsistencyError,
+    QuantumChannel,
+    _gated_linear_entropy,
+    _minimal_channel,
+    _state_block,
+)
 from .qcore import DensityOperator, DimensionError, _check_dense_bytes
 
 __all__ = [
@@ -140,31 +147,54 @@ def _marginal_square_product(n_excited: int, sq: int, eq: int) -> int:
 
     It counts the triples (s, s', e) of two system patterns and one environment
     pattern with |s| + |e| = |s'| + |e| = Np: the pairs of basis states that share
-    their environment pattern.
+    their environment pattern. The product is three shift-add chains.
     """
-    one = (0, 0, 1)
-    return _truncated_product([([one, (1, 0, 1)], sq), ([one, (0, 1, 1)], sq),
-                               ([one, (1, 1, 1)], eq)], n_excited)
+    table = _unit_table(n_excited)
+    for dx, dy, power in ((1, 0, sq), (0, 1, sq), (1, 1, eq)):
+        _shift_add(table, dx, dy, power)
+    return int(table[n_excited, n_excited])
 
 
-def _truncated_product(factors, degree: int) -> int:
-    """[x^degree y^degree] of a product of bivariate polynomials with integer coefficients.
-
-    ``factors`` lists (terms, power) pairs, each term a triple (p, q, coefficient) of
-    x^p y^q; the factors are multiplied into one table that keeps degrees up to
-    ``degree`` in each variable, in exact integers.
-    """
-    size = degree + 1
-    table = np.zeros((size, size), dtype=object)
+def _unit_table(degree: int) -> np.ndarray:
+    """The polynomial 1 as a table of exact integers up to ``degree`` in x and in y."""
+    table = np.zeros((degree + 1, degree + 1), dtype=object)
     table[0, 0] = 1
-    for terms, power in factors:
+    return table
+
+
+def _shift_add(table: np.ndarray, dx: int, dy: int, power: int) -> np.ndarray:
+    """``table`` times (1 + x^dx y^dy)^power in place, truncated to its shape; returns it.
+
+    ``table[p, q]`` is the exact-integer coefficient of x^p y^q, and terms beyond the
+    table are dropped. Each of the ``power`` factors is one shift-add of the table,
+    moved dx rows down and dy columns right, onto itself; numpy buffers the
+    overlapping operand, so each step adds the table as it was before the step. No
+    product of integers is taken. At least one of dx and dy is positive.
+    """
+    rows, cols = table.shape
+    if dx < rows and dy < cols:
+        target, source = table[dx:, dy:], table[:rows - dx, :cols - dy]
         for _ in range(power):
-            product = np.zeros((size, size), dtype=object)
-            for p, q, value in terms:
-                if p < size and q < size:
-                    product[p:, q:] += value * table[:size - p, :size - q]
-            table = product
-    return int(table[degree, degree])
+            target += source
+    return table
+
+
+def _exact_purity_routes(closed_form: int, product: int, denominator: int
+                         ) -> tuple[float, float]:
+    """The two routes' purities, their exact numerators over ``denominator`` divided once.
+
+    The numerators are compared as integers first, and any difference is a
+    ConsistencyError: the float gate of ``ROUTE_TOL`` cannot see one once the purity
+    itself is below that tolerance. The message gives the difference's size in bits,
+    which stays printable however large the numerators are.
+    """
+    purities = closed_form / denominator, product / denominator
+    if closed_form != product:
+        raise ConsistencyError(
+            f"the exact purity routes differ: closed form {purities[0]!r}, table product "
+            f"{purities[1]!r}, numerators a {abs(product - closed_form).bit_length()}-bit "
+            f"integer apart")
+    return purities
 
 
 class _PatternChannel:
@@ -351,11 +381,12 @@ class RestrictedPartialTrace(_PatternChannel):
 
         Both count the pairs of basis states that share an environment pattern,
         sum_w C(eq, w) C(split, Np - w)^2 and [x^Np y^Np] (1 + x)^split (1 + y)^split
-        (1 + xy)^eq, in exact integers, each divided once by C(N, Np)^2.
+        (1 + xy)^eq, in exact integers, checked equal and then each divided once by
+        C(N, Np)^2 (``_exact_purity_routes``).
         """
         args = (self.n_excited, self.split, self.n_sites - self.split)
-        return (_marginal_square_sum(*args) / self.dim_in**2,
-                _marginal_square_product(*args) / self.dim_in**2)
+        return _exact_purity_routes(_marginal_square_sum(*args),
+                                    _marginal_square_product(*args), self.dim_in**2)
 
     @property
     def kraus(self) -> np.ndarray:

@@ -67,7 +67,6 @@ later ``os.fork`` warns when other threads, such as OpenBLAS's, are running.
 
 from __future__ import annotations
 
-import json
 import math
 import mmap
 import operator
@@ -87,6 +86,7 @@ from .qcore import (
     _check_dense_bytes,
     _derive_seeds,
     _haar_rows,
+    _write_json,
     derive_seed,
 )
 
@@ -361,9 +361,7 @@ class TypicalityReport:
         return data
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, self.to_json_dict())
 
 
 def run_experiment(cfg: ExperimentConfig) -> TypicalityReport:

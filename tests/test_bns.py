@@ -3,7 +3,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -434,6 +434,56 @@ def test_bns_distribution_saturates_at_high_filling():
     assert dist.probability(4) == 1
 
 
+def test_reduced_pairs_equal_fractions_on_every_small_spec():
+    # the ratio recurrence of the hypergeometric law against Fraction, on every
+    # (N, Np, k) with N <= 30: supports that start above 0 and supports cut at k < Np
+    seen = set()
+    for n in range(31):
+        for np_exc in range(n + 1):
+            for k in range(n + 1):
+                dist = energy_distribution_trace(n, np_exc, k)
+                assert len(dist.ratios) == len(dist.counts) - 1
+                assert dist.counts == tuple(comb(k, m) * comb(n - k, np_exc - m)
+                                            for m in dist.support)
+                fractions = [Fraction(c, dist.total) for c in dist.counts]
+                assert list(dist.reduced()) == [(f.numerator, f.denominator) for f in fractions]
+                assert dist.floats == tuple(map(float, fractions))
+                if dist.support[0] > 0:
+                    seen.add("lo > 0")
+                if dist.support[-1] == k < np_exc:
+                    seen.add("hi = k < Np")
+    assert seen == {"lo > 0", "hi = k < Np"}
+
+
+@pytest.mark.parametrize("n,np_exc,k", [(10000, 200, 1000), (20000, 1000, 1000),
+                                        (10000, 9900, 1000)])
+def test_reduced_pairs_equal_the_gcd_route_at_paper_scale(n, np_exc, k):
+    dist = energy_distribution_trace(n, np_exc, k)
+    general = ExactDistribution(dist.support, dist.counts, dist.total)
+    assert dist.ratios and not general.ratios
+    assert list(dist.reduced()) == list(general.reduced()) == [
+        (c // gcd(c, dist.total), dist.total // gcd(c, dist.total)) for c in dist.counts]
+
+
+def test_distribution_from_ratios_refuses_an_inexact_ratio():
+    assert ExactDistribution._from_ratios((0, 1), 1, ((3, 1),), 4).counts == (1, 3)
+    with pytest.raises(ValueError, match="no integer count"):
+        ExactDistribution._from_ratios((0, 1), 1, ((3, 2),), 4)
+    for ratio in ((0, 1), (3, -1), (3, 0)):
+        with pytest.raises(ValueError, match="not positive"):
+            ExactDistribution._from_ratios((0, 1), 1, (ratio,), 4)
+    with pytest.raises(ValueError, match="exactly 1"):
+        ExactDistribution._from_ratios((0, 1), 1, ((2, 1),), 4)
+
+
+def test_distribution_csv_bytes_do_not_depend_on_the_reduction_route(tmp_path):
+    dist = energy_distribution_trace(300, 40, 90)
+    ours, general = tmp_path / "ratios.csv", tmp_path / "gcd.csv"
+    write_distribution_csv(ours, dist)
+    write_distribution_csv(general, ExactDistribution(dist.support, dist.counts, dist.total))
+    assert ours.read_bytes() == general.read_bytes()
+
+
 def test_distribution_csv_format(tmp_path):
     dist = energy_distribution_bns(4, 2, 2)
     path = tmp_path / "dist.csv"
@@ -473,6 +523,12 @@ def test_detector_purity_routes_are_equal_rationals():
                 args = (n, n_blocks, n_excited)
                 assert _purity_numerator_closed_form(*args) \
                     == _purity_numerator_convolution(*args), (n_sites, *args)
+
+
+def test_detector_purity_routes_agree_at_200_20_100():
+    # (N/k, k, Np) = (10, 20, 100): the convolution's windows shrink from below
+    # from the 11th block on
+    assert _purity_numerator_convolution(10, 20, 100) == _purity_numerator_closed_form(10, 20, 100)
 
 
 @pytest.mark.parametrize("args,numerator", [

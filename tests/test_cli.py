@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtypical import cli, typicality
+from qtypical import bns, cli, restriction, typicality
 from qtypical.bns import DetectorChannel, bns_channel
 from qtypical.cli import UsageError, build_channel, main
 from qtypical.channels import (
@@ -663,6 +663,36 @@ def test_restricted_partial_trace_entropy_needs_no_basis(tmp_path):
     data = json.loads(out.read_text())
     assert (data["dim_in"], data["dim_out"]) == (comb(40, 20), 256)
     assert data["purity_route_difference"] == 0.0
+
+
+@pytest.mark.parametrize("module,route,argv", [
+    (restriction, "_marginal_square_product", ["partial-trace", "--N", 40, "--Np", 20,
+                                               "--split", 8]),
+    (restriction, "_marginal_square_sum", ["partial-trace", "--N", 100, "--Np", 50,
+                                           "--split", 10]),
+    (bns, "_purity_numerator_convolution", ["bns", "--N", 200, "--k", 20, "--Np", 100]),
+])
+def test_exact_purity_routes_one_apart_exit_4(tmp_path, capsys, monkeypatch, module, route,
+                                              argv):
+    # the purities are 3.8e-10, 1.8e-27 and 1.1e-59, below the float gate's 1e-8: only
+    # the integer comparison of the two numerators sees a difference of 1
+    exact = getattr(module, route)
+    monkeypatch.setattr(module, route, lambda *args: exact(*args) + 1)
+    out = tmp_path / "entropy.json"
+    assert run(["entropy", "--channel", *argv, "--out", out]) == 4
+    assert "exact purity routes differ" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_writer_bytes_equal_json_dump(tmp_path):
+    payload = {"b": [1.0, 1 / 3, 5e-324, {"z": None, "a": True}], "a": "é", "c": 10**40,
+               "d": [], "e": {}, "f": float("inf")}
+    ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
+    cli._write_json(str(ours), payload)
+    with open(theirs, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert ours.read_bytes() == theirs.read_bytes()
 
 
 def test_replayed_out_of_range_value_is_a_usage_error(tmp_path, capsys):

@@ -22,6 +22,7 @@ from qtypical.restriction import (
     _weight_class,
     _marginal_square_product,
     _marginal_square_sum,
+    _shift_add,
     effective_environment_dimension,
     enumerate_basis,
     restrict_channel,
@@ -288,6 +289,28 @@ def test_table_product_purity_route_equals_the_enumerated_count(n):
             pairs = int(np.sum(counts * counts))
             assert _marginal_square_product(np_exc, sq, eq) == pairs, (n, np_exc, sq)
             assert _marginal_square_sum(np_exc, sq, eq) == pairs, (n, np_exc, sq)
+
+
+def test_table_product_purity_route_equals_the_closed_form_at_60_30_10():
+    assert _marginal_square_product(30, 10, 50) == _marginal_square_sum(30, 10, 50)
+
+
+@pytest.mark.parametrize("shape,dx,dy,power", [
+    ((5, 5), 1, 0, 3), ((5, 5), 0, 1, 7), ((4, 6), 1, 1, 5), ((6, 4), 2, 3, 2),
+    ((3, 3), 3, 1, 4), ((3, 3), 0, 5, 2), ((4, 4), 1, 1, 0),
+])
+def test_shift_add_multiplies_by_the_binomial_power(shape, dx, dy, power):
+    # the table times (1 + x^dx y^dy)^power, expanded term by term and truncated
+    rng = np.random.default_rng(derive_seed(5, dx * 10 + dy))
+    start = rng.integers(0, 10**6, size=shape).astype(object) * 10**30
+    expected = np.zeros(shape, dtype=object)
+    for i in range(power + 1):
+        p, q = i * dx, i * dy
+        if p < shape[0] and q < shape[1]:
+            expected[p:, q:] += comb(power, i) * start[:shape[0] - p, :shape[1] - q]
+    table = start.copy()
+    assert _shift_add(table, dx, dy, power) is table
+    assert table.tolist() == expected.tolist()
 
 
 def test_partial_trace_runs_tile_the_basis_past_the_old_plan_limit():
