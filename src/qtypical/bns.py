@@ -14,11 +14,13 @@ happens for every N >= 13. On the fixed-excitation subspace the detector is
 pattern of each basis state, its canonical state is the exact spectrum, and
 its Choi purity is an exact count from a generating function, so it never
 forms the tensor power or a Choi matrix, and only the plan that applies it
-and its on-demand Kraus family enumerate a basis.
+and its on-demand Kraus family enumerate a basis. It counts its spectrum once,
+and its row bytes check its plan from those counts before any draw or index array.
 
 The canonical spectrum and the two excitation-count distributions are exact
 integer counts of excitation patterns over their one common denominator
-C(N, Np), and stay valid up to N = 10000 and beyond. Their binomials come in
+C(N, Np), and stay valid up to N = 10000 and beyond; the detector's law is the
+spectrum's own ``sectors``, so its counts are checked once. Their binomials come in
 rows from exact ratio recurrences (``_binomial_row``), one big-integer
 product and one exact division per entry, instead of one ``math.comb`` each;
 the hypergeometric counts of the kept-sites law come from their own ratio
@@ -31,11 +33,12 @@ divided by the total, taken once per row at the output boundary. The exact
 CSV reduces each row to lowest terms: by one gcd of its count and the total
 in general, and for the hypergeometric law from the row before and the small
 ratio between them, with two gcds of a big and a small integer, so that only
-its first row pays a full gcd.
+its first row pays a full gcd. Its integers may have any number of digits.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,6 +48,7 @@ from operator import sub
 
 import numpy as np
 
+from . import qcore
 from .channels import (
     KRAUS_EIGENVALUE_CUTOFF,
     QuantumChannel,
@@ -88,12 +92,11 @@ def _check_block_size(n: int) -> None:
         raise DimensionError(f"block size {n} exceeds the dense limit {BLOCK_LIMIT}")
 
 
-def block_choi(n: int, coherence_scale: float = 1.0) -> np.ndarray:
-    """Choi matrix of the n-site block map, with an optional coherence rescaling.
+def block_choi(n: int) -> np.ndarray:
+    """Choi matrix of the n-site block map.
 
-    ``coherence_scale`` multiplies the 1/sqrt(2^n - 1) factor; the default 1.0
-    sits exactly on the complete-positivity boundary, and any value above it
-    produces a negative eigenvalue.
+    Its coherence factor 1/sqrt(2^n - 1) sits exactly on the complete-positivity
+    boundary: any larger factor produces a negative eigenvalue.
     """
     _check_block_size(n)
     d = 2**n
@@ -102,7 +105,7 @@ def block_choi(n: int, coherence_scale: float = 1.0) -> np.ndarray:
     j[0, 0] = 1.0 / d
     for s in range(1, d):
         j[d + s, d + s] = 1.0 / d
-    c = coherence_scale / np.sqrt(d - 1.0) if d > 1 else 0.0
+    c = 1.0 / np.sqrt(d - 1.0)
     for s in range(1, d):
         j[0, d + s] = c / d
         j[d + s, 0] = c / d
@@ -191,20 +194,6 @@ def _occupied_counts(n: int, n_excited: int, j_max: int) -> list[int]:
     return counts
 
 
-def _check_counts(counts, total: int) -> None:
-    """Refuse counts that are not nonnegative integers adding up to exactly ``total``.
-
-    The counts over ``total`` are then probabilities that sum to exactly 1: the exact
-    normalisation check, in integer arithmetic.
-    """
-    if not all(isinstance(c, int) for c in (*counts, total)):
-        raise TypeError("exact distributions take integer counts only")
-    if any(c < 0 for c in counts):
-        raise ValueError("negative count")
-    if total < 1 or sum(counts) != total:
-        raise ValueError("probabilities do not sum to exactly 1")
-
-
 @dataclass(frozen=True)
 class BnSCanonicalSpectrum:
     """Exact spectrum of the canonical state of the block-detector channel.
@@ -212,10 +201,10 @@ class BnSCanonicalSpectrum:
     ``counts[m]`` is the number of excitation patterns that occupy exactly a
     given set of m blocks, and ``total`` their common denominator C(N, Np), so
     each output basis string with m excited effective atoms has the weight
-    counts[m] / total. ``sector_counts[m]`` is C(k, m) counts[m], the patterns
-    of the whole sector; construction checks that the counts are nonnegative
-    and that the sector counts add up to exactly ``total``. The ``weights`` and
-    ``sector_probability`` dictionaries are the reduced ``Fraction`` views.
+    counts[m] / total. ``sectors`` is the law of m, the detector's
+    excitation-count distribution: the ``ExactDistribution`` of the sector
+    counts C(k, m) counts[m] over ``total``, whose construction checks that they
+    are nonnegative and add up to exactly ``total``.
     """
 
     N: int
@@ -223,26 +212,15 @@ class BnSCanonicalSpectrum:
     k: int
     counts: dict
     total: int
-    sector_counts: dict = field(init=False, repr=False, compare=False)
+    sectors: ExactDistribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(not 0 <= m <= self.k for m in self.counts):
             raise ValueError(f"sector outside [0, {self.k}]")
+        support = tuple(sorted(self.counts))
         sizes = _binomial_row(self.k, 0, max(self.counts, default=0) + 1)
-        object.__setattr__(self, "sector_counts",
-                           {m: sizes[m] * c for m, c in self.counts.items()})
-        _check_counts(self.sector_counts.values(), self.total)
-
-    @cached_property
-    def weights(self) -> dict:
-        return {m: Fraction(c, self.total) for m, c in self.counts.items()}
-
-    @cached_property
-    def sector_probability(self) -> dict:
-        return {m: Fraction(c, self.total) for m, c in self.sector_counts.items()}
-
-    def weight(self, m: int) -> Fraction:
-        return Fraction(self.counts.get(m, 0), self.total)
+        object.__setattr__(self, "sectors", ExactDistribution(
+            support, tuple(sizes[m] * self.counts[m] for m in support), self.total))
 
     def diagonal(self) -> np.ndarray:
         """Float diagonal of the canonical state over the 2^k output basis.
@@ -445,14 +423,20 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
         c = 1.0 / np.sqrt(2.0 ** (self.n_sites // self.n_blocks) - 1.0)
         return c ** _popcount(np.arange(self.dim_out, dtype=np.int64), self.n_blocks)
 
+    @cached_property
+    def _spectrum(self) -> BnSCanonicalSpectrum:
+        """The exact canonical spectrum, counted once per channel."""
+        return canonical_spectrum(self.n_sites, self.n_excited, self.n_blocks)
+
     def _check_plan_bytes(self) -> None:
         """Refuse a plan above 512 MiB, 24 (memberships + 4^k) bytes, before any index array.
 
         A state of pattern y is a member of the 2^|y| groups within y, so there are
-        sum_m sector_counts[m] 2^m memberships; the bytes cover the 8 d_R of the basis.
+        sum_m C(k, m) counts[m] 2^m memberships (the sector law); the bytes cover the
+        8 d_R of the basis.
         """
-        spectrum = canonical_spectrum(self.n_sites, self.n_excited, self.n_blocks)
-        memberships = sum(c << m for m, c in spectrum.sector_counts.items())
+        sectors = self._spectrum.sectors
+        memberships = sum(c << m for m, c in zip(sectors.support, sectors.counts))
         _check_dense_bytes(8 * 3 * (memberships + self.dim_out**2),
                            f"the grouping plan of the {self.dim_in}-state detector input")
 
@@ -462,8 +446,8 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
 
         Group S sums each basis state whose pattern contains S into the cell (its
         pattern, its configuration on S) and keeps the pattern pairs sharing exactly S.
+        ``apply_pure_batch`` builds it after ``_row_bytes`` has checked its bytes.
         """
-        self._check_plan_bytes()
         x = enumerate_basis(self.n_sites, self.n_excited).indices
         y, d_out = self._patterns(x), self.dim_out
         masks, coherences = self._site_masks(), self._coherences()
@@ -478,12 +462,17 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
                                             keep, coherence, d_out))
         return tuple(groups)
 
-    @property
+    @cached_property
     def _row_bytes(self) -> int:
         """Bytes one row of ``apply_pure_batch`` allocates: its output plus the largest
         group's gathered amplitudes, table, Gram matrix and selected entries, counted
-        by ``_largest_group_work`` without building the plan."""
-        return 16 * (self.dim_out**2 + self._largest_group_work())
+        once per channel by ``_largest_group_work`` without building the plan. No row
+        is applied without the plan, so the plan's bytes are checked first, unless the
+        largest group alone is over budget, which refuses every row."""
+        work = 16 * self._largest_group_work()
+        if work <= qcore._DENSE_BYTES_LIMIT:
+            self._check_plan_bytes()
+        return 16 * self.dim_out**2 + work
 
     def _largest_group_work(self) -> int:
         """Complex entries per state that the plan's largest group allocates, from counts.
@@ -498,7 +487,7 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
         + 2 kept entries, and the plan keeps the groups with a kept pair.
         """
         n, k, n_excited = self.n_sites // self.n_blocks, self.n_blocks, self.n_excited
-        counts = canonical_spectrum(self.n_sites, n_excited, k).counts
+        counts = self._spectrum.counts
         occupied = [_occupied_counts(n, w, k) for w in range(n_excited + 1)]
         works = []
         for s in range(k + 1):
@@ -528,13 +517,13 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
 
     def _canonical_diagonal(self) -> np.ndarray:
         """The exact canonical spectrum."""
-        return canonical_spectrum(self.n_sites, self.n_excited, self.n_blocks).diagonal()
+        return self._spectrum.diagonal()
 
     def _pattern_count(self) -> int:
         """C(k, m) summed over the excited-block counts m of the exact spectrum."""
-        counts = canonical_spectrum(self.n_sites, self.n_excited, self.n_blocks).counts
-        sizes = _binomial_row(self.n_blocks, 0, max(counts) + 1)
-        return sum(sizes[m] for m in counts)
+        sectors = self._spectrum.sectors
+        sizes = _binomial_row(self.n_blocks, 0, sectors.support[-1] + 1)
+        return sum(sizes[m] for m in sectors.support)
 
     def choi_purity_routes(self) -> tuple[float, float]:
         """(closed-form Choi purity, purity from the k-fold block-table product).
@@ -599,7 +588,12 @@ class ExactDistribution:
     def __post_init__(self):
         if len(self.support) != len(self.counts):
             raise ValueError("support and counts differ in length")
-        _check_counts(self.counts, self.total)
+        if not all(isinstance(c, int) for c in (*self.counts, self.total)):
+            raise TypeError("exact distributions take integer counts only")
+        if any(c < 0 for c in self.counts):
+            raise ValueError("negative count")
+        if self.total < 1 or sum(self.counts) != self.total:
+            raise ValueError("probabilities do not sum to exactly 1")
 
     @classmethod
     def _from_ratios(cls, support: tuple, first: int, ratios: tuple, total: int):
@@ -656,10 +650,7 @@ class ExactDistribution:
         return Fraction(sum(m * c for m, c in zip(self.support, self.counts)), self.total)
 
     def probability(self, m: int) -> Fraction:
-        for mm, c in zip(self.support, self.counts):
-            if mm == m:
-                return Fraction(c, self.total)
-        return Fraction(0)
+        return Fraction(dict(zip(self.support, self.counts)).get(m, 0), self.total)
 
 
 def _lowest_terms(numerator: int, denominator: int) -> tuple[int, int]:
@@ -690,11 +681,8 @@ def energy_distribution_trace(n_sites: int, n_excited: int, n_blocks: int) -> Ex
 
 
 def energy_distribution_bns(n_sites: int, n_excited: int, n_blocks: int) -> ExactDistribution:
-    """Distribution of the number of excited effective atoms under the detector map."""
-    spectrum = canonical_spectrum(n_sites, n_excited, n_blocks)
-    support = tuple(sorted(spectrum.sector_counts))
-    return ExactDistribution(support, tuple(spectrum.sector_counts[m] for m in support),
-                             spectrum.total)
+    """The detector's excitation-count distribution: the canonical spectrum's ``sectors``."""
+    return canonical_spectrum(n_sites, n_excited, n_blocks).sectors
 
 
 def bns_mean_exact(n_sites: int, n_excited: int, n_blocks: int) -> Fraction:
@@ -717,7 +705,17 @@ def write_distribution_csv(path, dist: ExactDistribution) -> None:
     one gcd per row in general, and two gcds with small integers per row for a law
     with ``ratios``, such as the hypergeometric law of ``energy_distribution_trace``.
     Each row is one f-string, and the file is written in one call, LF line endings.
+    Integers of any size are written: the int-to-str digit limit of Python 3.10.7 and
+    later is lifted for the rows and then restored.
     """
-    _write_lines(path, ["m,probability,numerator,denominator", *[
-        f"{m},{p:{FLOAT_FORMAT}},{a},{b}"
-        for m, p, (a, b) in zip(dist.support, dist.floats, dist.reduced())]])
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)  # C(16000, 8000) has 4815 digits
+    try:
+        lines = ["m,probability,numerator,denominator", *[
+            f"{m},{p:{FLOAT_FORMAT}},{a},{b}"
+            for m, p, (a, b) in zip(dist.support, dist.floats, dist.reduced())]]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    _write_lines(path, lines)

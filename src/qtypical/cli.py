@@ -320,9 +320,7 @@ def run_figure_bound(params: dict) -> list:
     if samples < 1:  # checked once: at N = 1 the Np loop below is empty
         raise UsageError(f"samples = {samples} must be >= 1")
     for np_excited in range(1, n):  # every plan and sample is checked before the first draw
-        channel = DetectorChannel(n, k, np_excited)
-        channel._check_plan_bytes()
-        _sample_row_bytes(channel)
+        _sample_row_bytes(DetectorChannel(n, k, np_excited))
     rows = []
     for np_excited in range(1, n):  # a fresh channel per row: one plan alive at a time
         report = run_experiment(ExperimentConfig(

@@ -32,8 +32,8 @@ a diagonal canonical state, an entropy gated on two exact purity counts, and
 place of the search's lower bound. ``restriction.RestrictedPartialTrace``
 gathers each weight block of its input from contiguous runs of the basis and
 enumerates no basis; ``bns.DetectorChannel`` sums its input into the tables
-of a grouping plan, which alone enumerates its basis, after a size check from
-counts.
+of a grouping plan, which alone enumerates its basis; its row bytes check the
+plan's bytes from counts first, since no row is applied without the plan.
 
 Sampling runs in chunks: each chunk fills one block with its Haar vectors in
 place (``qcore._haar_rows``: one generator per chunk, re-seeded before each
@@ -44,13 +44,13 @@ batched eigensolve; the restricted partial trace works block by block on its
 system weights and forms neither a d_S x d_S output nor a dense canonical
 state. A sample costs its state plus the channel's ``_distance_row_bytes``,
 and ``qcore._block_items`` makes the chunk as many samples as fit the 512 MiB
-dense budget, at most _BLOCK_ROWS; only a channel over budget at one sample
-is refused, before any work, as is a distances array (8 bytes a sample)
-over the budget. Sample i always uses seed
-derive_seed(master_seed, i), so it depends only on (master_seed, i). The
-chunk follows from the channel's dimensions and the fixed budget alone, so
-output bytes never depend on the machine or on any thread setting;
-QTYPICAL_THREADS is ignored.
+dense budget, at most _BLOCK_ROWS. ``_sample_row_bytes`` refuses a channel over
+budget at one sample, the detector's plan included, and a distances array (8
+bytes a sample) over budget is refused too: all before the first chunk. Sample
+i always uses seed derive_seed(master_seed, i), so it depends only on
+(master_seed, i). The chunk follows from the channel's dimensions and the fixed
+budget alone, so output bytes never depend on the machine or on any thread
+setting; QTYPICAL_THREADS is ignored.
 
 The chunks are shared among W processes: the caller runs the first chunk,
 which builds what the channel caches, then forks one worker for each further
@@ -271,7 +271,8 @@ def _work_and_exit(distances: np.ndarray, cfg: ExperimentConfig, chunk: int,
 def _sample_row_bytes(ch) -> int:
     """Bytes one sample needs, its state and the channel's ``_distance_row_bytes``.
 
-    Refused above the 512 MiB budget, so that a chunk of at least one sample fits.
+    Refused above the 512 MiB budget, the detector's plan first, so that a chunk of
+    at least one sample fits; ``figure-bound`` sizes each of its rows here too.
     """
     row = 16 * ch.dim_in + ch._distance_row_bytes
     _check_dense_bytes(row, f"one sampled state of dimension {ch.dim_in}, its output of "

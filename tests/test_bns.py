@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import matrix_unit
-from qtypical import bns
+from qtypical import bns, typicality
 from qtypical.bns import (
     BnSCanonicalSpectrum,
     DetectorChannel,
@@ -37,7 +37,7 @@ from qtypical.channels import (
 )
 from qtypical.qcore import DensityOperator, DimensionError, derive_seed, haar_sample
 from qtypical.restriction import enumerate_basis, restrict_channel
-from qtypical.typicality import ExperimentConfig, sample_distances
+from qtypical.typicality import ExperimentConfig, run_experiment, sample_distances
 
 
 def reference_block_action(n: int, s1: int, s2: int) -> np.ndarray:
@@ -119,7 +119,9 @@ def test_coherence_factor_sits_on_cp_boundary(n):
     # nominal factor: positive semidefinite within numerical noise
     assert np.linalg.eigvalsh(block_choi(n))[0] > -1e-12
     # 0.1% more coherence makes the Choi matrix clearly non-positive
-    scaled = block_choi(n, coherence_scale=1.0 + 1e-3)
+    scaled, d = block_choi(n), 2**n
+    scaled[0, d + 1:] *= 1.0 + 1e-3
+    scaled[d + 1:, 0] *= 1.0 + 1e-3
     assert np.linalg.eigvalsh(scaled)[0] < -1e-10
 
 
@@ -182,7 +184,7 @@ def test_bns_channel_on_microcanonical_half_filling():
 
 def test_spectrum_single_block_single_excitation():
     spec = canonical_spectrum(2, 1, 1)
-    assert spec.weights == {1: Fraction(1)}
+    assert spec.counts == {1: spec.total}
     np.testing.assert_allclose(spec.diagonal(), [0.0, 1.0])
 
 
@@ -190,7 +192,8 @@ def test_spectrum_single_block_single_excitation():
                          [(4, 2, 2), (9, 4, 3), (12, 5, 4), (12, 7, 12), (14, 3, 14)])
 def test_spectrum_diagonal_matches_popcount_loop(n_sites, n_excited, n_blocks):
     spec = canonical_spectrum(n_sites, n_excited, n_blocks)
-    loop = [float(spec.weight(y.bit_count())) for y in range(2**n_blocks)]
+    loop = [float(Fraction(spec.counts.get(y.bit_count(), 0), spec.total))
+            for y in range(2**n_blocks)]
     np.testing.assert_array_equal(spec.diagonal(), loop)
 
 
@@ -205,23 +208,25 @@ def test_spectrum_diagonal_refused_above_budget(small_dense_budget):
 
 def test_spectrum_half_filled_two_blocks():
     spec = canonical_spectrum(4, 2, 2)
-    assert spec.sector_probability == {1: Fraction(1, 3), 2: Fraction(2, 3)}
+    assert dict(zip(spec.sectors.support, spec.sectors.probabilities)) \
+        == {1: Fraction(1, 3), 2: Fraction(2, 3)}
 
 
 @pytest.mark.parametrize("n_sites,n_blocks", [(4, 2), (6, 2), (6, 3), (8, 4), (9, 3)])
 def test_spectrum_matches_brute_force_enumeration(n_sites, n_blocks):
     for n_excited in range(0, n_sites + 1):
         spec = canonical_spectrum(n_sites, n_excited, n_blocks)
-        assert spec.weights == brute_force_spectrum(n_sites, n_excited, n_blocks)
+        assert {m: Fraction(c, spec.total) for m, c in spec.counts.items()} \
+            == brute_force_spectrum(n_sites, n_excited, n_blocks)
 
 
 def test_spectrum_support_range():
     spec = canonical_spectrum(12, 5, 4)
     lo = -(-4 * 5 // 12)
     hi = min(5, 4)
-    assert set(spec.weights) == set(range(lo, hi + 1))
-    assert all(w > 0 for w in spec.weights.values())
-    assert spec.weight(lo - 1) == 0 and spec.weight(hi + 1) == 0
+    assert set(spec.counts) == set(range(lo, hi + 1))
+    assert all(c > 0 for c in spec.counts.values())
+    assert spec.sectors.probability(lo - 1) == 0 and spec.sectors.probability(hi + 1) == 0
 
 
 @pytest.mark.parametrize("n_sites", range(1, 17))
@@ -241,17 +246,15 @@ def test_supports_match_the_range_formulas(n_sites):
                 for m in trace.support)
             if k and n_sites % k == 0:
                 spectrum = canonical_spectrum(n_sites, n_excited, k)
-                assert tuple(spectrum.weights) == tuple(range(-(-k * n_excited // n_sites),
-                                                              hi + 1))
+                assert tuple(spectrum.counts) == tuple(range(-(-k * n_excited // n_sites),
+                                                             hi + 1))
                 n = n_sites // k
                 occupied = {m: sum((-1) ** (m - q) * comb(m, q) * comb(n * q, n_excited)
-                                   for q in range(m + 1)) for m in spectrum.weights}
-                assert spectrum.weights == {m: Fraction(c, d_r) for m, c in occupied.items()}
-                assert spectrum.sector_probability == {
-                    m: comb(k, m) * Fraction(c, d_r) for m, c in occupied.items()}
-                bns = energy_distribution_bns(n_sites, n_excited, k)
-                assert dict(zip(bns.support, bns.probabilities)) \
-                    == spectrum.sector_probability
+                                   for q in range(m + 1)) for m in spectrum.counts}
+                assert (spectrum.counts, spectrum.total) == (occupied, d_r)
+                assert dict(zip(spectrum.sectors.support, spectrum.sectors.probabilities)) \
+                    == {m: comb(k, m) * Fraction(c, d_r) for m, c in occupied.items()}
+                assert energy_distribution_bns(n_sites, n_excited, k) == spectrum.sectors
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,8 +263,8 @@ def test_spectrum_exact_normalization(block, k, data):
     n_sites = block * k
     n_excited = data.draw(st.integers(0, n_sites))
     spec = canonical_spectrum(n_sites, n_excited, k)
-    assert sum(spec.sector_probability.values()) == 1
-    assert all(w >= 0 for w in spec.weights.values())
+    assert sum(spec.sectors.probabilities) == 1
+    assert all(c >= 0 for c in spec.counts.values())
 
 
 @pytest.mark.parametrize("top", [0, 1, 2, 7, 16, 40])
@@ -327,8 +330,8 @@ def test_spectrum_sum_check_is_exact_at_paper_scale():
     spec = canonical_spectrum(10000, 200, 1000)
     scale = comb(10000, 200)
     scaled = {m: c * scale for m, c in spec.counts.items()}
-    assert BnSCanonicalSpectrum(10000, 200, 1000, scaled, spec.total * scale).weights \
-        == spec.weights
+    assert BnSCanonicalSpectrum(10000, 200, 1000, scaled, spec.total * scale).sectors \
+        .probabilities == spec.sectors.probabilities
     for m in (min(spec.counts), max(spec.counts)):
         for delta in (1, -1):
             off = dict(scaled)
@@ -605,12 +608,13 @@ def test_detector_plan_refused_above_budget(small_dense_budget, monkeypatch):
     (8, 2, 4), (9, 3, 4), (12, 4, 5), (16, 4, 8), (12, 12, 6), (10, 5, 10), (10, 10, 0),
     (20, 4, 10), (6, 1, 3), (6, 6, 1)])
 def test_plan_memberships_from_counts_equal_the_basis_sum(n_sites, n_blocks, n_excited):
-    # sum_x 2^|y(x)| over the basis equals sum_m sector_counts[m] 2^m of the spectrum
+    # sum_x 2^|y(x)| over the basis equals sum_m C(k, m) counts[m] 2^m of the spectrum
     ch = DetectorChannel(n_sites, n_blocks, n_excited)
     y = ch._patterns(enumerate_basis(n_sites, n_excited).indices)
     direct = sum(2 ** bin(p).count("1") for p in y.tolist())
     spectrum = canonical_spectrum(n_sites, n_excited, n_blocks)
-    assert direct == sum(c * 2**m for m, c in spectrum.sector_counts.items())
+    sectors = spectrum.sectors
+    assert direct == sum(c * 2**m for m, c in zip(sectors.support, sectors.counts))
     # the groups the plan keeps hold at most that many members
     assert sum(g.members.size for g in ch._plan) <= direct
 
@@ -637,6 +641,22 @@ def test_detector_row_bytes_build_no_plan(monkeypatch):
     with pytest.raises(DimensionError, match="one sampled state"):
         sample_distances(ExperimentConfig(channel=ch, samples=1, master_seed=0))
     assert "_plan" not in vars(ch)
+
+
+def test_detector_counts_its_spectrum_once_per_channel(monkeypatch):
+    # one run of 16 chunks: the spectrum is counted once, and the occupied counts
+    # only by the spectrum, the row bytes' group work and the purity closed form
+    calls = {"canonical_spectrum": 0, "_occupied_counts": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(bns, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(bns, name, counting)
+    monkeypatch.setattr(typicality, "_worker_count", lambda chunks, chunk_bytes: 1)
+    run_experiment(ExperimentConfig(channel=DetectorChannel(8, 4, 4), samples=4000,
+                                    master_seed=3, eta_mode="estimated"))
+    assert calls["canonical_spectrum"] == 1
+    assert calls["_occupied_counts"] <= 11
 
 
 def test_detector_holds_no_basis_and_counts_its_dimension():

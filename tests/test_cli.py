@@ -6,6 +6,7 @@ import runpy
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -236,6 +237,27 @@ def test_figure_energy_paper_scale_bytes(tmp_path):
         "energy_bns_exact.csv":
             "5ccfeedd712aed1bd3b0c39673995cfb282033ce28d9fbd5bf6d992519ab3705",
     }
+
+
+def test_figure_energy_writes_integers_of_any_size(tmp_path):
+    # C(16000, 8000) has 4815 digits, past the interpreter's default limit of 4300 on
+    # an int written as a string; the writer lifts it for its rows and restores it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    before = limit()
+    out = tmp_path / "e.csv"
+    assert run(["figure-energy", "--N", 16000, "--Np", 8000, "--k", 2, "--out", out]) == 0
+    assert limit() == before
+    rows = [row.split(",") for row in (tmp_path / "e_bns_exact.csv").read_text().splitlines()]
+    numerator, denominator = next(row[2:] for row in rows if row[0] == "2")
+    total = comb(16000, 8000)
+    expected = Fraction(total - 2, total)
+    if before:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert (int(numerator), int(denominator)) == (expected.numerator, expected.denominator)
+    finally:
+        if before:
+            sys.set_int_max_str_digits(before)
 
 
 def test_figure_energy_rejects_bad_blocking(tmp_path):
@@ -579,8 +601,8 @@ def test_out_of_range_value_is_a_usage_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("argv, message", [
     (["entropy", "--channel", "identity", "--d", 20000], "MiB"),  # the 512 MiB budget
-    # the detector's entropy at 30/5/15 is a count, but its 111219 MiB grouping plan is
-    # refused from counts, before its basis or any state exists
+    # the detector's entropy at 30/5/15 is a count, but one sample (9169 MiB) is refused
+    # from counts, before its basis, its 111219 MiB grouping plan or any state exists
     (["typicality", "--config", {"channel": {"type": "bns", "N": 30, "k": 5, "Np": 15},
                                  "samples": 10, "master_seed": 1}], "MiB"),
     (["entropy", "--channel", "bns", "--N", 11, "--k", 1], "dense limit"),  # BLOCK_LIMIT
@@ -588,8 +610,11 @@ def test_out_of_range_value_is_a_usage_error(tmp_path, capsys, command):
     (["typicality", "--config", {"channel": {"type": "identity", "d": 2},
                                  "samples": 10**10, "master_seed": 1}], "MiB"),
     (["figure-bound", "--N", 4, "--k", 2, "--samples", 10**10], "MiB"),
+    # the detector's 1006 MiB grouping plan at 20/10/10, where one sample fits
+    (["typicality", "--config", {"channel": {"type": "bns", "N": 20, "k": 10, "Np": 10},
+                                 "samples": 10, "master_seed": 1}], "1006 MiB"),
 ], ids=["budget", "detector-plan", "block-limit", "typicality-distances",
-        "figure-bound-distances"])
+        "figure-bound-distances", "detector-plan-before-draw"])
 def test_size_refusal_of_a_spec_is_still_a_data_error(tmp_path, capsys, monkeypatch, argv,
                                                       message):
     draws = []

@@ -1,8 +1,10 @@
-"""Every module's ``__all__`` resolves, and the package imports only listed names."""
+"""Every module's ``__all__`` resolves, the package imports only listed names, and its
+version is the one in ``pyproject.toml``."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -39,3 +41,13 @@ def test_package_imports_only_exported_names():
         assert exported is not None, f"__init__ imports from {name}, which has no __all__"
         unlisted = sorted(set(names) - set(exported))
         assert not unlisted, f"__init__ imports {unlisted} from {name}, not in its __all__"
+
+
+def test_version_matches_pyproject():
+    # a release bumps both; the [project] table is read as text, since tomllib
+    # is not in the standard library before Python 3.11
+    text = (PACKAGE_DIR.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    version = re.search(r'^version = "([^"]+)"$', project, re.MULTILINE)
+    assert version is not None, "pyproject.toml's [project] table has no version"
+    assert qtypical.__version__ == version.group(1)
