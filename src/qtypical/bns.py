@@ -268,15 +268,14 @@ def canonical_spectrum(n_sites: int, n_excited: int, n_blocks: int) -> BnSCanoni
 # ``DetectorChannel.choi_purity_routes`` checks the two integers equal.
 
 
-def _purity_numerator_closed_form(n: int, n_blocks: int, n_excited: int) -> int:
+def _purity_numerator_closed_form(n: int, n_blocks: int, n_excited: int, alpha: list) -> int:
     """Scaled purity numerator from the expansion of g^k over the doubly occupied blocks.
 
     g^k = sum_a C(k, a) (1 + uv)^(n a) c^(2 (k - a)) (A(u) + A(v))^(k - a) with
     A = (1 + u)^n - 1, so the [u^Np v^Np] coefficient is a finite sum over a, the
     (uv)^t term of (1 + uv)^(n a) and the j blocks of the remaining k - a that
-    sit in the u copy, of the occupied counts alpha_j(Np - t).
+    sit in the u copy, of the occupied counts alpha_j(Np - t) = ``alpha[Np - t][j]``.
     """
-    alpha = [_occupied_counts(n, r, n_blocks) for r in range(n_excited + 1)]
     # split[m][r] = [u^r v^r] (A(u) + A(v))^m = sum_j C(m, j) alpha_j(r) alpha_(m - j)(r). The
     # terms j and m - j are equal, so the sum is twice its terms j < m / 2, plus the
     # middle term j = m / 2 when m is even.
@@ -424,6 +423,13 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
         return c ** _popcount(np.arange(self.dim_out, dtype=np.int64), self.n_blocks)
 
     @cached_property
+    def _occupied(self) -> list[list[int]]:
+        """alpha_j(w) = ``_occupied_counts(n, w, k)[j]`` for w = 0 .. Np, counted once per
+        channel for the purity closed form and the plan's group work."""
+        n = self.n_sites // self.n_blocks
+        return [_occupied_counts(n, w, self.n_blocks) for w in range(self.n_excited + 1)]
+
+    @cached_property
     def _spectrum(self) -> BnSCanonicalSpectrum:
         """The exact canonical spectrum, counted once per channel."""
         return canonical_spectrum(self.n_sites, self.n_excited, self.n_blocks)
@@ -487,8 +493,7 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
         + 2 kept entries, and the plan keeps the groups with a kept pair.
         """
         n, k, n_excited = self.n_sites // self.n_blocks, self.n_blocks, self.n_excited
-        counts = self._spectrum.counts
-        occupied = [_occupied_counts(n, w, k) for w in range(n_excited + 1)]
+        counts, occupied = self._spectrum.counts, self._occupied
         works = []
         for s in range(k + 1):
             free, held = k - s, [m for m in counts if m >= s]
@@ -533,7 +538,7 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
         """
         n = self.n_sites // self.n_blocks
         args = (n, self.n_blocks, self.n_excited)
-        return _exact_purity_routes(_purity_numerator_closed_form(*args),
+        return _exact_purity_routes(_purity_numerator_closed_form(*args, self._occupied),
                                     _purity_numerator_convolution(*args),
                                     (2**n - 1) ** self.n_blocks * self.dim_in**2)
 

@@ -3,7 +3,7 @@
 A channel stores its Kraus family as one read-only, C-contiguous complex128
 array of shape (n_kraus, dim_out, dim_in); its (n_kraus*dim_out, dim_in)
 reshape is the stacked family that every action multiplies with. The Choi
-matrix is derived on demand and cached. Channel algebra (compose / tensor),
+matrix is derived on demand and never kept. Channel algebra (compose / tensor),
 entropy, and a Lipschitz-constant lower bound all live here. Choi matrices
 use the convention J = (channel x id) applied to the maximally entangled
 state, with the output factor leading, so J has dimension dim_out * dim_in
@@ -142,16 +142,12 @@ class QuantumChannel(_EigensolveDistances):
         return self.kraus.shape[0]
 
     def choi(self) -> "ChoiState":
-        """Choi state of the channel; computed once and cached."""
-        cached = getattr(self, "_choi_cache", None)
-        if cached is None:
-            j = _choi_matrix(self.kraus, self.dim_in)
-            # a Gram matrix is positive semidefinite by construction, so the
-            # eigenvalue check would only burn an O(dim^3) eigendecomposition
-            cached = ChoiState(self.dim_in, self.dim_out,
-                               DensityOperator(j, validate=False))
-            object.__setattr__(self, "_choi_cache", cached)
-        return cached
+        """Choi state of the channel, built and validated afresh on each call; the Choi
+        matrix and its validated copy, twice the Choi bytes, are alive at once."""
+        # a Gram matrix is positive semidefinite by construction, so the
+        # eigenvalue check would only burn an O(dim^3) eigendecomposition
+        return ChoiState(self.dim_in, self.dim_out,
+                         DensityOperator(_choi_matrix(self.kraus, self.dim_in), validate=False))
 
     # -- action -----------------------------------------------------------
 
@@ -208,10 +204,8 @@ class QuantumChannel(_EigensolveDistances):
     # -- scalar diagnostics -------------------------------------------------
 
     def linear_entropy(self) -> float:
-        """1 - tr(J^2), computed by two independent routes.
+        """1 - tr(J^2) from the two purity routes of ``_purity_routes``.
 
-        Route one is the purity of the materialized Choi matrix; route two is
-        the Kraus double sum (1/dim_in^2) * sum_{m,n} |tr(K_m K_n^dagger)|^2.
         Disagreement beyond ROUTE_TOL means a representation bug somewhere, so
         it raises instead of silently picking one number.
         """
@@ -222,9 +216,17 @@ class QuantumChannel(_EigensolveDistances):
         return self._purity_routes()
 
     def _purity_routes(self) -> tuple[float, float]:
+        """(tr J^2 of the Choi matrix J, Kraus double sum (1/dim_in^2) sum_{m,n}
+        |tr(K_m K_n^dagger)|^2), one route at a time, each summed where its matrix is built.
+
+        J is not copied or revalidated: its Kraus family was validated at construction.
+        The peak is a matrix and its squared moduli, 1.5 times the Choi bytes
+        16 (d_in d_out)^2, or, while a product forms, the matrix and the conjugated
+        Kraus stack: twice the Choi bytes for d_in d_out operators.
+        """
         v = self.kraus.reshape(self.n_kraus, -1)
-        gram = v @ v.conj().T
-        return self.choi().purity(), float(np.sum(np.abs(gram) ** 2)) / self.dim_in**2
+        return (_square_sum(_choi_matrix(self.kraus, self.dim_in)),
+                _square_sum(v @ v.conj().T) / self.dim_in**2)
 
 
 def _state_block(psis, dim_in: int) -> np.ndarray:
@@ -233,6 +235,13 @@ def _state_block(psis, dim_in: int) -> np.ndarray:
     if psis.ndim != 2 or psis.shape[1] != dim_in:
         raise DimensionError(f"state block of shape {psis.shape} does not match input dim {dim_in}")
     return psis
+
+
+def _square_sum(m: np.ndarray) -> float:
+    """sum |m_ab|^2 from the moduli of m, squared in place: the bits of ``np.abs(m) ** 2``."""
+    squares = np.abs(m)
+    squares *= squares
+    return float(np.sum(squares))
 
 
 def _gated_linear_entropy(purity_choi: float, purity_kraus: float) -> float:
@@ -572,8 +581,9 @@ def channels_equal(a: QuantumChannel, b: QuantumChannel, tol: float = 1e-10) -> 
     """
     if a.dim_in != b.dim_in or a.dim_out != b.dim_out:
         return False
-    diff = float(np.max(np.abs(a.choi().matrix - b.choi().matrix)))
-    return a.dim_in * diff <= tol
+    diff = _choi_matrix(a.kraus, a.dim_in)
+    diff -= _choi_matrix(b.kraus, b.dim_in)
+    return a.dim_in * float(np.max(np.abs(diff))) <= tol
 
 
 def channel_to_json_dict(ch: QuantumChannel) -> dict:

@@ -1,10 +1,11 @@
 """Command-line front end: parse flags or JSON, refuse bad values, write files.
 
 Reported numbers come from ``typicality``: ``figure-bound`` runs one
-``run_experiment`` per Np, as ``typicality`` runs one. Every command writes its data files plus a run manifest (<out>.manifest.json)
-holding the full parameter set; ``replay`` re-executes a manifest and
-regenerates byte-identical outputs. Exit codes: 0 success, 2 usage error
-(a bad command line or config, or a parameter value out of range, refused
+``run_experiment`` per Np, as ``typicality`` runs one. Every command writes
+its data files plus a run manifest (<out>.manifest.json) holding the full
+parameter set; ``replay`` re-executes a manifest and regenerates
+byte-identical outputs. Exit codes: 0 success, 2 usage error (a bad command
+line or config, or a parameter value out of range or not an integer, refused
 before the command's work starts), 3 data error (for example a non-CPTP
 channel file), 4 internal consistency failure.
 """
@@ -52,7 +53,7 @@ from .qcore import (
     haar_unitary,
 )
 from .restriction import RestrictedPartialTrace, effective_environment_dimension
-from .typicality import ExperimentConfig, _entropy, _experiment, _sample_row_bytes, run_experiment
+from .typicality import ExperimentConfig, _entropy, _sample_row_bytes, run_experiment
 
 
 class UsageError(Exception):
@@ -80,13 +81,22 @@ def _parameter_errors(what: str):
 # -- channel specs -------------------------------------------------------------
 
 
+def _integer(params: dict, key: str, default: int | None = None) -> int:
+    """``params[key]`` (``default`` where given and the key is absent), which must be an
+    integer: a float, bool or string is a usage error (exit 2), not truncated or converted."""
+    value = params[key] if default is None else params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise UsageError(f"{key} = {value!r} is not an integer")
+    return int(value)
+
+
 def _dimensions(spec: dict, *keys: str) -> list[int]:
     """The spec's integer values under ``keys``, each a dimension or size of at least 1.
 
     A value below 1 is a usage error (exit 2), found before any construction; the
     library's own DimensionError for it would read as a size refusal (exit 3).
     """
-    values = [int(spec[key]) for key in keys]
+    values = [_integer(spec, key) for key in keys]
     for key, value in zip(keys, values):
         if value < 1:
             raise UsageError(f"{key} = {value} must be >= 1")
@@ -125,8 +135,8 @@ def build_channel(
             return depolarizing(*_dimensions(spec, "d"), float(spec["lambda"])), info
         if kind == "partial_trace":
             if "N" in spec and spec.get("Np") is not None:
-                n, sq = int(spec["N"]), int(spec["split"])
-                ch = RestrictedPartialTrace(n, int(spec["Np"]), sq)
+                n, sq = _integer(spec, "N"), _integer(spec, "split")
+                ch = RestrictedPartialTrace(n, _integer(spec, "Np"), sq)
                 info["d_e_eff"] = effective_environment_dimension(ch, (sq, n - sq))
                 return ch, info
             d_s, d_e = _dimensions(spec, "dS", "dE")
@@ -135,14 +145,14 @@ def build_channel(
         if kind == "unitary_trace":
             d_s, d_e = _dimensions(spec, "dS", "dE")
             trace_out = partial_trace_channel(d_s, d_e)
-            u = haar_unitary(d_s * d_e, int(spec.get("seed", 0)))
+            u = haar_unitary(d_s * d_e, _integer(spec, "seed", 0))
             info["d_e_eff"] = float(d_e)
             return compose(trace_out, unitary_channel(u)), info
         if kind == "bns":
             n, k = _dimensions(spec, "N", "k")
             _check_blocking(n, k)
             if spec.get("Np") is not None:
-                return DetectorChannel(n, k, int(spec["Np"])), info
+                return DetectorChannel(n, k, _integer(spec, "Np")), info
             return bns_channel(n, k), info
         if kind == "file":
             try:
@@ -290,7 +300,7 @@ def run_entropy(params: dict) -> list:
 
 
 def run_figure_energy(params: dict) -> list:
-    n, np_excited, k = int(params["N"]), int(params["Np"]), int(params["k"])
+    n, np_excited, k = (_integer(params, key) for key in ("N", "Np", "k"))
     if n > 20000:
         raise UsageError(f"N = {n} exceeds the supported exact range (20000)")
     _check_blocking(n, k)
@@ -314,8 +324,7 @@ def run_figure_energy(params: dict) -> list:
 
 
 def run_figure_bound(params: dict) -> list:
-    n, k = int(params["N"]), int(params["k"])
-    samples, seed = int(params["samples"]), int(params["seed"])
+    n, k, samples, seed = (_integer(params, key) for key in ("N", "k", "samples", "seed"))
     _check_blocking(n, k)
     if samples < 1:  # checked once: at N = 1 the Np loop below is empty
         raise UsageError(f"samples = {samples} must be >= 1")
@@ -338,12 +347,11 @@ def run_figure_bound(params: dict) -> list:
 def run_typicality(params: dict) -> list:
     config = params["config"]
     try:
-        samples = int(config["samples"])
-        master_seed = int(config["master_seed"])
+        samples, master_seed = _integer(config, "samples"), _integer(config, "master_seed")
         channel_spec = config["channel"]
         epsilon_grid = tuple(float(e) for e in config.get("epsilon_grid", ()))
         eta_mode = str(config.get("eta_mode", "fixed_one"))
-        eta_trials = int(config.get("eta_trials", 16))
+        eta_trials = _integer(config, "eta_trials", 16)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad experiment config: {exc}") from exc
     ch, info = build_channel(channel_spec)
@@ -351,12 +359,12 @@ def run_typicality(params: dict) -> list:
         cfg = ExperimentConfig(channel=ch, samples=samples, master_seed=master_seed,
                                epsilon_grid=epsilon_grid, eta_mode=eta_mode,
                                eta_trials=eta_trials, d_e_eff=info["d_e_eff"])
-    report, distances = _experiment(cfg)  # the entropy first: a refused one draws nothing
+    report = run_experiment(cfg)  # the entropy first: a refused one draws nothing
     out = params["out"]
     report.save(out)
     outputs = [out]
     if params.get("distances_csv"):
-        _write_distances_csv(params["distances_csv"], distances)
+        _write_distances_csv(params["distances_csv"], report.distances)
         outputs.append(params["distances_csv"])
     print(f"mean distance        : {_fmt(report.mean_distance)}")
     print(f"entropy bound        : {_fmt(report.entropy_bound)}")
@@ -366,7 +374,7 @@ def run_typicality(params: dict) -> list:
 
 
 def run_lipschitz(params: dict) -> list:
-    trials, seed = int(params["trials"]), int(params["seed"])
+    trials, seed = _integer(params, "trials"), _integer(params, "seed")
     if trials < 1:  # checked for every spec, also where the exact value needs no trial
         raise UsageError(f"trials = {trials} must be >= 1")
     ch, _ = build_channel(params["channel"])

@@ -10,8 +10,8 @@ evaluated as (1/2) sqrt(d_S min(P, 1)) from the gated Choi purity P = 1 - S_L
 itself: forming 1 - S_L would cancel a purity below about 1e-16 to nothing.
 
 Every reported number comes from here: ``_entropy`` (one evaluation of the
-purity routes) and ``run_experiment``, which the CLI's ``figure-bound`` runs
-once per Np.
+purity routes) and ``run_experiment``, which the CLI's ``typicality`` runs
+once and its ``figure-bound`` once per Np.
 
 The entropy bound is also a consistency gate: a report whose mean distance
 exceeds it by more than 3 std / sqrt(samples) (plus 1e-12), with std the
@@ -73,7 +73,7 @@ import operator
 import os
 import signal
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -324,9 +324,9 @@ def levy_tail_bound(d_r: int, epsilon: float, eta: float) -> float:
 class TypicalityReport:
     """Aggregated Monte Carlo statistics next to the analytic bounds.
 
-    ``tail_table`` rows are (epsilon, empirical fraction of samples with
-    |D - mean| > epsilon, clamped tail bound). ``tail_diagnostic_only`` is set
-    when ``eta_used`` came from the lower-bound search.
+    ``tail_table`` rows are (epsilon, empirical fraction of samples with |D - mean| >
+    epsilon, clamped tail bound). ``tail_diagnostic_only`` is set when ``eta_used`` came
+    from the lower-bound search. ``distances``, in sample order, is left out of the JSON.
     """
 
     d_r: int
@@ -343,6 +343,7 @@ class TypicalityReport:
     tail_table: tuple = ()
     partial_trace_bound: float | None = None
     tail_diagnostic_only: bool = False
+    distances: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.mean_distance <= self.max_distance <= 1.0 + 1e-9:
@@ -356,7 +357,8 @@ class TypicalityReport:
             )
 
     def to_json_dict(self) -> dict:
-        data = asdict(self)
+        """Every field but ``distances``, read directly: ``asdict`` would deep-copy them."""
+        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "distances"}
         data["tail_table"] = [{"epsilon": e, "empirical_tail": f, "levy_bound": b}
                               for e, f, b in self.tail_table]
         return data
@@ -366,15 +368,10 @@ class TypicalityReport:
 
 
 def run_experiment(cfg: ExperimentConfig) -> TypicalityReport:
-    """Full experiment: entropy, sampling, aggregation, bounds, and the tail table."""
-    return _experiment(cfg)[0]
-
-
-def _experiment(cfg: ExperimentConfig) -> tuple[TypicalityReport, list]:
-    """``run_experiment``, also returning the distances it sampled.
+    """Full experiment: entropy, sampling, aggregation, bounds, and the tail table.
 
     The linear entropy is evaluated first, so an entropy over the dense budget
-    is refused before any state is drawn.
+    is refused before any state is drawn. The report carries the sampled distances.
     """
     ch = cfg.channel
     _, _, s_l, mean_bound = _entropy(ch)
@@ -385,36 +382,16 @@ def _experiment(cfg: ExperimentConfig) -> tuple[TypicalityReport, list]:
     top = float(np.max(values))
 
     if cfg.eta_mode == "fixed_one":
-        eta = 1.0
-        diagnostic = False
+        eta, diagnostic = 1.0, False
     else:
         eta, exact = _eta(ch, cfg.eta_trials, derive_seed(cfg.master_seed, ETA_STREAM_INDEX))
         diagnostic = not exact  # a searched eta is only a lower bound
-
-    tail_rows = []
-    for eps in cfg.epsilon_grid:
-        fraction = float(np.mean(np.abs(values - mean) > eps))
-        bound = min(1.0, max(0.0, levy_tail_bound(ch.dim_in, eps, eta)))
-        tail_rows.append((eps, fraction, bound))
-
-    p_bound = None
-    if cfg.d_e_eff is not None:
-        p_bound = partial_trace_bound(ch.dim_out, cfg.d_e_eff)
-
-    report = TypicalityReport(
-        d_r=ch.dim_in,
-        d_s=ch.dim_out,
-        samples=cfg.samples,
-        master_seed=cfg.master_seed,
-        mean_distance=mean,
-        std_distance=std,
-        max_distance=top,
-        entropy_bound=mean_bound,
-        linear_entropy=s_l,
-        eta_mode=cfg.eta_mode,
-        eta_used=eta,
-        tail_table=tuple(tail_rows),
-        partial_trace_bound=p_bound,
-        tail_diagnostic_only=diagnostic,
-    )
-    return report, distances
+    tail_rows = tuple((eps, float(np.mean(np.abs(values - mean) > eps)),
+                       min(1.0, max(0.0, levy_tail_bound(ch.dim_in, eps, eta))))
+                      for eps in cfg.epsilon_grid)
+    p_bound = None if cfg.d_e_eff is None else partial_trace_bound(ch.dim_out, cfg.d_e_eff)
+    return TypicalityReport(
+        d_r=ch.dim_in, d_s=ch.dim_out, samples=cfg.samples, master_seed=cfg.master_seed,
+        mean_distance=mean, std_distance=std, max_distance=top, entropy_bound=mean_bound,
+        linear_entropy=s_l, eta_mode=cfg.eta_mode, eta_used=eta, tail_table=tail_rows,
+        partial_trace_bound=p_bound, tail_diagnostic_only=diagnostic, distances=distances)

@@ -88,6 +88,8 @@ def test_traced_restricted_typicality_run_records_restriction_layers(tmp_path):
     # the partial trace builds its system patterns directly: it enumerates no basis
     assert calls["restriction.enumerate_basis"] == 0
     assert calls["typicality.sample_distances"] >= 1
+    # the command runs the one experiment entry point once
+    assert calls["typicality.run_experiment"] == 1
     # the partial trace's distances are taken block by block: no dense canonical state
     assert calls["typicality.canonical_state"] == 0
     # the restricted partial trace is matrix-free: no dense channel is built or restricted

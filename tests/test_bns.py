@@ -524,14 +524,17 @@ def test_detector_purity_routes_are_equal_rationals():
             n = n_sites // n_blocks
             for n_excited in range(n_sites + 1):
                 args = (n, n_blocks, n_excited)
-                assert _purity_numerator_closed_form(*args) \
+                alpha = DetectorChannel(n_sites, n_blocks, n_excited)._occupied
+                assert _purity_numerator_closed_form(*args, alpha) \
                     == _purity_numerator_convolution(*args), (n_sites, *args)
 
 
 def test_detector_purity_routes_agree_at_200_20_100():
     # (N/k, k, Np) = (10, 20, 100): the convolution's windows shrink from below
     # from the 11th block on
-    assert _purity_numerator_convolution(10, 20, 100) == _purity_numerator_closed_form(10, 20, 100)
+    alpha = DetectorChannel(200, 20, 100)._occupied
+    assert _purity_numerator_convolution(10, 20, 100) \
+        == _purity_numerator_closed_form(10, 20, 100, alpha)
 
 
 @pytest.mark.parametrize("args,numerator", [
@@ -644,8 +647,9 @@ def test_detector_row_bytes_build_no_plan(monkeypatch):
 
 
 def test_detector_counts_its_spectrum_once_per_channel(monkeypatch):
-    # one run of 16 chunks: the spectrum is counted once, and the occupied counts
-    # only by the spectrum, the row bytes' group work and the purity closed form
+    # one run of 16 chunks: the spectrum is counted once, and the occupied counts once
+    # by the spectrum and once per Np + 1 = 5 rows of the table that the row bytes'
+    # group work and the purity closed form share
     calls = {"canonical_spectrum": 0, "_occupied_counts": 0}
     for name in calls:
         def counting(*args, _real=getattr(bns, name), _name=name):
@@ -656,7 +660,7 @@ def test_detector_counts_its_spectrum_once_per_channel(monkeypatch):
     run_experiment(ExperimentConfig(channel=DetectorChannel(8, 4, 4), samples=4000,
                                     master_seed=3, eta_mode="estimated"))
     assert calls["canonical_spectrum"] == 1
-    assert calls["_occupied_counts"] <= 11
+    assert calls["_occupied_counts"] <= 6
 
 
 def test_detector_holds_no_basis_and_counts_its_dimension():

@@ -381,6 +381,37 @@ def test_choi_matrix_allocates_one_matrix():
     assert peak < 1.5 * j.nbytes
 
 
+@pytest.mark.parametrize("factory", [
+    lambda: identity_channel(40),
+    lambda: depolarizing(12, 0.3),
+    lambda: partial_trace_channel(4, 64),
+], ids=["identity-40", "depolarizing-12", "partial-trace-4x64"])
+def test_purity_routes_hold_one_matrix_and_its_squared_moduli(factory):
+    # each route holds its matrix and their float moduli, 1.5 times the Choi bytes; while a
+    # product forms, its matrix and the conjugated Kraus stack, which the 144 operators of
+    # the depolarizing family make twice the Choi bytes. A Choi copy would add one more.
+    ch = factory()
+    choi_bytes = 16 * (ch.dim_in * ch.dim_out) ** 2
+    tracemalloc.start()
+    try:
+        ch.choi_purity_routes()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.03 * max(1.5 * choi_bytes, choi_bytes + ch.kraus.nbytes)
+
+
+def test_channel_keeps_no_choi_state():
+    ch = random_channel(3, 2, 4, seed=5)
+    first = ch.choi()
+    assert ch.choi() is not first  # a fresh, validated state on each call
+    # the Choi route sums the very matrix the state holds a copy of
+    assert ch.choi_purity_routes()[0] == first.purity()
+    ch.linear_entropy()
+    assert channels_equal(ch, ch)
+    assert set(vars(ch)) == {"dim_in", "dim_out", "kraus"}
+
+
 def test_identity_channel_refused_above_budget():
     # 20000^2 complex entries: 6.4 GB, refused before allocating
     with pytest.raises(DimensionError, match="MiB"):

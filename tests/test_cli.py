@@ -720,6 +720,54 @@ def test_json_writer_bytes_equal_json_dump(tmp_path):
     assert ours.read_bytes() == theirs.read_bytes()
 
 
+NOT_AN_INTEGER = {
+    # int() truncated these to identity(3), 20 samples and seed 1, and ran identity(1) on true
+    "fractional-d": {"channel": {"type": "identity", "d": 3.9}},
+    "fractional-samples": {"samples": 20.7},
+    "fractional-seed": {"master_seed": 1.5},
+    "boolean-d": {"channel": {"type": "identity", "d": True}},
+    "string-eta-trials": {"eta_mode": "estimated", "eta_trials": "4"},
+    "fractional-Np": {"channel": {"type": "partial_trace", "N": 6, "Np": 2.5, "split": 2}},
+    "boolean-unitary-seed": {"channel": {"type": "unitary_trace", "dS": 2, "dE": 2,
+                                         "seed": False}},
+    "fractional-detector-Np": {"channel": {"type": "bns", "N": 4, "k": 2, "Np": 2.0}},
+}
+
+
+@pytest.mark.parametrize("case", NOT_AN_INTEGER)
+def test_config_integer_that_is_not_an_int_is_a_usage_error(tmp_path, capsys, case):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"channel": {"type": "identity", "d": 3}, "samples": 20,
+                                  "master_seed": 1, **NOT_AN_INTEGER[case]}))
+    out = tmp_path / "r.json"
+    assert run(["typicality", "--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("usage error")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["figure-energy", "--N", 10, "--Np", 5, "--k", 2], "N", 10.5),
+    (["figure-bound", "--N", 4, "--k", 2, "--samples", 3], "samples", 3.5),
+    (["figure-bound", "--N", 4, "--k", 2, "--samples", 3], "seed", True),
+    (["lipschitz", "--channel", "identity", "--d", 2, "--trials", 1], "trials", 1.0),
+    (["lipschitz", "--channel", "identity", "--d", 2, "--trials", 1], "seed", "0"),
+], ids=["figure-energy-N", "figure-bound-samples", "figure-bound-seed", "lipschitz-trials",
+        "lipschitz-seed"])
+def test_replayed_integer_that_is_not_an_int_is_a_usage_error(tmp_path, capsys, argv, key,
+                                                             value):
+    out = tmp_path / "out.dat"
+    assert run(argv + ["--out", out]) == 0
+    manifest = tmp_path / "out.dat.manifest.json"
+    data = json.loads(manifest.read_text())
+    data["parameters"][key] = value
+    manifest.write_text(json.dumps(data))
+    for path in data["outputs"]:
+        Path(path).unlink()
+    assert run(["replay", "--manifest", manifest]) == 2
+    assert capsys.readouterr().err.startswith("usage error")
+    assert not any(Path(path).exists() for path in data["outputs"])
+
+
 def test_replayed_out_of_range_value_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "bound.csv"
     assert run(["figure-bound", "--N", 4, "--k", 2, "--samples", 3, "--out", out]) == 0
