@@ -1,11 +1,10 @@
 """Canonical states and typicality statistics for channel-defined subsystems."""
 
-__version__ = "0.24.0"
+__version__ = "0.25.0"
 
 from .qcore import (
     DensityOperator,
     DimensionError,
-    StateVector,
     derive_seed,
     haar_sample,
     haar_unitary,
@@ -13,7 +12,6 @@ from .qcore import (
     trace_distance,
 )
 from .channels import (
-    ChoiState,
     ConsistencyError,
     CPTPError,
     QuantumChannel,

@@ -34,7 +34,6 @@ __all__ = [
     "CPTPError",
     "ConsistencyError",
     "QuantumChannel",
-    "ChoiState",
     "identity_channel",
     "unitary_channel",
     "replace_channel",
@@ -141,13 +140,12 @@ class QuantumChannel(_EigensolveDistances):
     def n_kraus(self) -> int:
         return self.kraus.shape[0]
 
-    def choi(self) -> "ChoiState":
-        """Choi state of the channel, built and validated afresh on each call; the Choi
-        matrix and its validated copy, twice the Choi bytes, are alive at once."""
+    def choi(self) -> DensityOperator:
+        """Choi state of the channel on output (x) input, built afresh on each call; the
+        Choi matrix and its validated copy, twice the Choi bytes, are alive at once."""
         # a Gram matrix is positive semidefinite by construction, so the
         # eigenvalue check would only burn an O(dim^3) eigendecomposition
-        return ChoiState(self.dim_in, self.dim_out,
-                         DensityOperator(_choi_matrix(self.kraus, self.dim_in), validate=False))
+        return DensityOperator(_choi_matrix(self.kraus, self.dim_in), validate=False)
 
     # -- action -----------------------------------------------------------
 
@@ -161,10 +159,6 @@ class QuantumChannel(_EigensolveDistances):
             )
         t = (self.kraus.reshape(-1, self.dim_in) @ m).reshape(self.kraus.shape)
         return np.tensordot(t, self.kraus.conj(), axes=([0, 2], [0, 2]))
-
-    def apply(self, rho: DensityOperator) -> DensityOperator:
-        """Channel output as a validated density operator."""
-        return DensityOperator(self.apply_matrix(_as_matrix(rho)))
 
     def apply_pure(self, amplitudes) -> np.ndarray:
         """Channel applied to |psi><psi|: the one-row ``apply_pure_batch``."""
@@ -254,37 +248,14 @@ def _gated_linear_entropy(purity_choi: float, purity_kraus: float) -> float:
     return max(0.0, 1.0 - purity_choi)
 
 
-@dataclass(frozen=True, eq=False)
-class ChoiState:
-    """Choi state of a channel: a density operator on output (x) input."""
-
-    dim_in: int
-    dim_out: int
-    state: DensityOperator
-
-    def __post_init__(self):
-        if self.state.dim != self.dim_in * self.dim_out:
-            raise DimensionError(
-                f"Choi matrix dim {self.state.dim} is not dim_out*dim_in = "
-                f"{self.dim_in * self.dim_out}"
-            )
-        _check_choi_marginal(self.state.matrix, self.dim_in, self.dim_out, TP_TOL)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.state.matrix
-
-    def purity(self) -> float:
-        return self.state.purity()
-
-
-def _check_choi_marginal(m: np.ndarray, dim_in: int, dim_out: int, tol: float) -> None:
-    """Reduced state of a Choi matrix on the input factor is identity/dim_in within tol."""
+def _check_choi_marginal(m: np.ndarray, dim_in: int, dim_out: int) -> None:
+    """Reduced state of a Choi matrix on the input factor is identity/dim_in within
+    CHOI_MARGINAL_TOL."""
     marginal = _partial_trace_matrix(m, "B", (dim_out, dim_in))
     dev = float(np.max(np.abs(marginal - np.eye(dim_in) / dim_in)))
-    if not dev <= tol:  # also rejects NaN entries
+    if not dev <= CHOI_MARGINAL_TOL:  # also rejects NaN entries
         raise CPTPError(f"Choi reduced state deviates from identity/dim_in by {dev:.3e} "
-                        f"(> {tol:.0e}); map is not trace preserving")
+                        f"(> {CHOI_MARGINAL_TOL:.0e}); map is not trace preserving")
 
 
 # -- construction helpers ----------------------------------------------------
@@ -447,23 +418,19 @@ def tensor(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
     return QuantumChannel(d_in, d_out, ops.reshape(-1, d_out, d_in))
 
 
-def choi_to_kraus(j, dim_in: int | None = None, dim_out: int | None = None) -> QuantumChannel:
-    """Kraus family from a Choi matrix.
+def choi_to_kraus(j, dim_in: int, dim_out: int) -> QuantumChannel:
+    """Kraus family from a Choi matrix or ``DensityOperator`` on dim_out * dim_in.
 
     Eigenpairs with eigenvalue above 1e-12 become Kraus operators
     sqrt(eigenvalue * dim_in) * unvec(eigenvector); anything smaller is
     numerical noise. Raises CPTPError when the matrix has an eigenvalue below
-    -1e-10 or its reduced state on the input factor is not identity/dim_in.
+    -1e-10 or its reduced state on the input factor is not identity/dim_in
+    within CHOI_MARGINAL_TOL.
     """
-    if isinstance(j, ChoiState):
-        m, dim_in, dim_out = j.matrix, j.dim_in, j.dim_out
-    else:
-        if dim_in is None or dim_out is None:
-            raise ValueError("raw Choi matrices need explicit dim_in and dim_out")
-        m = np.asarray(j, dtype=np.complex128)
-        if m.shape != (dim_in * dim_out, dim_in * dim_out):
-            raise DimensionError("Choi matrix shape does not match dimensions")
-        _check_choi_marginal(m, dim_in, dim_out, CHOI_MARGINAL_TOL)
+    m = _as_matrix(j)
+    if m.shape != (dim_in * dim_out, dim_in * dim_out):
+        raise DimensionError("Choi matrix shape does not match dimensions")
+    _check_choi_marginal(m, dim_in, dim_out)
     eigs, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
     if float(eigs[0]) < -1e-10:
         raise CPTPError(f"Choi matrix has negative eigenvalue {float(eigs[0]):.3e}")
@@ -598,9 +565,14 @@ def channel_to_json_dict(ch: QuantumChannel) -> dict:
 
 
 def channel_from_json_dict(data: dict) -> QuantumChannel:
+    """The channel of a wire-format object; its dimensions must be integers >= 1, not bools.
+
+    Anything malformed raises CPTPError before any array is built.
+    """
     try:
-        dim_in = int(data["dim_in"])
-        dim_out = int(data["dim_out"])
+        dim_in, dim_out = data["dim_in"], data["dim_out"]
+        if not all(type(d) is int and d >= 1 for d in (dim_in, dim_out)):
+            raise ValueError(f"dimensions {dim_in!r} x {dim_out!r} are not integers >= 1")
         pairs = np.array(data["kraus"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise CPTPError(f"malformed channel object: {exc}") from exc

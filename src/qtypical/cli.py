@@ -5,9 +5,10 @@ Reported numbers come from ``typicality``: ``figure-bound`` runs one
 its data files plus a run manifest (<out>.manifest.json) holding the full
 parameter set; ``replay`` re-executes a manifest and regenerates
 byte-identical outputs. Exit codes: 0 success, 2 usage error (a bad command
-line or config, or a parameter value out of range or not an integer, refused
-before the command's work starts), 3 data error (for example a non-CPTP
-channel file), 4 internal consistency failure.
+line or config, or a parameter value missing, out of range or not an integer,
+refused before the command's work starts), 3 data error (for example a non-CPTP
+channel file or a manifest whose parameters are not an object), 4 internal
+consistency failure.
 """
 
 from __future__ import annotations
@@ -81,10 +82,19 @@ def _parameter_errors(what: str):
 # -- channel specs -------------------------------------------------------------
 
 
+def _required(params: dict, key: str):
+    """``params[key]``; a missing key is a usage error (exit 2), as in a replayed manifest."""
+    try:
+        return params[key]
+    except KeyError:
+        raise UsageError(f"parameter {key!r} is missing") from None
+
+
 def _integer(params: dict, key: str, default: int | None = None) -> int:
     """``params[key]`` (``default`` where given and the key is absent), which must be an
-    integer: a float, bool or string is a usage error (exit 2), not truncated or converted."""
-    value = params[key] if default is None else params.get(key, default)
+    integer: a missing key, a float, bool or string is a usage error (exit 2), not
+    truncated or converted."""
+    value = _required(params, key) if default is None else params.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise UsageError(f"{key} = {value!r} is not an integer")
     return int(value)
@@ -276,7 +286,8 @@ def _maybe_save_channel(ch, params: dict, outputs: list) -> None:
 
 
 def run_entropy(params: dict) -> list:
-    ch, _ = build_channel(params["channel"])
+    out = _required(params, "out")
+    ch, _ = build_channel(_required(params, "channel"))
     purity_choi, purity_kraus, s_l, bound = _entropy(ch)
     payload = {
         "dim_in": ch.dim_in,
@@ -292,7 +303,6 @@ def run_entropy(params: dict) -> list:
     print(f"Choi purity (Kraus)  : {_fmt(purity_kraus)}")
     print(f"route difference     : {_fmt(payload['purity_route_difference'])}")
     print(f"mean-distance bound  : {_fmt(payload['entropy_bound'])}")
-    out = params["out"]
     _write_json(out, payload)
     outputs = [out]
     _maybe_save_channel(ch, params, outputs)
@@ -301,6 +311,7 @@ def run_entropy(params: dict) -> list:
 
 def run_figure_energy(params: dict) -> list:
     n, np_excited, k = (_integer(params, key) for key in ("N", "Np", "k"))
+    out = _required(params, "out")
     if n > 20000:
         raise UsageError(f"N = {n} exceeds the supported exact range (20000)")
     _check_blocking(n, k)
@@ -308,7 +319,6 @@ def run_figure_energy(params: dict) -> list:
         trace_dist = energy_distribution_trace(n, np_excited, k)
     bns_dist = energy_distribution_bns(n, np_excited, k)
     trace_p, bns_p = (dict(zip(d.support, d.floats)) for d in (trace_dist, bns_dist))
-    out = params["out"]
     _write_lines(out, ["m,p_trace,p_bns", *[
         f"{m},{trace_p.get(m, 0.0):{FLOAT_FORMAT}},{bns_p.get(m, 0.0):{FLOAT_FORMAT}}"
         for m in sorted(trace_p.keys() | bns_p.keys())]])
@@ -325,6 +335,7 @@ def run_figure_energy(params: dict) -> list:
 
 def run_figure_bound(params: dict) -> list:
     n, k, samples, seed = (_integer(params, key) for key in ("N", "k", "samples", "seed"))
+    out = _required(params, "out")
     _check_blocking(n, k)
     if samples < 1:  # checked once: at N = 1 the Np loop below is empty
         raise UsageError(f"samples = {samples} must be >= 1")
@@ -337,7 +348,6 @@ def run_figure_bound(params: dict) -> list:
             master_seed=derive_seed(seed, np_excited)))
         rows.append([np_excited, report.d_r, report.mean_distance, report.std_distance,
                      report.entropy_bound])
-    out = params["out"]
     _write_csv(out, ["Np", "d_R", "mean_distance", "std_distance", "entropy_bound"],
                rows)
     script = _emit_plot_script("Plot mean distances against the entropy bound", _BOUND_PLOT, out)
@@ -345,7 +355,7 @@ def run_figure_bound(params: dict) -> list:
 
 
 def run_typicality(params: dict) -> list:
-    config = params["config"]
+    config, out = _required(params, "config"), _required(params, "out")
     try:
         samples, master_seed = _integer(config, "samples"), _integer(config, "master_seed")
         channel_spec = config["channel"]
@@ -360,7 +370,6 @@ def run_typicality(params: dict) -> list:
                                epsilon_grid=epsilon_grid, eta_mode=eta_mode,
                                eta_trials=eta_trials, d_e_eff=info["d_e_eff"])
     report = run_experiment(cfg)  # the entropy first: a refused one draws nothing
-    out = params["out"]
     report.save(out)
     outputs = [out]
     if params.get("distances_csv"):
@@ -375,9 +384,10 @@ def run_typicality(params: dict) -> list:
 
 def run_lipschitz(params: dict) -> list:
     trials, seed = _integer(params, "trials"), _integer(params, "seed")
+    out = _required(params, "out")
     if trials < 1:  # checked for every spec, also where the exact value needs no trial
         raise UsageError(f"trials = {trials} must be >= 1")
-    ch, _ = build_channel(params["channel"])
+    ch, _ = build_channel(_required(params, "channel"))
     estimate, exact = _eta(ch, trials, seed)
     payload = {
         "dim_in": ch.dim_in,
@@ -388,7 +398,6 @@ def run_lipschitz(params: dict) -> list:
     }
     label = "Lipschitz constant" if exact else "Lipschitz lower bound"
     print(f"{label:<21}: {_fmt(estimate)}")
-    out = params["out"]
     _write_json(out, payload)
     outputs = [out]
     _maybe_save_channel(ch, params, outputs)
@@ -465,7 +474,10 @@ def run_replay(params: dict) -> list:
         manifest = RunManifest.load(params["manifest"])
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DataError(f"cannot read manifest: {exc}") from exc
-    if manifest.command not in COMMANDS:
+    if not isinstance(manifest.parameters, dict):
+        raise DataError(f"cannot read manifest: parameters {manifest.parameters!r} "
+                        "is not an object")
+    if not isinstance(manifest.command, str) or manifest.command not in COMMANDS:
         raise DataError(f"manifest names unknown command {manifest.command!r}")
     return _execute(manifest.command, manifest.parameters)
 

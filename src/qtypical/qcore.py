@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "DimensionError",
-    "StateVector",
     "DensityOperator",
     "derive_seed",
     "haar_sample",
@@ -114,31 +113,6 @@ def _hermitian_copy(matrix) -> np.ndarray:
         raise ValueError(f"matrix deviates from Hermitian by {dev:.3e} (> {HERMITICITY_TOL:.0e})")
     m.setflags(write=False)
     return m
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Unit vector in a finite-dimensional complex Hilbert space."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.size == 0:
-            raise DimensionError("state vector must be a nonempty 1-d array")
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= 1e-12:
-            raise ValueError(f"state vector norm {norm!r} is not 1 within 1e-12")
-        amps = amps.copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def projector(self) -> "DensityOperator":
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,14 +228,16 @@ def _pcg64_states(seeds) -> list[tuple[int, int]]:
     return list(zip(state.tolist(), inc.tolist()))
 
 
-def haar_sample(dim: int, seed: int) -> StateVector:
-    """Draw a pure state from the unitarily invariant measure.
+def haar_sample(dim: int, seed: int) -> np.ndarray:
+    """Draw a pure state from the unitarily invariant measure, as a read-only (dim,) array.
 
     2*dim independent standard Gaussians are assembled into a complex vector
     and normalized; rotational invariance of the Gaussian makes the result
     exactly Haar distributed. Deterministic for a fixed seed.
     """
-    return StateVector(_haar_rows(dim, (seed,))[0])
+    psi = _haar_rows(dim, (seed,))[0]
+    psi.setflags(write=False)
+    return psi
 
 
 def _haar_rows(dim: int, seeds) -> np.ndarray:

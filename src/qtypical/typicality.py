@@ -17,8 +17,9 @@ The entropy bound is also a consistency gate: a report whose mean distance
 exceeds it by more than 3 std / sqrt(samples) (plus 1e-12), with std the
 sample standard deviation, raises ``ConsistencyError``. The gate needs a
 spread, so it does not apply at one sample: a single draw may lie above a
-bound on the mean. The range check 0 <= mean <= max <= 1 + 1e-9 applies at
-every sample count and raises ``ConsistencyError`` too.
+bound on the mean. The range check 0 <= mean <= max + 1e-12 and max <= 1 + 1e-9
+applies at every sample count and raises ``ConsistencyError`` too; the 1e-12
+lets the rounded mean of equal distances, as an isometry gives, pass their max.
 
 A channel here is anything with the channel interface (``dim_in``,
 ``dim_out``, ``distances_to_canonical``, ``_distance_row_bytes``,
@@ -346,7 +347,9 @@ class TypicalityReport:
     distances: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.mean_distance <= self.max_distance <= 1.0 + 1e-9:
+        # the mean of equal distances can round one ulp above their max
+        if not (0.0 <= self.mean_distance <= self.max_distance + 1e-12
+                and self.max_distance <= 1.0 + 1e-9):
             raise ConsistencyError("distance statistics violate 0 <= mean <= max <= 1")
         slack = 3.0 * self.std_distance / math.sqrt(self.samples)
         # one draw has no spread to judge a bound on the mean by

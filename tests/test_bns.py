@@ -35,7 +35,7 @@ from qtypical.channels import (
     identity_channel,
     tensor,
 )
-from qtypical.qcore import DensityOperator, DimensionError, derive_seed, haar_sample
+from qtypical.qcore import DimensionError, derive_seed, haar_sample
 from qtypical.restriction import enumerate_basis, restrict_channel
 from qtypical.typicality import ExperimentConfig, run_experiment, sample_distances
 
@@ -174,7 +174,7 @@ def test_two_block_tensor_on_alternating_string():
 def test_bns_channel_on_microcanonical_half_filling():
     sub = enumerate_basis(4, 2)
     ch = restrict_channel(bns_channel(4, 2), sub)
-    out = ch.apply(DensityOperator(np.eye(sub.d_r) / sub.d_r)).matrix
+    out = ch.apply_matrix(np.eye(sub.d_r) / sub.d_r)
     expected = np.diag([0.0, 1 / 6, 1 / 6, 4 / 6]).astype(complex)
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -568,7 +568,7 @@ def test_detector_purity_of_trivial_blocks_is_that_of_the_identity():
 def test_detector_channel_is_self_consistent_beyond_the_dense_path():
     # the dense N=12, k=4 channel is refused; check the parts against each other
     ch = DetectorChannel(12, 4, 6)
-    psis = np.stack([haar_sample(ch.dim_in, derive_seed(5, i)).amplitudes for i in range(4)])
+    psis = np.stack([haar_sample(ch.dim_in, derive_seed(5, i)) for i in range(4)])
     out = ch.apply_pure_batch(psis)
     assert np.allclose(np.trace(out, axis1=1, axis2=2), 1.0, atol=1e-13)
     assert np.max(np.abs(out - out.conj().transpose(0, 2, 1))) < 1e-14

@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from conftest import matrix_unit, random_density
 from qtypical import channels, qcore
 from qtypical.channels import (
     CPTPError,
-    ChoiState,
     QuantumChannel,
     channel_from_json_dict,
     channel_to_json_dict,
@@ -33,7 +31,6 @@ from qtypical.bns import DetectorChannel
 from qtypical.qcore import (
     DensityOperator,
     DimensionError,
-    StateVector,
     _generator,
     derive_seed,
     haar_unitary,
@@ -55,13 +52,10 @@ NAN = float("nan")
 
 
 @pytest.mark.parametrize("construct", [
-    lambda: StateVector([NAN, 0]),
     lambda: DensityOperator([[NAN, 0], [0, 1]]),
     lambda: DensityOperator([[NAN, 0], [0, 1]], validate=False),
-    # a stand-in state, so that ChoiState's own marginal check sees the NaN
-    lambda: ChoiState(1, 1, SimpleNamespace(dim=1, matrix=np.array([[NAN]]))),
     lambda: choi_to_kraus(np.array([[NAN, 0], [0, 1]]), dim_in=1, dim_out=2),
-], ids=["state_vector", "density", "density_unvalidated", "choi_state", "choi_to_kraus"])
+], ids=["density", "density_unvalidated", "choi_to_kraus"])
 def test_validation_rejects_nan_entries(construct):
     # each check must be written so that a NaN deviation fails it
     with pytest.raises(ValueError, match="nan"):
@@ -105,18 +99,18 @@ def test_construction_leaves_caller_arrays_writeable():
 def test_identity_apply_is_identity():
     ch = identity_channel(4)
     rho = random_density(4, 0)
-    np.testing.assert_allclose(ch.apply(rho).matrix, rho.matrix, atol=1e-12)
+    np.testing.assert_allclose(ch.apply_matrix(rho.matrix), rho.matrix, atol=1e-12)
 
 
 def test_full_depolarizing_sends_everything_to_maximally_mixed():
     ch = depolarizing(2, 1.0)
     rho = random_density(2, 1)
-    np.testing.assert_allclose(ch.apply(rho).matrix, np.eye(2) / 2, atol=1e-12)
+    np.testing.assert_allclose(ch.apply_matrix(rho.matrix), np.eye(2) / 2, atol=1e-12)
 
 
 def test_apply_dimension_mismatch():
     with pytest.raises(DimensionError):
-        identity_channel(2).apply(random_density(3, 0))
+        identity_channel(2).apply_matrix(random_density(3, 0).matrix)
 
 
 def test_apply_pure_matches_apply_on_projector():
@@ -205,12 +199,6 @@ def test_choi_marginal_is_maximally_mixed():
         assert np.max(np.abs(marginal - np.eye(4) / 4)) < 1e-10
 
 
-def test_choi_state_rejects_bad_marginal():
-    bad = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    with pytest.raises(CPTPError):
-        ChoiState(2, 2, DensityOperator(bad))
-
-
 def _choi_marginal_off_by(delta: float) -> np.ndarray:
     """Completely depolarizing 2 x 2 Choi matrix with its input marginal off by delta;
     it keeps unit trace and stays positive."""
@@ -221,11 +209,9 @@ def _choi_marginal_off_by(delta: float) -> np.ndarray:
 
 
 def test_choi_marginal_checks_keep_their_own_tolerances():
-    with pytest.raises(CPTPError, match=r"by 1\.000e-09 \(> 1e-10\)"):
-        ChoiState(2, 2, DensityOperator(_choi_marginal_off_by(1e-9)))
     with pytest.raises(CPTPError, match=r"by 1\.000e-06 \(> 1e-08\)"):
         choi_to_kraus(_choi_marginal_off_by(1e-6), dim_in=2, dim_out=2)
-    # a raw matrix within CHOI_MARGINAL_TOL passes the marginal check and is
+    # a matrix within CHOI_MARGINAL_TOL passes the marginal check and is
     # refused by the Kraus family's trace-preservation check instead
     with pytest.raises(CPTPError, match="violates trace preservation"):
         choi_to_kraus(_choi_marginal_off_by(1e-9), dim_in=2, dim_out=2)
@@ -548,14 +534,14 @@ def test_depolarizing_rejects_outside_cp_range():
 
 
 def test_choi_to_kraus_pure_entangled_gives_identity():
-    ch = choi_to_kraus(identity_channel(3).choi())
+    ch = choi_to_kraus(identity_channel(3).choi(), 3, 3)
     assert ch.n_kraus == 1
     assert channels_equal(ch, identity_channel(3))
 
 
 def test_choi_to_kraus_roundtrip_depolarizing():
     original = depolarizing(2, 0.5)
-    extracted = choi_to_kraus(original.choi())
+    extracted = choi_to_kraus(original.choi(), 2, 2)
     assert extracted.n_kraus <= 5
     assert np.max(np.abs(extracted.choi().matrix - original.choi().matrix)) < 1e-10
 
@@ -568,7 +554,7 @@ def test_choi_to_kraus_roundtrip_random(d_in, d_out, tau, seed):
         tau = -(-d_in // d_out)
     tau = min(tau, d_in * d_out)
     ch = random_channel(d_in, d_out, tau, seed=seed)
-    back = choi_to_kraus(ch.choi())
+    back = choi_to_kraus(ch.choi(), d_in, d_out)
     assert np.max(np.abs(back.choi().matrix - ch.choi().matrix)) < 1e-9
 
 

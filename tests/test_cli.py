@@ -156,6 +156,19 @@ def test_entropy_bad_channel_file_exit_code(tmp_path):
     assert run(["entropy", "--channel-file", bad, "--out", tmp_path / "x.json"]) == 3
 
 
+@pytest.mark.parametrize("dim_in, dim_out", [(1.5, 1), (True, 1), (-1, -1), ("1", 1), (1, 0)],
+                         ids=["fractional", "boolean", "negative", "string", "zero"])
+def test_channel_file_dimensions_must_be_integers_of_at_least_one(tmp_path, capsys, dim_in,
+                                                                  dim_out):
+    # 1.5 and true ran as the 1 x 1 identity; -1 x -1 reached reshape and exited 2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim_in": dim_in, "dim_out": dim_out, "kraus": [[[1.0, 0.0]]]}))
+    out = tmp_path / "x.json"
+    assert run(["entropy", "--channel-file", bad, "--out", out]) == 3
+    assert "malformed channel object" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- figure-energy --
 
 
@@ -279,6 +292,28 @@ def test_figure_bound_rows_and_bound_property(tmp_path):
     for r in rows:
         slack = 3 * float(r["std_distance"]) / np.sqrt(60)
         assert float(r["mean_distance"]) <= float(r["entropy_bound"]) + slack
+
+
+def test_figure_bound_at_k_equal_n_is_an_isometry(tmp_path):
+    # one site a block: every distance is 1 - 1/d_R, and the mean of these equal
+    # values, rounded one ulp above their max, no longer fails the range check (exit 4)
+    out = tmp_path / "bound.csv"
+    assert run(["figure-bound", "--N", 6, "--k", 6, "--samples", 3, "--out", out]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [int(r["Np"]) for r in rows] == [1, 2, 3, 4, 5]
+    for r in rows:
+        assert abs(float(r["mean_distance"]) - (1 - 1 / comb(6, int(r["Np"])))) <= 1e-12
+        assert float(r["std_distance"]) <= 1e-12
+
+
+def test_typicality_of_an_isometry_passes_the_range_check(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"channel": {"type": "identity", "d": 7}, "samples": 13,
+                                  "master_seed": 1}))
+    out = tmp_path / "r.json"
+    assert run(["typicality", "--config", config, "--out", out]) == 0
+    report = json.loads(out.read_text())
+    assert report["max_distance"] < report["mean_distance"] <= report["max_distance"] + 1e-12
 
 
 def test_figure_bound_bytes(tmp_path):
@@ -765,6 +800,42 @@ def test_replayed_integer_that_is_not_an_int_is_a_usage_error(tmp_path, capsys, 
         Path(path).unlink()
     assert run(["replay", "--manifest", manifest]) == 2
     assert capsys.readouterr().err.startswith("usage error")
+    assert not any(Path(path).exists() for path in data["outputs"])
+
+
+MALFORMED_MANIFEST = {
+    # each crashed with a traceback (exit 1)
+    "parameters-not-an-object": (["figure-bound", "--N", 4, "--k", 2, "--samples", 3],
+                                 lambda data: data.update(parameters=[]), 3),
+    "command-not-a-string": (["figure-bound", "--N", 4, "--k", 2, "--samples", 3],
+                             lambda data: data.update(command=[]), 3),
+    "lipschitz-without-out": (["lipschitz", "--channel", "identity", "--d", 2, "--trials", 1],
+                              lambda data: data["parameters"].pop("out"), 2),
+    "figure-energy-without-N": (["figure-energy", "--N", 10, "--Np", 5, "--k", 2],
+                                lambda data: data["parameters"].pop("N"), 2),
+    "entropy-without-channel": (["entropy", "--channel", "identity", "--d", 2],
+                                lambda data: data["parameters"].pop("channel"), 2),
+    "typicality-without-config": (["typicality", "--config", "CONFIG"],
+                                  lambda data: data["parameters"].pop("config"), 2),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MANIFEST)
+def test_malformed_replayed_manifest_exits_with_its_error_code(tmp_path, capsys, case):
+    argv, edit, code = MALFORMED_MANIFEST[case]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"channel": {"type": "identity", "d": 2}, "samples": 3,
+                                  "master_seed": 1}))
+    out = tmp_path / "out.dat"
+    assert run([config if a == "CONFIG" else a for a in argv] + ["--out", out]) == 0
+    manifest = tmp_path / "out.dat.manifest.json"
+    data = json.loads(manifest.read_text())
+    edit(data)
+    manifest.write_text(json.dumps(data))
+    for path in data["outputs"]:
+        Path(path).unlink()
+    assert run(["replay", "--manifest", manifest]) == code
+    assert capsys.readouterr().err.startswith({2: "usage error", 3: "data error"}[code])
     assert not any(Path(path).exists() for path in data["outputs"])
 
 

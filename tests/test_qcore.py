@@ -12,7 +12,6 @@ from qtypical import qcore
 from qtypical.qcore import (
     DensityOperator,
     DimensionError,
-    StateVector,
     derive_seed,
     haar_sample,
     haar_unitary,
@@ -25,15 +24,10 @@ from qtypical.restriction import RestrictedPartialTrace
 # -- domain type validation --
 
 
-def test_state_vector_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0]))
-
-
 def test_state_vector_is_immutable():
     psi = haar_sample(3, 0)
     with pytest.raises(ValueError):
-        psi.amplitudes[0] = 0.0
+        psi[0] = 0.0
 
 
 def test_density_operator_rejects_non_hermitian():
@@ -92,12 +86,12 @@ def test_density_operator_keeps_a_read_only_copy():
 
 def test_haar_dim_one_is_a_phase():
     psi = haar_sample(1, 99)
-    assert abs(abs(psi.amplitudes[0]) - 1.0) < 1e-12
+    assert abs(abs(psi[0]) - 1.0) < 1e-12
 
 
 def test_haar_deterministic_for_fixed_seed():
-    a = haar_sample(2, 1234).amplitudes
-    b = haar_sample(2, 1234).amplitudes
+    a = haar_sample(2, 1234)
+    b = haar_sample(2, 1234)
     assert np.array_equal(a, b)
 
 
@@ -136,7 +130,7 @@ def test_haar_rows_match_per_sample_draws_bit_for_bit(dim, n_states):
     seeds = [derive_seed(2024, i) for i in range(n_states)]
     expected = np.stack([_haar_state_per_sample(dim, s) for s in seeds])
     assert qcore._haar_rows(dim, seeds).tobytes() == expected.tobytes()
-    assert haar_sample(dim, seeds[-1]).amplitudes.tobytes() == expected[-1].tobytes()
+    assert haar_sample(dim, seeds[-1]).tobytes() == expected[-1].tobytes()
 
 
 def test_haar_rows_peak_is_one_output_block():
@@ -179,7 +173,7 @@ def test_pcg64_states_match_numpy_seeding_on_any_integer(seeds):
 @pytest.mark.parametrize("seed", [-1, 2**64 + 5, 2**70])
 def test_haar_sample_masks_out_of_range_seeds_like_its_generator(seed):
     expected = _haar_state_per_sample(3, seed)
-    assert haar_sample(3, seed).amplitudes.tobytes() == expected.tobytes()
+    assert haar_sample(3, seed).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("seed", [np.int64(5), np.int64(-1), np.uint64(2**64 - 1), np.uint64(7)])
@@ -187,7 +181,7 @@ def test_numpy_integer_seeds_give_the_bytes_of_the_equal_python_int(seed):
     value = int(seed)
     assert derive_seed(seed, 3) == derive_seed(value, 3)
     assert derive_seed(7, seed) == derive_seed(7, value)
-    assert haar_sample(2, seed).amplitudes.tobytes() == haar_sample(2, value).amplitudes.tobytes()
+    assert haar_sample(2, seed).tobytes() == haar_sample(2, value).tobytes()
     assert qcore._pcg64_states([seed]) == qcore._pcg64_states([value])
     assert (qcore._generator(seed).standard_normal(4).tobytes()
             == qcore._generator(value).standard_normal(4).tobytes())
@@ -263,8 +257,8 @@ def test_trace_distance_identical_states():
 
 
 def test_trace_distance_plus_vs_zero():
-    plus = StateVector(np.array([1.0, 1.0]) / np.sqrt(2)).projector()
-    zero = StateVector(np.array([1.0, 0.0])).projector()
+    plus = DensityOperator(np.full((2, 2), 0.5))
+    zero = DensityOperator(np.diag([1.0, 0.0]))
     # pure states: D = sqrt(1 - |<psi|phi>|^2) = sqrt(1/2)
     assert abs(trace_distance(plus, zero) - np.sqrt(0.5)) < 1e-12
 

@@ -99,7 +99,7 @@ def test_microcanonical_is_haar_average(n, np_exc):
     sub = enumerate_basis(n, np_exc)
     d = sub.d_r
     samples = 10**4
-    batch = np.stack([haar_sample(d, derive_seed(77, i)).amplitudes
+    batch = np.stack([haar_sample(d, derive_seed(77, i))
                       for i in range(samples)])
     mean = np.einsum("ni,nj->ij", batch, batch.conj()) / samples
     assert np.max(np.abs(mean - np.eye(d) / d)) < 5.0 / np.sqrt(samples)
@@ -233,7 +233,7 @@ def test_restricted_partial_trace_needs_no_full_space_buffer(small_dense_budget)
     # outputs would take 67.6 KB; the outputs and weight blocks need 10.7 KB
     ch = RestrictedPartialTrace(10, 5, 3)
     assert 2 * ch._row_bytes == 10736
-    psis = np.stack([haar_sample(ch.dim_in, derive_seed(3, i)).amplitudes for i in range(2)])
+    psis = np.stack([haar_sample(ch.dim_in, derive_seed(3, i)) for i in range(2)])
     full = np.zeros((2, 2**10), dtype=np.complex128)  # the scatter oracle
     full[:, enumerate_basis(10, 5).indices] = psis
     m = full.reshape(2, 8, 128)

@@ -87,7 +87,7 @@ def test_sample_distances_match_per_sample_oracle(samples):
     cfg = ExperimentConfig(channel=ch, samples=samples, master_seed=21)
     omega = canonical_state(ch)
     expected = [
-        trace_distance(ch.apply_pure(haar_sample(ch.dim_in, derive_seed(21, i)).amplitudes),
+        trace_distance(ch.apply_pure(haar_sample(ch.dim_in, derive_seed(21, i))),
                        omega)
         for i in range(samples)
     ]
@@ -504,6 +504,16 @@ def test_report_range_check_is_a_consistency_failure():
     # a trace distance above 1 is no statistic of distances: exit 4 in the CLI
     with pytest.raises(ConsistencyError, match="violate"):
         _report(2, 1.5, 0.0, 2.0)
+
+
+def test_report_mean_may_pass_its_max_by_rounding_only():
+    # np.mean of equal distances can round one ulp above them; 1e-9 above is no rounding
+    top = 1 - 1 / 7
+    assert _report(13, top, 0.0, 1.0).mean_distance == top
+    report = dataclasses.replace(_report(13, top, 0.0, 1.0), mean_distance=np.nextafter(top, 1))
+    assert report.mean_distance > report.max_distance
+    with pytest.raises(ConsistencyError, match="violate"):
+        dataclasses.replace(report, mean_distance=top + 1e-9)
 
 
 def test_one_sample_run_above_the_mean_bound_is_a_report():
