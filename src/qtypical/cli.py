@@ -5,7 +5,7 @@ Reported numbers come from ``typicality``: ``figure-bound`` runs one
 its data files plus a run manifest (<out>.manifest.json) holding the full
 parameter set; ``replay`` re-executes a manifest and regenerates
 byte-identical outputs. Exit codes: 0 success, 2 usage error (a bad command
-line or config, or a parameter value missing, out of range or not an integer,
+line or config, or a parameter value missing, out of range or of the wrong kind,
 refused before the command's work starts), 3 data error (for example a non-CPTP
 channel file or a manifest whose parameters are not an object), 4 internal
 consistency failure.
@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import functools
 import json
+import numbers
 import os
 import sys
 import time
@@ -82,42 +83,39 @@ def _parameter_errors(what: str):
 # -- channel specs -------------------------------------------------------------
 
 
-def _required(params: dict, key: str):
-    """``params[key]``; a missing key is a usage error (exit 2), as in a replayed manifest."""
-    try:
-        return params[key]
-    except KeyError:
-        raise UsageError(f"parameter {key!r} is missing") from None
+_REQUIRED = object()  # the default of a parameter that has none
+_KINDS = {int: ((int, np.integer), "an integer"), float: (numbers.Real, "a real number"),
+          str: (str, "a nonempty string"), dict: (dict, "an object"), list: (list, "a list")}
 
 
-def _integer(params: dict, key: str, default: int | None = None) -> int:
-    """``params[key]`` (``default`` where given and the key is absent), which must be an
-    integer: a missing key, a float, bool or string is a usage error (exit 2), not
-    truncated or converted."""
-    value = _required(params, key) if default is None else params.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise UsageError(f"{key} = {value!r} is not an integer")
-    return int(value)
+def _param(params: dict, key: str, kind: type = int, default=_REQUIRED,
+           low: int | None = None, high: int | None = None):
+    """``params[key]`` (``default``, where given, for an absent key), of ``kind`` and within
+    [low, high]: the one reader of every value of a command, a config and a channel spec.
 
-
-def _dimensions(spec: dict, *keys: str) -> list[int]:
-    """The spec's integer values under ``keys``, each a dimension or size of at least 1.
-
-    A value below 1 is a usage error (exit 2), found before any construction; the
-    library's own DimensionError for it would read as a size refusal (exit 3).
+    Anything else is a usage error (exit 2). An int is an integer (numpy's too), not a bool,
+    float or string; a float a real number, not a bool; a str is nonempty.
     """
-    values = [_integer(spec, key) for key in keys]
-    for key, value in zip(keys, values):
-        if value < 1:
-            raise UsageError(f"{key} = {value} must be >= 1")
-    return values
+    value = params.get(key, default)
+    if value is _REQUIRED:
+        raise UsageError(f"parameter {key!r} is missing")
+    if value is default:
+        return value
+    types, name = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types) or (kind is str and not value):
+        raise UsageError(f"{key} = {value!r} is not {name}")
+    if kind in (int, float):
+        value = kind(value)
+    if low is not None and value < low:
+        raise UsageError(f"{key} = {value} must be >= {low}")
+    if high is not None and value > high:
+        raise UsageError(f"{key} = {value} exceeds the supported exact range ({high})")
+    return value
 
 
 def _check_blocking(n: int, k: int) -> None:
-    """k detector blocks must evenly divide N >= 1 sites: a usage error (exit 2) otherwise."""
-    if n < 1:
-        raise UsageError(f"N = {n} must be >= 1")
-    if k < 1 or n % k != 0:
+    """k detector blocks must evenly divide N sites: a usage error (exit 2) otherwise."""
+    if n % k != 0:
         raise UsageError(f"k = {k} does not divide N = {n}")
 
 
@@ -134,43 +132,40 @@ def build_channel(
     Values out of range are usage errors; a DimensionError from construction is
     a size refusal (exit 3).
     """
-    if not isinstance(spec, dict) or "type" not in spec:
+    if not isinstance(spec, dict):
         raise UsageError("channel spec must be an object with a 'type' key")
-    kind = str(spec["type"]).replace("-", "_")
+    kind = _param(spec, "type", str).replace("-", "_")
+    seed, n_excited = _param(spec, "seed", int, 0), _param(spec, "Np", int, None)
     info: dict = {"d_e_eff": None}
     try:
         if kind == "identity":
-            return identity_channel(*_dimensions(spec, "d")), info
+            return identity_channel(_param(spec, "d", low=1)), info
         if kind == "depolarizing":
-            return depolarizing(*_dimensions(spec, "d"), float(spec["lambda"])), info
-        if kind == "partial_trace":
-            if "N" in spec and spec.get("Np") is not None:
-                n, sq = _integer(spec, "N"), _integer(spec, "split")
-                ch = RestrictedPartialTrace(n, _integer(spec, "Np"), sq)
-                info["d_e_eff"] = effective_environment_dimension(ch, (sq, n - sq))
-                return ch, info
-            d_s, d_e = _dimensions(spec, "dS", "dE")
+            return depolarizing(_param(spec, "d", low=1), _param(spec, "lambda", float)), info
+        if kind == "partial_trace" and "N" in spec and n_excited is not None:
+            n, sq = _param(spec, "N"), _param(spec, "split")
+            ch = RestrictedPartialTrace(n, n_excited, sq)
+            info["d_e_eff"] = effective_environment_dimension(ch, (sq, n - sq))
+            return ch, info
+        if kind in ("partial_trace", "unitary_trace"):
+            d_s, d_e = _param(spec, "dS", low=1), _param(spec, "dE", low=1)
             info["d_e_eff"] = float(d_e)
-            return partial_trace_channel(d_s, d_e), info
-        if kind == "unitary_trace":
-            d_s, d_e = _dimensions(spec, "dS", "dE")
             trace_out = partial_trace_channel(d_s, d_e)
-            u = haar_unitary(d_s * d_e, _integer(spec, "seed", 0))
-            info["d_e_eff"] = float(d_e)
-            return compose(trace_out, unitary_channel(u)), info
+            if kind == "partial_trace":
+                return trace_out, info
+            return compose(trace_out, unitary_channel(haar_unitary(d_s * d_e, seed))), info
         if kind == "bns":
-            n, k = _dimensions(spec, "N", "k")
+            n, k = _param(spec, "N", low=1), _param(spec, "k", low=1)
             _check_blocking(n, k)
-            if spec.get("Np") is not None:
-                return DetectorChannel(n, k, _integer(spec, "Np")), info
+            if n_excited is not None:
+                return DetectorChannel(n, k, n_excited), info
             return bns_channel(n, k), info
         if kind == "file":
+            path = _param(spec, "path", str)
             try:
-                return load_channel(spec["path"]), info
+                return load_channel(path), info
             except (OSError, json.JSONDecodeError, CPTPError, DimensionError) as exc:
                 raise DataError(f"cannot load channel file: {exc}") from exc
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"channel spec for {kind!r} is missing parameter {exc}") from exc
     except DimensionError:
         raise  # a size refusal is a data error (exit 3), not a usage error
     except ValueError as exc:
@@ -278,16 +273,16 @@ def _emit_plot_script(title: str, body: str, csv_path: str) -> str:
 # -- commands --------------------------------------------------------------------
 
 
-def _maybe_save_channel(ch, params: dict, outputs: list) -> None:
-    path = params.get("save_channel")
-    if path:
+def _saved_channel(ch, path: str | None, outputs: list) -> list:
+    if path is not None:
         save_channel(ch, path)
         outputs.append(path)
+    return outputs
 
 
 def run_entropy(params: dict) -> list:
-    out = _required(params, "out")
-    ch, _ = build_channel(_required(params, "channel"))
+    out, save_to = _param(params, "out", str), _param(params, "save_channel", str, None)
+    ch, _ = build_channel(_param(params, "channel", dict))
     purity_choi, purity_kraus, s_l, bound = _entropy(ch)
     payload = {
         "dim_in": ch.dim_in,
@@ -304,16 +299,12 @@ def run_entropy(params: dict) -> list:
     print(f"route difference     : {_fmt(payload['purity_route_difference'])}")
     print(f"mean-distance bound  : {_fmt(payload['entropy_bound'])}")
     _write_json(out, payload)
-    outputs = [out]
-    _maybe_save_channel(ch, params, outputs)
-    return outputs
+    return _saved_channel(ch, save_to, [out])
 
 
 def run_figure_energy(params: dict) -> list:
-    n, np_excited, k = (_integer(params, key) for key in ("N", "Np", "k"))
-    out = _required(params, "out")
-    if n > 20000:
-        raise UsageError(f"N = {n} exceeds the supported exact range (20000)")
+    n, k = _param(params, "N", low=1, high=20000), _param(params, "k", low=1)
+    np_excited, out = _param(params, "Np"), _param(params, "out", str)
     _check_blocking(n, k)
     with _parameter_errors("figure-energy parameters"):
         trace_dist = energy_distribution_trace(n, np_excited, k)
@@ -334,11 +325,9 @@ def run_figure_energy(params: dict) -> list:
 
 
 def run_figure_bound(params: dict) -> list:
-    n, k, samples, seed = (_integer(params, key) for key in ("N", "k", "samples", "seed"))
-    out = _required(params, "out")
+    n, k, samples = (_param(params, key, low=1) for key in ("N", "k", "samples"))
+    seed, out = _param(params, "seed"), _param(params, "out", str)
     _check_blocking(n, k)
-    if samples < 1:  # checked once: at N = 1 the Np loop below is empty
-        raise UsageError(f"samples = {samples} must be >= 1")
     for np_excited in range(1, n):  # every plan and sample is checked before the first draw
         _sample_row_bytes(DetectorChannel(n, k, np_excited))
     rows = []
@@ -355,16 +344,14 @@ def run_figure_bound(params: dict) -> list:
 
 
 def run_typicality(params: dict) -> list:
-    config, out = _required(params, "config"), _required(params, "out")
-    try:
-        samples, master_seed = _integer(config, "samples"), _integer(config, "master_seed")
-        channel_spec = config["channel"]
-        epsilon_grid = tuple(float(e) for e in config.get("epsilon_grid", ()))
-        eta_mode = str(config.get("eta_mode", "fixed_one"))
-        eta_trials = _integer(config, "eta_trials", 16)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad experiment config: {exc}") from exc
-    ch, info = build_channel(channel_spec)
+    config, out = _param(params, "config", dict), _param(params, "out", str)
+    distances_csv = _param(params, "distances_csv", str, None)
+    samples, master_seed = _param(config, "samples"), _param(config, "master_seed")
+    eta_mode = _param(config, "eta_mode", str, "fixed_one")
+    eta_trials = _param(config, "eta_trials", int, 16)
+    epsilon_grid = tuple(_param({"epsilon_grid": e}, "epsilon_grid", float)
+                         for e in _param(config, "epsilon_grid", list, []))
+    ch, info = build_channel(_param(config, "channel", dict))
     with _parameter_errors("experiment config"):
         cfg = ExperimentConfig(channel=ch, samples=samples, master_seed=master_seed,
                                epsilon_grid=epsilon_grid, eta_mode=eta_mode,
@@ -372,9 +359,9 @@ def run_typicality(params: dict) -> list:
     report = run_experiment(cfg)  # the entropy first: a refused one draws nothing
     report.save(out)
     outputs = [out]
-    if params.get("distances_csv"):
-        _write_distances_csv(params["distances_csv"], report.distances)
-        outputs.append(params["distances_csv"])
+    if distances_csv is not None:
+        _write_distances_csv(distances_csv, report.distances)
+        outputs.append(distances_csv)
     print(f"mean distance        : {_fmt(report.mean_distance)}")
     print(f"entropy bound        : {_fmt(report.entropy_bound)}")
     if report.partial_trace_bound is not None:
@@ -383,11 +370,9 @@ def run_typicality(params: dict) -> list:
 
 
 def run_lipschitz(params: dict) -> list:
-    trials, seed = _integer(params, "trials"), _integer(params, "seed")
-    out = _required(params, "out")
-    if trials < 1:  # checked for every spec, also where the exact value needs no trial
-        raise UsageError(f"trials = {trials} must be >= 1")
-    ch, _ = build_channel(_required(params, "channel"))
+    trials, seed = _param(params, "trials", low=1), _param(params, "seed")
+    out, save_to = _param(params, "out", str), _param(params, "save_channel", str, None)
+    ch, _ = build_channel(_param(params, "channel", dict))
     estimate, exact = _eta(ch, trials, seed)
     payload = {
         "dim_in": ch.dim_in,
@@ -399,9 +384,7 @@ def run_lipschitz(params: dict) -> list:
     label = "Lipschitz constant" if exact else "Lipschitz lower bound"
     print(f"{label:<21}: {_fmt(estimate)}")
     _write_json(out, payload)
-    outputs = [out]
-    _maybe_save_channel(ch, params, outputs)
-    return outputs
+    return _saved_channel(ch, save_to, [out])
 
 
 COMMANDS = {

@@ -60,8 +60,13 @@ def _check_dense_bytes(n_bytes: int, what: str) -> None:
 
 
 def _mib(n_bytes: int) -> str:
-    """A byte count in MiB: whole MiB from 1 MiB up, four significant digits below."""
-    return f"{n_bytes / 2**20:.0f} MiB" if n_bytes >= 2**20 else f"{n_bytes / 2**20:.4g} MiB"
+    """A byte count in MiB: whole MiB from 1 MiB up, four significant digits below; a
+    count whose MiB are beyond the float range is rounded by integer arithmetic."""
+    try:
+        mib = n_bytes / 2**20
+    except OverflowError:
+        return f"{(n_bytes + 2**19) >> 20} MiB"
+    return f"{mib:.0f} MiB" if n_bytes >= 2**20 else f"{mib:.4g} MiB"
 
 
 def _write_lines(path, lines) -> None:

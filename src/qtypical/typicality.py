@@ -73,6 +73,7 @@ import mmap
 import operator
 import os
 import signal
+import sys
 import threading
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
@@ -83,6 +84,7 @@ from . import qcore
 from .channels import ConsistencyError, QuantumChannel, _eta, _gated_linear_entropy
 from .qcore import (
     DensityOperator,
+    DimensionError,
     _block_items,
     _check_dense_bytes,
     _derive_seeds,
@@ -135,6 +137,8 @@ class ExperimentConfig:
     d_e_eff: float | None = None  # set in partial-trace scenarios only
 
     def __post_init__(self):
+        for name in ("samples", "master_seed", "eta_trials"):  # numpy ints too; 10.5 is a TypeError
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         eps = tuple(float(e) for e in self.epsilon_grid)
@@ -145,7 +149,6 @@ class ExperimentConfig:
         if self.eta_mode == "estimated" and self.eta_trials < 1:
             raise ValueError("eta_trials must be >= 1 when eta is estimated")
         object.__setattr__(self, "epsilon_grid", eps)
-        object.__setattr__(self, "master_seed", operator.index(self.master_seed))  # numpy ints too
 
 
 def canonical_state(ch) -> DensityOperator:
@@ -287,12 +290,19 @@ def entropy_bound(ch) -> float:
 
 
 def _entropy(ch) -> tuple[float, float, float, float]:
-    """(Choi purity, Kraus-route purity, linear entropy, entropy bound) from one
-    gated evaluation of the purity routes."""
+    """(Choi purity, Kraus-route purity, linear entropy, entropy bound) from one gated
+    evaluation of the purity routes; a bound beyond the float range is a size refusal."""
     purity_choi, purity_kraus = ch.choi_purity_routes()
     s_l = _gated_linear_entropy(purity_choi, purity_kraus)
+    d_s = ch.dim_out  # m 2^e, e even: e = 0 where d_S fits a float, else m has 64 or 65 bits
+    e = 0 if d_s <= sys.float_info.max else (d_s.bit_length() - 64) & ~1
     # min(P, 1) is 1 - S_L read off P: 1 - S_L would cancel a purity below ~1e-16
-    return purity_choi, purity_kraus, s_l, 0.5 * math.sqrt(ch.dim_out * min(purity_choi, 1.0))
+    root = 0.5 * math.sqrt((d_s >> e) * min(purity_choi, 1.0))
+    try:
+        return purity_choi, purity_kraus, s_l, math.ldexp(root, e // 2)
+    except OverflowError:
+        raise DimensionError(f"the entropy bound (1/2) sqrt(d_S P) = "
+                             f"2^{math.log2(root) + e // 2:.1f} exceeds the float range") from None
 
 
 def partial_trace_bound(d_s: int, d_e_eff: float) -> float:

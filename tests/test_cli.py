@@ -1,7 +1,9 @@
 import csv
+import functools
 import hashlib
 import io
 import json
+import math
 import runpy
 import sys
 import time
@@ -146,6 +148,29 @@ def test_restricted_partial_trace_saves_the_dense_kraus_family(tmp_path):
     dense = restrict_channel(partial_trace_channel(4, 8), enumerate_basis(5, 2))
     save_channel(dense, tmp_path / "dense.channel.json")
     assert saved.read_bytes() == (tmp_path / "dense.channel.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--channel", "partial-trace", "--N", 1100, "--Np", 2, "--split", 1030],
+    ["--channel", "bns", "--N", 1030, "--k", 1030, "--Np", 2],
+], ids=["partial-trace", "detector"])
+def test_entropy_with_d_s_beyond_the_float_range(tmp_path, argv):
+    # d_S = 2^1030 overflowed the float conversion of the bound (exit 1)
+    out = tmp_path / "e.json"
+    assert run(["entropy", *argv, "--out", out]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["dim_out"] == 2**1030
+    assert payload["entropy_bound"] == math.ldexp(
+        0.5 * math.sqrt(min(payload["choi_purity"], 1.0)), 515)
+
+
+def test_entropy_bound_beyond_the_float_range_is_a_size_refusal(tmp_path, capsys):
+    out = tmp_path / "e.json"
+    assert run(["entropy", "--channel", "partial-trace", "--N", 15000, "--Np", 1,
+                "--split", 15000, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "entropy bound" in err and "2^7499" in err
+    assert not out.exists()
 
 
 def test_entropy_bad_channel_file_exit_code(tmp_path):
@@ -409,6 +434,15 @@ def test_figure_bound_above_twelve_sites_is_a_size_refusal(tmp_path, capsys):
     assert time.perf_counter() - started < 5.0
     assert "grouping plan" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_figure_bound_refusal_beyond_the_float_range_names_its_bytes(tmp_path, capsys):
+    # C(1100, 550) states: formatting the refusal's byte count overflowed a float (exit 1)
+    out = tmp_path / "bound.csv"
+    assert run(["figure-bound", "--N", 1100, "--k", 1100, "--samples", 1, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and err.endswith(" MiB (limit 512 MiB)\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- typicality --
@@ -848,6 +882,95 @@ def test_replayed_out_of_range_value_is_a_usage_error(tmp_path, capsys):
     manifest.write_text(json.dumps(data))
     out.unlink()
     assert run(["replay", "--manifest", manifest]) == 2
+    assert capsys.readouterr().err.startswith("usage error")
+    assert not out.exists()
+
+
+REPLAYED_COMMANDS = [
+    ["entropy", "--channel", "depolarizing", "--d", 2, "--lambda", 0.5, "--save-channel", "OUT2"],
+    ["entropy", "--channel", "unitary-trace", "--dS", 2, "--dE", 2, "--unitary-seed", 3],
+    ["entropy", "--channel-file", "CHANNEL"],
+    ["lipschitz", "--channel", "partial-trace", "--N", 4, "--Np", 2, "--split", 2, "--trials", 1,
+     "--save-channel", "OUT2"],
+    ["typicality", "--config", "CONFIG", "--distances-csv", "OUT2"],
+    ["figure-energy", "--N", 10, "--Np", 5, "--k", 2],
+    ["figure-bound", "--N", 4, "--k", 2, "--samples", 3],
+]
+
+
+def _key_paths(obj: dict, prefix=()):
+    """The key path of every value of ``obj`` and of the objects nested in it."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def test_replayed_value_of_another_type_is_a_usage_error(tmp_path, capsys):
+    # paths, lambda and epsilon_grid crashed after the work (exit 1) or were skipped (exit 0)
+    save_channel(identity_channel(2), tmp_path / "c.json")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"channel": {"type": "bns", "N": 4, "k": 2, "Np": 2},
+                                  "samples": 3, "master_seed": 1, "epsilon_grid": [0.5],
+                                  "eta_mode": "estimated", "eta_trials": 2}))
+    outs = tmp_path / "outs"
+    outs.mkdir()
+    inputs = {"CONFIG": config, "CHANNEL": tmp_path / "c.json", "OUT2": outs / "second.json"}
+    for argv in REPLAYED_COMMANDS:
+        assert run([inputs.get(a, a) for a in argv] + ["--out", outs / "out.dat"]) == 0
+        manifest = tmp_path / "m.json"
+        (outs / "out.dat.manifest.json").rename(manifest)
+        recorded = json.loads(manifest.read_text())
+        for path in _key_paths(recorded["parameters"]):
+            for output in outs.iterdir():
+                output.unlink()
+            data = json.loads(json.dumps(recorded))
+            *parents, key = path
+            holder = functools.reduce(dict.__getitem__, parents, data["parameters"])
+            holder[key] = {} if isinstance(holder[key], list) else []
+            manifest.write_text(json.dumps(data))
+            capsys.readouterr()
+            assert run(["replay", "--manifest", manifest]) == 2, (argv[0], path)
+            captured = capsys.readouterr()
+            assert captured.err.startswith("usage error") and captured.out == "", path
+            assert list(outs.iterdir()) == [], path
+
+
+@pytest.mark.parametrize("key, value", [("out", []), ("out", 7), ("save_channel", 3),
+                                        ("out", 1)])
+def test_replayed_output_path_that_is_not_a_string_is_a_usage_error(tmp_path, capfd, key,
+                                                                     value):
+    # each crashed after the work (exit 1); "out": 1 first wrote the JSON over stdout
+    out = tmp_path / "l.json"
+    assert run(["lipschitz", "--channel", "identity", "--d", 2, "--trials", 1,
+                "--out", out]) == 0
+    manifest = tmp_path / "l.json.manifest.json"
+    data = json.loads(manifest.read_text())
+    data["parameters"][key] = value
+    manifest.write_text(json.dumps(data))
+    out.unlink()
+    capfd.readouterr()
+    assert run(["replay", "--manifest", manifest]) == 2
+    captured = capfd.readouterr()
+    assert captured.err.startswith("usage error") and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda config: config["channel"].update(type="depolarizing", d=2, **{"lambda": "0.5"}),
+    lambda config: config["channel"].update(seed=1.5),
+    lambda config: config.update(epsilon_grid=["0.1"]),
+    lambda config: config.update(epsilon_grid="0.1"),
+    lambda config: config.update(eta_mode=""),
+], ids=["string-lambda", "unused-seed", "string-epsilon", "string-grid", "empty-eta-mode"])
+def test_config_value_of_another_kind_is_a_usage_error(tmp_path, capsys, edit):
+    # a string lambda or epsilon ran as its float, and an identity spec ignored its seed
+    config = {"channel": {"type": "identity", "d": 2}, "samples": 3, "master_seed": 1}
+    edit(config)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "r.json"
+    assert run(["typicality", "--config", path, "--out", out]) == 2
     assert capsys.readouterr().err.startswith("usage error")
     assert not out.exists()
 

@@ -214,6 +214,17 @@ def test_budget_message_keeps_whole_mib_at_the_real_budget():
         qcore._check_dense_bytes(962 * 2**20 + 5, "the plan")
 
 
+@pytest.mark.parametrize("n_bytes, mib", [
+    (2**1043, f"{2.0**1023:.0f}"),  # the MiB still fit a float: the float's digits
+    ((2**1024 - 2**970) * 2**20 - 1, f"{1.7976931348623157e308:.0f}"),
+    (2**1100 + 2**19, str(2**1080 + 1)),  # beyond it: rounded by integer arithmetic
+    (3 * 2**1200, str(3 * 2**1180)),
+], ids=["2^1043", "float-max", "2^1100", "3x2^1200"])
+def test_budget_message_of_a_count_beyond_the_float_range(n_bytes, mib):
+    # the float division overflowed here, and the refusal exited 1
+    assert qcore._mib(n_bytes) == f"{mib} MiB"
+
+
 def test_haar_unitary_refused_above_budget(small_dense_budget):
     # 16 * 64^2 bytes fill the 64 KiB budget exactly; one more row exceeds it
     assert haar_unitary(64, 0).shape == (64, 64)

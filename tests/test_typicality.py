@@ -120,6 +120,38 @@ def test_numpy_integer_master_seed_gives_the_bytes_of_the_python_int(seed):
     assert json.loads(json.dumps(run_experiment(cfg).to_json_dict()))["master_seed"] == 7
 
 
+@pytest.mark.parametrize("field", ["samples", "eta_trials", "master_seed"])
+def test_experiment_config_integers_must_be_integers(field):
+    ch = identity_channel(3)
+    with pytest.raises(TypeError):  # 10.5 samples failed only at the first draw
+        ExperimentConfig(channel=ch, **{"samples": 10, "master_seed": 1, field: 10.5})
+    cfg = ExperimentConfig(channel=ch, **{"samples": 10, "master_seed": 1, field: np.int64(4)})
+    assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 4
+
+
+class _PurityOnly:
+    """The two members the entropy bound reads: an output dimension and equal purities."""
+
+    def __init__(self, dim_out: int, purity: float):
+        self.dim_out, self._purity = dim_out, purity
+
+    def choi_purity_routes(self):
+        return self._purity, self._purity
+
+
+@pytest.mark.parametrize("purity", [1.0, 0.3, 1e-300])
+def test_entropy_bound_of_a_dimension_beyond_the_float_range(purity):
+    # (1/2) sqrt(d_S P) raised OverflowError once d_S left the float range
+    bound = 0.5 * math.sqrt(2**1023 * purity)
+    assert entropy_bound(_PurityOnly(2**1023, purity)) == bound
+    for n in (1030, 1031, 2047):  # a power of two scales exactly
+        expected = math.ldexp(0.5 * math.sqrt(2 ** (n % 2) * purity), n // 2)
+        assert entropy_bound(_PurityOnly(2**n, purity)) == expected
+    d_s = 3 * 2**1100 + 1
+    expected = math.exp(0.5 * (math.log(d_s) + math.log(purity))) / 2
+    assert math.isclose(entropy_bound(_PurityOnly(d_s, purity)), expected, rel_tol=1e-12)
+
+
 @pytest.mark.parametrize("samples", [qcore._BLOCK_ROWS, 2 * qcore._BLOCK_ROWS + 1])
 def test_sample_distances_peak_is_one_block_of_outputs(samples):
     # one chunk, or three: a finished chunk's outputs are released before the next is applied
