@@ -229,10 +229,16 @@ class BnSCanonicalSpectrum:
         512 MiB (the float diagonal and its uint8 popcount table, 9 * 2^k bytes).
         """
         _check_dense_bytes(9 * 2**self.k, f"the 2^{self.k} canonical diagonal")
-        popcount = np.zeros(1, dtype=np.uint8)
-        for _ in range(self.k):  # a new top bit adds 1 to the count of every lower string
-            popcount = np.concatenate((popcount, popcount + 1))
-        return np.array([self.counts.get(m, 0) / self.total for m in range(self.k + 1)])[popcount]
+        weights = np.array([self.counts.get(m, 0) / self.total for m in range(self.k + 1)])
+        return weights[_popcounts(self.k)]
+
+
+def _popcounts(n_bits: int) -> np.ndarray:
+    """uint8 popcount of every n_bits-bit string, indexed by the string."""
+    popcount = np.zeros(1, dtype=np.uint8)
+    for _ in range(n_bits):  # a new top bit adds 1 to the count of every lower string
+        popcount = np.concatenate((popcount, popcount + 1))
+    return popcount
 
 
 def canonical_spectrum(n_sites: int, n_excited: int, n_blocks: int) -> BnSCanonicalSpectrum:
@@ -319,10 +325,6 @@ def _purity_numerator_convolution(n: int, n_blocks: int, n_excited: int) -> int:
 
 
 # -- the detector's gather-Gram plan ----------------------------------------------------
-
-
-def _popcount(values: np.ndarray, n_bits: int) -> np.ndarray:
-    return sum(((values >> bit) & 1 for bit in range(n_bits)), np.zeros_like(values))
 
 
 class _PatternGroup:
@@ -420,7 +422,7 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
     def _coherences(self) -> np.ndarray:
         """c^|y xor y'| indexed by y xor y'."""
         c = 1.0 / np.sqrt(2.0 ** (self.n_sites // self.n_blocks) - 1.0)
-        return c ** _popcount(np.arange(self.dim_out, dtype=np.int64), self.n_blocks)
+        return c ** _popcounts(self.n_blocks)
 
     @cached_property
     def _occupied(self) -> list[list[int]]:

@@ -25,8 +25,10 @@ from .qcore import (
     _block_items,
     _check_dense_bytes,
     _generator,
+    _haar_isometry,
     _half_trace_norms,
     _partial_trace_matrix,
+    _square_sum,
     derive_seed,
 )
 
@@ -198,20 +200,17 @@ class QuantumChannel(_EigensolveDistances):
     # -- scalar diagnostics -------------------------------------------------
 
     def linear_entropy(self) -> float:
-        """1 - tr(J^2) from the two purity routes of ``_purity_routes``.
+        """1 - tr(J^2) from the two purity routes of ``choi_purity_routes``.
 
         Disagreement beyond ROUTE_TOL means a representation bug somewhere, so
         it raises instead of silently picking one number.
         """
-        return _gated_linear_entropy(*self._purity_routes())
+        return _gated_linear_entropy(*self.choi_purity_routes())
 
     def choi_purity_routes(self) -> tuple[float, float]:
-        """(Choi-matrix purity, Kraus double-sum purity) without consistency gating."""
-        return self._purity_routes()
-
-    def _purity_routes(self) -> tuple[float, float]:
         """(tr J^2 of the Choi matrix J, Kraus double sum (1/dim_in^2) sum_{m,n}
-        |tr(K_m K_n^dagger)|^2), one route at a time, each summed where its matrix is built.
+        |tr(K_m K_n^dagger)|^2) without consistency gating, one route at a time, each
+        summed where its matrix is built.
 
         J is not copied or revalidated: its Kraus family was validated at construction.
         The peak is a matrix and its squared moduli, 1.5 times the Choi bytes
@@ -229,13 +228,6 @@ def _state_block(psis, dim_in: int) -> np.ndarray:
     if psis.ndim != 2 or psis.shape[1] != dim_in:
         raise DimensionError(f"state block of shape {psis.shape} does not match input dim {dim_in}")
     return psis
-
-
-def _square_sum(m: np.ndarray) -> float:
-    """sum |m_ab|^2 from the moduli of m, squared in place: the bits of ``np.abs(m) ** 2``."""
-    squares = np.abs(m)
-    squares *= squares
-    return float(np.sum(squares))
 
 
 def _gated_linear_entropy(purity_choi: float, purity_kraus: float) -> float:
@@ -381,12 +373,7 @@ def random_channel(dim_in: int, dim_out: int, n_kraus: int, seed: int) -> Quantu
         )
     _check_dense_bytes(16 * dim_out * n_kraus * dim_in,
                        f"the {dim_out * n_kraus} x {dim_in} Ginibre matrix")
-    rng = _generator(seed)
-    z = rng.standard_normal((dim_out * n_kraus, dim_in)) \
-        + 1j * rng.standard_normal((dim_out * n_kraus, dim_in))
-    q, r = np.linalg.qr(z)
-    v = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    blocks = v.reshape(dim_out, n_kraus, dim_in)
+    blocks = _haar_isometry(dim_out * n_kraus, dim_in, seed).reshape(dim_out, n_kraus, dim_in)
     return QuantumChannel(dim_in, dim_out, blocks.transpose(1, 0, 2))
 
 

@@ -68,13 +68,13 @@ class DataError(Exception):
 
 @contextlib.contextmanager
 def _parameter_errors(what: str):
-    """A library ValueError about a command's parameter, as a UsageError (exit 2).
-
-    Not its subclasses: CPTPError and DimensionError keep exit 3, LinAlgError is a failure.
+    """A library ValueError about a command's parameter, CPTPError included, as a
+    UsageError (exit 2). Not DimensionError, a size refusal (exit 3), nor LinAlgError,
+    a failure.
     """
     try:
         yield
-    except (CPTPError, DimensionError, np.linalg.LinAlgError):
+    except (DimensionError, np.linalg.LinAlgError):
         raise
     except ValueError as exc:
         raise UsageError(f"bad {what}: {exc}") from exc
@@ -137,7 +137,7 @@ def build_channel(
     kind = _param(spec, "type", str).replace("-", "_")
     seed, n_excited = _param(spec, "seed", int, 0), _param(spec, "Np", int, None)
     info: dict = {"d_e_eff": None}
-    try:
+    with _parameter_errors("channel spec"):
         if kind == "identity":
             return identity_channel(_param(spec, "d", low=1)), info
         if kind == "depolarizing":
@@ -164,12 +164,8 @@ def build_channel(
             path = _param(spec, "path", str)
             try:
                 return load_channel(path), info
-            except (OSError, json.JSONDecodeError, CPTPError, DimensionError) as exc:
+            except (OSError, ValueError) as exc:  # a malformed file is a data error (exit 3)
                 raise DataError(f"cannot load channel file: {exc}") from exc
-    except DimensionError:
-        raise  # a size refusal is a data error (exit 3), not a usage error
-    except ValueError as exc:
-        raise UsageError(f"bad channel spec: {exc}") from exc
     raise UsageError(f"unknown channel type {spec['type']!r}")
 
 
@@ -194,17 +190,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
-    """Header and rows, comma-separated with LF endings, in one write.
-
-    The fields are names and numbers, which need no quoting, so the bytes are
-    those of ``csv.writer`` with ``lineterminator="\\n"``.
-    """
-    _write_lines(path, [",".join(map(_fmt, row)) for row in [header, *rows]])
-
-
 def _write_distances_csv(path: str, distances: list) -> None:
-    """The index,distance table of ``_write_csv``, each row formatted by one f-string."""
+    """The index,distance table, each row formatted by one f-string."""
     _write_lines(path, ["index,distance",
                         *[f"{i},{d:{FLOAT_FORMAT}}" for i, d in enumerate(distances)]])
 
@@ -225,8 +212,7 @@ here = os.path.dirname(os.path.abspath(__file__))
 _PLOT_TAIL = """ax.legend()
 fig.tight_layout()
 fig.savefig(os.path.join(here, {png_name!r}), dpi=200)
-print("wrote", {png_name!r})
-"""
+print("wrote", {png_name!r})"""  # _write_lines ends the last line
 
 _ENERGY_PLOT = """ms, p_trace, p_bns = [], [], []
 with open(os.path.join(here, {csv_name!r}), newline="") as fh:
@@ -265,8 +251,7 @@ def _emit_plot_script(title: str, body: str, csv_path: str) -> str:
     script = (_PLOT_HEAD + body + _PLOT_TAIL).format(
         title=title, csv_name=os.path.basename(csv_path),
         png_name=os.path.basename(base) + ".png")
-    with open(script_path, "w", encoding="utf-8") as fh:
-        fh.write(script)
+    _write_lines(script_path, [script])
     return script_path
 
 
@@ -335,10 +320,9 @@ def run_figure_bound(params: dict) -> list:
         report = run_experiment(ExperimentConfig(
             channel=DetectorChannel(n, k, np_excited), samples=samples,
             master_seed=derive_seed(seed, np_excited)))
-        rows.append([np_excited, report.d_r, report.mean_distance, report.std_distance,
-                     report.entropy_bound])
-    _write_csv(out, ["Np", "d_R", "mean_distance", "std_distance", "entropy_bound"],
-               rows)
+        rows.append(f"{np_excited},{report.d_r},{report.mean_distance:{FLOAT_FORMAT}},"
+                    f"{report.std_distance:{FLOAT_FORMAT}},{report.entropy_bound:{FLOAT_FORMAT}}")
+    _write_lines(out, ["Np,d_R,mean_distance,std_distance,entropy_bound", *rows])
     script = _emit_plot_script("Plot mean distances against the entropy bound", _BOUND_PLOT, out)
     return [out, script]
 
@@ -455,7 +439,7 @@ def _execute(command: str, params: dict) -> list:
 def run_replay(params: dict) -> list:
     try:
         manifest = RunManifest.load(params["manifest"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot read manifest: {exc}") from exc
     if not isinstance(manifest.parameters, dict):
         raise DataError(f"cannot read manifest: parameters {manifest.parameters!r} "
@@ -549,7 +533,7 @@ def _params_from_args(args: argparse.Namespace) -> tuple[str, dict]:
         try:
             with open(params["config"], "r", encoding="utf-8") as fh:
                 params["config"] = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot parse config: {exc}") from exc
     return command, params
 
@@ -578,7 +562,3 @@ def main(argv=None) -> int:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 4
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

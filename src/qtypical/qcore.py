@@ -12,15 +12,16 @@ Conventions shared by every module in the package:
   ``_block_items`` sizes batched blocks by the same budget, capped at
   ``_BLOCK_ROWS`` states;
 * one output format: floats are written at ``FLOAT_FORMAT`` (17 significant
-  digits, enough to read every float back exactly), and every CSV table and
-  JSON report is written by ``_write_lines``, UTF-8 with LF line endings, in
-  one write.
+  digits, enough to read every float back exactly), and every CSV table, JSON
+  report and plot script is written by ``_write_lines``, UTF-8 with LF line
+  endings, in one write.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import operator
 import struct
 from dataclasses import InitVar, dataclass
@@ -59,14 +60,20 @@ def _check_dense_bytes(n_bytes: int, what: str) -> None:
         raise DimensionError(f"{what} needs {_mib(n_bytes)} (limit {_mib(_DENSE_BYTES_LIMIT)})")
 
 
+def _count(n) -> str:
+    """A count as text: in full below 2^53, else 2^x with x to one decimal, so that no
+    count is printed with more digits than a float holds (Python refuses to print an
+    integer of more than 4300 digits)."""
+    return f"{n:.0f}" if n < 2**53 else f"2^{math.log2(n):.1f}"
+
+
 def _mib(n_bytes: int) -> str:
-    """A byte count in MiB: whole MiB from 1 MiB up, four significant digits below; a
-    count whose MiB are beyond the float range is rounded by integer arithmetic."""
-    try:
-        mib = n_bytes / 2**20
-    except OverflowError:
-        return f"{(n_bytes + 2**19) >> 20} MiB"
-    return f"{mib:.0f} MiB" if n_bytes >= 2**20 else f"{mib:.4g} MiB"
+    """A byte count in MiB: four significant digits below 1 MiB, whole MiB (``_count``)
+    from there. From 2^53 MiB up, where ``_count`` writes 2^x, the MiB are an integer
+    shift, so no float division overflows."""
+    if n_bytes < 2**20:
+        return f"{n_bytes / 2**20:.4g} MiB"
+    return f"{_count(n_bytes / 2**20 if n_bytes < 2**73 else n_bytes >> 20)} MiB"
 
 
 def _write_lines(path, lines) -> None:
@@ -150,7 +157,14 @@ class DensityOperator:
         return self.matrix.shape[0]
 
     def purity(self) -> float:
-        return float(np.sum(np.abs(self.matrix) ** 2))
+        return _square_sum(self.matrix)
+
+
+def _square_sum(m: np.ndarray) -> float:
+    """sum |m_ab|^2 from the moduli of m, squared in place: the bits of ``np.abs(m) ** 2``."""
+    squares = np.abs(m)
+    squares *= squares
+    return float(np.sum(squares))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -287,15 +301,21 @@ def _haar_rows(dim: int, seeds) -> np.ndarray:
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix with phase fix.
+    """Haar-distributed unitary: ``_haar_isometry(dim, dim, seed)``.
 
     Refused above 512 MiB (16 dim^2 bytes).
     """
     if dim < 1:
         raise DimensionError(f"dimension must be >= 1, got {dim}")
     _check_dense_bytes(16 * dim**2, f"the {dim} x {dim} Haar unitary")
+    return _haar_isometry(dim, dim, seed)
+
+
+def _haar_isometry(rows: int, cols: int, seed: int) -> np.ndarray:
+    """Haar-distributed (rows, cols) isometry, rows >= cols: the QR of a complex Ginibre
+    matrix, real and imaginary parts drawn in turn, with the column phases fixed."""
     rng = _generator(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))

@@ -87,6 +87,7 @@ from .qcore import (
     DimensionError,
     _block_items,
     _check_dense_bytes,
+    _count,
     _derive_seeds,
     _haar_rows,
     _write_json,
@@ -279,8 +280,8 @@ def _sample_row_bytes(ch) -> int:
     at least one sample fits; ``figure-bound`` sizes each of its rows here too.
     """
     row = 16 * ch.dim_in + ch._distance_row_bytes
-    _check_dense_bytes(row, f"one sampled state of dimension {ch.dim_in}, its output of "
-                       f"dimension {ch.dim_out} and work arrays")
+    _check_dense_bytes(row, f"one sampled state of dimension {_count(ch.dim_in)}, its output "
+                       f"of dimension {_count(ch.dim_out)} and work arrays")
     return row
 
 

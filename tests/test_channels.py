@@ -387,6 +387,25 @@ def test_purity_routes_hold_one_matrix_and_its_squared_moduli(factory):
     assert peak <= 1.03 * max(1.5 * choi_bytes, choi_bytes + ch.kraus.nbytes)
 
 
+@pytest.mark.parametrize("factory", [
+    lambda: identity_channel(500),
+    lambda: partial_trace_channel(8, 64),
+    lambda: depolarizing(12, 0.3),
+], ids=["identity-500", "partial-trace-8x64", "depolarizing-12"])
+def test_construction_holds_the_copy_its_conjugate_and_the_gram(factory):
+    # the kept copy, the conjugated stack of the S^dagger S product and the d_in^2 Gram:
+    # a third Kraus-sized temporary (324 KiB for depolarizing-12) exceeds the 64 KiB slack
+    kraus = factory().kraus
+    dim_out, dim_in = kraus.shape[1:]
+    tracemalloc.start()
+    try:
+        QuantumChannel(dim_in, dim_out, kraus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * kraus.nbytes + 16 * dim_in**2 + 64 * 2**10
+
+
 def test_channel_keeps_no_choi_state():
     ch = random_channel(3, 2, 4, seed=5)
     first = ch.choi()

@@ -194,6 +194,49 @@ def test_channel_file_dimensions_must_be_integers_of_at_least_one(tmp_path, caps
     assert not out.exists()
 
 
+# a JSON integer of 5000 digits: json.load raises a plain ValueError on Python 3.11+,
+# which no reader caught (exit 1, or exit 2 "bad channel spec" for a channel file)
+BEYOND_DIGIT_LIMIT = "9" * 5000
+
+
+def _config_beyond_digit_limit(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"channel": {"type": "identity", "d": 2}, "master_seed": 1, '
+                    f'"samples": {BEYOND_DIGIT_LIMIT}}}')
+    return ["typicality", "--config", path, "--out", tmp_path / "r.json"]
+
+
+def _manifest_beyond_digit_limit(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "command": "entropy", "master_seed": None, "artifact_version": "0", "outputs": [],
+        "duration_seconds": 0.0, "parameters": {"channel": {"type": "identity", "d": "D"},
+                                                "out": str(tmp_path / "e.json")},
+    }).replace('"D"', BEYOND_DIGIT_LIMIT))
+    return ["replay", "--manifest", path]
+
+
+def _channel_file_beyond_digit_limit(tmp_path):
+    path = tmp_path / "ch.json"
+    path.write_text(f'{{"dim_in": {BEYOND_DIGIT_LIMIT}, "dim_out": 1, "kraus": [[[1.0, 0.0]]]}}')
+    return ["entropy", "--channel-file", path, "--out", tmp_path / "e.json"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="integers of any length are read before Python 3.11")
+@pytest.mark.parametrize("argv, code", [
+    (_config_beyond_digit_limit, 2),
+    (_manifest_beyond_digit_limit, 3),
+    (_channel_file_beyond_digit_limit, 3),
+], ids=["typicality-config", "replayed-manifest", "channel-file"])
+def test_json_integer_past_the_digit_limit_is_refused(tmp_path, capsys, argv, code):
+    written = tmp_path / "in"
+    written.mkdir()
+    assert run(argv(written)) == code
+    assert capsys.readouterr().err.startswith({2: "usage error", 3: "data error"}[code])
+    assert len(list(written.iterdir())) == 1  # the input file alone
+
+
 # -- figure-energy --
 
 
@@ -246,20 +289,6 @@ def test_figure_energy_small_spec_bytes(tmp_path, spec, expected):
     assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                  for name in ("energy.csv", "energy_trace_exact.csv",
                               "energy_bns_exact.csv")) == expected
-
-
-def test_csv_writer_bytes_equal_the_csv_module(tmp_path):
-    header = ["index", "distance", "m"]
-    rows = [[0, 0.1, 3], [1, 1e-300, -2], [2, 1 / 3, 10**40], [3, 0.0, 0], [4, 1.5e16, 7]]
-    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
-    cli._write_csv(str(ours), header, rows)
-    with open(theirs, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([[cli._fmt(v) for v in row] for row in rows])
-    assert ours.read_bytes() == theirs.read_bytes()
-    cli._write_csv(str(ours), header, [])
-    assert ours.read_bytes() == b"index,distance,m\n"
 
 
 def test_figure_energy_paper_scale_bytes(tmp_path):
@@ -381,24 +410,21 @@ def test_figure_bound_rerun_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("script, args, plot_names", [
-    ("typicality_bounds.py", ["--N", "4", "--samples", "20", "--k", "2", "4"],
-     ["bound_k2_plot.py", "bound_k4_plot.py"]),
-    ("energy_distributions.py", [], ["energy_plot.py"]),
-])
-def test_scripts_run_and_emit_compilable_plot_scripts(script, args, plot_names, tmp_path,
-                                                      monkeypatch):
-    # matplotlib is optional, so the generated plot scripts are compiled, not run
-    path = Path(__file__).resolve().parents[1] / "scripts" / script
+@pytest.mark.parametrize("runs, plot_names", [
+    ([["figure-bound", "--N", 4, "--k", k, "--samples", 20, "--out", f"bound_k{k}.csv"]
+      for k in (2, 4)], ["bound_k2_plot.py", "bound_k4_plot.py"]),
+    ([["figure-energy", "--N", 10000, "--Np", 200, "--k", 1000, "--out", "energy.csv"]],
+     ["energy_plot.py"]),
+], ids=["figure-bound", "figure-energy"])
+def test_figure_commands_emit_compilable_plot_scripts(runs, plot_names, tmp_path, monkeypatch):
+    # matplotlib is optional, so the companion plot scripts are compiled, not run
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(sys, "argv", [str(path), *args])
-    with pytest.raises(SystemExit) as exited:
-        runpy.run_path(str(path), run_name="__main__")
-    assert exited.value.code == 0
+    assert [run(argv) for argv in runs] == [0] * len(runs)
     plots = sorted(tmp_path.glob("*_plot.py"))
     assert [p.name for p in plots] == plot_names
     for plot in plots:
         compile(plot.read_text(), str(plot), "exec")
+        assert b"\r" not in plot.read_bytes()
 
 
 def test_figure_bound_refuses_oversized_channel_quickly(tmp_path):
@@ -442,6 +468,17 @@ def test_figure_bound_refusal_beyond_the_float_range_names_its_bytes(tmp_path, c
     assert run(["figure-bound", "--N", 1100, "--k", 1100, "--samples", 1, "--out", out]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error") and err.endswith(" MiB (limit 512 MiB)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figure_bound_refusal_of_a_count_past_the_digit_limit(tmp_path, capsys):
+    # 2^7200 outputs: the refusal's whole-MiB count has over 4300 digits, which Python
+    # 3.11 refuses to print (exit 1); counts from 2^53 up are written 2^x
+    out = tmp_path / "bound.csv"
+    assert run(["figure-bound", "--N", 7200, "--k", 7200, "--samples", 1, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "output of dimension 2^7200.0" in err
+    assert err.endswith(" needs 2^14384.0 MiB (limit 512 MiB)\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -531,7 +568,7 @@ def test_typicality_distances_csv_samples_once(tmp_path, draw_log):
 
 def test_distances_csv_has_the_bytes_of_csv_writer(tmp_path):
     # the rows are formatted by one f-string each; the bytes are those of csv.writer
-    # over the fields _fmt formats, as _write_csv writes every other table
+    # over the fields _fmt formats
     distances = [0.0, 0.1, 1.0, 1 / 3, 5e-324, 1e-20, 0.9999999999999999, 2.5e-7]
     path = tmp_path / "distances.csv"
     cli._write_distances_csv(path, distances)
@@ -540,9 +577,6 @@ def test_distances_csv_has_the_bytes_of_csv_writer(tmp_path):
     writer.writerows([["index", "distance"],
                       *([i, cli._fmt(d)] for i, d in enumerate(distances))])
     assert path.read_bytes() == expected.getvalue().encode()
-    table = tmp_path / "table.csv"
-    cli._write_csv(table, ["index", "distance"], [[i, d] for i, d in enumerate(distances)])
-    assert table.read_bytes() == path.read_bytes()
 
 
 def test_typicality_refuses_oversized_entropy_before_any_draw(tmp_path, monkeypatch):
@@ -1026,6 +1060,17 @@ def test_replay_reproduces_outputs_byte_identically(tmp_path):
     out.unlink()
     assert run(["replay", "--manifest", tmp_path / "bound.csv.manifest.json"]) == 0
     assert out.read_bytes() == first
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, monkeypatch):
+    # `python -m qtypical` is the one module entry point; it writes what main writes
+    args = ["entropy", "--channel", "depolarizing", "--d", "3", "--lambda", "0.4", "--out"]
+    assert run(args + [tmp_path / "main.json"]) == 0
+    monkeypatch.setattr(sys, "argv", ["qtypical", *args, str(tmp_path / "module.json")])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("qtypical", run_name="__main__")
+    assert exited.value.code == 0
+    assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()
 
 
 def test_replay_missing_manifest_is_data_error(tmp_path):

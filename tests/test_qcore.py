@@ -215,13 +215,23 @@ def test_budget_message_keeps_whole_mib_at_the_real_budget():
 
 
 @pytest.mark.parametrize("n_bytes, mib", [
-    (2**1043, f"{2.0**1023:.0f}"),  # the MiB still fit a float: the float's digits
-    ((2**1024 - 2**970) * 2**20 - 1, f"{1.7976931348623157e308:.0f}"),
-    (2**1100 + 2**19, str(2**1080 + 1)),  # beyond it: rounded by integer arithmetic
-    (3 * 2**1200, str(3 * 2**1180)),
+    (2**1043, "2^1023.0"),  # the MiB still fit a float
+    ((2**1024 - 2**970) * 2**20 - 1, "2^1024.0"),
+    (2**1100 + 2**19, "2^1080.0"),  # beyond it: counted by integer arithmetic
+    (3 * 2**1200, "2^1181.6"),
 ], ids=["2^1043", "float-max", "2^1100", "3x2^1200"])
 def test_budget_message_of_a_count_beyond_the_float_range(n_bytes, mib):
     # the float division overflowed here, and the refusal exited 1
+    assert qcore._mib(n_bytes) == f"{mib} MiB"
+
+
+@pytest.mark.parametrize("n_bytes, mib", [
+    (2**20, "1"),
+    (5 * 2**19, "2"),  # the float's rounding, half to even
+    ((2**53 - 1) * 2**20, str(2**53 - 1)),  # the largest count written in full
+    (2**53 * 2**20, "2^53.0"),
+], ids=["1MiB", "2.5MiB", "below-2^53", "2^53"])
+def test_budget_message_writes_counts_below_2_to_the_53_in_full(n_bytes, mib):
     assert qcore._mib(n_bytes) == f"{mib} MiB"
 
 

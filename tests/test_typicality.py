@@ -30,6 +30,7 @@ from qtypical.typicality import (
     LEVY_CONSTANT,
     ExperimentConfig,
     TypicalityReport,
+    _sample_row_bytes,
     canonical_state,
     depolarizing_bound,
     entropy_bound,
@@ -150,6 +151,23 @@ def test_entropy_bound_of_a_dimension_beyond_the_float_range(purity):
     d_s = 3 * 2**1100 + 1
     expected = math.exp(0.5 * (math.log(d_s) + math.log(purity))) / 2
     assert math.isclose(entropy_bound(_PurityOnly(d_s, purity)), expected, rel_tol=1e-12)
+
+
+class _RowOnly:
+    """The three members the sample size gate reads."""
+
+    def __init__(self, dim_in: int, dim_out: int):
+        self.dim_in, self.dim_out = dim_in, dim_out
+        self._distance_row_bytes = 16 * dim_out**2
+
+
+def test_sample_size_refusal_of_a_dimension_past_the_digit_limit():
+    # the detector at N = k = 14300 has 2^14300 outputs: Python 3.11 refused to print
+    # dim_out in the refusal (exit 1); counts from 2^53 up are written 2^x
+    message = (r"^one sampled state of dimension 14300, its output of dimension 2\^14300\.0 "
+               r"and work arrays needs 2\^28584\.0 MiB \(limit 512 MiB\)$")
+    with pytest.raises(DimensionError, match=message):
+        _sample_row_bytes(_RowOnly(14300, 2**14300))
 
 
 @pytest.mark.parametrize("samples", [qcore._BLOCK_ROWS, 2 * qcore._BLOCK_ROWS + 1])
