@@ -1,6 +1,6 @@
 """Canonical states and typicality statistics for channel-defined subsystems."""
 
-__version__ = "0.27.0"
+__version__ = "0.28.0"
 
 from .qcore import (
     DensityOperator,

@@ -42,7 +42,7 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from math import comb, gcd, perm
 from operator import sub
 
@@ -136,7 +136,7 @@ def bns_channel(n_sites: int, n_blocks: int) -> QuantumChannel:
     n = _block_size(n_sites, n_blocks)
     _check_dense_bytes((2**n - 1) ** n_blocks * 2 ** (n_blocks + n_sites) * 16,
                        f"the dense channel for N = {n_sites}, k = {n_blocks}")
-    return reduce(tensor, [block_channel(n)] * n_blocks)
+    return tensor(*[block_channel(n)] * n_blocks)
 
 
 def _block_size(n_sites: int, n_blocks: int) -> int:
@@ -333,10 +333,10 @@ class _PatternGroup:
     Basis state ``members[i]`` is summed into the cell (``row[i]``, column of
     label ``cols[i]``) of a table whose rows are the ascending output indices
     ``rows``. The Gram entries of the row pairs in the mask ``keep`` enter the
-    output times ``coherence`` (an array of the mask's shape, or a scalar).
+    output times ``coherences[rows[i] ^ rows[j]]``, the c^|y xor y'| table.
     """
 
-    def __init__(self, members, rows, row, cols, keep, coherence, d_out: int):
+    def __init__(self, members, rows, row, cols, keep, coherences, d_out: int):
         labels, col = np.unique(cols, return_inverse=True)
         key = row * labels.size + col
         order = np.argsort(key, kind="stable")
@@ -349,7 +349,7 @@ class _PatternGroup:
         self.n_rows, self.n_cols = rows.size, labels.size
         self.gram_index = np.flatnonzero(keep)
         self.out_index = rows[first] * d_out + rows[second]
-        self.coherence = np.broadcast_to(coherence, keep.shape)[keep]
+        self.coherence = coherences[rows[first] ^ rows[second]]
 
     def table(self, psis: np.ndarray) -> np.ndarray:
         """The group's (B, rows, cols) table of summed amplitudes of each row of psis."""
@@ -427,26 +427,16 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
     @cached_property
     def _occupied(self) -> list[list[int]]:
         """alpha_j(w) = ``_occupied_counts(n, w, k)[j]`` for w = 0 .. Np, counted once per
-        channel for the purity closed form and the plan's group work."""
-        n = self.n_sites // self.n_blocks
-        return [_occupied_counts(n, w, self.n_blocks) for w in range(self.n_excited + 1)]
+        channel for the purity closed form and the plan's counts. w excitations occupy
+        at most w blocks, so a row is counted up to j = min(w, k) and padded with 0."""
+        n, k = self.n_sites // self.n_blocks, self.n_blocks
+        return [_occupied_counts(n, w, min(w, k)) + [0] * (k - min(w, k))
+                for w in range(self.n_excited + 1)]
 
     @cached_property
     def _spectrum(self) -> BnSCanonicalSpectrum:
         """The exact canonical spectrum, counted once per channel."""
         return canonical_spectrum(self.n_sites, self.n_excited, self.n_blocks)
-
-    def _check_plan_bytes(self) -> None:
-        """Refuse a plan above 512 MiB, 24 (memberships + 4^k) bytes, before any index array.
-
-        A state of pattern y is a member of the 2^|y| groups within y, so there are
-        sum_m C(k, m) counts[m] 2^m memberships (the sector law); the bytes cover the
-        8 d_R of the basis.
-        """
-        sectors = self._spectrum.sectors
-        memberships = sum(c << m for m, c in zip(sectors.support, sectors.counts))
-        _check_dense_bytes(8 * 3 * (memberships + self.dim_out**2),
-                           f"the grouping plan of the {self.dim_in}-state detector input")
 
     @cached_property
     def _plan(self) -> tuple[_PatternGroup, ...]:
@@ -465,48 +455,50 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
             rows, row = np.unique(y[members], return_inverse=True)
             keep = rows[:, None] & rows[None, :] == shared
             if keep.any():
-                coherence = coherences[rows[:, None] ^ rows[None, :]]
                 groups.append(_PatternGroup(members, rows, row, x[members] & masks[shared],
-                                            keep, coherence, d_out))
+                                            keep, coherences, d_out))
         return tuple(groups)
 
     @cached_property
     def _row_bytes(self) -> int:
         """Bytes one row of ``apply_pure_batch`` allocates: its output plus the largest
         group's gathered amplitudes, table, Gram matrix and selected entries, counted
-        once per channel by ``_largest_group_work`` without building the plan. No row
-        is applied without the plan, so the plan's bytes are checked first, unless the
-        largest group alone is over budget, which refuses every row."""
-        work = 16 * self._largest_group_work()
-        if work <= qcore._DENSE_BYTES_LIMIT:
-            self._check_plan_bytes()
-        return 16 * self.dim_out**2 + work
+        once per channel by ``_plan_counts`` without building the plan. No row is
+        applied without the plan, so its 24 (memberships + 4^k) bytes are checked first,
+        unless the largest group alone is over budget, which refuses every row."""
+        memberships, work = self._plan_counts()
+        if 16 * work <= qcore._DENSE_BYTES_LIMIT:
+            _check_dense_bytes(8 * 3 * (memberships + self.dim_out**2),
+                               f"the grouping plan of the {self.dim_in}-state detector input")
+        return 16 * self.dim_out**2 + 16 * work
 
-    def _largest_group_work(self) -> int:
-        """Complex entries per state that the plan's largest group allocates, from counts.
+    def _plan_counts(self) -> tuple[int, int]:
+        """(Memberships, complex entries per state of the largest group) of the plan.
 
-        The groups of s shared blocks are alike. With counts[m] the states of each
-        pattern of m blocks and f = k - s free blocks, such a group has
+        The C(k, s) groups of s shared blocks are alike. With counts[m] the states of
+        each pattern of m blocks and f = k - s free blocks, such a group has
         sum_m C(f, m - s) counts[m] members, one row per occurring pattern that holds
         the shared blocks, one column per configuration of w excitations on their n s
         sites with none of them empty (alpha_s(w), for every w that leaves the other
         Np - w room in the n f free sites) and one kept pair per two occurring patterns
         that share exactly those blocks. It allocates 2 members + rows (cols + rows)
-        + 2 kept entries, and the plan keeps the groups with a kept pair.
+        + 2 kept entries, and the plan keeps the groups with a kept pair. A state of
+        pattern y is in the 2^|y| groups within y: sum_m C(k, m) counts[m] 2^m memberships.
         """
         n, k, n_excited = self.n_sites // self.n_blocks, self.n_blocks, self.n_excited
         counts, occupied = self._spectrum.counts, self._occupied
-        works = []
-        for s in range(k + 1):
+        memberships, works = 0, []
+        for s, groups in enumerate(_binomial_row(k, 0, k + 1)):
             free, held = k - s, [m for m in counts if m >= s]
+            members = sum(comb(free, m - s) * counts[m] for m in held)
+            memberships += groups * members
             kept = sum(comb(free, a - s) * comb(free - a + s, b - s) for a in held for b in held)
             if kept:
-                members = sum(comb(free, m - s) * counts[m] for m in held)
                 rows = sum(comb(free, m - s) for m in held)
                 cols = sum(occupied[w][s] for w in range(max(s, n_excited - n * free),
                                                          min(n * s, n_excited) + 1))
                 works.append(2 * members + rows * (cols + rows) + 2 * kept)
-        return max(works)
+        return memberships, max(works)
 
     def apply_pure_batch(self, psis) -> np.ndarray:
         """Outputs for a (B, d_R) block of pure inputs, one per row.

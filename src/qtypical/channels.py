@@ -398,11 +398,22 @@ def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
     return _minimal_channel(products, inner.dim_in, outer.dim_out)
 
 
-def tensor(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
-    """Tensor product channel with Kraus family {K_a (x) K_b}, a-index leading."""
-    ops = a.kraus[:, None, :, None, :, None] * b.kraus[None, :, None, :, None, :]
-    d_in, d_out = a.dim_in * b.dim_in, a.dim_out * b.dim_out
-    return QuantumChannel(d_in, d_out, ops.reshape(-1, d_out, d_in))
+def tensor(first: QuantumChannel, *rest: QuantumChannel) -> QuantumChannel:
+    """Tensor product channel with Kraus family {K_a (x) K_b (x) ...}, a-index leading.
+
+    The Kraus arrays are multiplied left to right, with the bits of nested
+    two-channel products, into one channel: a product of trace-preserving families
+    is trace preserving, so no intermediate channel is built or checked. One
+    channel is its own tensor product.
+    """
+    if not rest:
+        return first
+    ops, d_in, d_out = first.kraus, first.dim_in, first.dim_out
+    for b in rest:
+        ops = ops[:, None, :, None, :, None] * b.kraus[None, :, None, :, None, :]
+        d_in, d_out = d_in * b.dim_in, d_out * b.dim_out
+        ops = ops.reshape(-1, d_out, d_in)
+    return QuantumChannel(d_in, d_out, ops)
 
 
 def choi_to_kraus(j, dim_in: int, dim_out: int) -> QuantumChannel:
@@ -573,9 +584,23 @@ def channel_from_json_dict(data: dict) -> QuantumChannel:
 
 
 def save_channel(ch: QuantumChannel, path) -> None:
+    """Write the bytes of ``json.dump(channel_to_json_dict(ch))`` and a newline.
+
+    The Kraus entries are dumped in runs of at most 4096 [re, im] pairs, so no
+    nested list of the whole family is built: the head first, then each operator's
+    runs without their outer brackets, joined by ", ".
+    """
+    run, head = 4096, json.dumps({"dim_in": ch.dim_in, "dim_out": ch.dim_out, "kraus": []})
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_to_json_dict(ch), fh)
-        fh.write("\n")
+        fh.write(head[:-2])  # up to the opening bracket of the Kraus list
+        for i, op in enumerate(ch.kraus):
+            pairs = op.reshape(-1).view(np.float64).reshape(-1, 2)
+            fh.write(", [" if i else "[")
+            for start in range(0, len(pairs), run):
+                fh.write((", " if start else "")
+                         + json.dumps(pairs[start:start + run].tolist())[1:-1])
+            fh.write("]")
+        fh.write("]}\n")
 
 
 def load_channel(path) -> QuantumChannel:

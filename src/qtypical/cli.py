@@ -313,12 +313,13 @@ def run_figure_bound(params: dict) -> list:
     n, k, samples = (_param(params, key, low=1) for key in ("N", "k", "samples"))
     seed, out = _param(params, "seed"), _param(params, "out", str)
     _check_blocking(n, k)
-    for np_excited in range(1, n):  # every plan and sample is checked before the first draw
-        _sample_row_bytes(DetectorChannel(n, k, np_excited))
+    channels = [DetectorChannel(n, k, np_excited) for np_excited in range(1, n)]
+    for ch in channels:  # every plan and sample is checked before the first draw
+        _sample_row_bytes(ch)
     rows = []
-    for np_excited in range(1, n):  # a fresh channel per row: one plan alive at a time
+    for np_excited in range(1, n):  # each row pops its channel: one plan alive at a time
         report = run_experiment(ExperimentConfig(
-            channel=DetectorChannel(n, k, np_excited), samples=samples,
+            channel=channels.pop(0), samples=samples,
             master_seed=derive_seed(seed, np_excited)))
         rows.append(f"{np_excited},{report.d_r},{report.mean_distance:{FLOAT_FORMAT}},"
                     f"{report.std_distance:{FLOAT_FORMAT}},{report.entropy_bound:{FLOAT_FORMAT}}")

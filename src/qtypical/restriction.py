@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -126,14 +126,19 @@ def effective_environment_dimension(sub, split: tuple[int, int]) -> float:
     (system qubits, environment qubits), leading qubits first. The marginal is
     diagonal: an environment pattern of weight w carries C(sq, Np - w) of the
     C(N, Np) basis states, so the result is
-    C(N, Np)^2 / sum_w C(eq, w) C(sq, Np - w)^2, divided in exact integers.
+    C(N, Np)^2 / sum_w C(eq, w) C(sq, Np - w)^2, divided in exact integers. Past
+    the float range it is ``inf``: 1 / d_E_eff is then 0 at float precision, as
+    the Choi purity of the channel reads 0.0.
     """
     sq, eq = split
     if sq + eq != sub.n_sites or sq < 0 or eq < 0:
         raise DimensionError(
             f"split {split} does not partition {sub.n_sites} qubits"
         )
-    return comb(sub.n_sites, sub.n_excited) ** 2 / _marginal_square_sum(sub.n_excited, sq, eq)
+    try:
+        return comb(sub.n_sites, sub.n_excited) ** 2 / _marginal_square_sum(sub.n_excited, sq, eq)
+    except OverflowError:
+        return inf
 
 
 def _marginal_square_sum(n_excited: int, sq: int, eq: int) -> int:

@@ -56,7 +56,9 @@ setting; QTYPICAL_THREADS is ignored.
 The chunks are shared among W processes: the caller runs the first chunk,
 which builds what the channel caches, then forks one worker for each further
 process, and each takes a contiguous share of the remaining chunks, writing
-into one shared anonymous mapping. W is the least of the usable CPUs
+into one shared anonymous mapping, which one process writes the same way. A
+share that cannot be forked, or whose worker fails, is computed by the caller
+once every worker is reaped. W is the least of the usable CPUs
 (``os.sched_getaffinity``), the chunks left and the chunks the 512 MiB budget
 holds at once, so the chunks in flight fit the budget together. W is 1, and
 nothing is forked, without ``os.fork`` or ``os.sched_getaffinity`` and in a
@@ -173,7 +175,7 @@ def sample_distances(cfg: ExperimentConfig) -> list:
     The parent computes the first chunk, which builds what the channel caches,
     and then the remaining chunks are split into ``_worker_count`` contiguous
     shares: a forked worker takes each but the last, and the parent the last.
-    With more than one process all write into one shared anonymous mapping; the
+    Every process writes into one shared anonymous mapping, a lone parent too; the
     bits do not depend on the share a chunk falls in.
     """
     ch = cfg.channel
@@ -182,9 +184,7 @@ def sample_distances(cfg: ExperimentConfig) -> list:
     _check_dense_bytes(8 * cfg.samples, f"the distances of {cfg.samples} samples")
     chunks = -(-cfg.samples // chunk)
     workers = _worker_count(chunks - 1, chunk * row)
-    # forked workers write into a shared anonymous mapping; one process needs none
-    distances = (np.empty(cfg.samples) if workers == 1
-                 else np.frombuffer(mmap.mmap(-1, 8 * cfg.samples)))
+    distances = np.frombuffer(mmap.mmap(-1, 8 * cfg.samples))  # forked workers write here too
     _fill(distances, cfg, chunk, range(1))
     _distribute(distances, cfg, chunk, [range(1 + (chunks - 1) * j // workers,
                                               1 + (chunks - 1) * (j + 1) // workers)
@@ -221,30 +221,36 @@ def _distribute(distances: np.ndarray, cfg: ExperimentConfig, chunk: int, shares
     """Fill ``distances`` on every share: one forked worker on each share but the
     last, and the last, the largest, in this process.
 
-    A worker leaves only through ``os._exit``. Every worker is reaped before this
-    returns; if this process raises, its workers are killed first. A share whose
-    worker did not exit 0, or could not be forked, is computed here, so its
-    exception is raised here with its own type.
+    A worker fills its share and leaves through ``os._exit``, with status 0 only on
+    success, so it runs no atexit handler and flushes no stdio buffer it inherited.
+    Every worker is reaped before this returns; if this process raises, its workers
+    are killed first. A share that could not be forked, or whose worker did not exit
+    0, is computed here after the reaping, so its exception is raised here with its
+    own type.
     """
-    forked, own = {}, shares[-1:]
+    forked, failed = {}, []
     try:
         for share in shares[:-1]:
             try:
                 pid = os.fork()
             except OSError:  # no process to spare
-                own.append(share)
+                failed.append(share)
                 continue
             if pid == 0:
-                _work_and_exit(distances, cfg, chunk, share)
+                status = 1
+                try:
+                    _fill(distances, cfg, chunk, share)
+                    status = 0
+                finally:
+                    os._exit(status)
             forked[pid] = share
-        for share in own:
-            _fill(distances, cfg, chunk, share)
+        _fill(distances, cfg, chunk, shares[-1])
     except BaseException:
         for pid in forked:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        failed = [share for pid, share in forked.items() if not _exited_cleanly(pid)]
+        failed += [share for pid, share in forked.items() if not _exited_cleanly(pid)]
     for share in failed:
         _fill(distances, cfg, chunk, share)
 
@@ -256,21 +262,6 @@ def _exited_cleanly(pid: int) -> bool:
         return os.waitpid(pid, 0)[1] == 0
     except ChildProcessError:
         return False
-
-
-def _work_and_exit(distances: np.ndarray, cfg: ExperimentConfig, chunk: int,
-                   share: range) -> None:
-    """A forked worker: its share, then ``os._exit``, with status 0 only on success.
-
-    ``os._exit`` runs no atexit handler and flushes no stdio buffer the worker
-    inherited.
-    """
-    status = 1
-    try:
-        _fill(distances, cfg, chunk, share)
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def _sample_row_bytes(ch) -> int:

@@ -1,4 +1,5 @@
 import csv
+import functools
 import time
 import tracemalloc
 from fractions import Fraction
@@ -30,6 +31,7 @@ from qtypical.bns import (
     write_distribution_csv,
 )
 from qtypical.channels import (
+    QuantumChannel,
     channels_equal,
     choi_to_kraus,
     identity_channel,
@@ -157,6 +159,19 @@ def test_budget_refuses_every_dense_channel_above_twelve_sites():
         tracemalloc.stop()
     assert peak < 2**20
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("n_sites,n_blocks,built", [(3, 1, 1), (4, 2, 2), (6, 3, 2), (8, 4, 2)])
+def test_bns_channel_builds_the_block_and_one_product(monkeypatch, n_sites, n_blocks, built):
+    # nested two-channel products built and checked k - 1 channels after the block;
+    # the one product has their bits
+    nested = functools.reduce(tensor, [block_channel(n_sites // n_blocks)] * n_blocks)
+    inits, original = [], QuantumChannel.__post_init__
+    monkeypatch.setattr(QuantumChannel, "__post_init__",
+                        lambda self: (inits.append(self.dim_in), original(self))[1])
+    ch = bns_channel(n_sites, n_blocks)
+    assert len(inits) == built
+    np.testing.assert_array_equal(ch.kraus, nested.kraus)
 
 
 def test_bns_channel_blockwise_on_basis_state():
@@ -529,6 +544,23 @@ def test_detector_purity_routes_are_equal_rationals():
                     == _purity_numerator_convolution(*args), (n_sites, *args)
 
 
+@pytest.mark.parametrize("spec", [(8, 4, 6), (9, 3, 4), (12, 12, 6), (10, 2, 7), (6, 6, 1)],
+                         ids=str)
+def test_occupied_counts_stop_at_the_blocks_the_excitations_can_fill(monkeypatch, spec):
+    # w excitations occupy at most w blocks: no row is counted past j = w, and the padded
+    # table is the full one
+    calls, original = [], bns._occupied_counts
+    monkeypatch.setattr(bns, "_occupied_counts",
+                        lambda n, w, j_max: (calls.append((w, j_max)), original(n, w, j_max))[1])
+    ch = DetectorChannel(*spec)
+    ch.choi_purity_routes()
+    ch._row_bytes
+    assert calls and all(j_max <= w for w, j_max in calls)
+    n_sites, n_blocks, n_excited = spec
+    assert ch._occupied == [original(n_sites // n_blocks, w, n_blocks)
+                            for w in range(n_excited + 1)]
+
+
 def test_detector_purity_routes_agree_at_200_20_100():
     # (N/k, k, Np) = (10, 20, 100): the convolution's windows shrink from below
     # from the 11th block on
@@ -622,6 +654,14 @@ def test_plan_memberships_from_counts_equal_the_basis_sum(n_sites, n_blocks, n_e
     assert sum(g.members.size for g in ch._plan) <= direct
 
 
+def test_plan_counts_memberships_equal_the_basis_sum():
+    # sum_s C(k, s) members_s from the group loop is sum_x 2^|y(x)|, what the plan gate charges
+    for spec in [(8, 2, 4), (9, 3, 4), (12, 4, 5), (12, 12, 6), (10, 10, 0), (6, 1, 3)]:
+        ch = DetectorChannel(*spec)
+        y = ch._patterns(enumerate_basis(spec[0], spec[2]).indices)
+        assert ch._plan_counts()[0] == sum(2 ** bin(p).count("1") for p in y.tolist()), spec
+
+
 @pytest.mark.parametrize("n_sites", range(1, 11))
 def test_largest_group_work_from_counts_equals_the_plan(n_sites):
     # the work the row bytes count from the spectrum is that of the plan's largest group
@@ -633,7 +673,7 @@ def test_largest_group_work_from_counts_equals_the_plan(n_sites):
         ch = DetectorChannel(*spec)
         work = max(2 * g.members.size + g.n_rows * (g.n_cols + g.n_rows) + 2 * g.gram_index.size
                    for g in ch._plan)
-        assert ch._largest_group_work() == work, spec
+        assert ch._plan_counts()[1] == work, spec
 
 
 def test_detector_row_bytes_build_no_plan(monkeypatch):

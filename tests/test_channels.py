@@ -313,6 +313,15 @@ def test_tensor_matches_kron_loop(a_factory, b_factory):
     np.testing.assert_array_equal(tensor(a, b).kraus, loop)
 
 
+def test_tensor_of_three_is_the_nested_product():
+    # one channel from the Kraus arrays multiplied left to right, with the bits of the
+    # nested two-channel products; one channel is its own tensor product
+    a, b = depolarizing(2, 0.5), random_channel(3, 2, 2, seed=38)
+    c = random_channel(2, 3, 3, seed=39)
+    np.testing.assert_array_equal(tensor(a, b, c).kraus, tensor(tensor(a, b), c).kraus)
+    assert tensor(a) is a
+
+
 def _amplitude_damping_full():
     return QuantumChannel(2, 2, (np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]])))
 
@@ -768,6 +777,33 @@ def test_json_wire_format_is_flat_row_major(tmp_path):
     assert data["dim_in"] == 2 and data["dim_out"] == 2
     assert data["kraus"] == [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]
     assert channels_equal(channel_from_json_dict(data), ch)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: identity_channel(65),                  # one operator of 4225 entries: two runs
+    lambda: identity_channel(64),                  # one operator of exactly one run
+    lambda: random_channel(65, 65, 2, seed=62),    # two operators of two runs each
+    lambda: depolarizing(4, 0.3),                  # 16 operators of 16 entries
+    lambda: identity_channel(1),
+], ids=["identity-65", "identity-64", "random-65", "depolarizing-4", "identity-1"])
+def test_saved_bytes_are_the_json_dump_of_the_wire_format(tmp_path, make):
+    ch = make()
+    save_channel(ch, tmp_path / "c.json")
+    expected = json.dumps(channel_to_json_dict(ch)) + "\n"
+    assert (tmp_path / "c.json").read_bytes() == expected.encode()
+
+
+def test_save_channel_holds_one_run_of_entries(tmp_path):
+    # identity 500 has 4 MB of Kraus entries; their nested lists peaked at 32 MB, and a
+    # run of 4096 entries needs about 1.2 MB whatever the family's size
+    ch = identity_channel(500)
+    tracemalloc.start()
+    try:
+        save_channel(ch, tmp_path / "c.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_loading_non_cptp_file_raises(tmp_path):

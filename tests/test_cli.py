@@ -471,6 +471,30 @@ def test_figure_bound_refusal_beyond_the_float_range_names_its_bytes(tmp_path, c
     assert list(tmp_path.iterdir()) == []
 
 
+# C(1100, 550) = 10^329 states kept by one system qubit: d_E_eff = C(1100, 550) is past
+# the float range, and dividing it out raised an OverflowError (exit 1) in all three
+@pytest.mark.parametrize("argv, code, stdout", [
+    (["entropy", "--channel", "partial-trace", "--N", 1100, "--Np", 550, "--split", 1], 0,
+     "mean-distance bound  : 0\n"),
+    (["lipschitz", "--channel", "partial-trace", "--N", 1100, "--Np", 550, "--split", 1], 0,
+     "Lipschitz constant   : 1\n"),
+    (["typicality", "--config", {"channel": {"type": "partial-trace", "N": 1100, "Np": 550,
+                                             "split": 1}, "samples": 10, "master_seed": 1}],
+     3, ""),
+], ids=["entropy", "lipschitz", "typicality"])
+def test_partial_trace_past_the_float_range_of_d_e_eff(tmp_path, capsys, argv, code, stdout):
+    if isinstance(argv[-1], dict):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [config]
+    assert run(argv + ["--out", tmp_path / "out.json"]) == code
+    out, err = capsys.readouterr()
+    assert stdout in out and "Traceback" not in err
+    if code == 3:  # refused at its sample size before any report
+        assert err.startswith("data error: one sampled state of dimension 2^1094.6")
+        assert not (tmp_path / "out.json").exists()
+
+
 def test_figure_bound_refusal_of_a_count_past_the_digit_limit(tmp_path, capsys):
     # 2^7200 outputs: the refusal's whole-MiB count has over 4300 digits, which Python
     # 3.11 refuses to print (exit 1); counts from 2^53 up are written 2^x

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -183,6 +184,16 @@ def test_effective_environment_equals_counts_oracle(n):
 def test_effective_environment_split_mismatch():
     with pytest.raises(DimensionError):
         effective_environment_dimension(enumerate_basis(4, 2), (1, 2))
+
+
+def test_effective_environment_past_the_float_range_is_inf():
+    # one system qubit: d_E_eff = C(N, Np)^2 / C(N, Np) = C(N, Np), about 10^329 at
+    # 1100/550, where the integer division overflowed; 2.7e299 at 1000/500 is a float
+    assert effective_environment_dimension(RestrictedPartialTrace(1100, 550, 1),
+                                           (1, 1099)) == math.inf
+    value = effective_environment_dimension(RestrictedPartialTrace(1000, 500, 1), (1, 999))
+    assert value == comb(1000, 500) ** 2 / _marginal_square_sum(500, 1, 999)
+    assert value == float(comb(1000, 500))
 
 
 @pytest.mark.parametrize("n,np_exc,sq", [(4, 2, 2), (4, 1, 1), (6, 3, 2), (6, 2, 4)])

@@ -315,6 +315,31 @@ def test_a_failed_parent_share_reaps_the_workers(monkeypatch, draw_log):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_share_that_cannot_be_forked_is_drawn_by_the_parent(monkeypatch, draw_log):
+    # two CPUs, but os.fork raises: the worker's share is drawn in this process after
+    # its own, with the bytes of the one-process run, and no child is left
+    cfg = ExperimentConfig(channel=depolarizing(4, 0.5), samples=WORKER_SAMPLES,
+                           master_seed=5)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    alone = np.array(sample_distances(cfg)).tobytes()
+    seen, forks = len(draw_log()), []
+
+    def no_fork():
+        forks.append(1)
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert np.array(sample_distances(cfg)).tobytes() == alone
+    assert forks == [1]
+    records = draw_log()[seen:]
+    assert {pid for pid, _ in records} == {os.getpid()}
+    assert sorted(seed for _, seeds in records for seed in seeds) == sorted(
+        derive_seed(5, i) for i in range(WORKER_SAMPLES))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_worker_count_rule(monkeypatch):
     # CPUs, chunks left and chunks in flight within the budget; one without fork, without
     # an affinity, or with a second thread
