@@ -1,6 +1,6 @@
 """Canonical states and typicality statistics for channel-defined subsystems."""
 
-__version__ = "0.28.0"
+__version__ = "0.29.0"
 
 from .qcore import (
     DensityOperator,
@@ -15,7 +15,6 @@ from .channels import (
     ConsistencyError,
     CPTPError,
     QuantumChannel,
-    channels_equal,
     choi_to_kraus,
     compose,
     depolarizing,
@@ -24,13 +23,11 @@ from .channels import (
     load_channel,
     partial_trace_channel,
     random_channel,
-    replace_channel,
     save_channel,
     tensor,
     unitary_channel,
 )
 from .restriction import (
-    ExcitationSubspace,
     RestrictedPartialTrace,
     effective_environment_dimension,
     enumerate_basis,
@@ -41,7 +38,6 @@ from .bns import (
     DetectorChannel,
     ExactDistribution,
     bns_channel,
-    bns_mean_exact,
     block_channel,
     block_choi,
     canonical_spectrum,
@@ -53,7 +49,6 @@ from .typicality import (
     ExperimentConfig,
     TypicalityReport,
     canonical_state,
-    depolarizing_bound,
     entropy_bound,
     levy_tail_bound,
     partial_trace_bound,

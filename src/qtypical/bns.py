@@ -78,7 +78,6 @@ __all__ = [
     "ExactDistribution",
     "energy_distribution_trace",
     "energy_distribution_bns",
-    "bns_mean_exact",
     "write_distribution_csv",
 ]
 
@@ -682,18 +681,6 @@ def energy_distribution_trace(n_sites: int, n_excited: int, n_blocks: int) -> Ex
 def energy_distribution_bns(n_sites: int, n_excited: int, n_blocks: int) -> ExactDistribution:
     """The detector's excitation-count distribution: the canonical spectrum's ``sectors``."""
     return canonical_spectrum(n_sites, n_excited, n_blocks).sectors
-
-
-def bns_mean_exact(n_sites: int, n_excited: int, n_blocks: int) -> Fraction:
-    """Mean excited-block count: k times the chance that one block is non-empty.
-
-    Linearity of expectation over the uniform excitation patterns gives
-    k * (1 - C(N - N/k, Np) / C(N, Np)) without touching the alternating sum.
-    """
-    n = _block_size(n_sites, n_blocks)
-    _check_excitations(n_sites, n_excited)
-    empty = Fraction(comb(n_sites - n, n_excited), comb(n_sites, n_excited))
-    return n_blocks * (1 - empty)
 
 
 def write_distribution_csv(path, dist: ExactDistribution) -> None:

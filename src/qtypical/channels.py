@@ -38,7 +38,6 @@ __all__ = [
     "QuantumChannel",
     "identity_channel",
     "unitary_channel",
-    "replace_channel",
     "partial_trace_channel",
     "depolarizing",
     "random_channel",
@@ -46,7 +45,6 @@ __all__ = [
     "tensor",
     "choi_to_kraus",
     "lipschitz_estimate",
-    "channels_equal",
     "channel_to_json_dict",
     "channel_from_json_dict",
     "save_channel",
@@ -281,20 +279,6 @@ def unitary_channel(u) -> QuantumChannel:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionError("unitary must be square")
     return QuantumChannel(u.shape[0], u.shape[0], (u,))
-
-
-def replace_channel(sigma: DensityOperator, dim_in: int | None = None) -> QuantumChannel:
-    """Channel rho -> tr(rho) * sigma."""
-    target = _as_matrix(sigma)
-    d_out = target.shape[0]
-    d_in = d_out if dim_in is None else dim_in
-    eigs, vecs = np.linalg.eigh(target)
-    keep = eigs > KRAUS_EIGENVALUE_CUTOFF
-    # K_(r, j) = sqrt(eig_r) |v_r><j| for every kept eigenpair r and input index j
-    ops = np.zeros((np.count_nonzero(keep), d_in, d_out, d_in), dtype=np.complex128)
-    j = np.arange(d_in)
-    ops[:, j, :, j] = (np.sqrt(eigs[keep]) * vecs[:, keep]).T
-    return QuantumChannel(d_in, d_out, ops.reshape(-1, d_out, d_in))
 
 
 def partial_trace_channel(dim_keep: int, dim_drop: int) -> QuantumChannel:
@@ -534,21 +518,7 @@ def _lockstep_search(ch, trial_ids: range, seed: int) -> list:
     return values
 
 
-# -- equality and serialization -------------------------------------------------
-
-
-def channels_equal(a: QuantumChannel, b: QuantumChannel, tol: float = 1e-10) -> bool:
-    """Equality of channel action on every matrix unit within tol.
-
-    Kraus families are not unique, so equality is decided on the action. The
-    maximal deviation over matrix units equals dim_in times the elementwise
-    Choi difference, which avoids the explicit loop over units.
-    """
-    if a.dim_in != b.dim_in or a.dim_out != b.dim_out:
-        return False
-    diff = _choi_matrix(a.kraus, a.dim_in)
-    diff -= _choi_matrix(b.kraus, b.dim_in)
-    return a.dim_in * float(np.max(np.abs(diff))) <= tol
+# -- serialization --------------------------------------------------------------
 
 
 def channel_to_json_dict(ch: QuantumChannel) -> dict:

@@ -84,6 +84,11 @@ def _parameter_errors(what: str):
 
 
 _REQUIRED = object()  # the default of a parameter that has none
+# the keys each channel family reads besides "type" and "seed"; a restricted partial
+# trace (N, Np and split) is the one family with a second form
+_FAMILY_KEYS = {"identity": ("d",), "depolarizing": ("d", "lambda"), "partial_trace": ("dS", "dE"),
+                "unitary_trace": ("dS", "dE"), "bns": ("N", "k", "Np"), "file": ("path",)}
+_CONFIG_KEYS = ("channel", "samples", "master_seed", "epsilon_grid", "eta_mode", "eta_trials")
 _KINDS = {int: ((int, np.integer), "an integer"), float: (numbers.Real, "a real number"),
           str: (str, "a nonempty string"), dict: (dict, "an object"), list: (list, "a list")}
 
@@ -113,6 +118,13 @@ def _param(params: dict, key: str, kind: type = int, default=_REQUIRED,
     return value
 
 
+def _check_read(params: dict, read: tuple, what: str) -> None:
+    """A key of ``params`` outside ``read`` is a usage error (exit 2): none is ignored."""
+    unread = sorted(repr(key) for key in params if key not in read)
+    if unread:
+        raise UsageError(f"{what} does not read {', '.join(unread)}")
+
+
 def _check_blocking(n: int, k: int) -> None:
     """k detector blocks must evenly divide N sites: a usage error (exit 2) otherwise."""
     if n % k != 0:
@@ -129,20 +141,26 @@ def build_channel(
     matrix-free: a partial trace with ``N``, ``Np``, ``split`` is a
     ``RestrictedPartialTrace`` and a detector with ``Np`` is a
     ``DetectorChannel``; every other spec is a dense ``QuantumChannel``.
-    Values out of range are usage errors; a DimensionError from construction is
-    a size refusal (exit 3).
+    Values out of range, and keys that the family does not read, are usage
+    errors; ``type`` and ``seed`` are read for every family. A DimensionError
+    from construction is a size refusal (exit 3).
     """
     if not isinstance(spec, dict):
         raise UsageError("channel spec must be an object with a 'type' key")
     kind = _param(spec, "type", str).replace("-", "_")
     seed, n_excited = _param(spec, "seed", int, 0), _param(spec, "Np", int, None)
+    restricted = kind == "partial_trace" and "N" in spec and n_excited is not None
+    read = ("N", "Np", "split") if restricted else _FAMILY_KEYS.get(kind)
+    if read is None:
+        raise UsageError(f"unknown channel type {spec['type']!r}")
+    _check_read(spec, ("type", "seed", *read), f"a channel spec of type {spec['type']!r}")
     info: dict = {"d_e_eff": None}
     with _parameter_errors("channel spec"):
         if kind == "identity":
             return identity_channel(_param(spec, "d", low=1)), info
         if kind == "depolarizing":
             return depolarizing(_param(spec, "d", low=1), _param(spec, "lambda", float)), info
-        if kind == "partial_trace" and "N" in spec and n_excited is not None:
+        if restricted:
             n, sq = _param(spec, "N"), _param(spec, "split")
             ch = RestrictedPartialTrace(n, n_excited, sq)
             info["d_e_eff"] = effective_environment_dimension(ch, (sq, n - sq))
@@ -160,21 +178,26 @@ def build_channel(
             if n_excited is not None:
                 return DetectorChannel(n, k, n_excited), info
             return bns_channel(n, k), info
-        if kind == "file":
-            path = _param(spec, "path", str)
-            try:
-                return load_channel(path), info
-            except (OSError, ValueError) as exc:  # a malformed file is a data error (exit 3)
-                raise DataError(f"cannot load channel file: {exc}") from exc
-    raise UsageError(f"unknown channel type {spec['type']!r}")
+        path = _param(spec, "path", str)
+        try:
+            return load_channel(path), info
+        except (OSError, ValueError) as exc:  # a malformed file is a data error (exit 3)
+            raise DataError(f"cannot load channel file: {exc}") from exc
 
 
 _SPEC = "channel."  # dest prefix of the channel flags; the rest of the dest is the spec key
 
 
 def _spec_from_args(entries: dict) -> dict:
-    """The channel spec from the prefixed flag values: a file, or a builtin family."""
+    """The channel spec from the prefixed flag values: a file, or a builtin family.
+
+    A file takes no family flag; ``seed`` (``--unitary-seed``, always set) is ignored.
+    """
     if "path" in entries:
+        flags = sorted("--" + ("channel" if key == "type" else key)
+                       for key in entries if key not in ("path", "seed"))
+        if flags:
+            raise UsageError(f"--channel-file takes no {', '.join(flags)}")
         return {"type": "file", "path": entries["path"]}
     if "type" not in entries:
         raise UsageError("provide --channel NAME or --channel-file PATH")
@@ -330,6 +353,7 @@ def run_figure_bound(params: dict) -> list:
 
 def run_typicality(params: dict) -> list:
     config, out = _param(params, "config", dict), _param(params, "out", str)
+    _check_read(config, _CONFIG_KEYS, "a typicality config")
     distances_csv = _param(params, "distances_csv", str, None)
     samples, master_seed = _param(config, "samples"), _param(config, "master_seed")
     eta_mode = _param(config, "eta_mode", str, "fixed_one")

@@ -47,7 +47,8 @@ state. A sample costs its state plus the channel's ``_distance_row_bytes``,
 and ``qcore._block_items`` makes the chunk as many samples as fit the 512 MiB
 dense budget, at most _BLOCK_ROWS. ``_sample_row_bytes`` refuses a channel over
 budget at one sample, the detector's plan included, and a distances array (8
-bytes a sample) over budget is refused too: all before the first chunk. Sample
+bytes a sample) over budget is refused too (``_check_sampling``): all from
+counts, before ``run_experiment`` evaluates the entropy or draws a chunk. Sample
 i always uses seed derive_seed(master_seed, i), so it depends only on
 (master_seed, i). The chunk follows from the channel's dimensions and the fixed
 budget alone, so output bytes never depend on the machine or on any thread
@@ -108,7 +109,6 @@ __all__ = [
     "sample_distances",
     "entropy_bound",
     "partial_trace_bound",
-    "depolarizing_bound",
     "levy_tail_bound",
     "run_experiment",
 ]
@@ -178,10 +178,8 @@ def sample_distances(cfg: ExperimentConfig) -> list:
     Every process writes into one shared anonymous mapping, a lone parent too; the
     bits do not depend on the share a chunk falls in.
     """
-    ch = cfg.channel
-    row = _sample_row_bytes(ch)
+    row = _check_sampling(cfg)
     chunk = min(_block_items(row, 1), cfg.samples)
-    _check_dense_bytes(8 * cfg.samples, f"the distances of {cfg.samples} samples")
     chunks = -(-cfg.samples // chunk)
     workers = _worker_count(chunks - 1, chunk * row)
     distances = np.frombuffer(mmap.mmap(-1, 8 * cfg.samples))  # forked workers write here too
@@ -276,6 +274,14 @@ def _sample_row_bytes(ch) -> int:
     return row
 
 
+def _check_sampling(cfg: ExperimentConfig) -> int:
+    """``_sample_row_bytes`` of the channel, once the distances array (8 bytes a sample)
+    is checked too: every refusal of sampling, all from counts."""
+    row = _sample_row_bytes(cfg.channel)
+    _check_dense_bytes(8 * cfg.samples, f"the distances of {cfg.samples} samples")
+    return row
+
+
 def entropy_bound(ch) -> float:
     """Mean-distance bound (1/2) sqrt(d_S min(P, 1)), computed from the Choi purity P."""
     return _entropy(ch)[3]
@@ -302,11 +308,6 @@ def partial_trace_bound(d_s: int, d_e_eff: float) -> float:
     if d_e_eff <= 0:
         raise ValueError("effective environment dimension must be positive")
     return 0.5 * math.sqrt(d_s / d_e_eff)
-
-
-def depolarizing_bound(d_r: int, lam: float) -> float:
-    """Closed form of the entropy bound for the depolarizing family."""
-    return 0.5 * math.sqrt(lam * (2.0 - lam) / d_r + d_r * (1.0 - lam) ** 2)
 
 
 def levy_tail_bound(d_r: int, epsilon: float, eta: float) -> float:
@@ -375,10 +376,13 @@ class TypicalityReport:
 def run_experiment(cfg: ExperimentConfig) -> TypicalityReport:
     """Full experiment: entropy, sampling, aggregation, bounds, and the tail table.
 
-    The linear entropy is evaluated first, so an entropy over the dense budget
-    is refused before any state is drawn. The report carries the sampled distances.
+    The sample size is checked first, from counts, and then the linear entropy is
+    evaluated, so neither a sample nor an entropy over the dense budget draws a
+    state, and a sample over budget is refused before any entropy work. The report
+    carries the sampled distances.
     """
     ch = cfg.channel
+    _check_sampling(cfg)
     _, _, s_l, mean_bound = _entropy(ch)
     distances = sample_distances(cfg)
     values = np.asarray(distances)

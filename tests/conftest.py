@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qtypical import qcore
+from qtypical.channels import _choi_matrix
 from qtypical.qcore import DensityOperator, _generator
 
 
@@ -75,3 +76,17 @@ def dense_choi_purity(ch) -> float:
         return ch.choi().purity()
     v = ch.kraus.reshape(ch.n_kraus, -1)
     return float(np.sum(np.abs(v @ v.conj().T) ** 2)) / ch.dim_in**2
+
+
+def channels_equal(a, b, tol: float = 1e-10) -> bool:
+    """Equality of channel action on every matrix unit within tol.
+
+    Kraus families are not unique, so equality is decided on the action. The
+    maximal deviation over matrix units equals dim_in times the elementwise
+    Choi difference, which avoids the explicit loop over units.
+    """
+    if a.dim_in != b.dim_in or a.dim_out != b.dim_out:
+        return False
+    diff = _choi_matrix(a.kraus, a.dim_in)
+    diff -= _choi_matrix(b.kraus, b.dim_in)
+    return a.dim_in * float(np.max(np.abs(diff))) <= tol

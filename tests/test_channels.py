@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import matrix_unit, random_density
+from conftest import channels_equal, matrix_unit, random_density
 from qtypical import channels, qcore
 from qtypical.channels import (
     CPTPError,
     QuantumChannel,
     channel_from_json_dict,
     channel_to_json_dict,
-    channels_equal,
     choi_to_kraus,
     compose,
     depolarizing,
@@ -22,7 +21,6 @@ from qtypical.channels import (
     load_channel,
     partial_trace_channel,
     random_channel,
-    replace_channel,
     save_channel,
     tensor,
     unitary_channel,
@@ -184,13 +182,6 @@ def test_choi_of_depolarizing_closed_form():
     np.testing.assert_allclose(j.matrix, expected, atol=1e-12)
 
 
-def test_choi_of_replace_channel_is_product():
-    sigma = random_density(3, 17)
-    ch = replace_channel(sigma, dim_in=4)
-    expected = np.kron(sigma.matrix, np.eye(4) / 4)
-    np.testing.assert_allclose(ch.choi().matrix, expected, atol=1e-12)
-
-
 def test_choi_marginal_is_maximally_mixed():
     for seed in range(5):
         ch = random_channel(4, 5, 3, seed=seed)
@@ -271,8 +262,7 @@ def test_compose_with_identity_is_identity_operation():
 def test_compose_with_full_depolarizing_is_constant():
     ch = random_channel(3, 3, 2, seed=22)
     collapsed = compose(depolarizing(3, 1.0), ch)
-    constant = replace_channel(DensityOperator(np.eye(3, dtype=complex) / 3), dim_in=3)
-    assert channels_equal(collapsed, constant)
+    assert channels_equal(collapsed, depolarizing(3, 1.0))  # rho -> tr(rho) I/3
 
 
 def test_compose_depolarizing_multiplies_survival_factors():
@@ -430,24 +420,6 @@ def test_identity_channel_refused_above_budget():
     # 20000^2 complex entries: 6.4 GB, refused before allocating
     with pytest.raises(DimensionError, match="MiB"):
         identity_channel(20000)
-
-
-@pytest.mark.parametrize("sigma_factory", [
-    lambda: random_density(3, 17),
-    lambda: DensityOperator(np.diag([0.0, 1.0, 0.0]).astype(complex)),  # rank one
-])
-def test_replace_channel_matches_loop(sigma_factory):
-    sigma = sigma_factory()
-    eigs, vecs = np.linalg.eigh(sigma.matrix)
-    loop = []
-    for lam, vec in zip(eigs, vecs.T):
-        if lam <= 1e-12:
-            continue
-        for j in range(4):
-            k = np.zeros((3, 4), dtype=complex)
-            k[:, j] = np.sqrt(lam) * vec
-            loop.append(k)
-    np.testing.assert_array_equal(replace_channel(sigma, dim_in=4).kraus, np.stack(loop))
 
 
 def test_choi_to_kraus_matches_eigenvector_loop():

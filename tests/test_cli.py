@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import channels_equal
 from qtypical import bns, cli, restriction, typicality
 from qtypical.bns import DetectorChannel, bns_channel
 from qtypical.cli import UsageError, build_channel, main
 from qtypical.channels import (
-    channels_equal,
     depolarizing,
     identity_channel,
     load_channel,
@@ -493,6 +493,48 @@ def test_partial_trace_past_the_float_range_of_d_e_eff(tmp_path, capsys, argv, c
     if code == 3:  # refused at its sample size before any report
         assert err.startswith("data error: one sampled state of dimension 2^1094.6")
         assert not (tmp_path / "out.json").exists()
+
+
+# each ran and ignored the named keys: a spec key its family does not read, family flags
+# next to a channel file (which the spec dropped), and typos in a typicality config
+@pytest.mark.parametrize("argv, named", [
+    (["entropy", "--channel", "identity", "--d", 4, "--Np", 2], ["'Np'"]),
+    (["entropy", "--channel", "bns", "--N", 4, "--k", 2, "--split", 1], ["'split'"]),
+    (["entropy", "--channel", "depolarizing", "--d", 3, "--lambda", 0.2, "--dE", 7], ["'dE'"]),
+    (["entropy", "--channel", "partial-trace", "--dS", 2, "--dE", 2, "--Np", 1], ["'Np'"]),
+    (["entropy", "--channel-file", "CHANNEL", "--channel", "identity", "--d", 3],
+     ["--channel", "--d"]),
+    (["typicality", "--config", {"channel": {"type": "identity", "d": 2}, "samples": 3,
+                                 "master_seed": 1, "eta_mod": "estimated",
+                                 "epsilon_gird": [0.1]}], ["'epsilon_gird'", "'eta_mod'"]),
+    (["typicality", "--config", {"channel": {"type": "partial-trace", "N": 4, "Np": 2,
+                                             "split": 1, "dS": 2}, "samples": 3,
+                                 "master_seed": 1}], ["'dS'"]),
+], ids=["identity-Np", "bns-split", "depolarizing-dE", "dense-partial-trace-Np",
+        "channel-file-with-family-flags", "config-typos", "config-spec-key"])
+def test_a_key_that_nothing_reads_is_a_usage_error(tmp_path, capsys, argv, named):
+    save_channel(identity_channel(3), tmp_path / "c.json")
+    if isinstance(argv[-1], dict):
+        (tmp_path / "cfg.json").write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [tmp_path / "cfg.json"]
+    argv = [tmp_path / "c.json" if a == "CHANNEL" else a for a in argv]
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error") and captured.out == ""
+    assert all(key in captured.err for key in named), captured.err
+    assert not out.exists() and not (tmp_path / "out.json.manifest.json").exists()
+
+
+def test_seed_is_read_by_every_family_and_next_to_a_channel_file(tmp_path):
+    # --unitary-seed puts its default into every spec built from flags
+    save_channel(identity_channel(2), tmp_path / "c.json")
+    assert run(["entropy", "--channel-file", tmp_path / "c.json", "--unitary-seed", 3,
+                "--out", tmp_path / "f.json"]) == 0
+    for spec in ({"type": "identity", "d": 2, "seed": 5},
+                 {"type": "bns", "N": 4, "k": 2, "Np": 2, "seed": 5},
+                 {"type": "file", "path": str(tmp_path / "c.json"), "seed": 5}):
+        build_channel(spec)
 
 
 def test_figure_bound_refusal_of_a_count_past_the_digit_limit(tmp_path, capsys):
@@ -1043,7 +1085,7 @@ def test_config_value_of_another_kind_is_a_usage_error(tmp_path, capsys, edit):
       "--save-channel", "c.json"],
      {"channel": {"type": "depolarizing", "d": 3, "lambda": 0.4, "seed": 0},
       "out": "entropy.json", "save_channel": "c.json"}),
-    (["entropy", "--channel-file", "c.json", "--d", 4, "--out", "f.json"],
+    (["entropy", "--channel-file", "c.json", "--out", "f.json"],
      {"channel": {"type": "file", "path": "c.json"}, "out": "f.json"}),
     (["figure-energy", "--N", 10000, "--Np", 200, "--k", 1000],
      {"N": 10000, "Np": 200, "k": 1000, "out": "energy.csv"}),

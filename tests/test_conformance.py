@@ -28,12 +28,11 @@ import numpy as np
 import pytest
 
 import qtypical
-from conftest import dense_choi_purity
+from conftest import channels_equal, dense_choi_purity
 from qtypical.bns import DetectorChannel, bns_channel
 from qtypical.channels import (
     QuantumChannel,
     _pair_objectives,
-    channels_equal,
     depolarizing,
     identity_channel,
     lipschitz_estimate,

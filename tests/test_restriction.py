@@ -6,11 +6,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import channels_equal, random_density
 from qtypical.bns import DetectorChannel, block_channel
-from qtypical.channels import channels_equal, partial_trace_channel, replace_channel
+from qtypical.channels import QuantumChannel, partial_trace_channel
 from qtypical.qcore import (
-    DensityOperator,
     DimensionError,
     _check_dense_bytes,
     derive_seed,
@@ -121,8 +120,8 @@ def test_restrict_identity_channel_has_pure_choi():
 def test_restrict_block_channel_single_excitation_is_constant():
     sub = enumerate_basis(2, 1)
     ch = restrict_channel(block_channel(2), sub)
-    excited = DensityOperator(np.diag([0.0, 1.0]).astype(complex))
-    assert channels_equal(ch, replace_channel(excited, dim_in=2))
+    to_excited = np.array([[[0, 0], [1, 0]], [[0, 0], [0, 1]]], dtype=complex)  # |1><0|, |1><1|
+    assert channels_equal(ch, QuantumChannel(2, 2, to_excited))  # rho -> tr(rho) |1><1|
 
 
 def test_restrict_channel_matches_column_loop():

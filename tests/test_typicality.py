@@ -32,7 +32,6 @@ from qtypical.typicality import (
     TypicalityReport,
     _sample_row_bytes,
     canonical_state,
-    depolarizing_bound,
     entropy_bound,
     levy_tail_bound,
     partial_trace_bound,
@@ -199,6 +198,27 @@ def test_sample_distances_refuses_oversized_chunk_before_sampling(monkeypatch,
     with pytest.raises(DimensionError, match="one sampled state of dimension 3432"):
         sample_distances(cfg)
     assert draws == []
+
+
+def test_a_refused_sample_size_does_no_entropy_work(monkeypatch):
+    # C(1100, 550) = 10^329 states: the sample size is refused from counts alone, before
+    # the exact purity routes, which take seconds at this size
+    calls = []
+    monkeypatch.setattr(RestrictedPartialTrace, "choi_purity_routes",
+                        lambda self: calls.append(self))
+    cfg = ExperimentConfig(channel=RestrictedPartialTrace(1100, 550, 1), samples=10,
+                           master_seed=1)
+    with pytest.raises(DimensionError, match="one sampled state of dimension 2\\^1094.6"):
+        run_experiment(cfg)
+    assert calls == []
+
+
+def test_the_sample_refusal_is_reported_before_the_entropy_refusal():
+    # identity 200 has a 25.6 GB Choi matrix, and 2^26 + 1 distances need 512 MiB and 8
+    # bytes: both are over budget, and the sample size is checked first
+    cfg = ExperimentConfig(channel=identity_channel(200), samples=2**26 + 1, master_seed=1)
+    with pytest.raises(DimensionError, match="^the distances of 67108865 samples needs"):
+        run_experiment(cfg)
 
 
 def test_sample_distances_refuses_oversized_outputs_before_any_work(monkeypatch,
@@ -499,24 +519,11 @@ def test_partial_trace_bound_values():
         partial_trace_bound(2, 0.0)
 
 
-def test_depolarizing_bound_examples():
-    assert abs(depolarizing_bound(4, 0.0) - 1.0) < 1e-15
-    assert abs(depolarizing_bound(4, 1.0) - 0.25) < 1e-15
-    assert abs(depolarizing_bound(2, 0.5) - 0.5 * math.sqrt(0.875)) < 1e-15
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
 def test_depolarizing_bound_matches_channel_entropy_bound(d):
     for lam in (0.0, 0.2, 0.5, 0.8, 1.0):
-        assert abs(depolarizing_bound(d, lam)
-                   - entropy_bound(depolarizing(d, lam))) < 1e-10
-
-
-@pytest.mark.parametrize("d", [2, 4, 16])
-def test_depolarizing_bound_strictly_decreasing_in_lambda(d):
-    grid = np.linspace(0.0, 1.0, 21)
-    values = [depolarizing_bound(d, lam) for lam in grid]
-    assert all(a > b for a, b in zip(values, values[1:]))
+        closed_form = 0.5 * math.sqrt(lam * (2.0 - lam) / d + d * (1.0 - lam) ** 2)
+        assert abs(closed_form - entropy_bound(depolarizing(d, lam))) < 1e-10
 
 
 def test_levy_tail_bound_limits():
