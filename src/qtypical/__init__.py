@@ -1,6 +1,6 @@
 """Canonical states and typicality statistics for channel-defined subsystems."""
 
-__version__ = "0.29.0"
+__version__ = "0.30.0"
 
 from .qcore import (
     DensityOperator,

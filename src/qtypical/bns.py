@@ -377,8 +377,8 @@ class DetectorChannel(_PatternChannel, _EigensolveDistances):
     n_excited))``, with the channel interface of ``RestrictedPartialTrace``:
     ``dim_in`` (d_R = C(N, Np)), ``dim_out`` (2^k), ``apply_pure_batch``,
     ``distances_to_canonical`` (the dense route of ``channels._EigensolveDistances``),
-    ``canonical_state``, ``exact_eta``, ``choi_purity_routes``, ``linear_entropy``
-    and ``kraus`` built on demand. Block b holds sites b n .. b n + n - 1 and is
+    ``canonical_state``, ``exact_eta``, ``choi_purity_routes`` and ``kraus`` built
+    on demand. Block b holds sites b n .. b n + n - 1 and is
     output bit k - 1 - b, so a basis state x has the occupancy pattern y(x) of its
     non-empty blocks. For a pure input psi, with c = (2^n - 1)^(-1/2),
 

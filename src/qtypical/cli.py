@@ -84,10 +84,10 @@ def _parameter_errors(what: str):
 
 
 _REQUIRED = object()  # the default of a parameter that has none
-# the keys each channel family reads besides "type" and "seed"; a restricted partial
-# trace (N, Np and split) is the one family with a second form
+# the keys each channel family reads besides "type"; a restricted partial trace (N, Np
+# and split) is the one family with a second form
 _FAMILY_KEYS = {"identity": ("d",), "depolarizing": ("d", "lambda"), "partial_trace": ("dS", "dE"),
-                "unitary_trace": ("dS", "dE"), "bns": ("N", "k", "Np"), "file": ("path",)}
+                "unitary_trace": ("dS", "dE", "seed"), "bns": ("N", "k", "Np"), "file": ("path",)}
 _CONFIG_KEYS = ("channel", "samples", "master_seed", "epsilon_grid", "eta_mode", "eta_trials")
 _KINDS = {int: ((int, np.integer), "an integer"), float: (numbers.Real, "a real number"),
           str: (str, "a nonempty string"), dict: (dict, "an object"), list: (list, "a list")}
@@ -142,18 +142,18 @@ def build_channel(
     ``RestrictedPartialTrace`` and a detector with ``Np`` is a
     ``DetectorChannel``; every other spec is a dense ``QuantumChannel``.
     Values out of range, and keys that the family does not read, are usage
-    errors; ``type`` and ``seed`` are read for every family. A DimensionError
-    from construction is a size refusal (exit 3).
+    errors; every family reads ``type``, and only ``unitary_trace`` reads
+    ``seed``. A DimensionError from construction is a size refusal (exit 3).
     """
     if not isinstance(spec, dict):
         raise UsageError("channel spec must be an object with a 'type' key")
     kind = _param(spec, "type", str).replace("-", "_")
-    seed, n_excited = _param(spec, "seed", int, 0), _param(spec, "Np", int, None)
+    n_excited = _param(spec, "Np", int, None)
     restricted = kind == "partial_trace" and "N" in spec and n_excited is not None
     read = ("N", "Np", "split") if restricted else _FAMILY_KEYS.get(kind)
     if read is None:
         raise UsageError(f"unknown channel type {spec['type']!r}")
-    _check_read(spec, ("type", "seed", *read), f"a channel spec of type {spec['type']!r}")
+    _check_read(spec, ("type", *read), f"a channel spec of type {spec['type']!r}")
     info: dict = {"d_e_eff": None}
     with _parameter_errors("channel spec"):
         if kind == "identity":
@@ -167,9 +167,10 @@ def build_channel(
             return ch, info
         if kind in ("partial_trace", "unitary_trace"):
             d_s, d_e = _param(spec, "dS", low=1), _param(spec, "dE", low=1)
+            seed = _param(spec, "seed", int, 0) if kind == "unitary_trace" else None
             info["d_e_eff"] = float(d_e)
             trace_out = partial_trace_channel(d_s, d_e)
-            if kind == "partial_trace":
+            if seed is None:
                 return trace_out, info
             return compose(trace_out, unitary_channel(haar_unitary(d_s * d_e, seed))), info
         if kind == "bns":
@@ -191,17 +192,11 @@ _SPEC = "channel."  # dest prefix of the channel flags; the rest of the dest is 
 def _spec_from_args(entries: dict) -> dict:
     """The channel spec from the prefixed flag values: a file, or a builtin family.
 
-    A file takes no family flag; ``seed`` (``--unitary-seed``, always set) is ignored.
+    Every flag given is a spec key, and ``build_channel`` refuses one its family does not read.
     """
-    if "path" in entries:
-        flags = sorted("--" + ("channel" if key == "type" else key)
-                       for key in entries if key not in ("path", "seed"))
-        if flags:
-            raise UsageError(f"--channel-file takes no {', '.join(flags)}")
-        return {"type": "file", "path": entries["path"]}
-    if "type" not in entries:
-        raise UsageError("provide --channel NAME or --channel-file PATH")
-    return {**entries, "type": entries["type"].replace("-", "_")}
+    if ("path" in entries) == ("type" in entries):
+        raise UsageError("provide one of --channel NAME and --channel-file PATH")
+    return {**entries, "type": entries.get("type", "file").replace("-", "_")}
 
 
 # -- small IO helpers -----------------------------------------------------------
@@ -333,7 +328,8 @@ def run_figure_energy(params: dict) -> list:
 
 
 def run_figure_bound(params: dict) -> list:
-    n, k, samples = (_param(params, key, low=1) for key in ("N", "k", "samples"))
+    n = _param(params, "N", low=2)  # Np runs over 1 .. N - 1: one site has no row
+    k, samples = (_param(params, key, low=1) for key in ("k", "samples"))
     seed, out = _param(params, "seed"), _param(params, "out", str)
     _check_blocking(n, k)
     channels = [DetectorChannel(n, k, np_excited) for np_excited in range(1, n)]
@@ -396,12 +392,13 @@ def run_lipschitz(params: dict) -> list:
     return _saved_channel(ch, save_to, [out])
 
 
+# each command and the parameter keys it reads
 COMMANDS = {
-    "entropy": run_entropy,
-    "figure-energy": run_figure_energy,
-    "figure-bound": run_figure_bound,
-    "typicality": run_typicality,
-    "lipschitz": run_lipschitz,
+    "entropy": (run_entropy, ("channel", "out", "save_channel")),
+    "figure-energy": (run_figure_energy, ("N", "Np", "k", "out")),
+    "figure-bound": (run_figure_bound, ("N", "k", "samples", "seed", "out")),
+    "typicality": (run_typicality, ("config", "out", "distances_csv")),
+    "lipschitz": (run_lipschitz, ("channel", "trials", "seed", "out", "save_channel")),
 }
 
 
@@ -455,7 +452,9 @@ def _write_manifest(command: str, params: dict, outputs: list, started: float) -
 
 def _execute(command: str, params: dict) -> list:
     started = time.perf_counter()
-    outputs = COMMANDS[command](params)
+    run, read = COMMANDS[command]
+    _check_read(params, read, f"the {command} command")  # a replayed manifest's typo too
+    outputs = run(params)
     manifest_path = _write_manifest(command, params, outputs, started)
     print(f"manifest             : {manifest_path}")
     return outputs
@@ -493,8 +492,8 @@ def _add_channel_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, dest=_SPEC + "k", help="number of detector blocks")
     p.add_argument("--split", type=int, dest=_SPEC + "split",
                    help="leading system qubits (restricted partial trace)")
-    p.add_argument("--unitary-seed", type=int, default=0, dest=_SPEC + "seed",
-                   help="seed of the random reshuffling unitary")
+    p.add_argument("--unitary-seed", type=int, dest=_SPEC + "seed",
+                   help="seed of the random reshuffling unitary (unitary-trace only; default 0)")
     p.add_argument("--save-channel", dest="save_channel",
                    help="also write the constructed channel as a JSON Kraus file")
 
@@ -552,7 +551,7 @@ def _params_from_args(args: argparse.Namespace) -> tuple[str, dict]:
     params = {key: value for key, value in vars(args).items() if value not in (None, "")}
     command = params.pop("cmd")
     spec = {key[len(_SPEC):]: params.pop(key) for key in list(params) if key.startswith(_SPEC)}
-    if spec:
+    if _SPEC + "type" in vars(args):  # a command with channel flags
         params["channel"] = _spec_from_args(spec)
     if command == "typicality":
         try:

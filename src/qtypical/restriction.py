@@ -32,7 +32,6 @@ import numpy as np
 from .channels import (
     ConsistencyError,
     QuantumChannel,
-    _gated_linear_entropy,
     _minimal_channel,
     _state_block,
 )
@@ -225,10 +224,6 @@ class _PatternChannel:
         return DensityOperator(np.diag(self._canonical_diagonal().astype(np.complex128)),
                                validate=False)
 
-    def linear_entropy(self) -> float:
-        """1 - Choi purity, gated on the agreement of the two purity routes."""
-        return _gated_linear_entropy(*self.choi_purity_routes())
-
     def exact_eta(self) -> float:
         """The exact trace-norm contraction coefficient eta of the channel: 1.0 or 0.0.
 
@@ -247,7 +242,7 @@ class RestrictedPartialTrace(_PatternChannel):
     2^(N - split)), enumerate_basis(N, n_excited))``, with the same channel
     interface: ``dim_in`` (d_R = C(N, Np)), ``dim_out`` (2^split),
     ``apply_pure_batch``, ``distances_to_canonical``, ``canonical_state``,
-    ``exact_eta``, ``choi_purity_routes`` and ``linear_entropy``. A subspace
+    ``exact_eta`` and ``choi_purity_routes``. A subspace
     index x splits into the system pattern s = x >> (N - split) and the
     environment pattern x & (2^(N - split) - 1). The basis ascends with qubit 0
     most significant, so the states with system pattern s form one contiguous

@@ -17,9 +17,15 @@ The entropy bound is also a consistency gate: a report whose mean distance
 exceeds it by more than 3 std / sqrt(samples) (plus 1e-12), with std the
 sample standard deviation, raises ``ConsistencyError``. The gate needs a
 spread, so it does not apply at one sample: a single draw may lie above a
-bound on the mean. The range check 0 <= mean <= max + 1e-12 and max <= 1 + 1e-9
-applies at every sample count and raises ``ConsistencyError`` too; the 1e-12
-lets the rounded mean of equal distances, as an isometry gives, pass their max.
+bound on the mean. In the normal approximation to the sample mean, a correct
+run whose true mean sits exactly on the bound fails the gate with probability
+P(Z > 3) ~ 0.135 %, and far less below it. At the reference seed
+(``bench/reference.json``) the mean lies 122 standard errors below the bound on
+the partial trace 10/5/3 (mean/bound 0.789), and at least 110 on every row of
+the N = 8 bound sweep (mean/bound at most 0.614). The range check
+0 <= mean <= max + 1e-12 and max <= 1 + 1e-9 applies at every sample count and
+raises ``ConsistencyError`` too; the 1e-12 lets the rounded mean of equal
+distances, as an isometry gives, pass their max.
 
 A channel here is anything with the channel interface (``dim_in``,
 ``dim_out``, ``distances_to_canonical``, ``_distance_row_bytes``,

@@ -496,22 +496,30 @@ def test_partial_trace_past_the_float_range_of_d_e_eff(tmp_path, capsys, argv, c
 
 
 # each ran and ignored the named keys: a spec key its family does not read, family flags
-# next to a channel file (which the spec dropped), and typos in a typicality config
+# next to a channel file (which the spec dropped), a seed outside unitary-trace, and typos
+# in a typicality config; --channel next to --channel-file is refused before any spec
 @pytest.mark.parametrize("argv, named", [
     (["entropy", "--channel", "identity", "--d", 4, "--Np", 2], ["'Np'"]),
+    (["entropy", "--channel", "identity", "--d", 2, "--unitary-seed", 5], ["'seed'"]),
     (["entropy", "--channel", "bns", "--N", 4, "--k", 2, "--split", 1], ["'split'"]),
     (["entropy", "--channel", "depolarizing", "--d", 3, "--lambda", 0.2, "--dE", 7], ["'dE'"]),
     (["entropy", "--channel", "partial-trace", "--dS", 2, "--dE", 2, "--Np", 1], ["'Np'"]),
+    (["entropy", "--channel-file", "CHANNEL", "--d", 3, "--unitary-seed", 3],
+     ["type 'file'", "'d'", "'seed'"]),
     (["entropy", "--channel-file", "CHANNEL", "--channel", "identity", "--d", 3],
-     ["--channel", "--d"]),
+     ["--channel NAME", "--channel-file PATH"]),
     (["typicality", "--config", {"channel": {"type": "identity", "d": 2}, "samples": 3,
                                  "master_seed": 1, "eta_mod": "estimated",
                                  "epsilon_gird": [0.1]}], ["'epsilon_gird'", "'eta_mod'"]),
     (["typicality", "--config", {"channel": {"type": "partial-trace", "N": 4, "Np": 2,
                                              "split": 1, "dS": 2}, "samples": 3,
                                  "master_seed": 1}], ["'dS'"]),
-], ids=["identity-Np", "bns-split", "depolarizing-dE", "dense-partial-trace-Np",
-        "channel-file-with-family-flags", "config-typos", "config-spec-key"])
+    (["typicality", "--config", {"channel": {"type": "depolarizing", "d": 2, "lambda": 0.5,
+                                             "seed": 1}, "samples": 3, "master_seed": 1}],
+     ["'seed'"]),
+], ids=["identity-Np", "identity-unitary-seed", "bns-split", "depolarizing-dE",
+        "dense-partial-trace-Np", "channel-file-with-family-flags", "channel-file-with-channel",
+        "config-typos", "config-spec-key", "config-spec-seed"])
 def test_a_key_that_nothing_reads_is_a_usage_error(tmp_path, capsys, argv, named):
     save_channel(identity_channel(3), tmp_path / "c.json")
     if isinstance(argv[-1], dict):
@@ -526,15 +534,18 @@ def test_a_key_that_nothing_reads_is_a_usage_error(tmp_path, capsys, argv, named
     assert not out.exists() and not (tmp_path / "out.json.manifest.json").exists()
 
 
-def test_seed_is_read_by_every_family_and_next_to_a_channel_file(tmp_path):
-    # --unitary-seed puts its default into every spec built from flags
+def test_seed_is_read_by_unitary_trace_alone(tmp_path):
+    # every family read seed until 0.30.0, and only unitary-trace used it
     save_channel(identity_channel(2), tmp_path / "c.json")
-    assert run(["entropy", "--channel-file", tmp_path / "c.json", "--unitary-seed", 3,
-                "--out", tmp_path / "f.json"]) == 0
     for spec in ({"type": "identity", "d": 2, "seed": 5},
-                 {"type": "bns", "N": 4, "k": 2, "Np": 2, "seed": 5},
+                 {"type": "bns", "N": 4, "k": 2, "Np": 2, "seed": 0},
+                 {"type": "partial_trace", "dS": 2, "dE": 2, "seed": 0},
                  {"type": "file", "path": str(tmp_path / "c.json"), "seed": 5}):
-        build_channel(spec)
+        with pytest.raises(UsageError, match="does not read 'seed'"):
+            build_channel(spec)
+    spec = {"type": "unitary_trace", "dS": 2, "dE": 2}
+    assert channels_equal(build_channel(spec)[0], build_channel({**spec, "seed": 0})[0])
+    assert not channels_equal(build_channel(spec)[0], build_channel({**spec, "seed": 3})[0])
 
 
 def test_figure_bound_refusal_of_a_count_past_the_digit_limit(tmp_path, capsys):
@@ -745,6 +756,8 @@ OUT_OF_RANGE = {
     "figure-bound-blocking": ["figure-bound", "--N", 6, "--k", 4],
     # the Np loop is empty at one site, so the samples check must not live inside it
     "figure-bound-one-site": ["figure-bound", "--N", 1, "--k", 1, "--samples", 0],
+    # with samples it wrote a header-only CSV and a plot script with no points
+    "figure-bound-one-site-with-samples": ["figure-bound", "--N", 1, "--k", 1, "--samples", 5],
     # the restricted spec's exact eta needs no trial, but the value is still checked
     "lipschitz-restricted": ["lipschitz", "--channel", "partial-trace", "--N", 6, "--Np", 3,
                              "--split", 2, "--trials", 0],
@@ -1036,6 +1049,31 @@ def test_replayed_value_of_another_type_is_a_usage_error(tmp_path, capsys):
             assert list(outs.iterdir()) == [], path
 
 
+@pytest.mark.parametrize("argv", REPLAYED_COMMANDS, ids=[a[0] for a in REPLAYED_COMMANDS])
+def test_a_replayed_key_that_the_command_does_not_read_is_a_usage_error(tmp_path, capsys,
+                                                                          argv):
+    # entropy with "save_chanel" exited 0 and wrote no channel file
+    save_channel(identity_channel(2), tmp_path / "c.json")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"channel": {"type": "identity", "d": 2}, "samples": 3,
+                                  "master_seed": 1}))
+    outs = tmp_path / "outs"
+    outs.mkdir()
+    inputs = {"CONFIG": config, "CHANNEL": tmp_path / "c.json", "OUT2": outs / "second.json"}
+    assert run([inputs.get(a, a) for a in argv] + ["--out", outs / "out.dat"]) == 0
+    manifest = tmp_path / "m.json"
+    data = json.loads((outs / "out.dat.manifest.json").read_text())
+    data["parameters"]["save_chanel"] = str(outs / "c.json")
+    manifest.write_text(json.dumps(data))
+    for output in outs.iterdir():
+        output.unlink()
+    capsys.readouterr()
+    assert run(["replay", "--manifest", manifest]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: the {argv[0]} command does not read 'save_chanel'\n"
+    assert captured.out == "" and list(outs.iterdir()) == []
+
+
 @pytest.mark.parametrize("key, value", [("out", []), ("out", 7), ("save_channel", 3),
                                         ("out", 1)])
 def test_replayed_output_path_that_is_not_a_string_is_a_usage_error(tmp_path, capfd, key,
@@ -1080,13 +1118,16 @@ def test_config_value_of_another_kind_is_a_usage_error(tmp_path, capsys, edit):
 
 @pytest.mark.parametrize("argv, params", [
     (["entropy", "--channel", "bns", "--N", 9, "--k", 3, "--Np", 4, "--out", "e.json"],
-     {"channel": {"type": "bns", "N": 9, "Np": 4, "k": 3, "seed": 0}, "out": "e.json"}),
+     {"channel": {"type": "bns", "N": 9, "Np": 4, "k": 3}, "out": "e.json"}),
     (["entropy", "--channel", "depolarizing", "--d", 3, "--lambda", 0.4,
       "--save-channel", "c.json"],
-     {"channel": {"type": "depolarizing", "d": 3, "lambda": 0.4, "seed": 0},
+     {"channel": {"type": "depolarizing", "d": 3, "lambda": 0.4},
       "out": "entropy.json", "save_channel": "c.json"}),
     (["entropy", "--channel-file", "c.json", "--out", "f.json"],
      {"channel": {"type": "file", "path": "c.json"}, "out": "f.json"}),
+    (["entropy", "--channel", "unitary-trace", "--dS", 2, "--dE", 2, "--unitary-seed", 3],
+     {"channel": {"type": "unitary_trace", "dS": 2, "dE": 2, "seed": 3},
+      "out": "entropy.json"}),
     (["figure-energy", "--N", 10000, "--Np", 200, "--k", 1000],
      {"N": 10000, "Np": 200, "k": 1000, "out": "energy.csv"}),
     (["figure-bound", "--N", 8, "--k", 2, "--samples", 4000, "--seed", 2024],
@@ -1094,15 +1135,14 @@ def test_config_value_of_another_kind_is_a_usage_error(tmp_path, capsys, edit):
     (["typicality", "--config", "CONFIG", "--out", "r.json", "--distances-csv", "d.csv"],
      {"config": {"channel": {"type": "identity", "d": 2}, "samples": 3, "master_seed": 1},
       "out": "r.json", "distances_csv": "d.csv"}),
-    (["lipschitz", "--channel", "partial-trace", "--N", 10, "--Np", 5, "--split", 3,
-      "--unitary-seed", 7],
-     {"channel": {"type": "partial_trace", "N": 10, "Np": 5, "split": 3, "seed": 7},
+    (["lipschitz", "--channel", "partial-trace", "--N", 10, "--Np", 5, "--split", 3],
+     {"channel": {"type": "partial_trace", "N": 10, "Np": 5, "split": 3},
       "trials": 8, "seed": 0, "out": "lipschitz.json"}),
     (["replay", "--manifest", "m.json"], {"manifest": "m.json"}),
-], ids=["entropy", "entropy-save-channel", "entropy-channel-file", "figure-energy",
-        "figure-bound", "typicality-distances-csv", "lipschitz", "replay"])
+], ids=["entropy", "entropy-save-channel", "entropy-channel-file", "entropy-unitary-seed",
+        "figure-energy", "figure-bound", "typicality-distances-csv", "lipschitz", "replay"])
 def test_params_are_the_flags_given_or_defaulted(tmp_path, argv, params):
-    # the dicts 0.13.0 stored in manifests; a change here changes every replay
+    # the dicts stored in manifests since 0.30.0; a change here changes every replay
     from qtypical.cli import _params_from_args, build_parser
 
     config = tmp_path / "cfg.json"

@@ -41,7 +41,7 @@ from qtypical.channels import (
 )
 from qtypical.qcore import _haar_rows, derive_seed
 from qtypical.restriction import RestrictedPartialTrace, enumerate_basis, restrict_channel
-from qtypical.typicality import ETA_STREAM_INDEX
+from qtypical.typicality import ETA_STREAM_INDEX, _entropy
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ def test_choi_purity_routes(cases):
 
 def test_linear_entropy(cases):
     for c in cases:
-        assert abs(c.ch.linear_entropy() - (1.0 - c.purity)) < c.row.tol, c.row.id
+        assert abs(_entropy(c.ch)[2] - (1.0 - c.purity)) < c.row.tol, c.row.id
 
 
 def test_kraus(cases):
