@@ -451,8 +451,8 @@ def lipschitz_estimate(ch, trials: int, seed: int) -> float:
     ``derive_seed(seed, t)``. Trials run in lockstep groups, and each
     refinement round applies all of a group's candidate pairs as one block.
     A group is as large as ``_block_items`` allows: at most _BLOCK_ROWS / 2
-    trials, and no more than fit the 512 MiB budget at 8 input rows (its pairs
-    and candidates) and two applied rows (the channel's ``_row_bytes``) per
+    trials, and no more than fit 16 MiB (``_BLOCK_BYTES``) at 8 input rows (its
+    pairs and candidates) and two applied rows (the channel's ``_row_bytes``) per
     trial, so the block never grows past the budget with ``trials``.
 
     The matrix-free restricted channels give outputs that do not depend on

@@ -10,11 +10,12 @@ Conventions shared by every module in the package:
 * one size policy: ``_check_dense_bytes`` refuses, before allocating, any
   dense array above the 512 MiB budget with a ``DimensionError``, and
   ``_block_items`` sizes batched blocks by the same budget, capped at
-  ``_BLOCK_ROWS`` states;
+  ``_BLOCK_ROWS`` states and ``_BLOCK_BYTES`` (16 MiB);
 * one output format: floats are written at ``FLOAT_FORMAT`` (17 significant
   digits, enough to read every float back exactly), and every CSV table, JSON
   report and plot script is written by ``_write_lines``, UTF-8 with LF line
-  endings, in one write.
+  endings, in one write; the distances CSV, one row a sample, has the same
+  bytes but is written in runs of 4096 rows.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ EIGENVALUE_FLOOR = -1e-10
 TRACE_TOL = 1e-10
 _DENSE_BYTES_LIMIT = 512 * 2**20  # largest dense array the package may allocate
 _BLOCK_ROWS = 256  # most states in one batched block; a constant, so block shapes never depend on the machine
+_BLOCK_BYTES = 16 * 2**20  # most bytes of one batched block: blocks on every CPU fit the budget
 FLOAT_FORMAT = ".17g"  # the format of every float the package writes to a file
 
 
@@ -94,10 +96,11 @@ def _write_json(path, payload: dict) -> None:
 def _block_items(item_bytes: int, rows_per_item: int) -> int:
     """Items per batched block, each item rows_per_item states needing item_bytes in all.
 
-    At most _BLOCK_ROWS states and the 512 MiB budget, and at least one item: an
-    item alone above the budget is left for its own size check to refuse.
+    At most _BLOCK_ROWS states and _BLOCK_BYTES within the 512 MiB budget, and at least
+    one item: an item alone above the budget is left for its own size check to refuse.
     """
-    return max(1, min(_BLOCK_ROWS // rows_per_item, _DENSE_BYTES_LIMIT // item_bytes))
+    return max(1, min(_BLOCK_ROWS // rows_per_item,
+                      min(_DENSE_BYTES_LIMIT, _BLOCK_BYTES) // item_bytes))
 
 
 def _as_matrix(a) -> np.ndarray:

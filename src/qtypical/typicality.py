@@ -50,29 +50,31 @@ the detector apply the block, subtract the canonical state and run one
 batched eigensolve; the restricted partial trace works block by block on its
 system weights and forms neither a d_S x d_S output nor a dense canonical
 state. A sample costs its state plus the channel's ``_distance_row_bytes``,
-and ``qcore._block_items`` makes the chunk as many samples as fit the 512 MiB
-dense budget, at most _BLOCK_ROWS. ``_sample_row_bytes`` refuses a channel over
-budget at one sample, the detector's plan included, and a distances array (8
-bytes a sample) over budget is refused too (``_check_sampling``): all from
-counts, before ``run_experiment`` evaluates the entropy or draws a chunk. Sample
-i always uses seed derive_seed(master_seed, i), so it depends only on
-(master_seed, i). The chunk follows from the channel's dimensions and the fixed
-budget alone, so output bytes never depend on the machine or on any thread
-setting; QTYPICAL_THREADS is ignored.
+and ``qcore._block_items`` makes the chunk as many samples as fit 16 MiB
+(``_BLOCK_BYTES``, within the 512 MiB dense budget), at most _BLOCK_ROWS.
+``_sample_row_bytes`` refuses a channel over budget at one sample, the
+detector's plan included, and ``_check_sampling`` refuses a run whose
+distances are over budget at 24 bytes a sample (the distances, their
+deviations from the mean, and one temporary of ``np.std`` or a tail mask):
+all from counts, before ``run_experiment`` evaluates the entropy or draws a
+chunk. Sample i always uses seed derive_seed(master_seed, i), so it depends
+only on (master_seed, i). The chunk follows from the channel's dimensions and
+fixed constants alone, so output bytes never depend on the machine or on any
+thread setting; QTYPICAL_THREADS is ignored.
 
-The chunks are shared among W processes: the caller runs the first chunk,
-which builds what the channel caches, then forks one worker for each further
-process, and each takes a contiguous share of the remaining chunks, writing
-into one shared anonymous mapping, which one process writes the same way. A
-share that cannot be forked, or whose worker fails, is computed by the caller
-once every worker is reaped. W is the least of the usable CPUs
-(``os.sched_getaffinity``), the chunks left and the chunks the 512 MiB budget
-holds at once, so the chunks in flight fit the budget together. W is 1, and
-nothing is forked, without ``os.fork`` or ``os.sched_getaffinity`` and in a
-program with a second Python thread. No option sets W; ``taskset`` or a cpuset
-limits it. The bytes do not depend on W, since a distance depends only on its
-sample's seed. A traced run sees the caller's share only; on Python 3.12 and
-later ``os.fork`` warns when other threads, such as OpenBLAS's, are running.
+The chunks are shared among W processes. One ``distances_to_canonical`` call on
+zero rows first builds what the channel caches; then, of the C chunks, process j
+takes chunks C j // W up to C (j + 1) // W, the caller the last share and a
+forked worker each other one, all writing into one shared anonymous mapping:
+the read-only array returned. A share that cannot be forked, or whose worker
+fails, is computed by the caller once every worker is reaped. W is the least of
+the usable CPUs (``os.sched_getaffinity``), the chunks and the chunks the
+512 MiB budget holds at once. W is 1, and nothing is forked, without
+``os.fork`` or ``os.sched_getaffinity`` and in a program with a second Python
+thread. No option sets W; ``taskset`` or a cpuset limits it. The bytes do not
+depend on W, since a distance depends only on its sample's seed. A traced run
+sees the caller's share only; on Python 3.12 and later ``os.fork`` warns when
+other threads, such as OpenBLAS's, are running.
 """
 
 from __future__ import annotations
@@ -165,35 +167,25 @@ def canonical_state(ch) -> DensityOperator:
     return ch.canonical_state()
 
 
-def sample_distances(cfg: ExperimentConfig) -> list:
+def sample_distances(cfg: ExperimentConfig) -> np.ndarray:
     """Trace distances of channel outputs of Haar samples to the canonical state.
 
-    Output order follows the sample index; entry i is the distance for the
-    state haar_sample(dim_in, derive_seed(master_seed, i)). Samples are
-    processed in chunks sized by ``_block_items`` from the bytes of one
-    sample, each drawn in place into one (chunk, dim_in) array by
-    ``_haar_rows`` with the same bits and passed to the channel's
-    ``distances_to_canonical``. Each chunk's states and work arrays are
-    released before the next chunk is drawn, so the peak of a process is one
-    chunk; the distances array (8 bytes a sample) is checked against the
-    budget first, and every refusal comes before the first chunk.
-
-    The parent computes the first chunk, which builds what the channel caches,
-    and then the remaining chunks are split into ``_worker_count`` contiguous
-    shares: a forked worker takes each but the last, and the parent the last.
-    Every process writes into one shared anonymous mapping, a lone parent too; the
-    bits do not depend on the share a chunk falls in.
+    A read-only float64 array in sample order: entry i is the distance for the state
+    haar_sample(dim_in, derive_seed(master_seed, i)). Chunks and shares are drawn as the
+    module docstring describes. Each chunk's states and work arrays are released before
+    the next chunk is drawn, so the peak of a process is one chunk, and every refusal
+    comes before the zero-row call.
     """
     row = _check_sampling(cfg)
     chunk = min(_block_items(row, 1), cfg.samples)
     chunks = -(-cfg.samples // chunk)
-    workers = _worker_count(chunks - 1, chunk * row)
+    workers = _worker_count(chunks, chunk * row)
     distances = np.frombuffer(mmap.mmap(-1, 8 * cfg.samples))  # forked workers write here too
-    _fill(distances, cfg, chunk, range(1))
-    _distribute(distances, cfg, chunk, [range(1 + (chunks - 1) * j // workers,
-                                              1 + (chunks - 1) * (j + 1) // workers)
+    cfg.channel.distances_to_canonical(np.empty((0, cfg.channel.dim_in), np.complex128))
+    _distribute(distances, cfg, chunk, [range(chunks * j // workers, chunks * (j + 1) // workers)
                                         for j in range(workers)])
-    return distances.tolist()
+    distances.setflags(write=False)
+    return distances
 
 
 def _fill(distances: np.ndarray, cfg: ExperimentConfig, chunk: int, share: range) -> None:
@@ -281,10 +273,10 @@ def _sample_row_bytes(ch) -> int:
 
 
 def _check_sampling(cfg: ExperimentConfig) -> int:
-    """``_sample_row_bytes`` of the channel, once the distances array (8 bytes a sample)
-    is checked too: every refusal of sampling, all from counts."""
+    """``_sample_row_bytes`` of the channel, once 24 bytes a sample are checked too (the
+    distances, their deviations, one temporary): every refusal of sampling, from counts."""
     row = _sample_row_bytes(cfg.channel)
-    _check_dense_bytes(8 * cfg.samples, f"the distances of {cfg.samples} samples")
+    _check_dense_bytes(24 * cfg.samples, f"the distances of {cfg.samples} samples")
     return row
 
 
@@ -353,7 +345,7 @@ class TypicalityReport:
     tail_table: tuple = ()
     partial_trace_bound: float | None = None
     tail_diagnostic_only: bool = False
-    distances: list = field(default_factory=list, repr=False)
+    distances: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
 
     def __post_init__(self):
         # the mean of equal distances can round one ulp above their max
@@ -391,17 +383,18 @@ def run_experiment(cfg: ExperimentConfig) -> TypicalityReport:
     _check_sampling(cfg)
     _, _, s_l, mean_bound = _entropy(ch)
     distances = sample_distances(cfg)
-    values = np.asarray(distances)
-    mean = float(np.mean(values))
-    std = float(np.std(values, ddof=1)) if cfg.samples > 1 else 0.0
-    top = float(np.max(values))
+    mean = float(np.mean(distances))
+    std = float(np.std(distances, ddof=1)) if cfg.samples > 1 else 0.0
+    top = float(np.max(distances))
 
     if cfg.eta_mode == "fixed_one":
         eta, diagnostic = 1.0, False
     else:
         eta, exact = _eta(ch, cfg.eta_trials, derive_seed(cfg.master_seed, ETA_STREAM_INDEX))
         diagnostic = not exact  # a searched eta is only a lower bound
-    tail_rows = tuple((eps, float(np.mean(np.abs(values - mean) > eps)),
+    deviations = distances - mean  # one array for every epsilon
+    np.abs(deviations, out=deviations)
+    tail_rows = tuple((eps, float(np.mean(deviations > eps)),
                        min(1.0, max(0.0, levy_tail_bound(ch.dim_in, eps, eta))))
                       for eps in cfg.epsilon_grid)
     p_bound = None if cfg.d_e_eff is None else partial_trace_bound(ch.dim_out, cfg.d_e_eff)

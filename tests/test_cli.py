@@ -644,15 +644,16 @@ def test_typicality_distances_csv_samples_once(tmp_path, draw_log):
 
 
 def test_distances_csv_has_the_bytes_of_csv_writer(tmp_path):
-    # the rows are formatted by one f-string each; the bytes are those of csv.writer
-    # over the fields _fmt formats
-    distances = [0.0, 0.1, 1.0, 1 / 3, 5e-324, 1e-20, 0.9999999999999999, 2.5e-7]
+    # the rows are formatted by one f-string each, in runs of 4096 (two full runs and a
+    # partial one here); the bytes are those of csv.writer over the fields _fmt formats
+    values = [0.0, 0.1, 1.0, 1 / 3, 5e-324, 1e-20, 0.9999999999999999, 2.5e-7]
+    distances = np.array(values * 1025)
     path = tmp_path / "distances.csv"
     cli._write_distances_csv(path, distances)
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerows([["index", "distance"],
-                      *([i, cli._fmt(d)] for i, d in enumerate(distances))])
+                      *([i, cli._fmt(d)] for i, d in enumerate(values * 1025))])
     assert path.read_bytes() == expected.getvalue().encode()
 
 

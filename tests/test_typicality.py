@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import mmap
 import os
+import subprocess
+import sys
 import tracemalloc
 from math import comb
 
@@ -115,8 +118,8 @@ def test_sample_distances_match_per_sample_generators_bit_for_bit():
 def test_numpy_integer_master_seed_gives_the_bytes_of_the_python_int(seed):
     ch = identity_channel(3)
     cfg = ExperimentConfig(channel=ch, samples=5, master_seed=seed)
-    assert sample_distances(cfg) == sample_distances(
-        ExperimentConfig(channel=ch, samples=5, master_seed=7))
+    assert np.array_equal(sample_distances(cfg), sample_distances(
+        ExperimentConfig(channel=ch, samples=5, master_seed=7)))
     assert json.loads(json.dumps(run_experiment(cfg).to_json_dict()))["master_seed"] == 7
 
 
@@ -214,7 +217,7 @@ def test_a_refused_sample_size_does_no_entropy_work(monkeypatch):
 
 
 def test_the_sample_refusal_is_reported_before_the_entropy_refusal():
-    # identity 200 has a 25.6 GB Choi matrix, and 2^26 + 1 distances need 512 MiB and 8
+    # identity 200 has a 25.6 GB Choi matrix, and 2^26 + 1 samples need 1536 MiB and 24
     # bytes: both are over budget, and the sample size is checked first
     cfg = ExperimentConfig(channel=identity_channel(200), samples=2**26 + 1, master_seed=1)
     with pytest.raises(DimensionError, match="^the distances of 67108865 samples needs"):
@@ -245,18 +248,18 @@ def test_sample_distances_refuses_oversized_outputs_before_any_work(monkeypatch,
 def test_derived_chunk_gives_the_bits_of_the_full_chunk(make, monkeypatch, draw_log):
     # 301 samples run as chunks of 256 and 45 under the real budget, and as the smaller
     # chunks the 64 KiB budget derives; no split has a one-row tail. The draw log
-    # counts the chunks of every process, forked workers included
+    # counts the chunks of every process, forked workers included, in no fixed order
     ch = make()
     cfg = ExperimentConfig(channel=ch, samples=301, master_seed=17)
-    full = np.array(sample_distances(cfg))
+    full = sample_distances(cfg)
     chunks = [len(seeds) for _, seeds in draw_log()]
-    assert chunks == [qcore._BLOCK_ROWS, 301 - qcore._BLOCK_ROWS]
+    assert sorted(chunks) == [301 - qcore._BLOCK_ROWS, qcore._BLOCK_ROWS]
     monkeypatch.setattr(qcore, "_DENSE_BYTES_LIMIT", 2**16)
-    derived = np.array(sample_distances(cfg))
+    derived = sample_distances(cfg)
     chunks = [len(seeds) for _, seeds in draw_log()][2:]
-    assert 2 <= chunks[0] < qcore._BLOCK_ROWS and min(chunks) >= 2
-    assert sum(chunks) == 301
-    assert chunks[0] == qcore._block_items(16 * ch.dim_in + ch._distance_row_bytes, 1)
+    chunk = qcore._block_items(16 * ch.dim_in + ch._distance_row_bytes, 1)
+    assert 2 <= chunk < qcore._BLOCK_ROWS and min(chunks) >= 2
+    assert sorted(chunks) == sorted(min(chunk, 301 - start) for start in range(0, 301, chunk))
     assert derived.tobytes() == full.tobytes()
 
 
@@ -272,20 +275,25 @@ WORKER_SAMPLES = 4 * qcore._BLOCK_ROWS + 45
     lambda: depolarizing(4, 0.5),
 ], ids=["partial-trace", "detector", "depolarizing"])
 def test_worker_count_does_not_change_the_bits(make, monkeypatch, draw_log):
-    # W = 1, 2 and 3 processes, set by the CPUs the affinity reports: each draws its
-    # own chunks of the one grid, and the distances are the same bytes
+    # W = 1, 2 and 3 processes, set by the CPUs the affinity reports: process j draws
+    # chunks 5 j // W to 5 (j + 1) // W of the one grid, this process the last share,
+    # and the distances are the same bytes
     ch = make()
     cfg = ExperimentConfig(channel=ch, samples=WORKER_SAMPLES, master_seed=23)
     results, seen = [], 0
     for workers in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=workers: set(range(n)))
-        results.append(np.array(sample_distances(cfg)).tobytes())
+        results.append(sample_distances(cfg).tobytes())
         records = draw_log()[seen:]
         seen += len(records)
-        assert len({pid for pid, _ in records}) == workers
-        assert records[0] == (os.getpid(), [derive_seed(23, i) for i in range(256)])
-        assert sorted(seed for _, seeds in records for seed in seeds) == sorted(
-            derive_seed(23, i) for i in range(WORKER_SAMPLES))
+        drawn = {}
+        for pid, seeds in records:
+            drawn.setdefault(pid, set()).update(seeds)
+        shares = [{derive_seed(23, i) for i in range(WORKER_SAMPLES)
+                   if 5 * j // workers <= i // qcore._BLOCK_ROWS < 5 * (j + 1) // workers}
+                  for j in range(workers)]
+        assert len(drawn) == workers and drawn.pop(os.getpid()) == shares.pop()
+        assert sorted(map(sorted, drawn.values())) == sorted(map(sorted, shares))
     assert results[0] == results[1] == results[2]
 
 
@@ -307,11 +315,11 @@ def _raise_on_sample(monkeypatch, draw_log, index, message):
 
 
 def test_a_failed_worker_share_is_raised_by_the_parent(monkeypatch, draw_log):
-    # three chunks: the parent takes chunks 0 and 2, the worker chunk 1, which raises
-    # there and then again in the parent, which recomputes it
+    # three chunks: the worker takes chunk 0, which raises there and then again in the
+    # parent, which recomputes it after its own chunks 1 and 2
     cfg = ExperimentConfig(channel=depolarizing(4, 0.5), samples=2 * qcore._BLOCK_ROWS + 10,
                            master_seed=5)
-    index = qcore._BLOCK_ROWS
+    index = 0
     _raise_on_sample(monkeypatch, draw_log, index, "the worker's chunk failed")
     with pytest.raises(ArithmeticError, match="^the worker's chunk failed$"):
         sample_distances(cfg)
@@ -383,6 +391,50 @@ def test_worker_count_rule(monkeypatch):
             assert typicality._worker_count(20, 2**20) == 1
 
 
+def test_every_chunk_is_capped_at_the_block_bytes(monkeypatch, draw_log):
+    # 116128 bytes a sample: 144 samples under the 16 MiB cap, where the 512 MiB budget
+    # alone allowed chunks of 256 (28 MiB); the cap leaves the bytes as they were
+    ch = RestrictedPartialTrace(14, 7, 4)
+    row = 16 * ch.dim_in + ch._distance_row_bytes
+    cfg = ExperimentConfig(channel=ch, samples=300, master_seed=19)
+    capped = sample_distances(cfg)
+    chunks = [len(seeds) for _, seeds in draw_log()]
+    assert (row, sorted(chunks)) == (116128, [12, 144, 144])
+    assert max(chunks) * row <= qcore._BLOCK_BYTES == 16 * 2**20
+    monkeypatch.setattr(qcore, "_BLOCK_BYTES", qcore._DENSE_BYTES_LIMIT)
+    assert sample_distances(cfg).tobytes() == capped.tobytes()
+    assert sorted(len(seeds) for _, seeds in draw_log()[3:]) == [44, 256]
+
+
+def test_a_typicality_run_holds_no_more_than_its_charge_a_sample(tmp_path):
+    # 3 x 10^5 samples of the partial trace 4/2/1, distances CSV included, raise the peak
+    # RSS by at most the 24 bytes a sample that _check_sampling charges; a list, its
+    # array copy and one whole-file CSV string took 186. A run of 1000 samples first
+    # loads every module the run needs
+    configs = []
+    for samples in (1000, 300000):
+        configs.append(tmp_path / f"config{samples}.json")
+        configs[-1].write_text(json.dumps({
+            "channel": {"type": "partial_trace", "N": 4, "Np": 2, "split": 1},
+            "samples": samples, "master_seed": 3, "epsilon_grid": [0.05, 0.1]}))
+    script = """if True:
+        import resource, sys
+        from qtypical.cli import main
+        def run(config):
+            argv = ["typicality", "--config", config, "--out", config + ".report.json",
+                    "--distances-csv", config + ".csv"]
+            assert main(argv) == 0
+        run(sys.argv[1])
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        run(sys.argv[2])
+        print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qcore.__file__)))
+    result = subprocess.run([sys.executable, "-c", script, *map(str, configs)], env=env,
+                            capture_output=True, text=True, check=True)
+    assert int(result.stdout.split()[-1]) <= 24 * 300000
+
+
 @pytest.mark.parametrize("spec", [(10, 5, 3), (10, 5, 0), (10, 5, 10), (8, 4, 2), (8, 4, 3),
                                   (12, 6, 6), (9, 2, 7), (14, 7, 7), (6, 0, 3), (6, 6, 3),
                                   (7, 3, 7), (7, 3, 1)], ids=str)
@@ -406,7 +458,7 @@ def test_partial_trace_samples_without_outputs_or_a_dense_canonical_state(monkey
 
     monkeypatch.setattr(RestrictedPartialTrace, "apply_pure_batch", refuse)
     monkeypatch.setattr(RestrictedPartialTrace, "canonical_state", refuse)
-    assert sample_distances(cfg) == expected
+    assert np.array_equal(sample_distances(cfg), expected)
 
 
 def test_partial_trace_chunk_grows_past_an_output_over_budget(small_dense_budget):
@@ -485,10 +537,10 @@ def test_distances_deterministic_and_thread_independent(monkeypatch):
     cfg = ExperimentConfig(channel=ch, samples=64, master_seed=9)
     monkeypatch.setenv("QTYPICAL_THREADS", "1")
     base = sample_distances(cfg)
-    assert base == sample_distances(cfg)
+    assert np.array_equal(base, sample_distances(cfg))
     for threads in ("4", "8"):
         monkeypatch.setenv("QTYPICAL_THREADS", threads)
-        assert sample_distances(cfg) == base
+        assert np.array_equal(sample_distances(cfg), base)
 
 
 # -- analytic bounds --
@@ -663,7 +715,10 @@ def test_report_json_roundtrip(tmp_path):
     # every field but the sampled distances, which the report carries unserialized
     assert sorted(data) == sorted(f.name for f in dataclasses.fields(TypicalityReport)
                                   if f.name != "distances")
-    assert report.distances == sample_distances(cfg)
+    assert np.array_equal(report.distances, sample_distances(cfg))
+    # the shared mapping the workers write into, read-only and not copied
+    assert isinstance(report.distances.base.obj, mmap.mmap)
+    assert report.distances.dtype == np.float64 and not report.distances.flags.writeable
     assert data["d_r"] == 3
     assert data["mean_distance"] == report.mean_distance
     assert data["tail_table"][0]["epsilon"] == 0.5
