@@ -1,6 +1,6 @@
 """Canonical states and typicality statistics for channel-defined subsystems."""
 
-__version__ = "0.31.0"
+__version__ = "0.32.0"
 
 from .qcore import (
     DensityOperator,

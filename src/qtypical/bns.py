@@ -38,6 +38,7 @@ its first row pays a full gcd. Its integers may have any number of digits.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -690,18 +691,17 @@ def write_distribution_csv(path, dist: ExactDistribution) -> None:
     integer true division, and the fraction its ``reduced()`` pair in lowest terms:
     one gcd per row in general, and two gcds with small integers per row for a law
     with ``ratios``, such as the hypergeometric law of ``energy_distribution_trace``.
-    Each row is one f-string, and the file is written in one call, LF line endings.
-    Integers of any size are written: the int-to-str digit limit of Python 3.10.7 and
-    later is lifted for the rows and then restored.
+    Each row is one f-string, generated as ``_write_lines`` writes its runs, LF line
+    endings. Integers of any size are written: the int-to-str digit limit of Python
+    3.10.7 and later is lifted for the write and then restored, also when a row raises.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if limit:
         sys.set_int_max_str_digits(0)  # C(16000, 8000) has 4815 digits
     try:
-        lines = ["m,probability,numerator,denominator", *[
+        _write_lines(path, itertools.chain(["m,probability,numerator,denominator"], (
             f"{m},{p:{FLOAT_FORMAT}},{a},{b}"
-            for m, p, (a, b) in zip(dist.support, dist.floats, dist.reduced())]]
+            for m, p, (a, b) in zip(dist.support, dist.floats, dist.reduced()))))
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    _write_lines(path, lines)

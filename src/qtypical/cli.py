@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import numbers
 import os
@@ -47,6 +48,7 @@ from .channels import (
     unitary_channel,
 )
 from .qcore import (
+    _RUN_LINES,
     FLOAT_FORMAT,
     DimensionError,
     _write_json,
@@ -55,7 +57,7 @@ from .qcore import (
     haar_unitary,
 )
 from .restriction import RestrictedPartialTrace, effective_environment_dimension
-from .typicality import ExperimentConfig, _entropy, _sample_row_bytes, run_experiment
+from .typicality import ExperimentConfig, _check_sampling, _entropy, run_experiment
 
 
 class UsageError(Exception):
@@ -208,16 +210,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_distances_csv(path: str, distances: np.ndarray) -> None:
-    """The index,distance table in the bytes of ``_write_lines``, written in runs of
-    4096 rows, each formatted from its run's ``tolist()``: one run of text at a time."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("index,distance\n")
-        for start in range(0, len(distances), 4096):
-            fh.write("".join(f"{i},{d:{FLOAT_FORMAT}}\n" for i, d in
-                             enumerate(distances[start:start + 4096].tolist(), start)))
-
-
 def _base(out: str) -> str:
     return out[:-4] if out.endswith(".csv") else out
 
@@ -338,7 +330,7 @@ def run_figure_bound(params: dict) -> list:
     _check_blocking(n, k)
     channels = [DetectorChannel(n, k, np_excited) for np_excited in range(1, n)]
     for ch in channels:  # every plan and sample is checked before the first draw
-        _sample_row_bytes(ch)
+        _check_sampling(ch, samples)
     rows = []
     for np_excited in range(1, n):  # each row pops its channel: one plan alive at a time
         report = run_experiment(ExperimentConfig(
@@ -369,7 +361,10 @@ def run_typicality(params: dict) -> list:
     report.save(out)
     outputs = [out]
     if distances_csv is not None:
-        _write_distances_csv(distances_csv, report.distances)
+        d = report.distances  # each run of rows is formatted from its own tolist()
+        _write_lines(distances_csv, itertools.chain(["index,distance"], (
+            f"{i},{x:{FLOAT_FORMAT}}" for start in range(0, len(d), _RUN_LINES)
+            for i, x in enumerate(d[start:start + _RUN_LINES].tolist(), start))))
         outputs.append(distances_csv)
     print(f"mean distance        : {_fmt(report.mean_distance)}")
     print(f"entropy bound        : {_fmt(report.entropy_bound)}")

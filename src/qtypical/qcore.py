@@ -14,13 +14,14 @@ Conventions shared by every module in the package:
 * one output format: floats are written at ``FLOAT_FORMAT`` (17 significant
   digits, enough to read every float back exactly), and every CSV table, JSON
   report and plot script is written by ``_write_lines``, UTF-8 with LF line
-  endings, in one write; the distances CSV, one row a sample, has the same
-  bytes but is written in runs of 4096 rows.
+  endings, in runs of ``_RUN_LINES`` (4096) lines, so no file is held whole as
+  text.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -50,6 +51,7 @@ _DENSE_BYTES_LIMIT = 512 * 2**20  # largest dense array the package may allocate
 _BLOCK_ROWS = 256  # most states in one batched block; a constant, so block shapes never depend on the machine
 _BLOCK_BYTES = 16 * 2**20  # most bytes of one batched block: blocks on every CPU fit the budget
 FLOAT_FORMAT = ".17g"  # the format of every float the package writes to a file
+_RUN_LINES = 4096  # lines that _write_lines holds as text and writes at once; never a whole file
 
 
 class DimensionError(ValueError):
@@ -79,9 +81,11 @@ def _mib(n_bytes: int) -> str:
 
 
 def _write_lines(path, lines) -> None:
-    """The lines, each ended by LF, written to ``path`` as UTF-8 in one write."""
+    """The lines of any iterable, each ended by LF, to ``path`` as UTF-8, a run at a time."""
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        while run := list(itertools.islice(lines, _RUN_LINES)):
+            fh.write("\n".join(run) + "\n")
 
 
 def _write_json(path, payload: dict) -> None:
@@ -253,11 +257,17 @@ def _pcg64_states(seeds) -> list[tuple[int, int]]:
 def haar_sample(dim: int, seed: int) -> np.ndarray:
     """Draw a pure state from the unitarily invariant measure, as a read-only (dim,) array.
 
-    2*dim independent standard Gaussians are assembled into a complex vector
-    and normalized; rotational invariance of the Gaussian makes the result
-    exactly Haar distributed. Deterministic for a fixed seed.
+    2*dim independent standard Gaussians, drawn as a (2, dim) array by the seed's own
+    generator, are the real and imaginary parts of a complex vector, which is divided
+    by its norm; rotational invariance of the Gaussian makes the result exactly Haar
+    distributed. Deterministic for a fixed seed, and the bits of the same seed's row
+    of ``_haar_rows``, the sampling path, which re-seeds one generator per block.
     """
-    psi = _haar_rows(dim, (seed,))[0]
+    if dim < 1:
+        raise DimensionError(f"dimension must be >= 1, got {dim}")
+    parts = _generator(seed).standard_normal((2, dim))
+    z = parts[0] + 1j * parts[1]
+    psi = z / np.linalg.norm(z)
     psi.setflags(write=False)
     return psi
 

@@ -151,12 +151,17 @@ def _marginal_square_product(n_excited: int, sq: int, eq: int) -> int:
 
     It counts the triples (s, s', e) of two system patterns and one environment
     pattern with |s| + |e| = |s'| + |e| = Np: the pairs of basis states that share
-    their environment pattern. The product is three shift-add chains.
+    their environment pattern. The product is three shift-add chains: (1 + x)^sq and
+    (1 + y)^sq on the table, then (1 + xy)^eq on its main diagonal alone, as a column
+    shifted one row down a step. That factor moves entries along diagonals only, so
+    nothing off the main diagonal reaches [Np, Np], and the chains cost
+    O(sq Np^2 + eq Np) shift-add entries, not O((2 sq + eq) Np^2).
     """
     table = _unit_table(n_excited)
-    for dx, dy, power in ((1, 0, sq), (0, 1, sq), (1, 1, eq)):
-        _shift_add(table, dx, dy, power)
-    return int(table[n_excited, n_excited])
+    _shift_add(table, 1, 0, sq)
+    _shift_add(table, 0, 1, sq)
+    column = np.diagonal(table).copy()[:, None]
+    return int(_shift_add(column, 1, 0, eq)[n_excited, 0])
 
 
 def _unit_table(degree: int) -> np.ndarray:
@@ -365,16 +370,14 @@ class RestrictedPartialTrace(_PatternChannel):
         """sum_i |lambda_i - c_w| + (rows - m) c_w of one block's table, for each row.
 
         A function of its own, so that one block's arrays are released before the next
-        block's are gathered. A 1 x 1 Gram matrix is its own eigenvalue: its real part
-        is what LAPACK's eigensolver returns at n = 1, so it is taken without one.
+        block's are gathered.
         """
         n_rows, n_cols = table.shape[1:]
         adjoint = table.conj().transpose(0, 2, 1)
         gram = table @ adjoint if n_rows <= n_cols else adjoint @ table
         level = n_cols / self.dim_in
         zeros = max(n_rows - n_cols, 0)
-        eigenvalues = gram[:, :, 0].real if gram.shape[1] == 1 else np.linalg.eigvalsh(gram)
-        return np.sum(np.abs(eigenvalues - level), axis=1) + zeros * level
+        return np.sum(np.abs(np.linalg.eigvalsh(gram) - level), axis=1) + zeros * level
 
     def choi_purity_routes(self) -> tuple[float, float]:
         """(closed-form Choi purity, purity from the truncated table product).

@@ -52,13 +52,13 @@ system weights and forms neither a d_S x d_S output nor a dense canonical
 state. A sample costs its state plus the channel's ``_distance_row_bytes``,
 and ``qcore._block_items`` makes the chunk as many samples as fit 16 MiB
 (``_BLOCK_BYTES``, within the 512 MiB dense budget), at most _BLOCK_ROWS.
-``_sample_row_bytes`` refuses a channel over budget at one sample, the
-detector's plan included, and ``_check_sampling`` refuses a run whose
-distances are over budget at 24 bytes a sample (the distances, their
-deviations from the mean, and one temporary of ``np.std`` or a tail mask):
-all from counts, before ``run_experiment`` evaluates the entropy or draws a
-chunk. Sample i always uses seed derive_seed(master_seed, i), so it depends
-only on (master_seed, i). The chunk follows from the channel's dimensions and
+``_check_sampling`` refuses a channel over budget at one sample, the
+detector's plan included, and then a run whose distances are over budget at
+24 bytes a sample (the distances, their deviations from the mean, and one
+temporary): all from counts, before ``run_experiment`` evaluates the entropy
+or draws a chunk, and for every row before ``figure-bound`` draws its first.
+Sample i always uses seed derive_seed(master_seed, i), so it depends only on
+(master_seed, i). The chunk follows from the channel's dimensions and
 fixed constants alone, so output bytes never depend on the machine or on any
 thread setting; QTYPICAL_THREADS is ignored.
 
@@ -176,7 +176,7 @@ def sample_distances(cfg: ExperimentConfig) -> np.ndarray:
     the next chunk is drawn, so the peak of a process is one chunk, and every refusal
     comes before the zero-row call.
     """
-    row = _check_sampling(cfg)
+    row = _check_sampling(cfg.channel, cfg.samples)
     chunk = min(_block_items(row, 1), cfg.samples)
     chunks = -(-cfg.samples // chunk)
     workers = _worker_count(chunks, chunk * row)
@@ -260,23 +260,15 @@ def _exited_cleanly(pid: int) -> bool:
         return False
 
 
-def _sample_row_bytes(ch) -> int:
-    """Bytes one sample needs, its state and the channel's ``_distance_row_bytes``.
-
-    Refused above the 512 MiB budget, the detector's plan first, so that a chunk of
-    at least one sample fits; ``figure-bound`` sizes each of its rows here too.
-    """
+def _check_sampling(ch, samples: int) -> int:
+    """Bytes one sample needs, its state and the channel's ``_distance_row_bytes``, refused
+    above the 512 MiB budget (the detector's plan first) so that a chunk of one sample
+    fits; then the run is refused at 24 bytes a sample (the distances, their deviations,
+    one temporary). Every refusal of sampling, from counts."""
     row = 16 * ch.dim_in + ch._distance_row_bytes
     _check_dense_bytes(row, f"one sampled state of dimension {_count(ch.dim_in)}, its output "
                        f"of dimension {_count(ch.dim_out)} and work arrays")
-    return row
-
-
-def _check_sampling(cfg: ExperimentConfig) -> int:
-    """``_sample_row_bytes`` of the channel, once 24 bytes a sample are checked too (the
-    distances, their deviations, one temporary): every refusal of sampling, from counts."""
-    row = _sample_row_bytes(cfg.channel)
-    _check_dense_bytes(24 * cfg.samples, f"the distances of {cfg.samples} samples")
+    _check_dense_bytes(24 * samples, f"the distances of {samples} samples")
     return row
 
 
@@ -380,11 +372,10 @@ def run_experiment(cfg: ExperimentConfig) -> TypicalityReport:
     carries the sampled distances.
     """
     ch = cfg.channel
-    _check_sampling(cfg)
+    _check_sampling(ch, cfg.samples)
     _, _, s_l, mean_bound = _entropy(ch)
     distances = sample_distances(cfg)
     mean = float(np.mean(distances))
-    std = float(np.std(distances, ddof=1)) if cfg.samples > 1 else 0.0
     top = float(np.max(distances))
 
     if cfg.eta_mode == "fixed_one":
@@ -392,11 +383,14 @@ def run_experiment(cfg: ExperimentConfig) -> TypicalityReport:
     else:
         eta, exact = _eta(ch, cfg.eta_trials, derive_seed(cfg.master_seed, ETA_STREAM_INDEX))
         diagnostic = not exact  # a searched eta is only a lower bound
-    deviations = distances - mean  # one array for every epsilon
+    deviations = distances - mean  # one array for every epsilon and the spread
     np.abs(deviations, out=deviations)
     tail_rows = tuple((eps, float(np.mean(deviations > eps)),
                        min(1.0, max(0.0, levy_tail_bound(ch.dim_in, eps, eta))))
                       for eps in cfg.epsilon_grid)
+    # squared in place, the pairwise sum of np.std(ddof=1), divided and rooted as it does
+    deviations *= deviations
+    std = math.sqrt(float(np.sum(deviations)) / (cfg.samples - 1)) if cfg.samples > 1 else 0.0
     p_bound = None if cfg.d_e_eff is None else partial_trace_bound(ch.dim_out, cfg.d_e_eff)
     return TypicalityReport(
         d_r=ch.dim_in, d_s=ch.dim_out, samples=cfg.samples, master_seed=cfg.master_seed,

@@ -1,5 +1,6 @@
 import csv
 import functools
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -498,6 +499,33 @@ def test_distribution_csv_bytes_do_not_depend_on_the_reduction_route(tmp_path):
     write_distribution_csv(ours, dist)
     write_distribution_csv(general, ExactDistribution(dist.support, dist.counts, dist.total))
     assert ours.read_bytes() == general.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_distribution_csv_restores_the_digit_limit_when_a_row_raises(tmp_path, monkeypatch):
+    # the rows are generated while the file is written, inside the lifted limit: a row
+    # that raises after the first run of 4096 rows leaves the limit as it was
+    dist = ExactDistribution(tuple(range(6000)), (1,) * 6000, 6000)
+    reduced, seen = ExactDistribution.reduced, []
+
+    def failing_reduced(self):
+        for i, pair in enumerate(reduced(self)):
+            if i == 5000:
+                raise RuntimeError("row 5000")
+            seen.append(sys.get_int_max_str_digits())
+            yield pair
+
+    monkeypatch.setattr(ExactDistribution, "reduced", failing_reduced)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        with pytest.raises(RuntimeError, match="row 5000"):
+            write_distribution_csv(tmp_path / "dist.csv", dist)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert set(seen) == {0} and len(seen) == 5000
+    assert (tmp_path / "dist.csv").read_text().count("\n") == 4096
 
 
 def test_distribution_csv_format(tmp_path):

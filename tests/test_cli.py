@@ -643,13 +643,23 @@ def test_typicality_distances_csv_samples_once(tmp_path, draw_log):
     assert csv_mean == json.loads(out.read_text())["mean_distance"]
 
 
-def test_distances_csv_has_the_bytes_of_csv_writer(tmp_path):
-    # the rows are formatted by one f-string each, in runs of 4096 (two full runs and a
-    # partial one here); the bytes are those of csv.writer over the fields _fmt formats
+def test_distances_csv_has_the_bytes_of_csv_writer(tmp_path, monkeypatch):
+    # the typicality command formats each row by one f-string, from runs of 4096 rows
+    # (two full runs and a partial one here); the bytes are those of csv.writer over
+    # the fields _fmt formats
     values = [0.0, 0.1, 1.0, 1 / 3, 5e-324, 1e-20, 0.9999999999999999, 2.5e-7]
     distances = np.array(values * 1025)
-    path = tmp_path / "distances.csv"
-    cli._write_distances_csv(path, distances)
+    report = typicality.TypicalityReport(
+        d_r=2, d_s=2, samples=distances.size, master_seed=0,
+        mean_distance=float(np.mean(distances)), std_distance=0.4, max_distance=1.0,
+        entropy_bound=1.0, linear_entropy=0.0, eta_mode="fixed_one", eta_used=1.0,
+        distances=distances)
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: report)
+    config, path = tmp_path / "cfg.json", tmp_path / "distances.csv"
+    config.write_text(json.dumps({"channel": {"type": "identity", "d": 2},
+                                  "samples": distances.size, "master_seed": 0}))
+    assert run(["typicality", "--config", config, "--out", tmp_path / "report.json",
+                "--distances-csv", path]) == 0
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerows([["index", "distance"],

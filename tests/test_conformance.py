@@ -142,6 +142,8 @@ CHECKS = {
     "constant": ["bns-8-4-7", "bns-8-2-0", "bns-8-2-8", "ptrace-6-3-0", "ptrace-6-0-3",
                  "ptrace-6-6-3"],
     "cap": ["ptrace-8-4-2", "ptrace-7-3-7", "bns-8-2-4", "bns-9-3-4"],
+    "moment": ["ptrace-10-5-3", "ptrace-8-4-2", "bns-8-4-4", "bns-12-4-6", "random-8-4-6",
+               "depolarizing-4-0.5", "identity-32", "partial-trace-4-16"],
 }
 
 
@@ -162,9 +164,9 @@ def _each_batch(rows):
     return pytest.mark.parametrize("batch", batches.values(), ids=batches.keys())
 
 
-def _states(dim, count, seed=0):
-    """``count`` Haar states of dimension ``dim``, row i drawn from derive_seed(seed, i)."""
-    return _haar_rows(dim, [derive_seed(seed, i) for i in range(count)])
+def _states(dim, count, seed=0, first=0):
+    """``count`` Haar states of dimension ``dim``, row i drawn from derive_seed(seed, first + i)."""
+    return _haar_rows(dim, [derive_seed(seed, i) for i in range(first, first + count)])
 
 
 # -- the interface against the dense oracle, on every row with one --
@@ -290,6 +292,37 @@ def test_exact_eta_is_reached_by_basis_states(row):
     basis = np.eye(ch.dim_in, dtype=np.complex128)
     psis = basis[np.repeat(firsts[:1], firsts.size - 1)]
     assert _pair_objectives(ch, psis, basis[firsts[1:]]) == [1.0] * (firsts.size - 1)
+
+
+# -- the sampled law against its exact second moment --
+
+MOMENT_SAMPLES, MOMENT_SEED, MOMENT_Z = 20_000, 2024, 4.0
+
+
+@_rows("moment")
+def test_sampled_second_moment_matches_the_exact_one(row):
+    """For Haar psi, E ||Phi(psi) - omega||_F^2 = (d_R P_J - tr omega^2) / (d_R + 1), with
+    P_J the Choi purity: the second moment of a Haar state, (1 + SWAP) / (d_R (d_R + 1)),
+    through Phi (x) Phi. MOMENT_SAMPLES states drawn by the sampling path must give a mean
+    within MOMENT_Z standard errors of it, or within 1e-12 where every sample has the same
+    value (depolarizing and identity: the spread is rounding noise). Under the normal
+    approximation to the sample mean, a fresh seed fails a correct row with probability
+    P(|Z| > 4), about 6.3e-5."""
+    ch = row.make()
+    d_r, omega = ch.dim_in, ch.canonical_state().matrix
+    exact = (d_r * ch.choi_purity_routes()[0] - np.sum(np.abs(omega) ** 2)) / (d_r + 1)
+    values = np.empty(MOMENT_SAMPLES)
+    for start in range(0, MOMENT_SAMPLES, 256):
+        stop = min(start + 256, MOMENT_SAMPLES)
+        out = ch.apply_pure_batch(_states(d_r, stop - start, MOMENT_SEED, start))
+        out -= omega
+        values[start:stop] = np.sum(np.abs(out) ** 2, axis=(1, 2))
+    mean, spread = float(np.mean(values)), float(np.std(values, ddof=1))
+    if spread <= 1e-12:
+        assert abs(mean - exact) <= 1e-12, (row.id, mean, exact)
+    else:
+        z = (mean - exact) / (spread / np.sqrt(MOMENT_SAMPLES))
+        assert abs(z) <= MOMENT_Z, (row.id, z)
 
 
 # -- stated peaks, on every row --

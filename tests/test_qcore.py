@@ -133,6 +133,18 @@ def test_haar_rows_match_per_sample_draws_bit_for_bit(dim, n_states):
     assert haar_sample(dim, seeds[-1]).tobytes() == expected[-1].tobytes()
 
 
+@pytest.mark.parametrize("dim", [1, 4, 252, 5000])
+def test_haar_sample_is_the_per_sample_draw(dim):
+    # haar_sample draws its one state from the seed's own generator, the bits of the
+    # oracle above and of the same seed's row of the sampling path
+    seeds = [derive_seed(7, i) for i in range(3)] + [0, 2**64 - 1]
+    rows = qcore._haar_rows(dim, seeds)
+    for seed, row in zip(seeds, rows):
+        psi = haar_sample(dim, seed)
+        assert psi.tobytes() == _haar_state_per_sample(dim, seed).tobytes() == row.tobytes()
+        assert psi.shape == (dim,) and not psi.flags.writeable
+
+
 def test_haar_rows_peak_is_one_output_block():
     dim = 1000
     seeds = [derive_seed(5, i) for i in range(256)]
@@ -350,3 +362,34 @@ def test_partial_trace_preserves_trace(da, db, seed):
     for keep in ("A", "B"):
         reduced = partial_trace(rho, keep, (da, db))
         assert abs(np.trace(reduced.matrix).real - 1.0) < 1e-10
+
+
+def test_write_lines_holds_one_run_of_text(tmp_path):
+    # 10^5 generated lines (2.2 MB of text) are written a run of 4096 at a time: a
+    # joined whole file peaks at about 10 MB
+    path = tmp_path / "lines.csv"
+
+    def lines():
+        return (f"{i},{i / 7:.17g}" for i in range(10**5))
+
+    qcore._write_lines(path, lines())  # the file's buffers and the encoder are set up once
+    tracemalloc.start()
+    try:
+        qcore._write_lines(path, lines())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = "\n".join(lines()) + "\n"
+    assert path.read_bytes() == text.encode()
+    assert len(text) > 2 * 2**20 and peak < 2**20, peak
+
+
+@pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 8193])
+def test_write_lines_runs_end_each_line_once(tmp_path, count):
+    # a list or a generator, the runs' boundaries leave the bytes of one joined text
+    path = tmp_path / "lines.txt"
+    qcore._write_lines(path, (str(i) for i in range(count)))
+    expected = "".join(f"{i}\n" for i in range(count)).encode()
+    assert path.read_bytes() == expected
+    qcore._write_lines(path, [str(i) for i in range(count)])
+    assert path.read_bytes() == expected

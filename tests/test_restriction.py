@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -303,6 +304,17 @@ def test_table_product_purity_route_equals_the_enumerated_count(n):
 
 def test_table_product_purity_route_equals_the_closed_form_at_60_30_10():
     assert _marginal_square_product(30, 10, 50) == _marginal_square_sum(30, 10, 50)
+
+
+@pytest.mark.parametrize("n,np_exc,sq", [
+    (1100, 550, 1), (2000, 1000, 1), (300, 150, 150),
+    (40, 20, 0), (40, 20, 40), (40, 0, 13), (40, 40, 13), (0, 0, 0), (7, 3, 7), (7, 7, 0)])
+def test_table_product_purity_route_equals_the_closed_form_far_out(n, np_exc, sq):
+    # the (1 + xy)^eq chain runs on the table's diagonal alone, O(eq Np) shift-adds:
+    # 2000/1000/1 took about 45 s on the whole table and takes well under a second now
+    started = time.perf_counter()
+    assert _marginal_square_product(np_exc, sq, n - sq) == _marginal_square_sum(np_exc, sq, n - sq)
+    assert time.perf_counter() - started < 10.0
 
 
 @pytest.mark.parametrize("shape,dx,dy,power", [

@@ -11,7 +11,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from qtypical import qcore
+from qtypical import qcore, typicality
 from qtypical.bns import DetectorChannel, bns_channel
 from qtypical.channels import (
     ConsistencyError,
@@ -33,7 +33,7 @@ from qtypical.typicality import (
     LEVY_CONSTANT,
     ExperimentConfig,
     TypicalityReport,
-    _sample_row_bytes,
+    _check_sampling,
     canonical_state,
     entropy_bound,
     levy_tail_bound,
@@ -155,6 +155,22 @@ def test_entropy_bound_of_a_dimension_beyond_the_float_range(purity):
     assert math.isclose(entropy_bound(_PurityOnly(d_s, purity)), expected, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("samples", [2, 3, 17, 1000, 4097, 10**5, 10**6])
+def test_spread_has_the_bits_of_numpy_std(monkeypatch, samples):
+    # the spread is the tail table's deviation array squared in place and summed, divided
+    # by n - 1 and rooted: np.std(ddof=1)'s own arithmetic, without its second pass
+    rng = np.random.default_rng(samples)
+    for draw in (rng.random(samples), 0.3 + 1e-9 * rng.standard_normal(samples),
+                 rng.random(samples) ** 8):
+        distances = np.clip(draw, 0.0, 0.6)
+        monkeypatch.setattr(typicality, "sample_distances", lambda cfg: distances)
+        report = run_experiment(ExperimentConfig(channel=identity_channel(2), samples=samples,
+                                                 master_seed=0, epsilon_grid=(0.1, 0.5)))
+        assert report.std_distance == float(np.std(distances, ddof=1))
+        assert report.tail_table[0][1] == float(np.mean(np.abs(distances - report.mean_distance)
+                                                        > 0.1))
+
+
 class _RowOnly:
     """The three members the sample size gate reads."""
 
@@ -169,7 +185,7 @@ def test_sample_size_refusal_of_a_dimension_past_the_digit_limit():
     message = (r"^one sampled state of dimension 14300, its output of dimension 2\^14300\.0 "
                r"and work arrays needs 2\^28584\.0 MiB \(limit 512 MiB\)$")
     with pytest.raises(DimensionError, match=message):
-        _sample_row_bytes(_RowOnly(14300, 2**14300))
+        _check_sampling(_RowOnly(14300, 2**14300), 1)
 
 
 @pytest.mark.parametrize("samples", [qcore._BLOCK_ROWS, 2 * qcore._BLOCK_ROWS + 1])
