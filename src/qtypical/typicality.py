@@ -388,7 +388,7 @@ def run_experiment(cfg: ExperimentConfig) -> TypicalityReport:
     tail_rows = tuple((eps, float(np.mean(deviations > eps)),
                        min(1.0, max(0.0, levy_tail_bound(ch.dim_in, eps, eta))))
                       for eps in cfg.epsilon_grid)
-    # squared in place, the pairwise sum of np.std(ddof=1), divided and rooted as it does
+    # squared in place, summed pairwise, divided by n - 1 and rooted: numpy std, ddof=1, bit for bit
     deviations *= deviations
     std = math.sqrt(float(np.sum(deviations)) / (cfg.samples - 1)) if cfg.samples > 1 else 0.0
     p_bound = None if cfg.d_e_eff is None else partial_trace_bound(ch.dim_out, cfg.d_e_eff)
