@@ -693,7 +693,8 @@ def write_distribution_csv(path, dist: ExactDistribution) -> None:
     with ``ratios``, such as the hypergeometric law of ``energy_distribution_trace``.
     Each row is one f-string, generated as ``_write_lines`` writes its runs, LF line
     endings. Integers of any size are written: the int-to-str digit limit of Python
-    3.10.7 and later is lifted for the write and then restored, also when a row raises.
+    3.10.7 and later is lifted for the write and then restored, also when a row raises,
+    which leaves no file.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if limit:

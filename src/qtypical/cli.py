@@ -48,7 +48,6 @@ from .channels import (
     unitary_channel,
 )
 from .qcore import (
-    _RUN_LINES,
     FLOAT_FORMAT,
     DimensionError,
     _write_json,
@@ -361,10 +360,10 @@ def run_typicality(params: dict) -> list:
     report.save(out)
     outputs = [out]
     if distances_csv is not None:
-        d = report.distances  # each run of rows is formatted from its own tolist()
+        d = report.distances  # as Python floats a slice at a time, never the whole array
         _write_lines(distances_csv, itertools.chain(["index,distance"], (
-            f"{i},{x:{FLOAT_FORMAT}}" for start in range(0, len(d), _RUN_LINES)
-            for i, x in enumerate(d[start:start + _RUN_LINES].tolist(), start))))
+            f"{i},{x:{FLOAT_FORMAT}}" for start in range(0, len(d), 4096)
+            for i, x in enumerate(d[start:start + 4096].tolist(), start))))
         outputs.append(distances_csv)
     print(f"mean distance        : {_fmt(report.mean_distance)}")
     print(f"entropy bound        : {_fmt(report.entropy_bound)}")

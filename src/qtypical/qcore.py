@@ -15,16 +15,18 @@ Conventions shared by every module in the package:
   digits, enough to read every float back exactly), and every CSV table, JSON
   report and plot script is written by ``_write_lines``, UTF-8 with LF line
   endings, in runs of ``_RUN_LINES`` (4096) lines, so no file is held whole as
-  text.
+  text, and a file takes its name only once its last line is written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import math
 import operator
+import os
 import struct
 from dataclasses import InitVar, dataclass
 
@@ -81,11 +83,21 @@ def _mib(n_bytes: int) -> str:
 
 
 def _write_lines(path, lines) -> None:
-    """The lines of any iterable, each ended by LF, to ``path`` as UTF-8, a run at a time."""
-    lines = iter(lines)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        while run := list(itertools.islice(lines, _RUN_LINES)):
-            fh.write("\n".join(run) + "\n")
+    """The lines of any iterable, each ended by LF, to ``path`` as UTF-8, a run at a time.
+
+    The runs go to ``<path>.partial``, which replaces ``path`` after the last one, so a
+    line that raises leaves no partial file behind, and an older ``path`` unchanged.
+    """
+    lines, partial = iter(lines), f"{os.fspath(path)}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            while run := list(itertools.islice(lines, _RUN_LINES)):
+                fh.write("\n".join(run) + "\n")
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
 
 
 def _write_json(path, payload: dict) -> None:
@@ -257,17 +269,11 @@ def _pcg64_states(seeds) -> list[tuple[int, int]]:
 def haar_sample(dim: int, seed: int) -> np.ndarray:
     """Draw a pure state from the unitarily invariant measure, as a read-only (dim,) array.
 
-    2*dim independent standard Gaussians, drawn as a (2, dim) array by the seed's own
-    generator, are the real and imaginary parts of a complex vector, which is divided
-    by its norm; rotational invariance of the Gaussian makes the result exactly Haar
-    distributed. Deterministic for a fixed seed, and the bits of the same seed's row
-    of ``_haar_rows``, the sampling path, which re-seeds one generator per block.
+    2*dim independent standard Gaussians are assembled into a complex vector
+    and normalized; rotational invariance of the Gaussian makes the result
+    exactly Haar distributed. Deterministic for a fixed seed.
     """
-    if dim < 1:
-        raise DimensionError(f"dimension must be >= 1, got {dim}")
-    parts = _generator(seed).standard_normal((2, dim))
-    z = parts[0] + 1j * parts[1]
-    psi = z / np.linalg.norm(z)
+    psi = _haar_rows(dim, (seed,))[0]
     psi.setflags(write=False)
     return psi
 

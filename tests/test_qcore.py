@@ -135,8 +135,7 @@ def test_haar_rows_match_per_sample_draws_bit_for_bit(dim, n_states):
 
 @pytest.mark.parametrize("dim", [1, 4, 252, 5000])
 def test_haar_sample_is_the_per_sample_draw(dim):
-    # haar_sample draws its one state from the seed's own generator, the bits of the
-    # oracle above and of the same seed's row of the sampling path
+    # haar_sample is one row of the sampling path: the bits of the per-state oracle above
     seeds = [derive_seed(7, i) for i in range(3)] + [0, 2**64 - 1]
     rows = qcore._haar_rows(dim, seeds)
     for seed, row in zip(seeds, rows):
@@ -393,3 +392,20 @@ def test_write_lines_runs_end_each_line_once(tmp_path, count):
     assert path.read_bytes() == expected
     qcore._write_lines(path, [str(i) for i in range(count)])
     assert path.read_bytes() == expected
+
+
+def test_write_lines_leaves_the_old_file_when_a_line_raises(tmp_path):
+    # the runs go to a sibling file that replaces the target only after the last run
+    path = tmp_path / "lines.txt"
+    path.write_text("old\n")
+
+    def lines():
+        for i in range(5000):
+            if i == 4500:
+                raise RuntimeError("line 4500")
+            yield str(i)
+
+    with pytest.raises(RuntimeError, match="line 4500"):
+        qcore._write_lines(path, lines())
+    assert [p.name for p in tmp_path.iterdir()] == ["lines.txt"]
+    assert path.read_text() == "old\n"
